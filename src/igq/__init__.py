@@ -10,17 +10,14 @@ collections.
 
 __version__ = "0.1.0"
 
-from .poly import GREVLEX, GRLEX, BlockOrder, Polynomial, Ring
+from .poly import GREVLEX, GRLEX, Polynomial, Ring
 from .groebner import (
     INFINITE,
     GroebnerBasis,
     Ideal,
     buchberger,
-    colon,
-    eliminate,
     normal_form,
     quotient_dimension,
-    saturate,
     standard_monomials,
 )
 from .univariate import distinct_root_count, squarefree_part, univ_gcd
@@ -29,18 +26,14 @@ __all__ = [
     "__version__",
     "GREVLEX",
     "GRLEX",
-    "BlockOrder",
     "Polynomial",
     "Ring",
     "INFINITE",
     "GroebnerBasis",
     "Ideal",
     "buchberger",
-    "colon",
-    "eliminate",
     "normal_form",
     "quotient_dimension",
-    "saturate",
     "standard_monomials",
     "distinct_root_count",
     "squarefree_part",

@@ -19,15 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import normal_form
-from .linalg import rank
+from .linalg import corank
 from .poly import Polynomial
 from .presentations import (
     PresentationSpec,
     QUANTUM_I,
     SPECIALIZE_1,
     SYMBOLIC,
+    _sigma,
     presentation_basis,
-    schur_determinant,
+    sigma_generators,
     sigma_ring,
     sigma_square_relations,
     sigma_weights,
@@ -60,11 +61,7 @@ class QuantumContext:
         return normal_form(p, self.gb)
 
     def sigma(self, k: int) -> Polynomial:
-        if k == 0:
-            return self.ring.one
-        if 1 <= k <= 2 * self.n - 2:
-            return self.ring.var("s%d" % k)
-        return self.ring.zero
+        return _sigma(self.ring, self.n, k)
 
     @property
     def q(self) -> Polynomial:
@@ -293,10 +290,6 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
 # regularity of the deformed ring, through the tangent-space corank
 
 
-def corank(rows, ncols: int) -> int:
-    return ncols - rank(rows, ncols)
-
-
 def regularity_corank(n: int) -> int:
     """Corank of the matrix of linear parts of the deformed relations, in
     the variables (s_1, ..., s_{2n-2}, t); regularity means corank 1.
@@ -308,15 +301,13 @@ def regularity_corank(n: int) -> int:
     """
     ring = sigma_ring(n)
     names = ring.names
-    rows = []
 
     def linear_row(p: Polynomial, t_entry=Fraction(0)):
         lin = p.linear_coefficients()
         return [lin.get(nm, Fraction(0)) for nm in names] + [t_entry]
 
-    for r in range(3, 2 * n - 1):
-        rows.append(linear_row(schur_determinant(n, r, ring)))
-    rel1, rel2 = sigma_square_relations(n, ring, True, ring.one)
+    *dets, rel1, rel2 = sigma_generators(n, ring, True, ring.one)
+    rows = [linear_row(g) for g in dets]
     rows.append(linear_row(rel1, Fraction((-1) ** (n + 1))))
     rows.append(linear_row(rel2))
     return corank(rows, len(names) + 1)

@@ -1,10 +1,10 @@
-"""Reduced Groebner bases over Q and the ideal operations built on them.
+"""Reduced Groebner bases over Q and the finite quotients they present.
 
 Buchberger's algorithm with the Gebauer-Moeller pair criteria and the
-normal selection strategy; heap-backed full tail reduction.  Quotient
-dimensions and standard monomial bases for zero-dimensional ideals;
-ideal intersection, colon and saturation via the extra-variable trick;
-elimination ideals via block orders.
+normal selection strategy; heap-backed full tail reduction.  For
+zero-dimensional ideals: quotient dimensions, standard monomial bases,
+the matrices of multiplication by each variable on that basis, and
+minimal polynomials of multiplication maps.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .linalg import LinearSieve
 from .poly import (
-    BlockOrder,
     Polynomial,
     Ring,
     RingMismatch,
@@ -38,10 +37,6 @@ class _Infinite:
 
 #: Sentinel returned by quotient_dimension for non-zero-dimensional ideals.
 INFINITE = _Infinite()
-
-
-class SaturationError(RuntimeError):
-    """Raised when iterated colon fails to stabilize within its bound."""
 
 
 class Ideal:
@@ -338,158 +333,38 @@ def quotient_dimension(gb: GroebnerBasis):
     return len(standard_monomials(gb))
 
 
-# ---------------------------------------------------------------------------
-# ideal operations
-
-
-def _fresh_name(names, stem="@t"):
-    name = stem
-    while name in names:
-        name += "_"
-    return name
-
-
-def _to_extended(p: Polynomial, ext: Ring) -> Polynomial:
-    """Re-home p in a ring that contains its variables by name."""
-    pad = {}
+def _coordinates(p: Polynomial, index) -> list:
+    """The coefficient vector of a normal form on the standard monomials."""
+    vec = [Fraction(0)] * len(index)
     for e, c in p.terms:
-        exps = [0] * ext.ngens
-        for name, k in zip(p.ring.names, e):
-            exps[ext.index(name)] = k
-        pad[tuple(exps)] = c
-    return ext.poly(pad)
+        vec[index[e]] = c
+    return vec
 
 
-def _from_extended(p: Polynomial, base: Ring) -> Polynomial:
-    """Project a polynomial free of the extra variables back to `base`."""
-    out = {}
-    for e, c in p.terms:
-        exps = [0] * base.ngens
-        for name, k in zip(p.ring.names, e):
-            if k:
-                if name not in base._index:
-                    raise ValueError("polynomial still involves %s" % name)
-                exps[base.index(name)] = k
-        out[tuple(exps)] = c
-    return base.poly(out)
+def multiplication_matrices(gb: GroebnerBasis):
+    """For each ring variable v, the matrix of multiplication by v on the
+    finite-dimensional quotient, as a list of rows: entry (i, j) is the
+    coefficient of the i-th standard monomial in NF(v * j-th one)."""
+    std = standard_monomials(gb)
+    index = {m: i for i, m in enumerate(std)}
+    ring = gb.ring
+    mats = []
+    for v in ring.gens:
+        cols = [_coordinates(normal_form(ring.monomial(m) * v, gb), index) for m in std]
+        mats.append([list(row) for row in zip(*cols)])
+    return mats
 
 
-def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Ideal intersection via the standard one-extra-variable trick."""
-    ring = I.ring
-    t_name = _fresh_name(ring.names)
-    ext = Ring((t_name,) + ring.names, BlockOrder([0]))
-    t = ext.var(0)
-    gens = [t * _to_extended(g, ext) for g in I.generators]
-    gens += [(ext.one - t) * _to_extended(g, ext) for g in J.generators]
-    gb = buchberger(Ideal(ext, gens))
-    ti = ext.index(t_name)
-    kept = [g for g in gb if all(e[ti] == 0 for e, _ in g.terms)]
-    return Ideal(ring, [_from_extended(g, ring) for g in kept])
-
-
-def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    rem = f
-    quot = ring.zero
-    lg, cg = g.lead_monomial, g.lead_coeff
-    while not rem.is_zero:
-        q = monomial_div(rem.lead_monomial, lg)
-        if q is None:
-            raise ValueError("not an exact division")
-        m = ring.monomial(q, rem.lead_coeff / cg)
-        quot = quot + m
-        rem = rem - m * g
-    return quot
-
-
-def colon(I: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal I : (f)."""
-    if f.is_zero:
-        raise ValueError("colon by the zero polynomial")
-    ring = I.ring
-    inter = intersect(I, Ideal(ring, [f]))
-    return Ideal(ring, [divide_exact(g, f) for g in inter.generators])
-
-
-def saturate(I: Ideal, f: Polynomial, bound: int = None) -> Ideal:
-    """I : f^infinity by iterated colon, with a hard stabilization bound.
-
-    The default bound is the quotient dimension when finite (the colon
-    chain strictly drops length until stable), else a degree heuristic;
-    failure to stabilize raises SaturationError rather than returning a
-    possibly-unsaturated ideal.
-    """
-    gb = buchberger(I)
-    if bound is None:
-        dim = quotient_dimension(gb)
-        if dim is INFINITE:
-            bound = 2 + sum(max(g.total_degree, 1) for g in I.generators)
-        else:
-            bound = dim + 1
-    current = Ideal(I.ring, gb.elements)
-    current_gb = gb
-    for _ in range(max(bound, 1)):
-        nxt = colon(current, f)
-        nxt_gb = buchberger(nxt)
-        if nxt_gb.elements == current_gb.elements:
-            return current
-        current, current_gb = Ideal(I.ring, nxt_gb.elements), nxt_gb
-    raise SaturationError("saturation did not stabilize within %d steps" % bound)
-
-
-def minimal_polynomial(gb: GroebnerBasis, f: Polynomial):
-    """Coefficients c_0..c_d (monic, c_d = 1) of the minimal polynomial of
-    multiplication by f on the finite-dimensional quotient ring."""
+def minimal_polynomial(gb: GroebnerBasis, f: Polynomial, start: Polynomial = None):
+    """Coefficients c_0..c_d (monic, c_d = 1) of the least polynomial p with
+    p(f) * start = 0 in the finite-dimensional quotient ring.  With the
+    default start 1 this is the minimal polynomial of multiplication by f."""
     std = standard_monomials(gb)
     index = {m: i for i, m in enumerate(std)}
     sieve = LinearSieve()
-    cur = normal_form(gb.ring.one, gb)
+    cur = normal_form(gb.ring.one if start is None else start, gb)
     while True:
-        vec = [Fraction(0)] * len(std)
-        for e, c in cur.terms:
-            vec[index[e]] = c
-        combo = sieve.add(vec)
+        combo = sieve.add(_coordinates(cur, index))
         if combo is not None:
             return combo
         cur = normal_form(cur * f, gb)
-
-
-def eliminate(I: Ideal, keep) -> Ideal:
-    """The elimination ideal retaining only the `keep` variables, computed
-    with a block order that puts the eliminated variables first.
-
-    When a single variable is kept and the ideal is zero-dimensional, the
-    elimination ideal is principal and equal to the minimal polynomial of
-    that variable on the quotient, which is found by exact linear algebra
-    instead of a block-order basis (same ideal, much cheaper).
-    """
-    ring = I.ring
-    keep_names = {n if isinstance(n, str) else ring.names[n] for n in keep}
-    if not keep_names:
-        raise ValueError("must keep at least one variable")
-    unknown = keep_names - set(ring.names)
-    if unknown:
-        raise ValueError("unknown variables: %r" % sorted(unknown))
-    elim_idx = [i for i, n in enumerate(ring.names) if n not in keep_names]
-    if not elim_idx:
-        return Ideal(ring, I.generators)
-    if len(keep_names) == 1:
-        gb0 = buchberger(I)
-        if quotient_dimension(gb0) is not INFINITE:
-            w = ring.index(next(iter(keep_names)))
-            coeffs = minimal_polynomial(gb0, ring.var(w))
-            mono = lambda s: tuple(s if i == w else 0 for i in range(ring.ngens))
-            poly = ring.poly({mono(s): c for s, c in enumerate(coeffs)})
-            return Ideal(ring, [poly])
-    block = Ring(ring.names, BlockOrder(elim_idx))
-    gb = buchberger(Ideal(block, [_to_extended(g, block) for g in I.generators]))
-    kept = [
-        g
-        for g in gb
-        if all(all(e[i] == 0 for i in elim_idx) for e, _ in g.terms)
-    ]
-    return Ideal(ring, [_to_extended(g, ring) for g in kept])

@@ -1,8 +1,10 @@
-"""Exact Gaussian elimination over Q: rank, and first linear dependence."""
+"""Exact Gaussian elimination over Q: reduced row echelon form, rank,
+corank, nullspace, and first linear dependence."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class LinearSieve:
@@ -11,38 +13,63 @@ class LinearSieve:
     `add` returns None while the vectors stay independent.  When the new
     vector lies in the span of the earlier ones it returns coefficients
     c_0..c_k (with c_k = 1 for the new vector) such that sum c_j v_j = 0.
+
+    Each vector is cleared of denominators and reduced against the kept
+    ones by fraction-free (Bareiss) elimination, whose divisions are exact,
+    so the rows stay integral and no larger than minors of the input.  A kept vector y = scale * row
+    records the multipliers r_j of y = v - sum_j r_j y_j, from which a
+    dependence is unwound back to the fed vectors.
     """
 
     def __init__(self):
-        self.pivots = []  # (pivot column, normalized row, combination row)
+        self.pivots = []  # (pivot column, integer row, scale, vector index, multipliers)
         self.count = 0
 
     def add(self, vec):
         vec = [Fraction(x) for x in vec]
-        combo = [Fraction(0)] * self.count + [Fraction(1)]
-        for pc, row, rc in self.pivots:
-            f = vec[pc]
+        scale = Fraction(1, lcm(*(x.denominator for x in vec)))
+        row = [int(x / scale) for x in vec]
+        mults = []
+        prev = 1
+        for k, (pc, prow, pscale, _, _) in enumerate(self.pivots):
+            p, f = prow[pc], row[pc]
             if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-                rc_padded = rc + [Fraction(0)] * (len(combo) - len(rc))
-                combo = [a - f * b for a, b in zip(combo, rc_padded)]
+                mults.append((k, scale * f / (pscale * p)))
+            row = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            scale = scale * prev / p
+            prev = p
+        index = self.count
         self.count += 1
-        pc = next((i for i, x in enumerate(vec) if x), None)
-        if pc is None:
-            return combo
-        lead = vec[pc]
-        self.pivots.append((pc, [x / lead for x in vec], [x / lead for x in combo]))
-        return None
+        pc = next((i for i, x in enumerate(row) if x), None)
+        if pc is not None:
+            self.pivots.append((pc, row, scale, index, mults))
+            return None
+        # v = sum_k w_k y_k; unwind each y_k from the newest down
+        w = [Fraction(0)] * len(self.pivots)
+        for k, r in mults:
+            w[k] = r
+        combo = [Fraction(0)] * index + [Fraction(1)]
+        for k in reversed(range(len(self.pivots))):
+            if w[k]:
+                _, _, _, i, rs = self.pivots[k]
+                combo[i] -= w[k]
+                for j, r in rs:
+                    w[j] -= w[k] * r
+        return combo
 
 
-def rank(rows, ncols: int = None) -> int:
-    """Rank of a matrix given as a list of coefficient rows over Q."""
+def row_echelon(rows, ncols: int):
+    """Reduced row echelon form of a matrix given as coefficient rows over Q.
+
+    Returns (pivot columns, nonzero rows): row i is 1 in column pivots[i]
+    and 0 in every other pivot column.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    width = ncols if ncols is not None else len(m[0])
+    pivots = []
     r = 0
-    for col in range(width):
+    for col in range(ncols):
+        if r == len(m):
+            break
         pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
@@ -52,8 +79,34 @@ def rank(rows, ncols: int = None) -> int:
         for i in range(len(m)):
             if i != r and m[i][col]:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
+        pivots.append(col)
         r += 1
-        if r == len(m):
-            break
-    return r
+    return pivots, m[:r]
+
+
+def rank(rows, ncols: int = None) -> int:
+    """Rank of a matrix given as a list of coefficient rows over Q."""
+    if not rows:
+        return 0
+    return len(row_echelon(rows, ncols if ncols is not None else len(rows[0]))[0])
+
+
+def corank(rows, ncols: int) -> int:
+    """Dimension of the kernel of a matrix with `ncols` columns."""
+    return ncols - rank(rows, ncols)
+
+
+def nullspace(rows, ncols: int) -> dict:
+    """A basis of {v : row . v = 0 for every row}, as {c: v_c} with one
+    vector per non-pivot column c: v_c is 1 in column c and 0 in every
+    other non-pivot column."""
+    pivots, reduced = row_echelon(rows, ncols)
+    basis = {}
+    for c in sorted(set(range(ncols)) - set(pivots)):
+        v = [Fraction(0)] * ncols
+        v[c] = Fraction(1)
+        for p, row in zip(pivots, reduced):
+            v[p] = -row[c]
+        basis[c] = v
+    return basis

@@ -9,7 +9,7 @@ no floating point is ever involved.  Monomials are bare exponent tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Exponents = tuple  # exponent vector, one entry per ring variable
 
@@ -89,22 +89,6 @@ GREVLEX = _Grevlex()
 GRLEX = _Grlex()
 
 
-class BlockOrder(TermOrder):
-    """Elimination order: grevlex on a leading block of variables, then
-    grevlex on the rest.  Any monomial involving a block variable beats any
-    monomial free of them, which is what elimination needs."""
-
-    def __init__(self, elim_indices: Iterable[int]):
-        self.elim = tuple(sorted(set(elim_indices)))
-        self._elimset = frozenset(self.elim)
-        self.name = "block(%s)" % ",".join(map(str, self.elim))
-
-    def key(self, exps):
-        first = tuple(exps[i] for i in self.elim)
-        rest = tuple(e for i, e in enumerate(exps) if i not in self._elimset)
-        return (GREVLEX.key(first), GREVLEX.key(rest))
-
-
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
@@ -178,9 +162,6 @@ class Ring:
             (e, acc[e]) for e in sorted(acc, key=key, reverse=True) if acc[e]
         )
         return Polynomial(self, terms)
-
-    def with_order(self, order: TermOrder) -> "Ring":
-        return Ring(self.names, order)
 
     def __eq__(self, other):
         return (
@@ -332,6 +313,11 @@ class Polynomial:
         )
 
     def __hash__(self):
+        # a constant equals its coefficient (see __eq__), so hashes as it
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return hash(self.terms[0][1])
         return hash((self.ring, self.terms))
 
     def monic(self) -> "Polynomial":
@@ -411,10 +397,6 @@ class Polynomial:
                     v *= p**exp
             total += v
         return total
-
-    def with_order(self, order: TermOrder) -> "Polynomial":
-        ring = self.ring.with_order(order)
-        return ring.poly(dict(self.terms))
 
     # -- display ------------------------------------------------------
 

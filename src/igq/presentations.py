@@ -9,7 +9,10 @@ Two coordinate systems are used throughout:
 
 Each classical presentation has a quantum deformation obtained by a single
 degree-(2n-1) correction term.  `decompose_spectrum` splits Spec of the
-quantum quotient into its origin-supported part and the reduced rest, and
+quantum quotient into its origin-supported part and the reduced rest by
+exact linear algebra on the finite quotient: the origin factor is the
+joint generalized kernel of the multiplication matrices, and the rest is
+counted through the minimal polynomial of a separating linear form.
 `count_offorigin_by_substitution` re-counts the reduced points through the
 z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd degree
 arithmetic.
@@ -25,13 +28,13 @@ from .groebner import (
     Ideal,
     INFINITE,
     buchberger,
-    eliminate,
-    intersect,
+    minimal_polynomial,
+    multiplication_matrices,
     normal_form,
     quotient_dimension,
-    saturate,
+    standard_monomials,
 )
-from .linalg import rank
+from .linalg import corank, nullspace
 from .poly import Polynomial, Ring
 from .univariate import distinct_root_count, squarefree_part, univ_divide, univ_gcd
 
@@ -149,6 +152,14 @@ def sigma_square_relations(n: int, ring: Ring, quantum: bool, q_poly: Polynomial
     return rel1, rel2
 
 
+def sigma_generators(n: int, ring: Ring, quantum: bool, q_poly: Polynomial = None):
+    """The I-presentation generators in `ring`: the determinants for r in
+    [3, 2n-2], then the two quadratic relations (quantum term q_poly*s_1)."""
+    gens = [schur_determinant(n, r, ring) for r in range(3, 2 * n - 1)]
+    gens.extend(sigma_square_relations(n, ring, quantum, q_poly))
+    return gens
+
+
 def _chern_series_coeffs(n: int, ring: Ring):
     """Coefficients (in x^2 steps) of (1 + (2a2 - a1^2)x^2 + a2^2 x^4) *
     (1 + b1 x^2 + ... + b_{n-2} x^{2n-4})."""
@@ -172,9 +183,7 @@ def build_presentation(spec: PresentationSpec) -> Ideal:
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         ring = sigma_ring(n, spec.symbolic_q)
         q_poly = ring.var("q") if spec.symbolic_q else ring.one
-        gens = [schur_determinant(n, r, ring) for r in range(3, 2 * n - 1)]
-        gens.extend(sigma_square_relations(n, ring, quantum, q_poly))
-        return Ideal(ring, gens)
+        return Ideal(ring, sigma_generators(n, ring, quantum, q_poly))
     ring = ab_ring(n, spec.symbolic_q)
     coeffs = _chern_series_coeffs(n, ring)
     gens = list(coeffs[1 : n + 1])
@@ -240,8 +249,7 @@ def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> di
 
     def residuals(lam):
         q_poly = lam * (ring_i.var("q") if symbolic else ring_i.one)
-        gens = [schur_determinant(n, r, ring_i) for r in range(3, 2 * n - 1)]
-        gens.extend(sigma_square_relations(n, ring_i, quantum, q_poly))
+        gens = sigma_generators(n, ring_i, quantum, q_poly)
         imgs = dict(images)
         if symbolic:
             imgs["q"] = target.var("q")
@@ -295,50 +303,92 @@ def origin_tangent_dimension(ideal: Ideal) -> int:
     for g in ideal.generators:
         lin = g.linear_coefficients()
         rows.append([lin.get(name, Fraction(0)) for name in ring.names])
-    return ring.ngens - rank(rows, ring.ngens)
+    return corank(rows, ring.ngens)
 
 
-def offorigin_ideal(ideal: Ideal) -> Ideal:
-    """Remove the origin-supported component: saturation by the origin's
-    maximal ideal, computed as the intersection over the variables v of the
-    single-variable saturations I : v^infinity."""
-    result = None
-    for v in ideal.ring.gens:
-        sat = saturate(ideal, v)
-        result = sat if result is None else intersect(result, sat)
-    return result
+def _origin_factor(mats, dim: int) -> list:
+    """A basis of the origin-supported factor A_0 of a finite quotient: the
+    joint generalized kernel of its multiplication matrices.
+
+    K_j = {a : m^j a = 0}, for m the maximal ideal of the origin, is the
+    kernel of the stacked maps Q M_v, where Q projects away from K_{j-1}.
+    The chain grows strictly until it stops at A_0, so it takes at most
+    the local length steps.
+    """
+    kernel = {}
+    while True:
+        rows = []
+        for M in mats:
+            for i in range(dim):
+                row = M[i]
+                for c, u in kernel.items():
+                    if u[i]:
+                        row = [a - u[i] * b for a, b in zip(row, M[c])]
+                rows.append(row)
+        nxt = nullspace(rows, dim)
+        if len(nxt) == len(kernel):
+            return list(kernel.values())
+        kernel = nxt
+
+
+def _offorigin_idempotent(gb: GroebnerBasis, origin) -> Polynomial:
+    """The idempotent e_off of A = A_0 x A_off, the off-origin component of 1.
+
+    An element w of A_0 with w(0) != 0 is a unit of A_0 and kills A_off, so
+    its minimal polynomial is t*h(t) with h(0) != 0, or h(t) alone when
+    A_off = 0; then e_off = h(w)/h(0).
+    """
+    ring = gb.ring
+    if not origin:
+        return ring.one
+    std = standard_monomials(gb)  # std[0] is 1, so u[0] is u(0)
+    w = ring.poly(zip(std, next(u for u in origin if u[0])))
+    mu = minimal_polynomial(gb, w)
+    if mu[0]:
+        return ring.zero
+    e_off = ring.zero
+    for c in reversed(mu[1:]):
+        e_off = normal_form(e_off * w + c / mu[1], gb)
+    return e_off
 
 
 _SEPARATING_COEFFS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
-def _separating_counts(off: Ideal, expected_dim: int, attempts: int = 4):
-    """Count distinct points by projecting along a verified-generic linear
-    form: adjoin w - l, eliminate the original variables, count distinct
-    roots of the eliminant.  Retries with shifted coefficient sequences."""
-    ring = off.ring
-    nv = ring.ngens
-    ext = Ring(ring.names + ("w",))
+def split_spectrum(gb: GroebnerBasis):
+    """Split a finite quotient A = Q[vars]/I as A_0 x A_off, A_0 supported
+    at the origin, and count the distinct points of A_off.
+
+    Returns (local length at the origin, dim A_off, distinct off-origin
+    points, separating form).  The points are counted along a
+    verified-generic linear form l: the minimal polynomial of l started
+    from e_off has as many distinct roots as A_off has dimension exactly
+    when A_off is reduced and l separates its points.  Makes four attempts,
+    with shifted coefficient sequences.
+    """
+    mats = multiplication_matrices(gb)
+    dim = len(standard_monomials(gb))
+    origin = _origin_factor(mats, dim)
+    length = len(origin)
+    off_dim = dim - length
+    e_off = _offorigin_idempotent(gb, origin)
+    ring = gb.ring
+    t_ring = Ring(("t",))
     tried = []
-    for attempt in range(attempts):
-        coeffs = _SEPARATING_COEFFS[attempt : attempt + nv]
-        ell = ext.zero
-        for c, name in zip(coeffs, ring.names):
-            ell = ell + c * ext.var(name)
-        gens = [g.substitute(ext, {}) for g in off.generators]
-        gens.append(ext.var("w") - ell)
-        elim = eliminate(Ideal(ext, gens), {"w"})
-        only_w = [g for g in elim.generators if not g.is_zero]
-        if len(only_w) != 1:
-            raise RuntimeError("elimination ideal not principal: %r" % only_w)
-        count = distinct_root_count(only_w[0])
+    for attempt in range(4):
+        coeffs = _SEPARATING_COEFFS[attempt : attempt + ring.ngens]
+        ell = ring.zero
+        for c, v in zip(coeffs, ring.gens):
+            ell = ell + c * v
+        mu = minimal_polynomial(gb, ell, start=e_off)
+        count = distinct_root_count(t_ring.poly({(k,): c for k, c in enumerate(mu)}))
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
-        if count == expected_dim:
-            return count, form
+        if count == off_dim:
+            return length, off_dim, count, form
         tried.append((form, count))
     raise RuntimeError(
         "no separating form found (counts %r vs dimension %d): either the "
-        "off-origin part is non-reduced or all projections collided" % (tried, expected_dim)
+        "off-origin part is non-reduced or all projections collided" % (tried, off_dim)
     )
 
 
@@ -351,22 +401,16 @@ def decompose_spectrum(n: int) -> SpectrumReport:
     by a verified-generic projection."""
     if n in _spectrum_cache:
         return _spectrum_cache[n]
-    ideal = build_presentation(PresentationSpec(n, QUANTUM_II, SPECIALIZE_1))
-    gb = presentation_basis(PresentationSpec(n, QUANTUM_II, SPECIALIZE_1))
+    spec = PresentationSpec(n, QUANTUM_II, SPECIALIZE_1)
+    gb = presentation_basis(spec)
     total = quotient_dimension(gb)
     if total is INFINITE:
         raise RuntimeError("quantum quotient is not zero-dimensional")
-    tangent = origin_tangent_dimension(ideal)
-    off = offorigin_ideal(Ideal(ideal.ring, gb.elements))
-    off_gb = buchberger(off)
-    off_dim = quotient_dimension(off_gb)
-    if off_dim is INFINITE:
-        raise RuntimeError("off-origin part is not zero-dimensional")
-    count, form = _separating_counts(Ideal(ideal.ring, off_gb.elements), off_dim)
+    length, off_dim, count, form = split_spectrum(gb)
     report = SpectrumReport(
         total_dim=total,
-        tangent_dim_origin=tangent,
-        local_length_origin=total - off_dim,
+        tangent_dim_origin=origin_tangent_dimension(build_presentation(spec)),
+        local_length_origin=length,
         offorigin_dim=off_dim,
         offorigin_distinct_points=count,
         separating_form=form,

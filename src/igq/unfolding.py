@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import INFINITE, Ideal, buchberger, quotient_dimension, standard_monomials
-from .linalg import rank
+from .linalg import corank
 from .poly import Polynomial
 from .presentations import decompose_spectrum
 
@@ -51,8 +51,7 @@ def milnor_data(f: Polynomial, variables=None) -> GermData:
         for w in names:
             row.append(dv.derivative(w).constant_coeff)
         hess.append(row)
-    corank = len(names) - rank(hess, len(names))
-    return GermData(milnor_number=dim, corank=corank, monomial_basis=basis)
+    return GermData(milnor_number=dim, corank=corank(hess, len(names)), monomial_basis=basis)
 
 
 def classify_corank1(mu: int, corank: int = 1) -> str:

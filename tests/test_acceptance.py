@@ -65,6 +65,19 @@ def test_criterion_02_spectrum_decomposition():
     _verdict("criterion 2: spectrum split (total, tangent, length, off, points)", got == expected, str(got))
 
 
+def test_criterion_02b_spectrum_n6():
+    rep = decompose_spectrum(6)
+    count = count_offorigin_by_substitution(6)
+    label = match_quantum_factor(6)["label"]
+    ok = rep.as_tuple() == (60, 1, 5, 55, 55) and count == 55 == rep.offorigin_distinct_points
+    ok = ok and label == "A5"
+    _verdict(
+        "criterion 2b: spectrum split at n=6, 55 points counted both ways, label A5",
+        ok,
+        "%s, zcount %d, %s" % (rep.as_tuple(), count, label),
+    )
+
+
 def test_criterion_03_independent_point_count():
     ok = True
     detail = {}

@@ -12,7 +12,6 @@ from igq.deformation import (
     SIGMA_PRIME,
     UNIT,
     UntrackedCorrectionError,
-    corank,
     correction_table,
     quantum_context,
     regularity_corank,
@@ -23,6 +22,7 @@ from igq.deformation import (
     tau_correction,
     verify_lemma_presentation,
 )
+from igq.linalg import corank
 from igq.presentations import sigma_weights
 
 

@@ -1,5 +1,6 @@
 """Groebner engine: reduced bases, normal forms, quotient dimensions,
-colon/saturation/elimination, and their defining invariants."""
+multiplication matrices, minimal polynomials, and their defining
+invariants."""
 
 import itertools
 import random
@@ -10,21 +11,16 @@ import pytest
 from igq.groebner import (
     INFINITE,
     Ideal,
-    SaturationError,
     buchberger,
-    colon,
-    divide_exact,
-    eliminate,
-    intersect,
     is_groebner,
     minimal_polynomial,
+    multiplication_matrices,
     normal_form,
     quotient_dimension,
-    saturate,
     spoly,
     standard_monomials,
 )
-from igq.poly import GREVLEX, GRLEX, BlockOrder, Ring, monomial_divides
+from igq.poly import GREVLEX, GRLEX, Ring, monomial_divides
 from igq.presentations import PresentationSpec, QUANTUM_II, build_presentation
 
 R2 = Ring(("x", "y"))
@@ -136,96 +132,37 @@ def test_spoly_cancels_leads():
     assert s.lead_monomial not in ((2, 0), (1, 1))
 
 
-def test_colon_by_unit_is_identity():
-    ideal = Ideal(R2, [X**2 - Y])
-    assert colon(ideal, R2.one) == ideal
-
-
-def test_colon_membership_oracle():
-    # (x^2 y) : (y) = (x^2): check both inclusions by normal forms
-    ideal = Ideal(R2, [X**2 * Y])
-    quotient = colon(ideal, Y)
-    gb = buchberger(quotient)
-    assert normal_form(X**2, gb).is_zero
-    for g in quotient.generators:
-        assert normal_form(g * Y, buchberger(ideal)).is_zero
-
-
-def test_saturate_iterated_colon_stabilizes():
-    ideal = Ideal(R2, [X**2 * Y])
-    sat = saturate(ideal, Y)
-    assert [g.pretty() for g in buchberger(sat)] == ["x^2"]
-    # one more colon must return the same ideal
-    assert colon(sat, Y) == sat
-
-
-def test_saturation_bound_failure_is_loud():
-    ideal = Ideal(R2, [X**3 * Y])
-    with pytest.raises(SaturationError):
-        saturate(ideal, Y, bound=0)
-
-
-def test_intersection_against_membership():
-    I = Ideal(R2, [X])
-    J = Ideal(R2, [Y])
-    K = intersect(I, J)
-    gb = buchberger(K)
-    assert normal_form(X * Y, gb).is_zero
-    gbi, gbj = buchberger(I), buchberger(J)
-    for g in K.generators:
-        assert normal_form(g, gbi).is_zero and normal_form(g, gbj).is_zero
-
-
-def test_divide_exact():
-    f = (X + Y) * (X**2 - 3)
-    assert divide_exact(f, X + Y) == X**2 - 3
-    with pytest.raises(ValueError):
-        divide_exact(X**2 + 1, X + Y)
-
-
-def test_eliminate_substitution_oracle():
-    # y = x^2 into y^2 - 3 gives x^4 - 3
-    ideal = Ideal(R2, [Y - X**2, Y**2 - 3])
-    out = eliminate(ideal, {"x"})
-    assert [g.pretty() for g in buchberger(out)] == ["x^4 - 3"]
-    oracle = (X**2) ** 2 - 3
-    assert normal_form(oracle, buchberger(out)).is_zero
-
-
-def test_eliminate_keep_all_and_linear():
-    ideal = Ideal(R2, [X - 1, Y - 2])
-    assert eliminate(ideal, {"x", "y"}) == ideal
-    out = eliminate(ideal, {"y"})
-    assert [g.pretty() for g in buchberger(out)] == ["y - 2"]
-
-
-def test_eliminate_fast_path_agrees_with_block_order():
-    # same elimination ideal whether computed via the minimal polynomial or
-    # via an explicit block order
-    ideal = Ideal(R2, [Y - X**2, Y**2 - 3])
-    fast = eliminate(ideal, {"x"})
-    block_ring = Ring(("x", "y"), BlockOrder([1]))
-    xb, yb = block_ring.gens
-    gb = buchberger(Ideal(block_ring, [yb - xb**2, yb**2 - 3]))
-    kept = [g for g in gb if all(e[1] == 0 for e, _ in g.terms)]
-    assert {g.pretty() for g in kept} == {g.pretty() for g in buchberger(fast)}
-
-
-def test_eliminate_falls_back_when_not_zero_dimensional():
-    R3 = Ring(("x", "y", "z"))
-    x, y, z = R3.gens
-    out = eliminate(Ideal(R3, [x * y - z]), {"z"})
-    assert all(
-        all(e[0] == 0 and e[1] == 0 for e, _ in g.terms) for g in out.generators
-    )
-
-
 def test_minimal_polynomial_of_nilpotent_and_unit_ideal():
     gb = buchberger(Ideal(R2, [X**3, Y]))
     coeffs = minimal_polynomial(gb, X)
     assert coeffs == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
     gb1 = buchberger(Ideal(R2, [R2.one]))
     assert minimal_polynomial(gb1, X) == [Fraction(1)]
+
+
+def test_minimal_polynomial_from_a_start_vector():
+    # on Q[x,y]/(x^2(x-1), y), x^2 is the idempotent of the point x = 1,
+    # where x acts as 1, so started there the minimal polynomial is t - 1
+    gb = buchberger(Ideal(R2, [X**2 * (X - 1), Y]))
+    assert minimal_polynomial(gb, X) == [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(gb, X, start=X**2) == [Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(gb, X, start=R2.zero) == [Fraction(1)]
+
+
+def test_multiplication_matrices_commute_and_act_on_one():
+    gb = buchberger(Ideal(R2, [Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y]))
+    std = standard_monomials(gb)
+    mats = multiplication_matrices(gb)
+    dim = len(std)
+    assert [len(M) for M in mats] == [dim, dim]
+    # M_v applied to the coordinates of 1 gives the coordinates of v
+    one = std.index((0, 0))
+    for M, v in zip(mats, R2.gens):
+        column = [M[i][one] for i in range(dim)]
+        assert R2.poly(zip(std, column)) == normal_form(v, gb)
+    Mx, My = mats
+    prod = lambda A, B: [[sum(A[i][k] * B[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+    assert prod(Mx, My) == prod(My, Mx)
 
 
 def test_dimension_invariant_under_graded_orders():

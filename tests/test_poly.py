@@ -8,7 +8,6 @@ import pytest
 from igq.poly import (
     GREVLEX,
     GRLEX,
-    BlockOrder,
     Ring,
     RingMismatch,
     dump_generators,
@@ -45,13 +44,6 @@ def test_grevlex_vs_grlex_classic_tiebreak():
     assert R2.order.key(xz) > R2.order.key(y2)
     # degree always dominates
     assert R1.order.key((0, 0, 3)) > R1.order.key((1, 1, 0))
-
-
-def test_block_order_separates_blocks():
-    order = BlockOrder([0])
-    # any power of the first variable beats anything free of it
-    assert order.key((1, 0)) > order.key((0, 5))
-    assert order.key((2, 0)) > order.key((1, 7))
 
 
 def test_ring_arithmetic_identities():
@@ -137,3 +129,18 @@ def test_generator_file_round_trip_with_header():
     text = dump_generators(gens, "sample header")
     assert text.splitlines()[0] == "# sample header"
     assert load_generators(R, text) == gens
+
+
+def test_hash_agrees_with_equality():
+    R = Ring(("x", "y"))
+    assert R.one == 1 and hash(R.one) == hash(1)
+    assert len({R.one, 1}) == 1
+    assert R.const(3) == 3 and hash(R.const(3)) == hash(3)
+    assert R.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert hash(R.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(R.zero) == hash(0)
+    rng = random.Random(5)
+    for _ in range(25):
+        f = random_poly(R, rng)
+        g = (2 * f + 1 - f) - 1
+        assert f == g and hash(f) == hash(g)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from igq.groebner import buchberger
+from igq.groebner import Ideal, buchberger
 from igq.poly import Ring
 from igq.presentations import (
     CLASSICAL_I,
@@ -21,6 +21,7 @@ from igq.presentations import (
     sigma_in_ab,
     sigma_ring,
     sigma_weights,
+    split_spectrum,
     verify_homomorphism,
     weighted_homogeneity_report,
 )
@@ -168,6 +169,37 @@ def test_homomorphism_symbolic_q():
 def test_spectrum_small_cases():
     assert decompose_spectrum(2).as_tuple() == (4, 0, 1, 3, 3)
     assert decompose_spectrum(3).as_tuple() == (12, 1, 2, 10, 10)
+    assert decompose_spectrum(2).separating_form == "1*a1 + 2*a2"
+    assert decompose_spectrum(3).separating_form == "1*a1 + 2*a2 + 3*b1"
+    assert decompose_spectrum(4).separating_form == "1*a1 + 2*a2 + 3*b1 + 5*b2"
+
+
+R2 = Ring(("x", "y"))
+X, Y = R2.gens
+
+
+def _split(*gens):
+    return split_spectrum(buchberger(Ideal(R2, gens)))
+
+
+def test_split_spectrum_origin_only():
+    assert _split(X**3, Y) == (3, 0, 0, "1*x + 2*y")
+
+
+def test_split_spectrum_fat_origin_and_one_point():
+    assert _split(X**2 * (X - 1), Y) == (2, 1, 1, "1*x + 2*y")
+
+
+def test_split_spectrum_counts_on_the_off_origin_factor_only():
+    # points (0,0), (2,-1), (1,0); x + 2y vanishes at the origin and at
+    # (2,-1), so counting on the whole quotient would see 2 values, not 3,
+    # and reject the form; on the off-origin factor it separates
+    assert _split(Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y) == (1, 2, 2, "1*x + 2*y")
+
+
+def test_split_spectrum_rejects_a_fat_point_off_the_origin():
+    with pytest.raises(RuntimeError, match="no separating form found"):
+        _split((X - 1) ** 2, Y)
 
 
 def test_spectrum_internal_identity():
@@ -197,15 +229,3 @@ def test_weights_cover_all_variables():
     for n in (2, 3, 5):
         assert set(sigma_weights(n)) >= set(sigma_ring(n, True).names)
         assert set(ab_weights(n)) >= set(ab_ring(n, True).names)
-
-
-def test_offorigin_ideal_is_saturated_by_every_variable():
-    # off-origin part must be stable under one more colon by each variable
-    from igq.groebner import Ideal, colon
-    from igq.presentations import offorigin_ideal
-
-    gb = buchberger(build_presentation(PresentationSpec(3, QUANTUM_II)))
-    ideal = Ideal(gb.ring, gb.elements)
-    off = offorigin_ideal(ideal)
-    for v in gb.ring.gens:
-        assert colon(off, v) == off
