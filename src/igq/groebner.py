@@ -1,7 +1,12 @@
 """Reduced Groebner bases over Q and the finite quotients they present.
 
 Buchberger's algorithm with the Gebauer-Moeller pair criteria and the
-normal selection strategy; heap-backed full tail reduction.  For
+normal selection strategy.  Pairs wait in a heap keyed by the order key
+of their lcm, both computed once when the pair is made.  Reducers sit in
+a table sorted by leading term, grown by insertion during Buchberger and
+built once per reduced basis; each carries a bitmask of the variables in
+its leading term, so most divisibility tests are one integer AND.  Full
+tail reduction runs over a lazy max-heap of monomials.  For
 zero-dimensional ideals: quotient dimensions, standard monomial bases,
 the matrices of multiplication by each variable on that basis, and
 minimal polynomials of multiplication maps.
@@ -10,6 +15,7 @@ minimal polynomials of multiplication maps.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from fractions import Fraction
 
 from .linalg import LinearSieve
@@ -69,14 +75,21 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic elements, no element's term divisible
     by another element's leading term, sorted ascending by leading term."""
 
-    __slots__ = ("ring", "elements")
+    __slots__ = ("ring", "elements", "_reducers")
 
     def __init__(self, ring: Ring, elements):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "_reducers", None)
 
     def __setattr__(self, *a):
         raise AttributeError("GroebnerBasis is immutable")
+
+    def _reducer_table(self) -> "_ReducerTable":
+        """The reducer table of the elements, built on first use."""
+        if self._reducers is None:
+            object.__setattr__(self, "_reducers", _ReducerTable(self.ring.order, self.elements))
+        return self._reducers
 
     @property
     def lead_monomials(self):
@@ -96,45 +109,79 @@ class GroebnerBasis:
 # division / normal form
 
 
-def _reduce_full(f: Polynomial, reducers) -> Polynomial:
-    """Remainder of f under full tail reduction by `reducers`.
+def _mask(e) -> int:
+    """Bitmask of the variables with a positive exponent in e: a monomial
+    divides another only if its mask is a subset of the other's."""
+    m = 0
+    bit = 1
+    for x in e:
+        if x:
+            m |= bit
+        bit <<= 1
+    return m
 
-    reducers: list of (lead_exps, lead_coeff, tail_terms) with distinct leads.
+
+class _ReducerTable:
+    """Reducers (lead, lead mask, lead coeff, tail terms) sorted ascending by
+    lead: small leading terms give the unique remainder faster on average.
+    Rows with equal leads keep their insertion order."""
+
+    __slots__ = ("key", "keys", "rows")
+
+    def __init__(self, order, polys=()):
+        self.key = order.key
+        self.keys = []
+        self.rows = []
+        for g in polys:
+            if not g.is_zero:
+                self.insert(g)
+
+    def insert(self, g: Polynomial) -> None:
+        lead = g.lead_monomial
+        k = self.key(lead)
+        i = bisect_right(self.keys, k)
+        self.keys.insert(i, k)
+        self.rows.insert(i, (lead, _mask(lead), g.lead_coeff, g.terms[1:]))
+
+
+def _reduce_full(f: Polynomial, table: _ReducerTable) -> Polynomial:
+    """Remainder of f under full tail reduction by the rows of `table`.
+
     Uses a lazy max-heap over the monomials still to be processed; every
     monomial entering the heap is strictly smaller than the one being
-    reduced, so each pops at most once with its final coefficient.
+    reduced, so each pops once, with its final coefficient, in descending
+    order: the remainder's terms come out already sorted.
     """
-    ring = f.ring
-    key = ring.order.key
+    key = table.key
+    rows = table.rows
     coeffs = dict(f.terms)
     heap = [(_NegKey(key(e)), e) for e in coeffs]
     heapq.heapify(heap)
-    out = {}
+    out = []
     while heap:
         _, m = heapq.heappop(heap)
-        c = coeffs.pop(m, None)
+        c = coeffs.pop(m)
         if not c:
             continue
-        hit = None
-        for lead, lc, tail in reducers:
-            q = monomial_div(m, lead)
-            if q is not None:
-                hit = (q, lc, tail)
-                break
-        if hit is None:
-            out[m] = c
+        mm = _mask(m)
+        for lead, lmask, lc, tail in rows:
+            if lmask & mm == lmask:
+                q = monomial_div(m, lead)
+                if q is not None:
+                    break
+        else:
+            out.append((m, c))
             continue
-        q, lc, tail = hit
-        scale = c / lc
+        scale = -c if lc == 1 else -c / lc
         for e, tc in tail:
             e2 = monomial_mul(e, q)
             prev = coeffs.get(e2)
             if prev is None:
-                coeffs[e2] = -scale * tc
+                coeffs[e2] = scale * tc
                 heapq.heappush(heap, (_NegKey(key(e2)), e2))
             else:
-                coeffs[e2] = prev - scale * tc
-    return ring.poly(out)
+                coeffs[e2] = prev + scale * tc
+    return Polynomial(f.ring, tuple(out))
 
 
 class _NegKey:
@@ -149,123 +196,140 @@ class _NegKey:
         return self.k > other.k
 
 
-def _reducer_table(polys):
-    table = [(g.lead_monomial, g.lead_coeff, g.terms[1:]) for g in polys if not g.is_zero]
-    # prefer small leading terms: gives the unique remainder faster on average
-    table.sort(key=lambda t: polys[0].ring.order.key(t[0]))
-    return table
-
-
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """The unique remainder of f modulo a Groebner basis.
 
     Idempotent and Q-linear; no term of the result is divisible by any
     leading term of the basis.
     """
-    polys = list(basis.elements if isinstance(basis, GroebnerBasis) else basis)
-    if isinstance(basis, GroebnerBasis) and f.ring != basis.ring:
-        raise RingMismatch("polynomial not in the basis ring")
-    if not polys:
+    if isinstance(basis, GroebnerBasis):
+        if f.ring != basis.ring:
+            raise RingMismatch("polynomial not in the basis ring")
+        table = basis._reducer_table()
+    else:
+        polys = list(basis)
+        if any(g.ring != f.ring for g in polys):
+            raise RingMismatch("polynomial not in the basis ring")
+        table = _ReducerTable(f.ring.order, polys)
+    if not table.rows:
         return f
-    return _reduce_full(f, _reducer_table(polys))
+    return _reduce_full(f, table)
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, built from the two
+    tails: the leading terms cancel by construction."""
     lf, lg = f.lead_monomial, g.lead_monomial
     lcm = monomial_lcm(lf, lg)
-    mf = f.ring.monomial(monomial_div(lcm, lf), Fraction(1) / f.lead_coeff)
-    mg = g.ring.monomial(monomial_div(lcm, lg), Fraction(1) / g.lead_coeff)
-    return mf * f - mg * g
+    acc = {}
+    for p, sign in ((f, 1), (g, -1)):
+        q = monomial_div(lcm, p.lead_monomial)
+        scale = sign / p.lead_coeff
+        for e, c in p.terms[1:]:
+            e2 = monomial_mul(e, q)
+            prev = acc.get(e2)
+            acc[e2] = scale * c if prev is None else prev + scale * c
+    key = f.ring.order.key
+    terms = sorted(((e, c) for e, c in acc.items() if c), key=lambda t: key(t[0]), reverse=True)
+    return Polynomial(f.ring, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
 # Buchberger
 
 
-def _update_pairs(G, leads, pairs, f):
-    """Gebauer-Moeller update: add f to G, prune and extend the pair set."""
-    lf = f.lead_monomial
-    t = len(G)
+def _update_pairs(G, leads, masks, pairs, f, key):
+    """Gebauer-Moeller update: add f to G, prune the pair heap and extend it.
 
-    kept = set()
-    for (i, j) in pairs:
-        lij = monomial_lcm(leads[i], leads[j])
-        if (
-            not monomial_divides(lf, lij)
-            or lij == monomial_lcm(leads[i], lf)
-            or lij == monomial_lcm(leads[j], lf)
-        ):
-            kept.add((i, j))
+    A pair is (order key of its lcm, i, j, lcm), made once; the heap pops
+    the pair with the smallest lcm (the normal selection strategy).
+    """
+    lf = f.lead_monomial
+    mf = _mask(lf)
+    t = len(G)
+    lcm_f = [monomial_lcm(L, lf) for L in leads]
+
+    # an lcm's mask is the union of its two leads' masks
+    kept = [
+        p
+        for p in pairs
+        if mf & ~(masks[p[1]] | masks[p[2]])
+        or not monomial_divides(lf, p[3])
+        or p[3] == lcm_f[p[1]]
+        or p[3] == lcm_f[p[2]]
+    ]
 
     by_lcm = {}
-    for i in range(t):
-        by_lcm.setdefault(monomial_lcm(leads[i], lf), []).append(i)
-    order_key = f.ring.order.key
-    minimal = []
-    for L in sorted(by_lcm, key=order_key):
-        if all(not monomial_divides(M, L) for M in minimal):
-            minimal.append(L)
-    for L in minimal:
-        if not any(
-            monomial_lcm(leads[i], lf) == monomial_mul(leads[i], lf)
-            for i in by_lcm[L]
-        ):
-            kept.add((min(by_lcm[L]), t))
+    for i, L in enumerate(lcm_f):
+        by_lcm.setdefault(L, []).append(i)
+    minimal = []  # (lcm, mask)
+    for k, L in sorted((key(L), L) for L in by_lcm):
+        group = by_lcm[L]
+        mL = masks[group[0]] | mf
+        if any(mM & mL == mM and monomial_divides(M, L) for M, mM in minimal):
+            continue
+        minimal.append((L, mL))
+        # coprime leads (disjoint supports): the pair reduces to zero
+        if all(masks[i] & mf for i in group):
+            kept.append((k, group[0], t, L))
+    heapq.heapify(kept)
 
     G.append(f)
     leads.append(lf)
+    masks.append(mf)
     return kept
 
 
 def buchberger(ideal) -> GroebnerBasis:
     """The unique reduced Groebner basis of an ideal, for its ring's order."""
-    if isinstance(ideal, Ideal):
-        ring, gens = ideal.ring, ideal.generators
-    else:
+    if not isinstance(ideal, Ideal):
         gens = tuple(ideal)
         if not gens:
             raise ValueError("cannot infer the ring of an empty generator list")
-        ring = gens[0].ring
-    gens = [g for g in gens if not g.is_zero]
+        ideal = Ideal(gens[0].ring, gens)
+    ring = ideal.ring
     key = ring.order.key
+    gens = [g for g in ideal.generators if not g.is_zero]
 
-    G, leads, pairs = [], [], set()
+    G, leads, masks, pairs = [], [], [], []
+    table = _ReducerTable(ring.order)
     for f in sorted(gens, key=lambda p: key(p.lead_monomial)):
-        pairs = _update_pairs(G, leads, pairs, f.monic())
+        f = f.monic()
+        pairs = _update_pairs(G, leads, masks, pairs, f, key)
+        table.insert(f)
 
     while pairs:
-        i, j = min(pairs, key=lambda p: key(monomial_lcm(leads[p[0]], leads[p[1]])))
-        pairs.remove((i, j))
+        _, i, j, _ = heapq.heappop(pairs)
         s = spoly(G[i], G[j])
-        r = _reduce_full(s, _reducer_table(G)) if not s.is_zero else s
+        if s.is_zero:
+            continue
+        r = _reduce_full(s, table)
         if not r.is_zero:
-            pairs = _update_pairs(G, leads, pairs, r.monic())
+            r = r.monic()
+            pairs = _update_pairs(G, leads, masks, pairs, r, key)
+            table.insert(r)
 
     return _interreduce(ring, G)
 
 
 def _interreduce(ring: Ring, G) -> GroebnerBasis:
+    """Minimalize, then reduce each tail once against the minimal basis.
+
+    The minimal elements form a Groebner basis, and tail reduction leaves
+    every lead unchanged, so a single pass gives the reduced basis."""
     key = ring.order.key
-    # minimalize: drop elements whose lead is divisible by another lead
     minimal = []
     for g in sorted(G, key=lambda p: key(p.lead_monomial)):
         if all(not monomial_divides(h.lead_monomial, g.lead_monomial) for h in minimal):
             minimal.append(g)
-    # reduce every element's tail against the others until stable
-    changed = True
-    current = minimal
-    while changed:
-        changed = False
-        reduced = []
-        for i, g in enumerate(current):
-            others = reduced + current[i + 1 :]
-            r = _reduce_full(g, _reducer_table(others)) if others else g
-            if r.terms != g.terms:
-                changed = True
-            reduced.append(r.monic())
-        current = reduced
-    current.sort(key=lambda p: key(p.lead_monomial))
-    return GroebnerBasis(ring, current)
+    table = _ReducerTable(ring.order, minimal)
+    reduced = []
+    for i, g in enumerate(minimal):
+        tail = _reduce_full(Polynomial(ring, g.terms[1:]), table).terms
+        # rows follow `minimal`; later tails reduce against the shorter tail
+        table.rows[i] = table.rows[i][:3] + (tail,)
+        reduced.append(Polynomial(ring, g.terms[:1] + tail))
+    return GroebnerBasis(ring, reduced)
 
 
 def is_groebner(gb: GroebnerBasis) -> bool:

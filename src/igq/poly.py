@@ -9,6 +9,7 @@ no floating point is ever involved.  Monomials are bare exponent tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, neg
 from typing import Mapping
 
 Exponents = tuple  # exponent vector, one entry per ring variable
@@ -19,7 +20,7 @@ Exponents = tuple  # exponent vector, one entry per ring variable
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_div(a: Exponents, b: Exponents):
@@ -34,11 +35,11 @@ def monomial_div(a: Exponents, b: Exponents):
 
 def monomial_divides(b: Exponents, a: Exponents) -> bool:
     """True if the monomial with exponents b divides the one with exponents a."""
-    return all(y <= x for x, y in zip(a, b))
+    return all(map(le, b, a))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_degree(a: Exponents) -> int:
@@ -75,7 +76,7 @@ class _Grevlex(TermOrder):
     name = "grevlex"
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 class _Grlex(TermOrder):

@@ -54,6 +54,15 @@ def test_criterion_01_dimensions():
     )
 
 
+def test_criterion_01b_dimensions_n6():
+    dims = {variant: presentation_dimension(PresentationSpec(6, variant)) for variant in VARIANTS}
+    _verdict(
+        "criterion 1b: quotient dimension 60 = 2n(n-1) for all four presentations at n=6",
+        all(d == 60 for d in dims.values()),
+        str(dims),
+    )
+
+
 def test_criterion_02_spectrum_decomposition():
     got = {n: decompose_spectrum(n).as_tuple() for n in (2, 3, 4, 5)}
     expected = {

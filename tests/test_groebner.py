@@ -2,6 +2,7 @@
 multiplication matrices, minimal polynomials, and their defining
 invariants."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -20,11 +21,61 @@ from igq.groebner import (
     spoly,
     standard_monomials,
 )
-from igq.poly import GREVLEX, GRLEX, Ring, monomial_divides
-from igq.presentations import PresentationSpec, QUANTUM_II, build_presentation
+from igq.poly import GREVLEX, GRLEX, Ring, RingMismatch, dump_generators, monomial_divides
+from igq.presentations import (
+    CLASSICAL_I,
+    CLASSICAL_II,
+    QUANTUM_I,
+    QUANTUM_II,
+    SPECIALIZE_1,
+    SYMBOLIC,
+    PresentationSpec,
+    build_presentation,
+    presentation_basis,
+)
 
 R2 = Ring(("x", "y"))
 X, Y = R2.gens
+
+# sha256 of dump_generators(basis elements) -- the --dump format without its
+# header line -- for every presentation basis, recorded with the
+# earlier Buchberger (pairs in a set, reducer table rebuilt per S-pair,
+# iterated interreduction) at commit c2c874b.  Reduced bases are unique, so
+# any change to pair selection or reduction must leave these unchanged.
+BASIS_SHA256 = {
+    (2, CLASSICAL_I, SPECIALIZE_1): "fa876ca7eea4f6ebdd1360de78dff3c58200242c96020f2a4cf577bc5b533938",
+    (2, CLASSICAL_I, SYMBOLIC): "fa876ca7eea4f6ebdd1360de78dff3c58200242c96020f2a4cf577bc5b533938",
+    (2, CLASSICAL_II, SPECIALIZE_1): "d815f53142460bf0936f594e56954b1741ebed5ab0173fe0199e0c3e34aadf01",
+    (2, CLASSICAL_II, SYMBOLIC): "d815f53142460bf0936f594e56954b1741ebed5ab0173fe0199e0c3e34aadf01",
+    (2, QUANTUM_I, SPECIALIZE_1): "5194ab06c45dd13bca3241f82b4d050fe9498f822e3029f1aff6963e55aa75cf",
+    (2, QUANTUM_I, SYMBOLIC): "9bbd1e4d7f2c0e54e1fc9d548d84f07317fc442d953afcc4b7d9660066b592c6",
+    (2, QUANTUM_II, SPECIALIZE_1): "efa883efe68fd4b6885cbeaf4c598c1efd7f9fdc77f9548d76c03e46efa11ea4",
+    (2, QUANTUM_II, SYMBOLIC): "e202afe222a35e0e5b4d48fec97913d35ca4b6e09c2a47939442959ec4b5f7bf",
+    (3, CLASSICAL_I, SPECIALIZE_1): "440ecbc302246b74b5e287ac89f1482b50ec1b5c98a6b6b6d3eff97a75b51738",
+    (3, CLASSICAL_I, SYMBOLIC): "440ecbc302246b74b5e287ac89f1482b50ec1b5c98a6b6b6d3eff97a75b51738",
+    (3, CLASSICAL_II, SPECIALIZE_1): "06207cdb371408d0b83a4a6f180a56ee47a2182ec9998c99c21000123ba6891c",
+    (3, CLASSICAL_II, SYMBOLIC): "06207cdb371408d0b83a4a6f180a56ee47a2182ec9998c99c21000123ba6891c",
+    (3, QUANTUM_I, SPECIALIZE_1): "361bda9c8651e2a7c4480be871c6628b7d8ae6fc515f91c34eb56dea7b11e914",
+    (3, QUANTUM_I, SYMBOLIC): "9a837e41723fb65b0165fa0284c74be642ce9e852976ea0effdb87256d49c539",
+    (3, QUANTUM_II, SPECIALIZE_1): "771787cac4ef08ed752d127621db3a7384f118c94e9b5d199fb9502075aa9733",
+    (3, QUANTUM_II, SYMBOLIC): "57455ebd9e1db23eb3aaff58324b3e337100ffc58e24282e5cf11f182fca9034",
+    (4, CLASSICAL_I, SPECIALIZE_1): "406e5dda3c78ef8e6a4ce116c783c389e5a52bbd6c8e308d2973fc2bdb9bb4da",
+    (4, CLASSICAL_I, SYMBOLIC): "406e5dda3c78ef8e6a4ce116c783c389e5a52bbd6c8e308d2973fc2bdb9bb4da",
+    (4, CLASSICAL_II, SPECIALIZE_1): "5cbdde5f31015dd13f8b143a534bc206a1e81a25ab3cfc87cd1474b3e208295d",
+    (4, CLASSICAL_II, SYMBOLIC): "5cbdde5f31015dd13f8b143a534bc206a1e81a25ab3cfc87cd1474b3e208295d",
+    (4, QUANTUM_I, SPECIALIZE_1): "e80cdf76b34a12a2fefc2d6633b6ec114800ca408cf3b6322eda422cf5be1437",
+    (4, QUANTUM_I, SYMBOLIC): "2031c156db5513d5102c165df117f83e7ba0c400cb00adac03c4ea879c432cbf",
+    (4, QUANTUM_II, SPECIALIZE_1): "56444b7b7c0d04040c251066c06aabd03a1381f632316a77561f22d2b05ed161",
+    (4, QUANTUM_II, SYMBOLIC): "235a8b29b40e358415f9fbb8145e00e96f144bcc72b2c7df20ee387b110b4080",
+    (5, CLASSICAL_I, SPECIALIZE_1): "ae89146f5f8a9033ddafc4c8fe168347923b9cbb87f756f014129d5303ac47f0",
+    (5, CLASSICAL_I, SYMBOLIC): "ae89146f5f8a9033ddafc4c8fe168347923b9cbb87f756f014129d5303ac47f0",
+    (5, CLASSICAL_II, SPECIALIZE_1): "14227d3392d89de2439f4cbb7dd4bdbbf8a4c747b1ed3d85cda4b9e8bcf623a7",
+    (5, CLASSICAL_II, SYMBOLIC): "14227d3392d89de2439f4cbb7dd4bdbbf8a4c747b1ed3d85cda4b9e8bcf623a7",
+    (5, QUANTUM_I, SPECIALIZE_1): "6913c6ee92698df9f69cccd2f2071293525667778eaf3161a5e0b102172f53c8",
+    (5, QUANTUM_I, SYMBOLIC): "4ead0b9be2a6f0eca33c1a2586385d29705c1978f17a8eb9e79f2ccafe826dbb",
+    (5, QUANTUM_II, SPECIALIZE_1): "fdf02856df23aced32a066cde17f9faaa4dadba56709ccf793afe35dd808d344",
+    (5, QUANTUM_II, SYMBOLIC): "e8b18e546298963cd0d7dd627eaaea84f5d2e8258e91ce0a220a949c48aea26d",
+}
 
 
 def test_basis_direct_reduction():
@@ -57,12 +108,22 @@ def test_normal_form_one_modulo_x():
 
 
 def test_normal_form_ring_mismatch_raises():
-    from igq.poly import RingMismatch
-
     gb = buchberger(Ideal(R2, [X]))
     other = Ring(("u", "v"))
     with pytest.raises(RingMismatch):
         normal_form(other.var("u"), gb)
+
+
+def test_normal_form_list_basis_ring_mismatch_raises():
+    Z = Ring(("x", "y", "z")).var("z")
+    with pytest.raises(RingMismatch):
+        normal_form(X * Y + Y, [Z - 1])
+
+
+def test_buchberger_mixed_rings_raise():
+    other = Ring(("x", "y", "z"))
+    with pytest.raises(RingMismatch):
+        buchberger([X, other.var("y")])
 
 
 def test_normal_form_idempotent_linear_multiplicative():
@@ -110,14 +171,58 @@ def test_quotient_dimension_infinite():
         standard_monomials(gb)
 
 
+SHUFFLE_SPECS = (
+    PresentationSpec(3, QUANTUM_II),
+    PresentationSpec(3, CLASSICAL_I),
+    PresentationSpec(3, QUANTUM_I, SYMBOLIC),
+)
+
+
 def test_reduced_basis_invariant_under_shuffles():
-    ideal = build_presentation(PresentationSpec(3, QUANTUM_II))
-    reference = buchberger(ideal).elements
     rng = random.Random(11)
-    gens = list(ideal.generators)
-    for _ in range(10):
-        rng.shuffle(gens)
-        assert buchberger(Ideal(ideal.ring, gens)).elements == reference
+    for spec in SHUFFLE_SPECS:
+        ideal = build_presentation(spec)
+        reference = buchberger(ideal).elements
+        gens = list(ideal.generators)
+        for _ in range(10):
+            rng.shuffle(gens)
+            assert buchberger(Ideal(ideal.ring, gens)).elements == reference, spec
+
+
+def test_reduced_basis_invariant_under_rescaling():
+    # rescaling changes every coefficient of the S-polynomials before the
+    # elements are made monic, and permuting changes which pairs tie
+    rng = random.Random(13)
+    for spec in SHUFFLE_SPECS:
+        ideal = build_presentation(spec)
+        reference = buchberger(ideal).elements
+        for _ in range(5):
+            gens = [
+                g * Fraction(rng.choice((-1, 1)) * rng.randrange(1, 20), rng.randrange(1, 20))
+                for g in ideal.generators
+            ]
+            rng.shuffle(gens)
+            assert buchberger(Ideal(ideal.ring, gens)).elements == reference, spec
+
+
+def _basis_digest(spec):
+    text = dump_generators(presentation_basis(spec).elements)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_presentation_bases_golden_small():
+    for (n, variant, q_mode), digest in BASIS_SHA256.items():
+        if n <= 4:
+            spec = PresentationSpec(n, variant, q_mode)
+            assert _basis_digest(spec) == digest, spec
+            assert is_groebner(presentation_basis(spec)), spec
+
+
+def test_presentation_bases_golden_n5():
+    for (n, variant, q_mode), digest in BASIS_SHA256.items():
+        if n == 5:
+            spec = PresentationSpec(n, variant, q_mode)
+            assert _basis_digest(spec) == digest, spec
 
 
 def test_buchberger_criterion_closure():

@@ -12,7 +12,14 @@ sp = pytest.importorskip("sympy")
 
 from igq.groebner import Ideal, buchberger
 from igq.poly import GREVLEX, GRLEX, Ring
-from igq.presentations import PresentationSpec, QUANTUM_I, QUANTUM_II, build_presentation
+from igq.presentations import (
+    CLASSICAL_I,
+    QUANTUM_I,
+    QUANTUM_II,
+    SYMBOLIC,
+    PresentationSpec,
+    build_presentation,
+)
 
 
 def to_sympy(p, syms):
@@ -44,9 +51,10 @@ def assert_same_basis(ideal, order_name):
 
 
 def test_presentation_bases_match_sympy():
-    for n in (2, 3):
-        for variant in (QUANTUM_I, QUANTUM_II):
-            assert_same_basis(build_presentation(PresentationSpec(n, variant)), "grevlex")
+    specs = [PresentationSpec(n, v) for n in (2, 3) for v in (QUANTUM_I, QUANTUM_II)]
+    specs += [PresentationSpec(3, CLASSICAL_I), PresentationSpec(3, QUANTUM_I, SYMBOLIC)]
+    for spec in specs:
+        assert_same_basis(build_presentation(spec), "grevlex")
 
 
 def test_random_ideals_match_sympy_in_both_orders():
