@@ -21,7 +21,6 @@ property suite rather than trusted a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 GR = "gr"
@@ -137,12 +136,14 @@ class CohomologyResult:
 def weyl_dimension_gl(hw) -> int:
     """Dimension of the GL irrep with the given highest weight."""
     m = len(hw)
-    d = Fraction(1)
+    num = den = 1
     for i in range(m):
         for j in range(i + 1, m):
-            d *= Fraction(hw[i] - hw[j] + j - i, j - i)
-    assert d.denominator == 1 and d > 0
-    return int(d)
+            num *= hw[i] - hw[j] + j - i
+            den *= j - i
+    d, r = divmod(num, den)
+    assert r == 0 and d > 0
+    return d
 
 
 def weyl_dimension_sp(hw) -> int:
@@ -150,13 +151,16 @@ def weyl_dimension_sp(hw) -> int:
     k = len(hw)
     rho = [k - i for i in range(k)]
     l = [hw[i] + rho[i] for i in range(k)]
-    d = Fraction(1)
+    num = den = 1
     for i in range(k):
-        d *= Fraction(l[i], rho[i])
+        num *= l[i]
+        den *= rho[i]
         for j in range(i + 1, k):
-            d *= Fraction(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
-    assert d.denominator == 1 and d > 0
-    return int(d)
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= rho[i] ** 2 - rho[j] ** 2
+    d, r = divmod(num, den)
+    assert r == 0 and d > 0
+    return d
 
 
 def bbw_gl(weight, m: int) -> CohomologyResult:
@@ -203,24 +207,26 @@ _bbw_cache: dict = {}
 def bundle_cohomology(space: Space, sym: int, twist: int) -> CohomologyResult:
     """H^*(space, S^sym U*(twist)), memoized."""
     key = (space, sym, twist)
-    if key not in _bbw_cache:
-        pad = (0,) * (space.weight_length - 2)
-        weight = (sym + twist, twist) + pad
-        if space.kind == GR:
-            _bbw_cache[key] = bbw_gl(weight, space.param)
-        else:
-            _bbw_cache[key] = bbw_sp(weight, space.param)
-    return _bbw_cache[key]
+    res = _bbw_cache.get(key)
+    if res is None:
+        weight = (sym + twist, twist) + (0,) * (space.weight_length - 2)
+        bbw = bbw_gl if space.kind == GR else bbw_sp
+        res = _bbw_cache[key] = bbw(weight, space.param)
+    return res
+
+
+def _clebsch_gordan(a: int, b: int, shift: int):
+    """(sym, twist) of each irreducible piece of Hom(S^a U*, S^b U*(shift)),
+    each of multiplicity one: rank-2 Clebsch-Gordan after S^a U = S^a U*(-a)."""
+    if a < 0 or b < 0:
+        raise ValueError("negative symmetric powers")
+    for i in range(min(a, b) + 1):
+        yield a + b - 2 * i, shift - a + i
 
 
 def hom_bundle(a: int, c: int, b: int, d: int) -> BundleSum:
-    """Hom(S^a U*(c), S^b U*(d)) as a sum of irreducibles: rank-2
-    Clebsch-Gordan after S^a U = S^a U*(-a)."""
-    if a < 0 or b < 0:
-        raise ValueError("negative symmetric powers")
-    return BundleSum.of(
-        BundleTerm(a + b - 2 * i, d - c - a + i) for i in range(min(a, b) + 1)
-    )
+    """Hom(S^a U*(c), S^b U*(d)) as a sum of irreducibles."""
+    return BundleSum.of(BundleTerm(sym, twist) for sym, twist in _clebsch_gordan(a, b, d - c))
 
 
 @dataclass(frozen=True)
@@ -262,17 +268,34 @@ def _no_consecutive(degrees) -> bool:
     return all(b - a >= 2 for a, b in zip(degs, degs[1:]))
 
 
+# Ext profiles of the space last asked about, keyed by (a, b, d - c).  The
+# sweeps run space by space, so one space's table is all that pays; holding
+# every space's would only grow the heap.  The table is swapped whole, never
+# cleared in place, so a caller on another space cannot fill the wrong one.
+_ext_cache: tuple = (None, {})
+
+
 def ext_bundles(space: Space, E, F) -> ExtProfile:
     """Ext^*(S^a U*(c), S^b U*(d)) by summing Borel-Bott-Weil over the
-    Clebsch-Gordan pieces of the Hom bundle.  Always conclusive: no
-    complexes, hence no spectral sequence."""
+    Clebsch-Gordan pieces of the Hom bundle, which depend on the twists
+    only through d - c.  Always conclusive: no complexes, hence no
+    spectral sequence."""
+    global _ext_cache
     (a, c), (b, d) = E, F
-    acc = {}
-    for term in hom_bundle(a, c, b, d):
-        res = bundle_cohomology(space, term.sym, term.twist)
-        if not res.vanishes:
-            acc[res.degree] = acc.get(res.degree, 0) + term.scalar_mult * res.rep_dimension
-    return ExtProfile.make(acc, True)
+    held, table = _ext_cache
+    if space is not held and space != held:
+        table = {}
+        _ext_cache = (space, table)
+    key = (a, b, d - c)
+    prof = table.get(key)
+    if prof is None:
+        acc = {}
+        for sym, twist in _clebsch_gordan(a, b, d - c):
+            res = bundle_cohomology(space, sym, twist)
+            if not res.vanishes:
+                acc[res.degree] = acc.get(res.degree, 0) + res.rep_dimension
+        prof = table[key] = ExtProfile.make(acc, True)
+    return prof
 
 
 # ---------------------------------------------------------------------------

@@ -103,39 +103,28 @@ def _sigma(ring: Ring, n: int, k: int) -> Polynomial:
     return ring.zero
 
 
-def _det(rows) -> Polynomial:
-    """Determinant of a square polynomial matrix, by cofactor expansion
-    along the first row with memoization over the live column set."""
-    size = len(rows)
-    ring = rows[0][0].ring
-    memo = {}
+def schur_determinants(n: int, ring: Ring, top: int) -> list:
+    """[D_0, ..., D_top] with D_r = det(s_{1+j-i})_{1 <= i,j <= r}.
 
-    def minor(i, cols):
-        if i == size:
-            return ring.one
-        key = (i, cols)
-        if key in memo:
-            return memo[key]
+    The matrix has ones below the diagonal and zeros under them, so
+    expanding along the first row gives D_r = sum_{k=1}^{r} (-1)^(k-1)
+    s_k D_{r-k}, with D_0 = 1.
+    """
+    dets = [ring.one]
+    for r in range(1, top + 1):
         total = ring.zero
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if entry.is_zero:
-                continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    return minor(0, tuple(range(size)))
+        for k in range(1, min(r, 2 * n - 2) + 1):
+            term = _sigma(ring, n, k) * dets[r - k]
+            total = total + (term if k % 2 else -term)
+        dets.append(total)
+    return dets
 
 
 def schur_determinant(n: int, r: int, ring: Ring = None) -> Polynomial:
     """det(s_{1+j-i})_{1 <= i,j <= r}, the degree-r determinantal relation."""
     if ring is None:
         ring = sigma_ring(n)
-    rows = [[_sigma(ring, n, 1 + j - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
-    return _det(rows)
+    return schur_determinants(n, ring, r)[r]
 
 
 def sigma_square_relations(n: int, ring: Ring, quantum: bool, q_poly: Polynomial = None):
@@ -155,7 +144,7 @@ def sigma_square_relations(n: int, ring: Ring, quantum: bool, q_poly: Polynomial
 def sigma_generators(n: int, ring: Ring, quantum: bool, q_poly: Polynomial = None):
     """The I-presentation generators in `ring`: the determinants for r in
     [3, 2n-2], then the two quadratic relations (quantum term q_poly*s_1)."""
-    gens = [schur_determinant(n, r, ring) for r in range(3, 2 * n - 1)]
+    gens = schur_determinants(n, ring, 2 * n - 2)[3:]
     gens.extend(sigma_square_relations(n, ring, quantum, q_poly))
     return gens
 
@@ -197,11 +186,14 @@ _basis_cache: dict = {}
 
 
 def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
-    """Reduced Groebner basis of a presentation ideal, cached by
-    (n, variant, q-mode)."""
-    if spec not in _basis_cache:
-        _basis_cache[spec] = buchberger(build_presentation(spec))
-    return _basis_cache[spec]
+    """Reduced Groebner basis of a presentation ideal, cached by the ideal:
+    (n, variant, whether q is a variable).  A classical variant has no q,
+    so both q-modes share its entry."""
+    key = (spec.n, spec.variant, spec.symbolic_q)
+    gb = _basis_cache.get(key)
+    if gb is None:
+        gb = _basis_cache[key] = buchberger(build_presentation(spec))
+    return gb
 
 
 def presentation_dimension(spec: PresentationSpec):

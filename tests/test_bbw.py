@@ -1,10 +1,13 @@
 """Weight combinatorics, Ext profiles, collections, staircase complexes."""
 
 import itertools
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from igq import bbw
 from igq.bbw import (
     LEFT,
     RIGHT,
@@ -241,3 +244,97 @@ def test_bundle_term_validation():
         BundleTerm(-1, 0)
     with pytest.raises(ValueError):
         BundleTerm(0, 0, 0)
+
+
+ALL_KINDS = (Space.gr(4), Space.gr(5), Space.gr(7), Space.igr(2), Space.igr(3), Space.igr(5))
+
+
+def _random_pair(rng):
+    return (rng.randint(0, 5), rng.randint(-8, 8)), (rng.randint(0, 5), rng.randint(-8, 8))
+
+
+def _ext_oracle(space, E, F):
+    # straight from the definition, without the Ext memo
+    (a, c), (b, d) = E, F
+    acc = {}
+    for term in hom_bundle(a, c, b, d):
+        res = bundle_cohomology(space, term.sym, term.twist)
+        if not res.vanishes:
+            acc[res.degree] = acc.get(res.degree, 0) + term.scalar_mult * res.rep_dimension
+    return tuple(sorted((deg, v) for deg, v in acc.items() if v))
+
+
+def test_ext_translation_invariance():
+    rng = random.Random(20170)
+    for space in ALL_KINDS:
+        for _ in range(40):
+            (a, c), (b, d) = _random_pair(rng)
+            t = rng.randint(-6, 6)
+            assert ext_bundles(space, (a, c + t), (b, d + t)) == ext_bundles(space, (a, c), (b, d))
+
+
+def test_ext_memo_matches_direct_sum():
+    rng = random.Random(4242)
+    for space in ALL_KINDS:
+        for _ in range(60):
+            E, F = _random_pair(rng)
+            prof = ext_bundles(space, E, F)
+            assert prof.dims == _ext_oracle(space, E, F), (space, E, F)
+            assert prof.conclusive and prof.euler == sum((-1) ** deg * v for deg, v in prof.dims)
+
+
+def test_ext_interleaved_spaces_match_fresh_calls(monkeypatch):
+    pairs = [((0, 0), (0, 1)), ((1, 0), (2, -1)), ((3, 2), (1, 0)), ((2, 0), (2, -3))]
+    first, second = Space.gr(6), Space.igr(3)
+    interleaved = []
+    for space in (first, second, first):
+        interleaved.append([ext_bundles(space, E, F) for E, F in pairs])
+    fresh = []
+    for space in (first, second, first):
+        row = []
+        for E, F in pairs:
+            monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+            row.append(ext_bundles(space, E, F))
+        fresh.append(row)
+    assert interleaved == fresh
+    assert interleaved[0] != interleaved[1]
+
+
+def test_integer_weyl_dimensions_match_fraction_products():
+    def gl_fraction(hw):
+        d = Fraction(1)
+        for i in range(len(hw)):
+            for j in range(i + 1, len(hw)):
+                d *= Fraction(hw[i] - hw[j] + j - i, j - i)
+        return d
+
+    def sp_fraction(hw):
+        k = len(hw)
+        rho = [k - i for i in range(k)]
+        l = [h + r for h, r in zip(hw, rho)]
+        d = Fraction(1)
+        for i in range(k):
+            d *= Fraction(l[i], rho[i])
+            for j in range(i + 1, k):
+                d *= Fraction(l[i] ** 2 - l[j] ** 2, rho[i] ** 2 - rho[j] ** 2)
+        return d
+
+    rng = random.Random(1957)
+    for _ in range(200):
+        m = rng.randint(1, 12)
+        # dominant for GL(m): weakly decreasing, any sign
+        hw = tuple(sorted((rng.randint(-6, 9) for _ in range(m)), reverse=True))
+        assert weyl_dimension_gl(hw) == gl_fraction(hw)
+        k = rng.randint(1, 6)
+        # dominant for Sp(2k): weakly decreasing and non-negative
+        hw = tuple(sorted((rng.randint(0, 9) for _ in range(k)), reverse=True))
+        assert weyl_dimension_sp(hw) == sp_fraction(hw)
+
+
+def test_ext_negative_symmetric_power_raises():
+    space = Space.igr(3)
+    for E, F in (((-1, 0), (0, 0)), ((0, 0), (-2, 1))):
+        with pytest.raises(ValueError):
+            ext_bundles(space, E, F)
+    with pytest.raises(ValueError):
+        hom_bundle(-1, 0, 0, 0)

@@ -1,6 +1,8 @@
 """Driver: suites, report formats, determinism, exit codes, dumps."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +149,17 @@ def test_dcat_cli_gr(capsys):
     ids = [r["claim_id"] for r in parsed["rows"]]
     assert "lefschetz.G(2,4)" in ids and "lefschetz.G(2,5)" in ids
     assert parsed["summary"]["fail"] == 0
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("space", ["gr", "igr"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dcat_json_matches_recorded_digest(k, space, capsys):
+    # the benchmark's recorded stdout sha256; this test only reads the file
+    argv = ["dcat", "--k", str(k), "--space", space, "--max-k", "10"]
+    want = json.loads(DIGESTS.read_text())[" ".join(argv)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want

@@ -16,8 +16,10 @@ from igq.presentations import (
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
+    presentation_basis,
     presentation_dimension,
     schur_determinant,
+    schur_determinants,
     sigma_in_ab,
     sigma_ring,
     sigma_weights,
@@ -96,6 +98,38 @@ def test_schur_determinant_matches_cofactor_oracle():
         - m[0][1] * m[1][0] * m[2][2]
     )
     assert schur_determinant(n, 3, ring) == sarrus
+
+
+def test_schur_recurrence_matches_cofactor_expansion():
+    def laplace(rows, ring):
+        # plain expansion along the first row, no memo and no recurrence
+        if not rows:
+            return ring.one
+        total = ring.zero
+        for j, entry in enumerate(rows[0]):
+            if not entry.is_zero:
+                term = entry * laplace([row[:j] + row[j + 1 :] for row in rows[1:]], ring)
+                total = total + (term if j % 2 == 0 else -term)
+        return total
+
+    for n in (3, 4):
+        ring = sigma_ring(n)
+        s = [ring.one] + list(ring.gens)  # s_0 .. s_{2n-2}
+        entry = lambda k: s[k] if 0 <= k <= 2 * n - 2 else ring.zero
+        dets = schur_determinants(n, ring, 2 * n - 2)
+        for r in range(0, 2 * n - 1):
+            matrix = [[entry(1 + j - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
+            assert dets[r] == laplace(matrix, ring), (n, r)
+            assert schur_determinant(n, r, ring) == dets[r]
+
+
+def test_classical_basis_shared_by_both_q_modes():
+    # a classical ideal has no q, so asking with q symbolic reuses the entry
+    for variant in (CLASSICAL_I, CLASSICAL_II):
+        plain = presentation_basis(PresentationSpec(3, variant))
+        assert presentation_basis(PresentationSpec(3, variant, SYMBOLIC)) is plain
+    quantum = presentation_basis(PresentationSpec(3, QUANTUM_I))
+    assert presentation_basis(PresentationSpec(3, QUANTUM_I, SYMBOLIC)) is not quantum
 
 
 def test_quantum_term_sign_alternates():
