@@ -416,35 +416,39 @@ def f_complex_euler_consistency(space: Space) -> dict:
     return {"space": str(space), "k": k, "bad_twists": bad, "ok": not bad}
 
 
-def ext_f_pair(space: Space, i: int, j: int, twist_i: int = None, twist_j: int = None) -> ExtProfile:
-    """Ext^*(F_i(twist_i), F_j(twist_j)) from the first page of the
-    resolution double complex: the RIGHT resolution of the source against
-    the LEFT resolution of the target.
+def _ext_first_page(space: Space, sources, targets) -> ExtProfile:
+    """Ext^* from a complex of bundle terms to another, read off the first
+    page of the Hom double complex: each pair's Ext profile, times both
+    scalar multiplicities, shifted by target minus source hom_shift.
 
     Conclusive iff the nonzero first-page total degrees contain no two
     consecutive integers (then no differential can act); inconclusive
     results are reported as such, never guessed.  The Euler number is exact
     regardless.
     """
+    acc = {}
+    for s in sources:
+        for t in targets:
+            prof = ext_bundles(space, (s.sym, s.twist), (t.sym, t.twist))
+            mult = s.scalar_mult * t.scalar_mult
+            shift = t.hom_shift - s.hom_shift
+            for d, v in prof.dims:
+                acc[d + shift] = acc.get(d + shift, 0) + mult * v
+    return ExtProfile.make(acc, _no_consecutive([d for d, v in acc.items() if v]))
+
+
+def ext_f_pair(space: Space, i: int, j: int, twist_i: int = None, twist_j: int = None) -> ExtProfile:
+    """Ext^*(F_i(twist_i), F_j(twist_j)) from the first page of the
+    resolution double complex: the RIGHT resolution of the source against
+    the LEFT resolution of the target."""
     k = _f_k(space)
     if twist_i is None:
         twist_i = k - i
     if twist_j is None:
         twist_j = k - j
-    source = f_complex(i, k, RIGHT)
-    target = f_complex(j, k, LEFT)
-    acc = {}
-    for s in source:
-        for t in target:
-            prof = ext_bundles(
-                space, (s.sym, s.twist + twist_i), (t.sym, t.twist + twist_j)
-            )
-            mult = s.scalar_mult * t.scalar_mult
-            shift = t.hom_shift - s.hom_shift
-            for d, v in prof.dims:
-                tot = d + shift
-                acc[tot] = acc.get(tot, 0) + mult * v
-    return ExtProfile.make(acc, _no_consecutive([d for d, v in acc.items() if v]))
+    source = [s.twisted(twist_i) for s in f_complex(i, k, RIGHT)]
+    target = [t.twisted(twist_j) for t in f_complex(j, k, LEFT)]
+    return _ext_first_page(space, source, target)
 
 
 def check_f_orthogonality(space: Space, i: int) -> dict:
@@ -456,15 +460,9 @@ def check_f_orthogonality(space: Space, i: int) -> dict:
     failures = []
     for v in range(0, k - i + 1):
         for u in range(0, k - 1):
-            acc = {}
-            for t in target:
-                prof = ext_bundles(space, (u, v), (t.sym, t.twist))
-                for d, val in prof.dims:
-                    tot = d + t.hom_shift
-                    acc[tot] = acc.get(tot, 0) + t.scalar_mult * val
-            prof_total = ExtProfile.make(acc, _no_consecutive([d for d in acc if acc[d]]))
-            if not (prof_total.is_zero and prof_total.conclusive):
-                failures.append(((u, v), str(prof_total)))
+            prof = _ext_first_page(space, [BundleTerm(u, v)], target)
+            if not (prof.is_zero and prof.conclusive):
+                failures.append(((u, v), str(prof)))
     return {
         "space": str(space),
         "i": i,

@@ -8,8 +8,8 @@ built once per reduced basis; each carries a bitmask of the variables in
 its leading term, so most divisibility tests are one integer AND.  Full
 tail reduction runs over a lazy max-heap of monomials.  For
 zero-dimensional ideals: quotient dimensions, standard monomial bases,
-the matrices of multiplication by each variable on that basis, and
-minimal polynomials of multiplication maps.
+and the matrices of multiplication by each variable on that basis, on
+which `igq.linalg` does the rest of the quotient's linear algebra.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import heapq
 from bisect import bisect_right
 from fractions import Fraction
 
-from .linalg import LinearSieve
 from .poly import (
     Polynomial,
     Ring,
@@ -417,18 +416,3 @@ def multiplication_matrices(gb: GroebnerBasis):
         cols = [_coordinates(normal_form(ring.monomial(m) * v, gb), index) for m in std]
         mats.append([list(row) for row in zip(*cols)])
     return mats
-
-
-def minimal_polynomial(gb: GroebnerBasis, f: Polynomial, start: Polynomial = None):
-    """Coefficients c_0..c_d (monic, c_d = 1) of the least polynomial p with
-    p(f) * start = 0 in the finite-dimensional quotient ring.  With the
-    default start 1 this is the minimal polynomial of multiplication by f."""
-    std = standard_monomials(gb)
-    index = {m: i for i, m in enumerate(std)}
-    sieve = LinearSieve()
-    cur = normal_form(gb.ring.one if start is None else start, gb)
-    while True:
-        combo = sieve.add(_coordinates(cur, index))
-        if combo is not None:
-            return combo
-        cur = normal_form(cur * f, gb)

@@ -1,5 +1,6 @@
 """Exact Gaussian elimination over Q: reduced row echelon form, rank,
-corank, nullspace, and first linear dependence."""
+corank, nullspace, first linear dependence, and the minimal polynomial of
+a matrix on a start vector modulo a subspace."""
 
 from __future__ import annotations
 
@@ -110,3 +111,30 @@ def nullspace(rows, ncols: int) -> dict:
             v[p] = -row[c]
         basis[c] = v
     return basis
+
+
+def minimal_polynomial(M, start, modulo=()):
+    """Coefficients c_0..c_d (monic, c_d = 1) of the least polynomial p
+    with p(M) start in the span of the `modulo` vectors (none by default,
+    so p(M) start = 0).
+
+    Krylov: the sieve takes the `modulo` vectors, then start, M start,
+    M^2 start, ... until the first dependence on earlier vectors; a
+    `modulo` vector that depends on the ones before it adds nothing.  M is
+    a list of rows and is applied through its nonzero entries only.
+    """
+    # integral entries as ints: from an integral start the Krylov vectors
+    # then stay in int arithmetic, far cheaper than Fraction
+    sparse = [
+        [(j, c.numerator if c.denominator == 1 else c) for j, c in enumerate(row) if c]
+        for row in M
+    ]
+    sieve = LinearSieve()
+    for v in modulo:
+        sieve.add(v)
+    cur = start
+    while True:
+        combo = sieve.add(cur)
+        if combo is not None:
+            return combo[len(modulo):]
+        cur = [sum(c * cur[j] for j, c in row) for row in sparse]

@@ -238,9 +238,6 @@ class Polynomial:
     def constant_coeff(self) -> Fraction:
         return self.coeff((0,) * self.ring.ngens)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def _require_same_ring(self, other: "Polynomial"):
@@ -330,12 +327,6 @@ class Polynomial:
         return Polynomial(self.ring, tuple((e, c / lc) for e, c in self.terms))
 
     # -- structure ----------------------------------------------------
-
-    def degree_part(self, d: int) -> "Polynomial":
-        """The homogeneous component of total degree d."""
-        return Polynomial(
-            self.ring, tuple((e, c) for e, c in self.terms if monomial_degree(e) == d)
-        )
 
     def linear_coefficients(self) -> dict:
         """Map variable name -> coefficient of its degree-one term."""

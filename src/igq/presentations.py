@@ -10,9 +10,10 @@ Two coordinate systems are used throughout:
 Each classical presentation has a quantum deformation obtained by a single
 degree-(2n-1) correction term.  `decompose_spectrum` splits Spec of the
 quantum quotient into its origin-supported part and the reduced rest by
-exact linear algebra on the finite quotient: the origin factor is the
-joint generalized kernel of the multiplication matrices, and the rest is
-counted through the minimal polynomial of a separating linear form.
+exact linear algebra in coordinates on the standard monomials: the
+origin factor is the joint generalized kernel of the multiplication
+matrices, and the rest is counted through the minimal polynomial of
+M_l, for a separating linear form l, on 1 modulo the origin factor.
 `count_offorigin_by_substitution` re-counts the reduced points through the
 z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd degree
 arithmetic.
@@ -28,13 +29,11 @@ from .groebner import (
     Ideal,
     INFINITE,
     buchberger,
-    minimal_polynomial,
     multiplication_matrices,
     normal_form,
     quotient_dimension,
-    standard_monomials,
 )
-from .linalg import corank, nullspace
+from .linalg import corank, minimal_polynomial, nullspace
 from .poly import Polynomial, Ring
 from .univariate import distinct_root_count, squarefree_part, univ_divide, univ_gcd
 
@@ -323,27 +322,6 @@ def _origin_factor(mats, dim: int) -> list:
         kernel = nxt
 
 
-def _offorigin_idempotent(gb: GroebnerBasis, origin) -> Polynomial:
-    """The idempotent e_off of A = A_0 x A_off, the off-origin component of 1.
-
-    An element w of A_0 with w(0) != 0 is a unit of A_0 and kills A_off, so
-    its minimal polynomial is t*h(t) with h(0) != 0, or h(t) alone when
-    A_off = 0; then e_off = h(w)/h(0).
-    """
-    ring = gb.ring
-    if not origin:
-        return ring.one
-    std = standard_monomials(gb)  # std[0] is 1, so u[0] is u(0)
-    w = ring.poly(zip(std, next(u for u in origin if u[0])))
-    mu = minimal_polynomial(gb, w)
-    if mu[0]:
-        return ring.zero
-    e_off = ring.zero
-    for c in reversed(mu[1:]):
-        e_off = normal_form(e_off * w + c / mu[1], gb)
-    return e_off
-
-
 _SEPARATING_COEFFS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
@@ -353,26 +331,31 @@ def split_spectrum(gb: GroebnerBasis):
 
     Returns (local length at the origin, dim A_off, distinct off-origin
     points, separating form).  The points are counted along a
-    verified-generic linear form l: the minimal polynomial of l started
-    from e_off has as many distinct roots as A_off has dimension exactly
-    when A_off is reduced and l separates its points.  Makes four attempts,
-    with shifted coefficient sequences.
+    verified-generic linear form l: A/A_0 is A_off as an A-module, with
+    the class of 1 going to the idempotent e_off, so the least monic p
+    with p(M_l) 1 in A_0 is the minimal polynomial of l on A_off; it has
+    as many distinct roots as A_off has dimension exactly when A_off is
+    reduced and l separates its points.  Makes four attempts, with
+    shifted coefficient sequences.
     """
     mats = multiplication_matrices(gb)
-    dim = len(standard_monomials(gb))
+    dim = len(mats[0])
     origin = _origin_factor(mats, dim)
     length = len(origin)
     off_dim = dim - length
-    e_off = _offorigin_idempotent(gb, origin)
+    one = [int(i == 0) for i in range(dim)]  # std[0] is 1
     ring = gb.ring
     t_ring = Ring(("t",))
     tried = []
     for attempt in range(4):
         coeffs = _SEPARATING_COEFFS[attempt : attempt + ring.ngens]
-        ell = ring.zero
-        for c, v in zip(coeffs, ring.gens):
-            ell = ell + c * v
-        mu = minimal_polynomial(gb, ell, start=e_off)
+        m_ell = [[0] * dim for _ in range(dim)]  # M_l = sum_v c_v M_v
+        for c, M in zip(coeffs, mats):
+            for row_ell, row in zip(m_ell, M):
+                for j, x in enumerate(row):
+                    if x:
+                        row_ell[j] += c * x
+        mu = minimal_polynomial(m_ell, one, modulo=origin)
         count = distinct_root_count(t_ring.poly({(k,): c for k, c in enumerate(mu)}))
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
         if count == off_dim:

@@ -154,12 +154,28 @@ def test_dcat_cli_gr(capsys):
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
-@pytest.mark.parametrize("space", ["gr", "igr"])
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_dcat_json_matches_recorded_digest(k, space, capsys):
+def _assert_recorded_digest(argv, capsys):
     # the benchmark's recorded stdout sha256; this test only reads the file
-    argv = ["dcat", "--k", str(k), "--space", space, "--max-k", "10"]
     want = json.loads(DIGESTS.read_text())[" ".join(argv)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("space", ["gr", "igr"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_dcat_json_matches_recorded_digest(k, space, capsys):
+    _assert_recorded_digest(["dcat", "--k", str(k), "--space", space, "--max-k", "10"], capsys)
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [
+        ["--check", "spectrum,zcount,unfolding"],
+        ["--check", "dims,homomorphism,lemma,regularity", "--q-mode", "symbolic"],
+    ],
+    ids=["spectrum", "presentations"],
+)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_qh_json_matches_recorded_digest(n, checks, capsys):
+    _assert_recorded_digest(["qh", "--n", str(n)] + checks, capsys)

@@ -14,13 +14,13 @@ from igq.groebner import (
     Ideal,
     buchberger,
     is_groebner,
-    minimal_polynomial,
     multiplication_matrices,
     normal_form,
     quotient_dimension,
     spoly,
     standard_monomials,
 )
+from igq.linalg import minimal_polynomial
 from igq.poly import GREVLEX, GRLEX, Ring, RingMismatch, dump_generators, monomial_divides
 from igq.presentations import (
     CLASSICAL_I,
@@ -237,21 +237,42 @@ def test_spoly_cancels_leads():
     assert s.lead_monomial not in ((2, 0), (1, 1))
 
 
+def _coords(gb, p):
+    """Coordinates of p in the quotient, on the standard monomials."""
+    return [normal_form(p, gb).coeff(m) for m in standard_monomials(gb)]
+
+
 def test_minimal_polynomial_of_nilpotent_and_unit_ideal():
     gb = buchberger(Ideal(R2, [X**3, Y]))
-    coeffs = minimal_polynomial(gb, X)
+    Mx, _ = multiplication_matrices(gb)
+    coeffs = minimal_polynomial(Mx, _coords(gb, R2.one))
     assert coeffs == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
     gb1 = buchberger(Ideal(R2, [R2.one]))
-    assert minimal_polynomial(gb1, X) == [Fraction(1)]
+    Mx1, _ = multiplication_matrices(gb1)
+    assert minimal_polynomial(Mx1, _coords(gb1, R2.one)) == [Fraction(1)]
 
 
 def test_minimal_polynomial_from_a_start_vector():
     # on Q[x,y]/(x^2(x-1), y), x^2 is the idempotent of the point x = 1,
     # where x acts as 1, so started there the minimal polynomial is t - 1
     gb = buchberger(Ideal(R2, [X**2 * (X - 1), Y]))
-    assert minimal_polynomial(gb, X) == [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
-    assert minimal_polynomial(gb, X, start=X**2) == [Fraction(-1), Fraction(1)]
-    assert minimal_polynomial(gb, X, start=R2.zero) == [Fraction(1)]
+    Mx, _ = multiplication_matrices(gb)
+    one = _coords(gb, R2.one)
+    assert minimal_polynomial(Mx, one) == [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(Mx, _coords(gb, X**2)) == [Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(Mx, _coords(gb, R2.zero)) == [Fraction(1)]
+
+
+def test_minimal_polynomial_modulo_the_origin_factor():
+    # the origin factor of Q[x,y]/(x^2(x-1), y) is (1 - x^2)A, spanned by
+    # 1 - x^2 and x - x^3 = x - x^2; modulo it, 1 is the idempotent x^2
+    gb = buchberger(Ideal(R2, [X**2 * (X - 1), Y]))
+    Mx, _ = multiplication_matrices(gb)
+    one = _coords(gb, R2.one)
+    origin = [_coords(gb, R2.one - X**2), _coords(gb, X - X**2)]
+    assert minimal_polynomial(Mx, one, modulo=origin) == [Fraction(-1), Fraction(1)]
+    # a repeated spanning vector changes nothing
+    assert minimal_polynomial(Mx, one, modulo=origin + origin[:1]) == [Fraction(-1), Fraction(1)]
 
 
 def test_multiplication_matrices_commute_and_act_on_one():

@@ -1,9 +1,10 @@
-"""Exact linear algebra: echelon form, rank, nullspace, first dependence."""
+"""Exact linear algebra: echelon form, rank, nullspace, first dependence,
+minimal polynomials."""
 
 import random
 from fractions import Fraction
 
-from igq.linalg import LinearSieve, nullspace, rank, row_echelon
+from igq.linalg import LinearSieve, minimal_polynomial, nullspace, rank, row_echelon
 
 
 def random_matrix(rng, nrows, ncols, rank_bound):
@@ -49,3 +50,16 @@ def test_sieve_reports_the_first_dependence():
         assert rank(rows[:k], ncols) == k == rank(rows[: k + 1], ncols)
         assert combo[-1] == 1 and len(combo) == k + 1
         assert all(sum(c * row[j] for c, row in zip(combo, rows)) == 0 for j in range(ncols))
+
+
+def test_minimal_polynomial_of_a_companion_matrix_is_its_polynomial():
+    # the companion of p = t^d + c_{d-1} t^{d-1} + ... + c_0 sends e_j to
+    # e_{j+1} and e_{d-1} to -(c_0, ..., c_{d-1}); started at e_0 the
+    # Krylov vectors are e_0, ..., e_{d-1}, so the minimal polynomial is p
+    rng = random.Random(5)
+    for _ in range(30):
+        d = rng.randrange(0, 7)
+        p = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(d)] + [Fraction(1)]
+        companion = [[int(i == j + 1) for j in range(d - 1)] + [-p[i]] for i in range(d)]
+        start = [int(i == 0) for i in range(d)]
+        assert minimal_polynomial(companion, start) == p
