@@ -254,9 +254,6 @@ class ExtProfile:
     def total_dim(self) -> int:
         return sum(v for _, v in self.dims)
 
-    def __getitem__(self, d: int) -> int:
-        return dict(self.dims).get(d, 0)
-
     def __str__(self):
         if not self.dims:
             return "0"

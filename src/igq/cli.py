@@ -293,7 +293,6 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
 
 
 def _dump_presentations(n: int, q_mode: str, directory: str):
-    os.makedirs(directory, exist_ok=True)
     for variant in VARIANTS:
         spec = PresentationSpec(n, variant, q_mode)
         ideal = build_presentation(spec)
@@ -344,6 +343,12 @@ def main(argv=None) -> int:
             print("unknown qh checks: %s" % ",".join(sorted(bad)), file=sys.stderr)
             return 2
         q_mode = SYMBOLIC if args.q_mode == "symbolic" else SPECIALIZE_1
+        if args.dump:
+            try:
+                os.makedirs(args.dump, exist_ok=True)
+            except OSError as exc:
+                print("cannot create dump directory: %s" % exc, file=sys.stderr)
+                return 2
         try:
             rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
         except ValueError as exc:

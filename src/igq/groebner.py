@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from fractions import Fraction
 
 from .poly import (
     Polynomial,
@@ -397,10 +396,12 @@ def quotient_dimension(gb: GroebnerBasis):
 
 
 def _coordinates(p: Polynomial, index) -> list:
-    """The coefficient vector of a normal form on the standard monomials."""
-    vec = [Fraction(0)] * len(index)
+    """The coefficient vector of a normal form on the standard monomials,
+    with each integral entry as an int, so integral vectors stay in int
+    arithmetic downstream."""
+    vec = [0] * len(index)
     for e, c in p.terms:
-        vec[index[e]] = c
+        vec[index[e]] = c.numerator if c.denominator == 1 else c
     return vec
 
 

@@ -1,6 +1,6 @@
-"""Exact Gaussian elimination over Q: reduced row echelon form, rank,
-corank, nullspace, first linear dependence, and the minimal polynomial of
-a matrix on a start vector modulo a subspace."""
+"""Exact linear algebra over Q on one elimination kernel, the fraction-free
+`LinearSieve`: rank, corank, nullspace, first linear dependence, and the
+minimal polynomial of a matrix on a start vector modulo a subspace."""
 
 from __future__ import annotations
 
@@ -15,11 +15,17 @@ class LinearSieve:
     vector lies in the span of the earlier ones it returns coefficients
     c_0..c_k (with c_k = 1 for the new vector) such that sum c_j v_j = 0.
 
-    Each vector is cleared of denominators and reduced against the kept
-    ones by fraction-free (Bareiss) elimination, whose divisions are exact,
-    so the rows stay integral and no larger than minors of the input.  A kept vector y = scale * row
-    records the multipliers r_j of y = v - sum_j r_j y_j, from which a
-    dependence is unwound back to the fed vectors.
+    Each vector is cleared of denominators through the numerator and
+    denominator of its entries (an int entry stays an int, never a
+    Fraction) and reduced against the kept ones by fraction-free (Bareiss)
+    elimination, whose divisions are exact, so the rows stay integral and
+    no larger than minors of the input.  A step whose entry is 0 is
+    skipped: it would only rescale the row by p_k / p_prev, so the next
+    step divides by the pivot of the last step applied, and a kept row
+    takes the skipped rescales at the end in one exact division.  A kept
+    vector y = scale * row records the multipliers r_j of
+    y = v - sum_j r_j y_j, from which a dependence is unwound back to the
+    fed vectors.
     """
 
     def __init__(self):
@@ -27,22 +33,28 @@ class LinearSieve:
         self.count = 0
 
     def add(self, vec):
-        vec = [Fraction(x) for x in vec]
-        scale = Fraction(1, lcm(*(x.denominator for x in vec)))
-        row = [int(x / scale) for x in vec]
+        den = lcm(*(x.denominator for x in vec))
+        row = [x.numerator * (den // x.denominator) for x in vec]
+        scale = Fraction(1, den)
         mults = []
-        prev = 1
+        last = 1  # pivot of the last step applied
         for k, (pc, prow, pscale, _, _) in enumerate(self.pivots):
-            p, f = prow[pc], row[pc]
-            if f:
-                mults.append((k, scale * f / (pscale * p)))
-            row = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-            scale = scale * prev / p
-            prev = p
+            f = row[pc]
+            if not f:
+                continue
+            p = prow[pc]
+            mults.append((k, scale * f / (pscale * p)))
+            row = [(p * a - f * b) // last for a, b in zip(row, prow)]
+            scale = scale * last / p
+            last = p
         index = self.count
         self.count += 1
         pc = next((i for i, x in enumerate(row) if x), None)
         if pc is not None:
+            top = self.pivots[-1][1][self.pivots[-1][0]] if self.pivots else 1
+            if top != last:  # steps were skipped after the last one applied
+                row = [a * top // last for a in row]
+                scale = scale * last / top
             self.pivots.append((pc, row, scale, index, mults))
             return None
         # v = sum_k w_k y_k; unwind each y_k from the newest down
@@ -59,57 +71,35 @@ class LinearSieve:
         return combo
 
 
-def row_echelon(rows, ncols: int):
-    """Reduced row echelon form of a matrix given as coefficient rows over Q.
-
-    Returns (pivot columns, nonzero rows): row i is 1 in column pivots[i]
-    and 0 in every other pivot column.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == len(m):
-            break
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return pivots, m[:r]
-
-
-def rank(rows, ncols: int = None) -> int:
-    """Rank of a matrix given as a list of coefficient rows over Q."""
-    if not rows:
-        return 0
-    return len(row_echelon(rows, ncols if ncols is not None else len(rows[0]))[0])
+def rank(rows) -> int:
+    """Rank of a matrix given as a list of coefficient rows over Q: the
+    number of rows the sieve keeps."""
+    sieve = LinearSieve()
+    for row in rows:
+        sieve.add(row)
+    return len(sieve.pivots)
 
 
 def corank(rows, ncols: int) -> int:
     """Dimension of the kernel of a matrix with `ncols` columns."""
-    return ncols - rank(rows, ncols)
+    return ncols - rank(rows)
 
 
 def nullspace(rows, ncols: int) -> dict:
     """A basis of {v : row . v = 0 for every row}, as {c: v_c} with one
     vector per non-pivot column c: v_c is 1 in column c and 0 in every
-    other non-pivot column."""
-    pivots, reduced = row_echelon(rows, ncols)
+    other non-pivot column.
+
+    The sieve takes the columns in order, so a non-pivot column is the
+    first dependence on the pivot columns before it, and that dependence,
+    padded with zeros, is v_c.
+    """
+    sieve = LinearSieve()
     basis = {}
-    for c in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for p, row in zip(pivots, reduced):
-            v[p] = -row[c]
-        basis[c] = v
+    for c in range(ncols):
+        combo = sieve.add([row[c] for row in rows])
+        if combo is not None:
+            basis[c] = combo + [Fraction(0)] * (ncols - 1 - c)
     return basis
 
 
@@ -123,12 +113,7 @@ def minimal_polynomial(M, start, modulo=()):
     `modulo` vector that depends on the ones before it adds nothing.  M is
     a list of rows and is applied through its nonzero entries only.
     """
-    # integral entries as ints: from an integral start the Krylov vectors
-    # then stay in int arithmetic, far cheaper than Fraction
-    sparse = [
-        [(j, c.numerator if c.denominator == 1 else c) for j, c in enumerate(row) if c]
-        for row in M
-    ]
+    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in M]
     sieve = LinearSieve()
     for v in modulo:
         sieve.add(v)

@@ -117,6 +117,16 @@ def test_key_ext_concentration():
         assert prof.dims == ((2 * k - 3, 1),)
 
 
+def test_ext_profile_is_not_a_container():
+    # no __getitem__, so `in` and iteration refuse at once instead of
+    # probing degrees 0, 1, 2, ... forever
+    prof = ext_bundles(Space.igr(3), (2, 0), (2, -2))
+    with pytest.raises(TypeError):
+        0 in prof
+    with pytest.raises(TypeError):
+        list(prof)
+
+
 def test_three_dim_quadric_section_counts():
     # IG(2,4) is the smooth 3-dimensional quadric: sections of O(1) are the
     # 5 ambient coordinates, sections of O(2) are the 15 quadrics minus the

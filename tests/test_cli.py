@@ -141,6 +141,19 @@ def test_dump_writes_presentations(tmp_path, capsys):
     assert gens == [2 * a2 - a1**2, a2**2 + a1]
 
 
+def test_dump_into_a_file_path_is_refused_before_the_checks(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for target in (blocker, blocker / "sub"):
+        code = main(["qh", "--n", "2", "--check", "dims", "--dump", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("cannot create dump directory")
+        assert len(captured.err.splitlines()) == 1
+    assert blocker.read_text() == ""
+
+
 def test_dcat_cli_gr(capsys):
     code = main(["dcat", "--k", "2", "--space", "gr", "--check", "lefschetz,euler"])
     out = capsys.readouterr().out
