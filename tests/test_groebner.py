@@ -75,6 +75,15 @@ BASIS_SHA256 = {
     (5, QUANTUM_I, SYMBOLIC): "4ead0b9be2a6f0eca33c1a2586385d29705c1978f17a8eb9e79f2ccafe826dbb",
     (5, QUANTUM_II, SPECIALIZE_1): "fdf02856df23aced32a066cde17f9faaa4dadba56709ccf793afe35dd808d344",
     (5, QUANTUM_II, SYMBOLIC): "e8b18e546298963cd0d7dd627eaaea84f5d2e8258e91ce0a220a949c48aea26d",
+    # n = 6, recorded with the heap-and-table Buchberger at commit a7b314b
+    (6, CLASSICAL_I, SPECIALIZE_1): "4b6c280d05f046d66cc939561ff27446d1a4a62bf0929c0bc99d08266bb08c7d",
+    (6, CLASSICAL_I, SYMBOLIC): "4b6c280d05f046d66cc939561ff27446d1a4a62bf0929c0bc99d08266bb08c7d",
+    (6, CLASSICAL_II, SPECIALIZE_1): "8f98e69504d1cfaf4664454b09416e13edfde027b7581ac721ff715059772fb4",
+    (6, CLASSICAL_II, SYMBOLIC): "8f98e69504d1cfaf4664454b09416e13edfde027b7581ac721ff715059772fb4",
+    (6, QUANTUM_I, SPECIALIZE_1): "1a5d62879d30b8f9afb9bff3c51793507d8b34c5ace39b2c234a88f5081de786",
+    (6, QUANTUM_I, SYMBOLIC): "df5cdb129d0dfc913ed4dc8dcf8483102ccdf43cdbefec5fd749e55a0a0d6183",
+    (6, QUANTUM_II, SPECIALIZE_1): "ed1b55a66631da558d9cfe7bbcfb5071395e96d2e294057d5b39d1e82f75d4c0",
+    (6, QUANTUM_II, SYMBOLIC): "b3aaa3db035f3f6e911b0b3e10392b4fd3ee9183692c81d2eece9ceacee9e265",
 }
 
 
@@ -221,6 +230,14 @@ def test_presentation_bases_golden_small():
 def test_presentation_bases_golden_n5():
     for (n, variant, q_mode), digest in BASIS_SHA256.items():
         if n == 5:
+            spec = PresentationSpec(n, variant, q_mode)
+            assert _basis_digest(spec) == digest, spec
+
+
+def test_presentation_bases_golden_n6():
+    # the SPECIALIZE_1 bases are memoised and shared with acceptance row 1b
+    for (n, variant, q_mode), digest in BASIS_SHA256.items():
+        if n == 6:
             spec = PresentationSpec(n, variant, q_mode)
             assert _basis_digest(spec) == digest, spec
 
