@@ -6,7 +6,15 @@ of their lcm, both computed once when the pair is made.  Reducers sit in
 a table sorted by leading term, grown by insertion during Buchberger and
 built once per reduced basis; each carries a bitmask of the variables in
 its leading term, so most divisibility tests are one integer AND.  Full
-tail reduction runs over a lazy max-heap of monomials.  For
+tail reduction runs over a lazy max-heap of monomials.
+
+The arithmetic inside is fraction-free (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 6): Buchberger's elements and every reducer row
+are primitive integer polynomials, with content 1 and a positive leading
+coefficient, and a reduction scales the running remainder by an integer
+instead of dividing.  Fractions appear only at the boundary: the reduced
+basis is emitted monic with `Fraction` coefficients, and `normal_form`
+divides its accumulated scale out once at the end.  For
 zero-dimensional ideals: quotient dimensions, standard monomial bases,
 and the matrices of multiplication by each variable on that basis, on
 which `igq.linalg` does the rest of the quotient's linear algebra.
@@ -16,6 +24,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
+from fractions import Fraction
+from math import gcd, lcm
 
 from .poly import (
     Polynomial,
@@ -84,9 +94,11 @@ class GroebnerBasis:
         raise AttributeError("GroebnerBasis is immutable")
 
     def _reducer_table(self) -> "_ReducerTable":
-        """The reducer table of the elements, built on first use."""
+        """The reducer table of the elements' primitive integer forms, made
+        by `buchberger` or built on first use."""
         if self._reducers is None:
-            object.__setattr__(self, "_reducers", _ReducerTable(self.ring.order, self.elements))
+            rows = [_primitive(self.ring, g.terms) for g in self.elements if not g.is_zero]
+            object.__setattr__(self, "_reducers", _ReducerTable(self.ring.order, rows))
         return self._reducers
 
     @property
@@ -119,10 +131,23 @@ def _mask(e) -> int:
     return m
 
 
+def _primitive(ring: Ring, terms) -> Polynomial:
+    """The primitive integer polynomial proportional to nonzero `terms`,
+    whose coefficients are ints or Fractions: denominators cleared, content
+    divided out, leading coefficient positive."""
+    den = lcm(*(c.denominator for _, c in terms))
+    ints = [c.numerator * (den // c.denominator) for _, c in terms]
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    return Polynomial(ring, tuple((e, c // g) for (e, _), c in zip(terms, ints)))
+
+
 class _ReducerTable:
     """Reducers (lead, lead mask, lead coeff, tail terms) sorted ascending by
     lead: small leading terms give the unique remainder faster on average.
-    Rows with equal leads keep their insertion order."""
+    Rows with equal leads keep their insertion order.  The rows are
+    primitive integer polynomials (see `_primitive`)."""
 
     __slots__ = ("key", "keys", "rows")
 
@@ -142,20 +167,26 @@ class _ReducerTable:
         self.rows.insert(i, (lead, _mask(lead), g.lead_coeff, g.terms[1:]))
 
 
-def _reduce_full(f: Polynomial, table: _ReducerTable) -> Polynomial:
-    """Remainder of f under full tail reduction by the rows of `table`.
+def _reduce_full(terms, table: _ReducerTable):
+    """Fraction-free full tail reduction of the integer `terms` by the rows
+    of `table`: (remainder terms, scale) with scale * f = remainder modulo
+    the rows, scale a positive int.
 
-    Uses a lazy max-heap over the monomials still to be processed; every
+    Cancelling c*m by a row with leading coefficient lc scales everything
+    accumulated so far, the emitted remainder included, by lc / gcd(c, lc);
+    with lc = 1, the common case, the step is a plain integer update.  Uses
+    a lazy max-heap over the monomials still to be processed; every
     monomial entering the heap is strictly smaller than the one being
     reduced, so each pops once, with its final coefficient, in descending
     order: the remainder's terms come out already sorted.
     """
     key = table.key
     rows = table.rows
-    coeffs = dict(f.terms)
+    coeffs = dict(terms)
     heap = [(_NegKey(key(e)), e) for e in coeffs]
     heapq.heapify(heap)
     out = []
+    scale = 1
     while heap:
         _, m = heapq.heappop(heap)
         c = coeffs.pop(m)
@@ -170,16 +201,24 @@ def _reduce_full(f: Polynomial, table: _ReducerTable) -> Polynomial:
         else:
             out.append((m, c))
             continue
-        scale = -c if lc == 1 else -c / lc
+        if lc != 1:
+            g = gcd(c, lc)
+            a = lc // g
+            c //= g
+            if a != 1:
+                scale *= a
+                for e in coeffs:
+                    coeffs[e] *= a
+                out = [(e, a * x) for e, x in out]
         for e, tc in tail:
             e2 = monomial_mul(e, q)
             prev = coeffs.get(e2)
             if prev is None:
-                coeffs[e2] = scale * tc
+                coeffs[e2] = -c * tc
                 heapq.heappush(heap, (_NegKey(key(e2)), e2))
             else:
-                coeffs[e2] = prev + scale * tc
-    return Polynomial(f.ring, tuple(out))
+                coeffs[e2] = prev - c * tc
+    return out, scale
 
 
 class _NegKey:
@@ -198,7 +237,10 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     """The unique remainder of f modulo a Groebner basis.
 
     Idempotent and Q-linear; no term of the result is divisible by any
-    leading term of the basis.
+    leading term of the basis.  The basis may also be a plain list of
+    polynomials forming a Groebner basis, monic or not.  f is reduced with
+    its denominators cleared, and the result divides that common
+    denominator and the reduction's scale out once.
     """
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
@@ -208,21 +250,26 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         polys = list(basis)
         if any(g.ring != f.ring for g in polys):
             raise RingMismatch("polynomial not in the basis ring")
-        table = _ReducerTable(f.ring.order, polys)
-    if not table.rows:
+        table = _ReducerTable(f.ring.order, [_primitive(f.ring, g.terms) for g in polys if not g.is_zero])
+    if not table.rows or f.is_zero:
         return f
-    return _reduce_full(f, table)
+    den = lcm(*(c.denominator for _, c in f.terms))
+    out, scale = _reduce_full(((e, c.numerator * (den // c.denominator)) for e, c in f.terms), table)
+    den *= scale
+    return Polynomial(f.ring, tuple((e, Fraction(c, den)) for e, c in out))
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The S-polynomial lcm/lt(f) * f - lcm/lt(g) * g, built from the two
-    tails: the leading terms cancel by construction."""
-    lf, lg = f.lead_monomial, g.lead_monomial
-    lcm = monomial_lcm(lf, lg)
+    """lc(g) * lcm/lm(f) * f - lc(f) * lcm/lm(g) * g, built from the two
+    tails: the leading terms cancel by construction.
+
+    This is lc(f) * lc(g) times the S-polynomial, made without division, so
+    integer coefficients stay integers; for monic f and g, as in a reduced
+    basis, it is the S-polynomial itself."""
+    top = monomial_lcm(f.lead_monomial, g.lead_monomial)
     acc = {}
-    for p, sign in ((f, 1), (g, -1)):
-        q = monomial_div(lcm, p.lead_monomial)
-        scale = sign / p.lead_coeff
+    for p, scale in ((f, g.lead_coeff), (g, -f.lead_coeff)):
+        q = monomial_div(top, p.lead_monomial)
         for e, c in p.terms[1:]:
             e2 = monomial_mul(e, q)
             prev = acc.get(e2)
@@ -292,7 +339,7 @@ def buchberger(ideal) -> GroebnerBasis:
     G, leads, masks, pairs = [], [], [], []
     table = _ReducerTable(ring.order)
     for f in sorted(gens, key=lambda p: key(p.lead_monomial)):
-        f = f.monic()
+        f = _primitive(ring, f.terms)
         pairs = _update_pairs(G, leads, masks, pairs, f, key)
         table.insert(f)
 
@@ -301,9 +348,9 @@ def buchberger(ideal) -> GroebnerBasis:
         s = spoly(G[i], G[j])
         if s.is_zero:
             continue
-        r = _reduce_full(s, table)
-        if not r.is_zero:
-            r = r.monic()
+        r, _ = _reduce_full(s.terms, table)
+        if r:
+            r = _primitive(ring, r)
             pairs = _update_pairs(G, leads, masks, pairs, r, key)
             table.insert(r)
 
@@ -314,7 +361,9 @@ def _interreduce(ring: Ring, G) -> GroebnerBasis:
     """Minimalize, then reduce each tail once against the minimal basis.
 
     The minimal elements form a Groebner basis, and tail reduction leaves
-    every lead unchanged, so a single pass gives the reduced basis."""
+    every lead unchanged, so a single pass gives the reduced basis.  The
+    only place elements become monic, with Fraction coefficients; the
+    basis keeps the integer rows as its reducer table."""
     key = ring.order.key
     minimal = []
     for g in sorted(G, key=lambda p: key(p.lead_monomial)):
@@ -323,11 +372,16 @@ def _interreduce(ring: Ring, G) -> GroebnerBasis:
     table = _ReducerTable(ring.order, minimal)
     reduced = []
     for i, g in enumerate(minimal):
-        tail = _reduce_full(Polynomial(ring, g.terms[1:]), table).terms
+        tail, scale = _reduce_full(g.terms[1:], table)
+        lead, lc = g.terms[0]
+        row = _primitive(ring, [(lead, lc * scale)] + tail).terms
+        lc = row[0][1]
         # rows follow `minimal`; later tails reduce against the shorter tail
-        table.rows[i] = table.rows[i][:3] + (tail,)
-        reduced.append(Polynomial(ring, g.terms[:1] + tail))
-    return GroebnerBasis(ring, reduced)
+        table.rows[i] = (lead, table.rows[i][1], lc, row[1:])
+        reduced.append(Polynomial(ring, tuple((e, Fraction(c, lc)) for e, c in row)))
+    gb = GroebnerBasis(ring, reduced)
+    object.__setattr__(gb, "_reducers", table)
+    return gb
 
 
 def is_groebner(gb: GroebnerBasis) -> bool:

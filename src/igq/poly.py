@@ -2,8 +2,10 @@
 
 Everything downstream (Groebner bases, ring presentations, cohomology
 bookkeeping) is built on the immutable :class:`Polynomial` defined here.
-Coefficients are `fractions.Fraction` throughout, so arithmetic is exact;
-no floating point is ever involved.  Monomials are bare exponent tuples.
+Every Polynomial the public API takes or returns has `fractions.Fraction`
+coefficients, so arithmetic is exact; no floating point is ever involved.
+(`igq.groebner` runs its internal rows on primitive integer polynomials.)
+Monomials are bare exponent tuples.
 """
 
 from __future__ import annotations

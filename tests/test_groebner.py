@@ -252,6 +252,45 @@ def test_spoly_cancels_leads():
     f, g = X**2 - Y, X * Y - 1
     s = spoly(f, g)
     assert s.lead_monomial not in ((2, 0), (1, 1))
+    # made without division: lc(f) * lc(g) times the S-polynomial
+    assert spoly(2 * f, Fraction(3, 5) * g) == Fraction(6, 5) * s
+
+
+def test_normal_form_by_a_non_monic_list_basis():
+    # coprime leads x and y^2, so the list is a Groebner basis; by hand,
+    # x = 3/10 y and y^2 = 1/3, so x^2 y = 9/100 y^3 = 3/100 y
+    basis = [2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1]
+    assert normal_form(X**2 * Y + X + Fraction(1, 7) * Y, basis) == Fraction(331, 700) * Y
+    assert normal_form(X**2 * Y + X + Fraction(1, 7) * Y, buchberger(basis)) == Fraction(331, 700) * Y
+
+
+def test_normal_form_rescales_terms_already_in_the_remainder():
+    # x^3 and x*y are irreducible and come out before y^2 = x/6 is reduced
+    # by a row with leading coefficient 6, which scales the whole remainder
+    basis = [3 * Y**2 - Fraction(1, 2) * X]
+    assert normal_form(X**3 + Y**2 + X * Y, basis) == X**3 + X * Y + Fraction(1, 6) * X
+
+
+def test_buchberger_ignores_leading_coefficients():
+    gens = [6 * X**2 - 4 * Y, 9 * X * Y - Fraction(3, 7), -Fraction(5, 2) * Y**3 + X]
+    gb = buchberger(gens)
+    assert gb.elements == buchberger([g.monic() for g in gens]).elements
+    assert all(g.lead_coeff == 1 for g in gb)
+
+
+def test_coefficient_types_at_the_boundary():
+    # Fractions in every polynomial, int or Fraction in matrices, never a float
+    for spec in (PresentationSpec(3, QUANTUM_I, SYMBOLIC), PresentationSpec(3, CLASSICAL_II)):
+        gb = presentation_basis(spec)
+        assert all(type(c) is Fraction for g in gb for _, c in g.terms), spec
+        v = gb.ring.gens[0]
+        assert all(type(c) is Fraction for _, c in normal_form(v**7 + v * Fraction(1, 3), gb).terms)
+    gb = buchberger([2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1])
+    for p in (X**3, 6 * X**2 * Y, R2.one, Fraction(7, 4) * X):
+        assert all(type(c) is Fraction for _, c in normal_form(p, gb).terms)
+    entries = [c for M in multiplication_matrices(gb) for row in M for c in row]
+    assert all(type(c) in (int, Fraction) for c in entries)
+    assert any(type(c) is Fraction for c in entries) and any(type(c) is int for c in entries)
 
 
 def _coords(gb, p):

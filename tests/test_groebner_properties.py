@@ -1,0 +1,41 @@
+"""Property tests of normal_form: idempotence and Q-linearity."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from igq.groebner import buchberger, normal_form
+from igq.poly import Ring
+
+R2 = Ring(("x", "y"))
+X, Y = R2.gens
+
+# Groebner bases with non-unit, non-integral coefficients: a reduced basis,
+# a non-monic list with coprime leads, and a principal ideal whose standard
+# monomials x^a and x^a*y lie above some reducible ones
+BASES = (
+    buchberger([2 * X**2 - Fraction(3, 5) * Y, 3 * X * Y - Fraction(1, 2)]),
+    [2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1],
+    [3 * Y**2 - Fraction(1, 2) * X],
+)
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), rationals, max_size=6
+).map(R2.poly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(basis=st.sampled_from(BASES), f=polynomials)
+def test_normal_form_is_idempotent(basis, f):
+    r = normal_form(f, basis)
+    assert normal_form(r, basis) == r
+
+
+@settings(max_examples=40, deadline=None)
+@given(basis=st.sampled_from(BASES), f=polynomials, g=polynomials, a=rationals, b=rationals)
+def test_normal_form_is_linear(basis, f, g, a, b):
+    assert normal_form(a * f + b * g, basis) == a * normal_form(f, basis) + b * normal_form(g, basis)
