@@ -84,6 +84,15 @@ BASIS_SHA256 = {
     (6, QUANTUM_I, SYMBOLIC): "df5cdb129d0dfc913ed4dc8dcf8483102ccdf43cdbefec5fd749e55a0a0d6183",
     (6, QUANTUM_II, SPECIALIZE_1): "ed1b55a66631da558d9cfe7bbcfb5071395e96d2e294057d5b39d1e82f75d4c0",
     (6, QUANTUM_II, SYMBOLIC): "b3aaa3db035f3f6e911b0b3e10392b4fd3ee9183692c81d2eece9ceacee9e265",
+    # n = 7, recorded with the fraction-free Buchberger at commit aaa3ccb
+    (7, CLASSICAL_I, SPECIALIZE_1): "5eec56633418d87c1a91671326e6ecb24521192dd7fdcc22cc76b93d9fe1eba6",
+    (7, CLASSICAL_I, SYMBOLIC): "5eec56633418d87c1a91671326e6ecb24521192dd7fdcc22cc76b93d9fe1eba6",
+    (7, CLASSICAL_II, SPECIALIZE_1): "0fb81f8d7616c7c8a9b3a6f554e481276467718b5e4b33039c0a420079d6d785",
+    (7, CLASSICAL_II, SYMBOLIC): "0fb81f8d7616c7c8a9b3a6f554e481276467718b5e4b33039c0a420079d6d785",
+    (7, QUANTUM_I, SPECIALIZE_1): "704923bd5114105fb1dc81ab4f588e9e5a7fc3c4bda50dec2bab86ffd52a9f1d",
+    (7, QUANTUM_I, SYMBOLIC): "27708df9f0605c730afcfb266e3567d11936182f09351a1efe58fdd5d3a83e6f",
+    (7, QUANTUM_II, SPECIALIZE_1): "5e64a8567d6275353eb09c2bffced838fdda0631a0b993f3aeb92971719fbd4d",
+    (7, QUANTUM_II, SYMBOLIC): "7f02f5f2d06185e35d0114a1553863b86740d5e3513fbd6e6736a5359cc24eb7",
 }
 
 
@@ -238,6 +247,13 @@ def test_presentation_bases_golden_n6():
     # the SPECIALIZE_1 bases are memoised and shared with acceptance row 1b
     for (n, variant, q_mode), digest in BASIS_SHA256.items():
         if n == 6:
+            spec = PresentationSpec(n, variant, q_mode)
+            assert _basis_digest(spec) == digest, spec
+
+
+def test_presentation_bases_golden_n7():
+    for (n, variant, q_mode), digest in BASIS_SHA256.items():
+        if n == 7:
             spec = PresentationSpec(n, variant, q_mode)
             assert _basis_digest(spec) == digest, spec
 
