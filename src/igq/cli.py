@@ -333,14 +333,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_checks(text: str, known, command: str):
+    """The comma-separated check names, or None after one stderr line when
+    a name is unknown or none is given: an empty run certifies nothing."""
+    checks = [c for c in text.split(",") if c]
+    bad = set(checks) - set(known)
+    if bad:
+        print("unknown %s checks: %s" % (command, ",".join(sorted(bad))), file=sys.stderr)
+        return None
+    if not checks:
+        print("no %s checks given; choose from %s" % (command, ",".join(known)), file=sys.stderr)
+        return None
+    return checks
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     if args.command == "qh":
-        checks = [c for c in args.check.split(",") if c]
-        bad = set(checks) - set(QH_CHECKS)
-        if bad:
-            print("unknown qh checks: %s" % ",".join(sorted(bad)), file=sys.stderr)
+        checks = _parse_checks(args.check, QH_CHECKS, "qh")
+        if checks is None:
             return 2
         q_mode = SYMBOLIC if args.q_mode == "symbolic" else SPECIALIZE_1
         if args.dump:
@@ -364,10 +376,8 @@ def main(argv=None) -> int:
             "max_n": args.max_n,
         }
     else:
-        checks = [c for c in args.check.split(",") if c]
-        bad = set(checks) - set(DCAT_CHECKS)
-        if bad:
-            print("unknown dcat checks: %s" % ",".join(sorted(bad)), file=sys.stderr)
+        checks = _parse_checks(args.check, DCAT_CHECKS, "dcat")
+        if checks is None:
             return 2
         try:
             rows = run_dcat_suite(args.k, args.space, checks, args.max_k)

@@ -1,12 +1,17 @@
 """Reduced Groebner bases over Q and the finite quotients they present.
 
 Buchberger's algorithm with the Gebauer-Moeller pair criteria and the
-normal selection strategy.  Pairs wait in a heap keyed by the order key
-of their lcm, both computed once when the pair is made.  Reducers sit in
-a table sorted by leading term, grown by insertion during Buchberger and
-built once per reduced basis; each carries a bitmask of the variables in
-its leading term, so most divisibility tests are one integer AND.  Full
-tail reduction runs over a lazy max-heap of monomials.
+sugar selection strategy (Giovini, Mora, Niesi, Robbiano & Traverso, "One
+sugar cube, please", ISSAC 1991) in caller-given variable weights.  Pairs
+wait in a heap keyed by (sugar, order key of their lcm), both computed
+once when the pair is made.  When the input is weighted-homogeneous for
+those weights, as every presentation in `igq.presentations` is for the
+paper's grading (the q = 1 variants once homogenized by q), the run goes
+degree by degree.  Reducers sit in a table sorted by leading term, grown
+by insertion during Buchberger and built once per reduced basis; each
+carries a bitmask of the variables in its leading term, so most
+divisibility tests are one integer AND.  Full tail reduction runs over a
+lazy max-heap of monomials.
 
 The arithmetic inside is fraction-free (von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 6): Buchberger's elements and every reducer row
@@ -283,14 +288,22 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 # Buchberger
 
 
-def _update_pairs(G, leads, masks, pairs, f, key):
-    """Gebauer-Moeller update: add f to G, prune the pair heap and extend it.
+def _wdeg(e, weights) -> int:
+    return sum(w * x for w, x in zip(weights, e))
 
-    A pair is (order key of its lcm, i, j, lcm), made once; the heap pops
-    the pair with the smallest lcm (the normal selection strategy).
+
+def _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights):
+    """Gebauer-Moeller update: add f, of sugar `sugar`, to G, prune the pair
+    heap and extend it.
+
+    A pair is (sugar, order key of its lcm, i, j, lcm), made once; the heap
+    pops the pair of least sugar, ties broken by the smaller lcm (the sugar
+    strategy).  With w the weighted degree, the sugar of a pair with lcm L
+    is w(L) plus the larger excess sugar(g) - w(lm g) of its two elements g.
     """
     lf = f.lead_monomial
     mf = _mask(lf)
+    ef = sugar - _wdeg(lf, weights)
     t = len(G)
     lcm_f = [monomial_lcm(L, lf) for L in leads]
 
@@ -298,10 +311,10 @@ def _update_pairs(G, leads, masks, pairs, f, key):
     kept = [
         p
         for p in pairs
-        if mf & ~(masks[p[1]] | masks[p[2]])
-        or not monomial_divides(lf, p[3])
-        or p[3] == lcm_f[p[1]]
-        or p[3] == lcm_f[p[2]]
+        if mf & ~(masks[p[2]] | masks[p[3]])
+        or not monomial_divides(lf, p[4])
+        or p[4] == lcm_f[p[2]]
+        or p[4] == lcm_f[p[3]]
     ]
 
     by_lcm = {}
@@ -316,42 +329,56 @@ def _update_pairs(G, leads, masks, pairs, f, key):
         minimal.append((L, mL))
         # coprime leads (disjoint supports): the pair reduces to zero
         if all(masks[i] & mf for i in group):
-            kept.append((k, group[0], t, L))
+            i = group[0]
+            kept.append((_wdeg(L, weights) + max(excess[i], ef), k, i, t, L))
     heapq.heapify(kept)
 
     G.append(f)
     leads.append(lf)
     masks.append(mf)
+    excess.append(ef)
     return kept
 
 
-def buchberger(ideal) -> GroebnerBasis:
-    """The unique reduced Groebner basis of an ideal, for its ring's order."""
+def buchberger(ideal, weights=None) -> GroebnerBasis:
+    """The unique reduced Groebner basis of an ideal, for its ring's order.
+
+    `weights`, one positive int per ring variable (default all 1), grade
+    the sugar that selects the next pair; they change the work done, never
+    the result.  An input generator's sugar is the largest weighted degree
+    of its terms, and a reduced S-polynomial takes the sugar of its pair.
+    """
     if not isinstance(ideal, Ideal):
         gens = tuple(ideal)
         if not gens:
             raise ValueError("cannot infer the ring of an empty generator list")
         ideal = Ideal(gens[0].ring, gens)
     ring = ideal.ring
+    if weights is None:
+        weights = (1,) * ring.ngens
+    weights = tuple(weights)
+    if len(weights) != ring.ngens or not all(type(w) is int and w > 0 for w in weights):
+        raise ValueError("need one positive int weight per ring variable, got %r" % (weights,))
     key = ring.order.key
     gens = [g for g in ideal.generators if not g.is_zero]
 
-    G, leads, masks, pairs = [], [], [], []
+    G, leads, masks, excess, pairs = [], [], [], [], []
     table = _ReducerTable(ring.order)
     for f in sorted(gens, key=lambda p: key(p.lead_monomial)):
+        sugar = max(_wdeg(e, weights) for e, _ in f.terms)
         f = _primitive(ring, f.terms)
-        pairs = _update_pairs(G, leads, masks, pairs, f, key)
+        pairs = _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights)
         table.insert(f)
 
     while pairs:
-        _, i, j, _ = heapq.heappop(pairs)
+        sugar, _, i, j, _ = heapq.heappop(pairs)
         s = spoly(G[i], G[j])
         if s.is_zero:
             continue
         r, _ = _reduce_full(s.terms, table)
         if r:
             r = _primitive(ring, r)
-            pairs = _update_pairs(G, leads, masks, pairs, r, key)
+            pairs = _update_pairs(G, leads, masks, excess, pairs, r, sugar, key, weights)
             table.insert(r)
 
     return _interreduce(ring, G)

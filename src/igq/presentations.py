@@ -188,11 +188,20 @@ _basis_cache: dict = {}
 def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
     """Reduced Groebner basis of a presentation ideal, cached by the ideal:
     (n, variant, whether q is a variable).  A classical variant has no q,
-    so both q-modes share its entry."""
+    so both q-modes share its entry.
+
+    Buchberger selects pairs by sugar in the paper's grading (deg s_i = i,
+    deg a_1 = 1, deg a_2 = 2, deg b_i = 2i, deg q = 2n-1), in which every
+    presentation is weighted-homogeneous, so the run goes degree by degree.
+    For the q = 1 quantum variants the generators' sugars are the degrees
+    of their q-homogenized forms, so the same weights act as a phantom
+    homogenization by q of weight 2n-1."""
     key = (spec.n, spec.variant, spec.symbolic_q)
     gb = _basis_cache.get(key)
     if gb is None:
-        gb = _basis_cache[key] = buchberger(build_presentation(spec))
+        ideal = build_presentation(spec)
+        w = sigma_weights(spec.n) if spec.variant in (CLASSICAL_I, QUANTUM_I) else ab_weights(spec.n)
+        gb = _basis_cache[key] = buchberger(ideal, tuple(w[name] for name in ideal.ring.names))
     return gb
 
 

@@ -116,6 +116,17 @@ def test_main_exit_codes_and_output(capsys):
     assert main(["qh", "--n", "2", "--check", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("command", [["qh", "--n", "3"], ["dcat", "--k", "2", "--space", "gr"]], ids=["qh", "dcat"])
+@pytest.mark.parametrize("checks", ["", ",", ",,"])
+def test_empty_check_list_is_refused(command, checks, capsys):
+    # a report with no rows would read "0 pass" and certify nothing
+    assert main(command + ["--check", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no %s checks given" % command[0])
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_main_byte_identical_json(capsys):
     main(["qh", "--n", "2", "--check", "spectrum,zcount"])
     first = capsys.readouterr().out

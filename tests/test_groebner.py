@@ -223,6 +223,41 @@ def test_reduced_basis_invariant_under_rescaling():
             assert buchberger(Ideal(ideal.ring, gens)).elements == reference, spec
 
 
+HAND_IDEALS = (
+    [X**2 - Y, Y**2 - X],
+    [X**3 + X * Y, Y**2 - 1],
+    [X**2 + Y**2 - 1, X * Y - 1],
+    [X**2 * (X - 1), Y],
+    [Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y],
+    [6 * X**2 - 4 * Y, 9 * X * Y - Fraction(3, 7), -Fraction(5, 2) * Y**3 + X],
+)
+
+
+def test_sugar_weights_do_not_change_the_basis():
+    rng = random.Random(17)
+    cases = [Ideal(R2, gens) for gens in HAND_IDEALS]
+    cases += [build_presentation(spec) for spec in SHUFFLE_SPECS]
+    for ideal in cases:
+        reference = buchberger(ideal).elements
+        for _ in range(4):
+            weights = [rng.randrange(1, 8) for _ in range(ideal.ring.ngens)]
+            assert buchberger(ideal, weights).elements == reference, (ideal, weights)
+
+
+def test_presentation_basis_matches_unweighted_buchberger():
+    for n in (3, 4):
+        for variant in (CLASSICAL_I, CLASSICAL_II, QUANTUM_I, QUANTUM_II):
+            for q_mode in (SPECIALIZE_1, SYMBOLIC):
+                spec = PresentationSpec(n, variant, q_mode)
+                assert presentation_basis(spec).elements == buchberger(build_presentation(spec)).elements, spec
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 1, 1), (1, 0), (2, -1), (1, 1.0), ()])
+def test_sugar_weights_are_validated(weights):
+    with pytest.raises(ValueError):
+        buchberger([X**2 - Y, Y**2 - X], weights)
+
+
 def _basis_digest(spec):
     text = dump_generators(presentation_basis(spec).elements)
     return hashlib.sha256(text.encode()).hexdigest()
