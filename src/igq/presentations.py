@@ -13,7 +13,8 @@ quantum quotient into its origin-supported part and the reduced rest by
 exact linear algebra in coordinates on the standard monomials: the
 origin factor is the joint generalized kernel of the multiplication
 matrices, and the rest is counted through the minimal polynomial of
-M_l, for a separating linear form l, on 1 modulo the origin factor.
+M_l, for a separating linear form l, on 1 modulo the origin factor:
+proved modulo a prime, and computed over Q only when that proof fails.
 `count_offorigin_by_substitution` re-counts the reduced points through the
 z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd degree
 arithmetic.
@@ -36,7 +37,13 @@ from .groebner import (
 )
 from .linalg import corank, minimal_polynomial, nullspace
 from .poly import Polynomial, Ring
-from .univariate import distinct_root_count, squarefree_part, univ_divide, univ_gcd
+from .univariate import (
+    distinct_root_count,
+    primitive_int,
+    squarefree_part,
+    univ_divide,
+    univ_gcd,
+)
 
 CLASSICAL_I = "CLASSICAL_I"
 CLASSICAL_II = "CLASSICAL_II"
@@ -337,6 +344,15 @@ def _origin_factor(mats, dim: int) -> list:
 
 
 _SEPARATING_COEFFS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+_PRIME = 2**61 - 1  # the modulus of the point-count proof in split_spectrum
+_T_RING = Ring(("t",))
+
+
+def _root_count(m_ell, one, origin, modulus=None) -> int:
+    """Distinct roots of the minimal polynomial of M_l on 1 modulo the
+    origin vectors, over Q or, given a prime modulus p, over F_p."""
+    mu = minimal_polynomial(m_ell, one, modulo=origin, modulus=modulus)
+    return distinct_root_count(_T_RING.poly({(k,): c for k, c in enumerate(mu)}), modulus)
 
 
 def split_spectrum(gb: GroebnerBasis):
@@ -346,20 +362,36 @@ def split_spectrum(gb: GroebnerBasis):
     Returns (local length at the origin, dim A_off, distinct off-origin
     points, separating form).  The points are counted along a
     verified-generic linear form l: A/A_0 is A_off as an A-module, with
-    the class of 1 going to the idempotent e_off, so the least monic p
-    with p(M_l) 1 in A_0 is the minimal polynomial of l on A_off; it has
-    as many distinct roots as A_off has dimension exactly when A_off is
-    reduced and l separates its points.  Makes four attempts, with
-    shifted coefficient sequences.
+    the class of 1 going to the idempotent e_off, so the least monic mu
+    with mu(M_l) 1 in A_0 is the minimal polynomial of l on A_off; it has
+    d = dim A_off distinct roots exactly when A_off is reduced and l
+    separates its points.  Makes four attempts, with shifted coefficient
+    sequences.
+
+    The origin factor is exact over Q, and each attempt first tries to
+    prove the count modulo the prime p = 2^61 - 1.  The Krylov sieve runs
+    mod p on the primitive integer forms of the L origin vectors, then 1,
+    M_l 1, ...; the proof holds when the origin vectors stay independent
+    mod p and the resulting mu_p has d distinct roots over the algebraic
+    closure of F_p, which forces deg mu_p = d.  Then the L + d sieved
+    vectors, which have p-integral entries, are independent mod p, so
+    they have a maximal minor that is a unit mod p; they are a basis of
+    A over Q, mu_Q has degree d, and by Cramer's rule its coefficients
+    are p-integral and reduce to those of mu_p.  Roots can only merge
+    under reduction, so mu_Q has d distinct roots too: the attempt
+    succeeds exactly as the exact count would have it.  When the proof
+    fails (an entry whose denominator p divides, an unlucky prime, or a
+    non-reduced A_off), the attempt runs the exact Krylov sieve over Q
+    and counts the roots of mu_Q, so the forms chosen, the counts and the
+    RuntimeError below do not depend on p.
     """
     mats = multiplication_matrices(gb)
     dim = len(mats[0])
-    origin = _origin_factor(mats, dim)
+    origin = [primitive_int(u) for u in _origin_factor(mats, dim)]
     length = len(origin)
     off_dim = dim - length
     one = [int(i == 0) for i in range(dim)]  # std[0] is 1
     ring = gb.ring
-    t_ring = Ring(("t",))
     tried = []
     for attempt in range(4):
         coeffs = _SEPARATING_COEFFS[attempt : attempt + ring.ngens]
@@ -369,9 +401,13 @@ def split_spectrum(gb: GroebnerBasis):
                 for j, x in enumerate(row):
                     if x:
                         row_ell[j] += c * x
-        mu = minimal_polynomial(m_ell, one, modulo=origin)
-        count = distinct_root_count(t_ring.poly({(k,): c for k, c in enumerate(mu)}))
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
+        try:
+            count = _root_count(m_ell, one, origin, _PRIME)
+        except ValueError:  # not reducible mod p, origin dependent mod p, or deg mu_p >= p
+            count = None
+        if count != off_dim:
+            count = _root_count(m_ell, one, origin)
         if count == off_dim:
             return length, off_dim, count, form
         tried.append((form, count))

@@ -4,7 +4,8 @@ Root multiplicity/distinctness questions are answered by gcd-degree
 arithmetic over exact rationals (primitive pseudo-remainder sequences
 over Z), never by numeric root finding.  The distinct-root count of f is
 deg(f / gcd(f, f')), valid over any algebraically closed field of
-characteristic zero.
+characteristic zero, and over the algebraic closure of F_p for f mod p
+of degree below p (Euclid's algorithm over F_p).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from .linalg import reduce_mod
 from .poly import Polynomial, Ring
 
 
@@ -60,8 +62,9 @@ def _content(c):
     return g or 1
 
 
-def _primitive_int(coeffs):
-    """Clear denominators and content: primitive integer coefficient list."""
+def primitive_int(coeffs) -> list:
+    """Clear denominators and content: the primitive integer list with the
+    same ratios as the given ints and Fractions."""
     den = 1
     for c in coeffs:
         den = den * c.denominator // int_gcd(den, c.denominator)
@@ -111,7 +114,7 @@ def univ_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if vf != vg and f.total_degree > 0 and g.total_degree > 0:
         raise ValueError("gcd operands in different variables")
     var = vf if f.total_degree > 0 else vg
-    h = _int_gcd_poly(_primitive_int(cf), _primitive_int(cg))
+    h = _int_gcd_poly(primitive_int(cf), primitive_int(cg))
     return _from_coeffs(f.ring, [Fraction(x) for x in h], var).monic()
 
 
@@ -152,9 +155,38 @@ def univ_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return _from_coeffs(f.ring, _exact_div_coeffs(cf, cg), var)
 
 
-def distinct_root_count(f: Polynomial) -> int:
-    """Number of distinct roots over an algebraically closed field."""
+def _rem_mod(a, b, p):
+    """Remainder of a by b over F_p, as stripped coefficient lists."""
+    a = list(a)
+    inv, db = pow(b[-1], -1, p), len(b) - 1
+    while _strip(a) and len(a) - 1 >= db:
+        c, shift = a[-1] * inv % p, len(a) - 1 - db
+        for i, y in enumerate(b):
+            a[i + shift] = (a[i + shift] - c * y) % p
+    return a
+
+
+def distinct_root_count(f: Polynomial, modulus: int = None) -> int:
+    """Number of distinct roots over an algebraically closed field.
+
+    With a prime `modulus` p it counts the roots of f mod p in the
+    algebraic closure of F_p, as deg f - deg gcd(f, f') over F_p.  That
+    holds because a root of f of multiplicity m is one of f' of
+    multiplicity m - 1 unless p divides m, which needs m >= p; so f mod p
+    must have degree below p, and its coefficients must be p-integral
+    (ValueError otherwise).
+    """
     if f.is_zero:
         raise ValueError("the zero polynomial has no root count")
-    sf = squarefree_part(f)
-    return sf.total_degree
+    if modulus is None:
+        return squarefree_part(f).total_degree
+    p = modulus
+    c = _strip(reduce_mod(_to_coeffs(f)[0], p))
+    if not c:
+        raise ValueError("f vanishes mod %d" % p)
+    if len(c) > p:
+        raise ValueError("degree %d is not below the modulus %d" % (len(c) - 1, p))
+    a, b = c, _strip([k * x % p for k, x in enumerate(c)][1:])
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return len(c) - len(a)

@@ -87,6 +87,19 @@ def test_criterion_02b_spectrum_n6():
     )
 
 
+def test_criterion_02c_spectrum_n7():
+    rep = decompose_spectrum(7)
+    count = count_offorigin_by_substitution(7)
+    label = match_quantum_factor(7)["label"]
+    ok = rep.as_tuple() == (84, 1, 6, 78, 78) and count == 78 == rep.offorigin_distinct_points
+    ok = ok and label == "A6"
+    _verdict(
+        "criterion 2c: spectrum split at n=7, 78 points counted both ways, label A6",
+        ok,
+        "%s, zcount %d, %s" % (rep.as_tuple(), count, label),
+    )
+
+
 def test_criterion_03_independent_point_count():
     ok = True
     detail = {}

@@ -12,6 +12,7 @@ from igq.bbw import (
     LEFT,
     RIGHT,
     BundleTerm,
+    ExtProfile,
     Space,
     bbw_gl,
     bbw_sp,
@@ -174,6 +175,28 @@ def test_collections_pass_and_have_expected_sizes():
     # dimensions: 2k(k-1)
     for k in (2, 3):
         assert len(lefschetz_collection(Space.igr(k))) == 2 * k * (k - 1)
+
+
+def test_verify_collection_lists_every_pair_of_a_nonzero_key(monkeypatch):
+    # make Ext(S^1 U*(c), U*(c - 1)), the key (1, 0, -1), nonzero: every
+    # pair with that key must fail, in the order of the pair-by-pair sweep
+    real = bbw.ext_bundles
+    bad = ExtProfile.make({2: 3}, True)
+
+    def patched(space, E, F):
+        return bad if (E[0], F[0], F[1] - E[1]) == (1, 0, -1) else real(space, E, F)
+
+    monkeypatch.setattr(bbw, "ext_bundles", patched)
+    for space in (Space.gr(6), Space.gr(7), Space.igr(4)):
+        objects = lefschetz_collection(space)
+        expected = [
+            ("semiorthogonal", (later, earlier), str(patched(space, later, earlier)))
+            for i, later in enumerate(objects)
+            for earlier in objects[:i]
+            if not patched(space, later, earlier).is_zero
+        ]
+        assert len(expected) >= 2
+        assert verify_collection(space)["failures"] == expected
 
 
 def test_collection_size_matches_ring_dimension():

@@ -1,10 +1,15 @@
 """Exact linear algebra: rank, nullspace, first dependence, minimal
-polynomials, each against a plain Gauss-Jordan reference."""
+polynomials, each against a plain Gauss-Jordan reference, over Q and
+over F_p."""
 
 import random
 from fractions import Fraction
 
-from igq.linalg import LinearSieve, minimal_polynomial, nullspace, rank
+import pytest
+
+from igq.linalg import LinearSieve, ModularSieve, minimal_polynomial, nullspace, rank
+
+PRIMES = (2, 3, 7, 2**61 - 1)
 
 
 def row_echelon(rows, ncols):
@@ -30,6 +35,25 @@ def row_echelon(rows, ncols):
         pivots.append(col)
         r += 1
     return pivots, m[:r]
+
+
+def rank_mod(rows, p):
+    """Reference rank over F_p: Gauss-Jordan on the rows mod p."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
 
 
 def reference_nullspace(rows, ncols):
@@ -114,6 +138,31 @@ def test_sieve_reports_the_first_dependence():
         assert all(sum(c * row[j] for c, row in zip(combo, rows)) == 0 for j in range(ncols))
 
 
+def test_modular_sieve_reports_the_first_dependence_mod_p():
+    # small primes make vectors that are independent over Q dependent mod p
+    rng = random.Random(13)
+    for p in PRIMES:
+        for _ in range(200):
+            ncols = rng.randrange(1, 7)
+            rows = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(ncols + 1)]
+            sieve = ModularSieve(p)
+            for k, v in enumerate(rows):
+                combo = sieve.add(v)
+                if combo is not None:
+                    break
+            assert rank_mod(rows[:k], p) == k == rank_mod(rows[: k + 1], p)
+            assert combo[-1] == 1 and len(combo) == k + 1
+            assert all(0 <= c < p for c in combo)
+            assert all(sum(c * row[j] for c, row in zip(combo, rows)) % p == 0 for j in range(ncols))
+
+
+def test_modular_sieve_takes_p_integral_fractions_only():
+    sieve = ModularSieve(7)
+    assert sieve.keep([Fraction(1, 2), 3]) and not sieve.keep([1, 6])  # 1/2 = 4 mod 7
+    with pytest.raises(ValueError):
+        sieve.keep([Fraction(1, 7), 1])
+
+
 def test_rank_and_nullspace_match_gauss_jordan_on_sparse_matrices():
     # zero entries make the sieve skip steps, so its rows reach their
     # Bareiss level only through the rescale at the end of each add
@@ -136,3 +185,29 @@ def test_minimal_polynomial_of_a_companion_matrix_is_its_polynomial():
         companion = [[int(i == j + 1) for j in range(d - 1)] + [-p[i]] for i in range(d)]
         start = [int(i == 0) for i in range(d)]
         assert minimal_polynomial(companion, start) == p
+
+
+def test_minimal_polynomial_mod_p_is_the_reduction_of_the_one_over_q():
+    # an integral companion matrix keeps its polynomial's degree mod p, so
+    # its minimal polynomial mod p is the polynomial reduced mod p
+    rng = random.Random(17)
+    for p in PRIMES:
+        for _ in range(20):
+            d = rng.randrange(0, 7)
+            c = [rng.randrange(-50, 51) for _ in range(d)]
+            companion = [[int(i == j + 1) for j in range(d - 1)] + [-c[i]] for i in range(d)]
+            start = [int(i == 0) for i in range(d)]
+            assert minimal_polynomial(companion, start, modulus=p) == [x % p for x in c] + [1]
+
+
+def test_minimal_polynomial_mod_p_refuses_what_it_cannot_reduce():
+    # (1, 0, 3) and (1, 0, 0) are independent over Q but not mod 3
+    M = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]  # e_0 -> e_1 -> e_2 -> 0
+    start = [0, 1, 0]
+    modulo = [[1, 0, 3], [1, 0, 0]]
+    assert minimal_polynomial(M, start, modulo=modulo) == [0, 1]
+    assert minimal_polynomial(M, start, modulo=modulo, modulus=5) == [0, 1]
+    with pytest.raises(ValueError, match="dependent"):
+        minimal_polynomial(M, start, modulo=modulo, modulus=3)
+    with pytest.raises(ValueError):
+        minimal_polynomial([[Fraction(1, 3)]], [1], modulus=3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from igq import presentations
 from igq.groebner import Ideal, buchberger
 from igq.poly import Ring
 from igq.presentations import (
@@ -234,6 +235,49 @@ def test_split_spectrum_counts_on_the_off_origin_factor_only():
 def test_split_spectrum_rejects_a_fat_point_off_the_origin():
     with pytest.raises(RuntimeError, match="no separating form found"):
         _split((X - 1) ** 2, Y)
+
+
+def exact_krylov_runs(monkeypatch):
+    """Record the size of each minimal polynomial split_spectrum takes over
+    Q, that is, each attempt the proof mod p did not settle."""
+    runs = []
+    real = presentations.minimal_polynomial
+
+    def recorded(M, start, modulo=(), modulus=None):
+        if modulus is None:
+            runs.append(len(M))
+        return real(M, start, modulo, modulus)
+
+    monkeypatch.setattr(presentations, "minimal_polynomial", recorded)
+    return runs
+
+
+def test_split_spectrum_falls_back_when_two_points_merge_mod_p(monkeypatch):
+    # points x = 0, 1 and 1 + p: mod p the last two merge, so mu_p = (t - 1)^2
+    # proves nothing, and the exact count tells them apart
+    runs = exact_krylov_runs(monkeypatch)
+    p = presentations._PRIME
+    assert _split(X * (X - 1) * (X - 1 - p), Y) == (1, 2, 2, "1*x + 2*y")
+    assert runs == [3]
+
+
+def test_spectrum_is_proved_mod_p_for_n_up_to_6(monkeypatch):
+    monkeypatch.setattr(presentations, "_spectrum_cache", {})
+    runs = exact_krylov_runs(monkeypatch)
+    for n in range(2, 7):
+        decompose_spectrum(n)
+    assert runs == []
+
+
+def test_spectrum_fallback_agrees_with_the_proof(monkeypatch):
+    # with p = 2 every off-origin part has degree >= p, so no attempt is
+    # proved and each n takes the exact path
+    proved = {n: decompose_spectrum(n) for n in range(2, 6)}
+    monkeypatch.setattr(presentations, "_spectrum_cache", {})
+    monkeypatch.setattr(presentations, "_PRIME", 2)
+    runs = exact_krylov_runs(monkeypatch)
+    assert {n: decompose_spectrum(n) for n in range(2, 6)} == proved
+    assert runs == [4, 12, 24, 40]
 
 
 def test_spectrum_internal_identity():

@@ -1,5 +1,7 @@
 """Univariate gcd / squarefree / distinct-root counting."""
 
+from fractions import Fraction
+
 import pytest
 
 from igq.poly import Ring
@@ -50,6 +52,22 @@ def test_distinct_root_counts():
     assert distinct_root_count(R.const(5)) == 0
     with pytest.raises(ValueError):
         distinct_root_count(R.zero)
+
+
+def test_distinct_root_counts_mod_p():
+    p = 2**61 - 1
+    # 1 and 1 + p are distinct over Q and merge mod p
+    assert distinct_root_count((Z - 1) * (Z - 1 - p)) == 2
+    assert distinct_root_count((Z - 1) * (Z - 1 - p), p) == 1
+    assert distinct_root_count((Z**2 - 1) ** 2, 7) == 2
+    assert distinct_root_count(Z**4 - 1, 5) == 4  # the units of F_5
+    assert distinct_root_count(Z**2 + 1, 3) == 2  # roots in F_9
+    assert distinct_root_count(Fraction(1, 2) * Z**2 - 2, 7) == 2
+    assert distinct_root_count(R.const(5), 7) == 0
+    # only coefficients that reduce mod p, and degrees below p, are counted
+    for f, q in ((Z**5 - Z, 5), (7 * Z + 7, 7), (Fraction(1, 7) * Z + 1, 7)):
+        with pytest.raises(ValueError):
+            distinct_root_count(f, q)
 
 
 def test_root_count_of_the_cover_polynomial():
