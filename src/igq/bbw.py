@@ -14,6 +14,12 @@ adding rho, testing regularity, and counting the sorting steps:
   number of positive roots made negative:
       #{i<j : mu_i < mu_j} + #{i<j : mu_i + mu_j < 0} + #{i : mu_i < 0}.
 
+The tail of rho is distinct (and nonzero in type C), so only the two
+leading entries of a bundle weight plus rho can make it singular; that test
+is closed form (`_singular`).  Ext between two bundles is the sum over the
+Clebsch-Gordan pieces of the Hom bundle, and every nonvanishing piece adds
+a positive dimension, so an Ext vanishes iff each of its pieces does.
+
 The type-C length convention is validated against Serre duality by the
 property suite rather than trusted a priori.
 """
@@ -21,6 +27,7 @@ property suite rather than trusted a priori.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
 GR = "gr"
@@ -63,10 +70,6 @@ class Space:
     @property
     def v_dim(self) -> int:
         return self.param if self.kind == GR else 2 * self.param
-
-    @property
-    def weight_length(self) -> int:
-        return self.param
 
     def __str__(self):
         return "G(2,%d)" % self.param if self.kind == GR else "IG(2,%d)" % (2 * self.param)
@@ -142,7 +145,8 @@ def weyl_dimension_gl(hw) -> int:
             num *= hw[i] - hw[j] + j - i
             den *= j - i
     d, r = divmod(num, den)
-    assert r == 0 and d > 0
+    if r or d <= 0:
+        raise ArithmeticError("Weyl dimension of %r is %d/%d" % (hw, num, den))
     return d
 
 
@@ -159,7 +163,8 @@ def weyl_dimension_sp(hw) -> int:
             num *= l[i] ** 2 - l[j] ** 2
             den *= rho[i] ** 2 - rho[j] ** 2
     d, r = divmod(num, den)
-    assert r == 0 and d > 0
+    if r or d <= 0:
+        raise ArithmeticError("Weyl dimension of %r is %d/%d" % (hw, num, den))
     return d
 
 
@@ -176,7 +181,8 @@ def bbw_gl(weight, m: int) -> CohomologyResult:
     inversions = sum(
         1 for i in range(m) for j in range(i + 1, m) if mu[i] < mu[j]
     )
-    assert inversions <= m * (m - 1) // 2  # full flag length bound
+    if inversions > m * (m - 1) // 2:
+        raise ArithmeticError("length %d exceeds the full flag bound" % inversions)
     hw = tuple(x - r for x, r in zip(sorted(mu, reverse=True), rho))
     return CohomologyResult.of(inversions, hw, weyl_dimension_gl(hw))
 
@@ -196,22 +202,39 @@ def bbw_sp(weight, k: int) -> CohomologyResult:
         + sum(1 for i in range(k) for j in range(i + 1, k) if mu[i] + mu[j] < 0)
         + sum(1 for x in mu if x < 0)
     )
-    assert length <= k * k  # full flag length bound
+    if length > k * k:
+        raise ArithmeticError("length %d exceeds the full flag bound" % length)
     hw = tuple(x - r for x, r in zip(sorted((abs(x) for x in mu), reverse=True), rho))
     return CohomologyResult.of(length, hw, weyl_dimension_sp(hw))
 
 
 _bbw_cache: dict = {}
+_VANISHING = CohomologyResult.zero()
+
+
+def _singular(space: Space, sym: int, twist: int) -> bool:
+    """Whether (sym + twist, twist, 0, ..., 0) + rho is singular, from its
+    two leading entries x > y: type A repeats iff x or y is in 0..m-3, type C
+    iff |x| or |y| is at most k-2 (zero included) or |x| == |y|."""
+    n = space.param
+    if space.kind == GR:
+        return 0 <= sym + twist + n - 1 <= n - 3 or 0 <= twist + n - 2 <= n - 3
+    x, y = abs(sym + twist + n), abs(twist + n - 1)
+    return x <= n - 2 or y <= n - 2 or x == y
 
 
 def bundle_cohomology(space: Space, sym: int, twist: int) -> CohomologyResult:
-    """H^*(space, S^sym U*(twist)), memoized."""
+    """H^*(space, S^sym U*(twist)), memoized; every singular weight shares
+    one vanishing result."""
     key = (space, sym, twist)
     res = _bbw_cache.get(key)
     if res is None:
-        weight = (sym + twist, twist) + (0,) * (space.weight_length - 2)
-        bbw = bbw_gl if space.kind == GR else bbw_sp
-        res = _bbw_cache[key] = bbw(weight, space.param)
+        if _singular(space, sym, twist):
+            res = _VANISHING
+        else:
+            weight = (sym + twist, twist) + (0,) * (space.param - 2)
+            res = (bbw_gl if space.kind == GR else bbw_sp)(weight, space.param)
+        _bbw_cache[key] = res
     return res
 
 
@@ -240,7 +263,7 @@ class ExtProfile:
     @staticmethod
     def make(degree_dims: dict, conclusive: bool) -> "ExtProfile":
         dims = tuple(sorted((d, v) for d, v in degree_dims.items() if v))
-        euler = sum((-1) ** d * v for d, v in dims)
+        euler = sum(-v if d % 2 else v for d, v in dims)
         return ExtProfile(dims, conclusive, euler)
 
     def as_dict(self) -> dict:
@@ -258,6 +281,9 @@ class ExtProfile:
         if not self.dims:
             return "0"
         return " + ".join("C^%d[%d]" % (v, d) if v > 1 else "C[%d]" % d for d, v in self.dims)
+
+
+_NO_EXT = ExtProfile((), True, 0)
 
 
 def _no_consecutive(degrees) -> bool:
@@ -291,7 +317,7 @@ def ext_bundles(space: Space, E, F) -> ExtProfile:
             res = bundle_cohomology(space, sym, twist)
             if not res.vanishes:
                 acc[res.degree] = acc.get(res.degree, 0) + res.rep_dimension
-        prof = table[key] = ExtProfile.make(acc, True)
+        prof = table[key] = ExtProfile.make(acc, True) if acc else _NO_EXT
     return prof
 
 
@@ -319,26 +345,48 @@ def lefschetz_collection(space: Space):
     return out
 
 
+def _wrong_direction_keys(space: Space):
+    """(a, b, shifts): the keys (a, b, d - c) of the pairs S^a U*(c) after
+    S^b U*(d) in the collection are those with d - c in shifts.  Block 0
+    holds every sym, so the earlier block d reaches c - 1 down to 0, for
+    any block c with a part above a; within one block, b < a adds 0."""
+    parts = support_partition(space)
+    return [
+        (a, b, range(1 - sum(p > a for p in parts), 1 if b < a else 0))
+        for a in range(parts[0])
+        for b in range(parts[0])
+    ]
+
+
 def verify_collection(space: Space) -> dict:
     """Exceptionality of every object and vanishing of every
     wrong-direction Ext (later object against earlier object).
 
-    The Ext between S^a U*(c) and S^b U*(d) depends only on the key
-    (a, b, d - c), so each key is looked up once, and the pairs of a key
-    with a nonzero profile are listed as failures in collection order."""
+    An Ext vanishes iff each Clebsch-Gordan piece of its key has vanishing
+    cohomology: a piece that does not vanish adds a positive dimension, and
+    nothing cancels it.  So the distinct pieces of all wrong-direction keys
+    are tested once each.  Only the keys holding a
+    nonvanishing piece get a full Ext, and their pairs are listed as
+    failures in collection order."""
     objects = lefschetz_collection(space)
     failures = []
     for sym, twist in objects:
         prof = ext_bundles(space, (sym, twist), (sym, twist))
         if prof.dims != ((0, 1),):
             failures.append(("exceptional", (sym, twist), str(prof)))
-    keys = dict.fromkeys((a, b, d - c) for i, (a, c) in enumerate(objects) for b, d in objects[:i])
-    nonzero = {}
-    for a, b, shift in keys:
-        prof = ext_bundles(space, (a, 0), (b, shift))
-        if not prof.is_zero:
-            nonzero[a, b, shift] = prof
-    if nonzero:
+    keys = _wrong_direction_keys(space)
+    pieces = set()
+    for a, b, shifts in keys:
+        for sym, twist in _clebsch_gordan(a, b, 0):
+            pieces.update(zip(repeat(sym), range(twist + shifts.start, twist + shifts.stop)))
+    bad = {p for p in pieces if not bundle_cohomology(space, *p).vanishes}
+    if bad:
+        nonzero = {
+            (a, b, s): ext_bundles(space, (a, 0), (b, s))
+            for a, b, shifts in keys
+            for s in shifts
+            if not bad.isdisjoint(_clebsch_gordan(a, b, s))
+        }
         for i, (a, c) in enumerate(objects):
             for b, d in objects[:i]:
                 prof = nonzero.get((a, b, d - c))

@@ -178,25 +178,84 @@ def test_collections_pass_and_have_expected_sizes():
 
 
 def test_verify_collection_lists_every_pair_of_a_nonzero_key(monkeypatch):
-    # make Ext(S^1 U*(c), U*(c - 1)), the key (1, 0, -1), nonzero: every
-    # pair with that key must fail, in the order of the pair-by-pair sweep
-    real = bbw.ext_bundles
-    bad = ExtProfile.make({2: 3}, True)
+    # make the piece S^1 U*(-2) nonzero: it lies in several keys, among
+    # them (1, 0, -1), (0, 1, -2) and (2, 1, -1), and every pair with one
+    # of its keys must fail, in the order of the pair-by-pair sweep
+    monkeypatch.setattr(bbw, "_bbw_cache", {})
+    monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+    real = bbw.bundle_cohomology
+    bad = bbw.CohomologyResult.of(2, (1, 0), 3)
 
-    def patched(space, E, F):
-        return bad if (E[0], F[0], F[1] - E[1]) == (1, 0, -1) else real(space, E, F)
+    def patched(space, sym, twist):
+        return bad if (sym, twist) == (1, -2) else real(space, sym, twist)
 
-    monkeypatch.setattr(bbw, "ext_bundles", patched)
+    monkeypatch.setattr(bbw, "bundle_cohomology", patched)
+
+    def brute_ext(space, E, F):
+        acc = {}
+        for sym, twist in bbw._clebsch_gordan(E[0], F[0], F[1] - E[1]):
+            res = patched(space, sym, twist)
+            if not res.vanishes:
+                acc[res.degree] = acc.get(res.degree, 0) + res.rep_dimension
+        return ExtProfile.make(acc, True)
+
     for space in (Space.gr(6), Space.gr(7), Space.igr(4)):
         objects = lefschetz_collection(space)
         expected = [
-            ("semiorthogonal", (later, earlier), str(patched(space, later, earlier)))
+            ("semiorthogonal", (later, earlier), str(brute_ext(space, later, earlier)))
             for i, later in enumerate(objects)
             for earlier in objects[:i]
-            if not patched(space, later, earlier).is_zero
+            if not brute_ext(space, later, earlier).is_zero
         ]
         assert len(expected) >= 2
+        assert {(E[0], F[0], F[1] - E[1]) for _, (E, F), _ in expected} >= {
+            (1, 0, -1),
+            (0, 1, -2),
+            (2, 1, -1),
+        }
         assert verify_collection(space)["failures"] == expected
+
+
+SWEEP_SPACES = [Space.gr(m) for m in range(4, 22)] + [Space.igr(k) for k in range(2, 11)]
+
+
+def test_wrong_direction_keys_match_the_pairs():
+    for space in SWEEP_SPACES:
+        objects = lefschetz_collection(space)
+        by_pairs = {(a, b, d - c) for i, (a, c) in enumerate(objects) for b, d in objects[:i]}
+        analytic = {(a, b, s) for a, b, shifts in bbw._wrong_direction_keys(space) for s in shifts}
+        assert analytic == by_pairs, space
+
+
+def test_closed_form_singularity_matches_bbw():
+    for space in SWEEP_SPACES:
+        n = space.param
+        full = bbw_gl if space.kind == "gr" else bbw_sp
+        for sym in range(30):
+            for twist in range(-40, 25):
+                weight = (sym + twist, twist) + (0,) * (n - 2)
+                assert bbw._singular(space, sym, twist) == full(weight, n).vanishes, (space, sym, twist)
+
+
+def test_singular_weights_share_one_vanishing_result(monkeypatch):
+    monkeypatch.setattr(bbw, "_bbw_cache", {})
+    space = Space.igr(3)
+    assert bundle_cohomology(space, 0, -1) is bundle_cohomology(space, 0, -2)
+    assert ext_bundles(space, (0, 0), (0, -1)) is ext_bundles(space, (0, 0), (1, -1))
+
+
+def test_euler_number_is_an_exact_int_at_negative_degrees():
+    for dims, euler in (({-1: 2, 0: 1}, -1), ({-3: 4, -2: 1, 5: 2}, -5), ({-2: 7}, 7)):
+        prof = ExtProfile.make(dims, True)
+        assert type(prof.euler) is int and prof.euler == euler
+
+
+def test_non_dominant_weight_raises_arithmetic_error():
+    # the Weyl numerator of (0, 1) is 0, for GL(2) and for Sp(4) alike
+    with pytest.raises(ArithmeticError):
+        weyl_dimension_gl((0, 1))
+    with pytest.raises(ArithmeticError):
+        weyl_dimension_sp((0, 1))
 
 
 def test_collection_size_matches_ring_dimension():
