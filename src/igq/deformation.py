@@ -27,11 +27,11 @@ from .presentations import (
     SPECIALIZE_1,
     SYMBOLIC,
     _sigma,
-    presentation_basis,
     sigma_generators,
     sigma_ring,
     sigma_square_relations,
     sigma_weights,
+    weighted_basis,
 )
 
 UNIT = ("unit",)
@@ -48,13 +48,25 @@ class UntrackedCorrectionError(ValueError):
 
 class QuantumContext:
     """The small quantum ring of IG(2,2n) as a quotient: normal forms are
-    taken modulo the sigma-side quantum basis, with q = 1 or symbolic."""
+    taken modulo the sigma-side quantum basis, with q = 1 or symbolic.
+
+    The basis is `weighted_basis`, in the paper's weighted order, in which
+    s_r leads the determinant D_r: every other term of D_r has the same
+    weighted degree r and a positive exponent at some s_i with i < r.  So
+    the basis is 2n-4 substitution rules plus a small core in s_1, s_2.
+    Every check here asks whether a normal form is zero, or compares two
+    normal forms: p reduces to zero modulo a Groebner basis of I exactly
+    when p is in I, whatever the order, and two normal forms in one basis
+    agree exactly when p - p' is in I.  The one normal form a report
+    prints, the t-coefficient (-1)^n q in `verify_lemma_presentation`, is
+    a constant or q itself, which no basis rewrites: the ideal holds no
+    element of degree 2n-1 that involves q."""
 
     def __init__(self, n: int, symbolic_q: bool = False):
         self.n = n
         self.symbolic_q = symbolic_q
         mode = SYMBOLIC if symbolic_q else SPECIALIZE_1
-        self.gb = presentation_basis(PresentationSpec(n, QUANTUM_I, mode))
+        self.gb = weighted_basis(PresentationSpec(n, QUANTUM_I, mode))
         self.ring = self.gb.ring
 
     def nf(self, p: Polynomial) -> Polynomial:
@@ -110,11 +122,6 @@ class QHElement:
         return QHElement(self.ctx, self.ctx.nf(self.value * other.value))
 
     __rmul__ = __mul__
-
-
-def star0(x: QHElement, y: QHElement) -> QHElement:
-    """The small quantum product: multiplication in the quotient ring."""
-    return x * y
 
 
 @dataclass(frozen=True)

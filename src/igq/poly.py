@@ -11,7 +11,7 @@ Monomials are bare exponent tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, neg
+from operator import add, le, mul, neg
 from typing import Mapping
 
 Exponents = tuple  # exponent vector, one entry per ring variable
@@ -88,6 +88,28 @@ class _Grlex(TermOrder):
         return (sum(exps), exps)
 
 
+class WeightedOrder(TermOrder):
+    """Weighted degree first, one positive int weight per variable; ties go
+    to the monomial with the smaller exponent of the first variable where
+    the two differ, that is, towards the later variables.
+
+    Both parts of the key are additive in the exponents, so the order is
+    multiplicative, and positive weights make 1 its least monomial: it is
+    a monomial order.  The weights are in the name, so orders with
+    different weights compare unequal and rings over them do too.
+    """
+
+    def __init__(self, weights):
+        weights = tuple(weights)
+        if not all(type(w) is int and w > 0 for w in weights):
+            raise ValueError("need positive int weights, got %r" % (weights,))
+        self.weights = weights
+        self.name = "weighted(%s)" % ",".join(map(str, weights))
+
+    def key(self, exps):
+        return (sum(map(mul, self.weights, exps)), tuple(map(neg, exps)))
+
+
 GREVLEX = _Grevlex()
 GRLEX = _Grlex()
 
@@ -151,15 +173,19 @@ class Ring:
 
     def poly(self, data) -> "Polynomial":
         """Build a polynomial from a dict or iterable of (exponents, coeff)."""
-        items = data.items() if isinstance(data, Mapping) else data
+        items = data.items() if isinstance(data, (dict, Mapping)) else data
+        ngens = len(self.names)
         acc = {}
         for exps, c in items:
-            exps = tuple(exps)
-            if len(exps) != self.ngens:
+            if type(exps) is not tuple:
+                exps = tuple(exps)
+            if len(exps) != ngens:
                 raise ValueError("exponent tuple of wrong length: %r" % (exps,))
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
-                acc[exps] = acc.get(exps, Fraction(0)) + c
+                prev = acc.get(exps)
+                acc[exps] = c if prev is None else prev + c
         key = self.order.key
         terms = tuple(
             (e, acc[e]) for e in sorted(acc, key=key, reverse=True) if acc[e]

@@ -17,7 +17,6 @@ from igq.deformation import (
     regularity_corank,
     sigma_prime,
     sigma_tag,
-    star0,
     star_tau,
     tau_correction,
     verify_lemma_presentation,
@@ -37,9 +36,9 @@ def test_star0_unit_and_commutativity():
     gens = ctx.ring.gens
     for _ in range(10):
         f = elem(ctx, gens[rng.randrange(len(gens))] * gens[rng.randrange(len(gens))])
-        assert star0(one, f).value == f.value
+        assert (one * f).value == f.value
         g = elem(ctx, gens[rng.randrange(len(gens))])
-        assert star0(f, g).value == star0(g, f).value
+        assert (f * g).value == (g * f).value
 
 
 def test_star0_associativity_on_random_triples():
@@ -55,7 +54,7 @@ def test_star0_associativity_on_random_triples():
 
     for _ in range(8):
         x, y, z = rand(), rand(), rand()
-        assert star0(star0(x, y), z).value == star0(x, star0(y, z)).value
+        assert ((x * y) * z).value == (x * (y * z)).value
 
 
 def test_sigma_prime_nonzero_and_pure_degree():
@@ -106,7 +105,7 @@ def test_star_tau_low_degree_has_no_correction():
     y = FirstOrderElement.of(ctx, ctx.sigma(2))
     out = star_tau(x, y, sigma_tag(1), sigma_tag(2))
     assert out.p1.is_zero
-    assert out.p0.value == star0(x.p0, y.p0).value
+    assert out.p0.value == (x.p0 * y.p0).value
 
 
 def test_star_tau_top_degree_correction_and_unit():
@@ -174,4 +173,4 @@ def test_mode_mismatch_rejected():
     a = QHElement.make(quantum_context(3), quantum_context(3).ring.one)
     b = QHElement.make(quantum_context(4), quantum_context(4).ring.one)
     with pytest.raises(ValueError):
-        star0(a, b)
+        a * b

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -10,10 +11,12 @@ from igq.poly import (
     GRLEX,
     Ring,
     RingMismatch,
+    WeightedOrder,
     dump_generators,
     dump_polynomial,
     load_generators,
     load_polynomial,
+    monomial_mul,
 )
 
 
@@ -44,6 +47,51 @@ def test_grevlex_vs_grlex_classic_tiebreak():
     assert R2.order.key(xz) > R2.order.key(y2)
     # degree always dominates
     assert R1.order.key((0, 0, 3)) > R1.order.key((1, 1, 0))
+
+
+def test_weighted_order_is_a_monomial_order():
+    order = WeightedOrder((1, 2, 3))
+    key = order.key
+    rng = random.Random(12)
+    one = (0, 0, 0)
+    for _ in range(300):
+        a, b, c = (tuple(rng.randrange(5) for _ in range(3)) for _ in range(3))
+        if a != b:
+            assert key(a) != key(b)
+        if key(a) < key(b):
+            assert key(monomial_mul(a, c)) < key(monomial_mul(b, c))
+        if a != one:
+            assert key(one) < key(a)
+    # equal weighted degree: the smaller exponent of the earlier variable wins
+    assert key((0, 0, 1)) > key((1, 1, 0)) > key((3, 0, 0))
+    assert key((0, 2, 0)) > key((2, 1, 0))
+
+
+def test_weighted_orders_compare_and_hash_by_weights():
+    names = ("x", "y", "z")
+    a, b = WeightedOrder((1, 2, 3)), WeightedOrder((1, 2, 4))
+    assert a != b and hash(a) != hash(b)
+    assert Ring(names, a) != Ring(names, b)
+    assert a != GREVLEX and Ring(names, a) != Ring(names)
+    same = WeightedOrder([1, 2, 3])
+    assert same == a and hash(same) == hash(a)
+    assert Ring(names, same) == Ring(names, a)
+    for bad in ((1, 0, 3), (1, -2, 3), (1, 2.0, 3)):
+        with pytest.raises(ValueError):
+            WeightedOrder(bad)
+
+
+def test_poly_coerces_inputs_and_checks_lengths():
+    R = Ring(("x", "y"))
+    f = R.poly([([1, 0], 2), ((1, 0), Fraction(1, 2)), ((0, 1), 0)])
+    assert f.terms == (((1, 0), Fraction(5, 2)),)
+    assert all(type(c) is Fraction for _, c in f.terms)
+    assert R.poly(MappingProxyType({(0, 2): 3})) == 3 * R.var("y") ** 2
+    assert R.poly({(1, 0): 1, (0, 1): -1}) == R.var("x") - R.var("y")
+    with pytest.raises(ValueError):
+        R.poly({(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        R.poly([([1], Fraction(1))])
 
 
 def test_ring_arithmetic_identities():

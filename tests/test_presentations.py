@@ -2,9 +2,9 @@
 
 import pytest
 
-from igq import presentations
-from igq.groebner import Ideal, buchberger
-from igq.poly import Ring
+from igq import deformation, presentations
+from igq.groebner import Ideal, buchberger, is_groebner, normal_form, quotient_dimension
+from igq.poly import GREVLEX, Ring
 from igq.presentations import (
     CLASSICAL_I,
     CLASSICAL_II,
@@ -19,13 +19,13 @@ from igq.presentations import (
     decompose_spectrum,
     presentation_basis,
     presentation_dimension,
-    schur_determinant,
     schur_determinants,
     sigma_in_ab,
     sigma_ring,
     sigma_weights,
     split_spectrum,
     verify_homomorphism,
+    weighted_basis,
     weighted_homogeneity_report,
 )
 
@@ -98,7 +98,7 @@ def test_schur_determinant_matches_cofactor_oracle():
         - m[0][0] * m[1][2] * m[2][1]
         - m[0][1] * m[1][0] * m[2][2]
     )
-    assert schur_determinant(n, 3, ring) == sarrus
+    assert schur_determinants(n, ring, 3)[3] == sarrus
 
 
 def test_schur_recurrence_matches_cofactor_expansion():
@@ -121,7 +121,7 @@ def test_schur_recurrence_matches_cofactor_expansion():
         for r in range(0, 2 * n - 1):
             matrix = [[entry(1 + j - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
             assert dets[r] == laplace(matrix, ring), (n, r)
-            assert schur_determinant(n, r, ring) == dets[r]
+            assert schur_determinants(n, ring, r)[r] == dets[r]
 
 
 def test_classical_basis_shared_by_both_q_modes():
@@ -131,6 +131,61 @@ def test_classical_basis_shared_by_both_q_modes():
         assert presentation_basis(PresentationSpec(3, variant, SYMBOLIC)) is plain
     quantum = presentation_basis(PresentationSpec(3, QUANTUM_I))
     assert presentation_basis(PresentationSpec(3, QUANTUM_I, SYMBOLIC)) is not quantum
+
+
+def weighted_specs(n):
+    return (
+        PresentationSpec(n, CLASSICAL_I),
+        PresentationSpec(n, QUANTUM_I),
+        PresentationSpec(n, QUANTUM_I, SYMBOLIC),
+    )
+
+
+def test_weighted_bases_are_certified_and_triangular():
+    # the bases dims and lemma read: Buchberger's criterion, every generator
+    # in the ideal, s_r leading one element for each r >= 3, and at q = 1
+    # the closed-form dimension
+    for n in range(3, 8):
+        for spec in weighted_specs(n):
+            gb = weighted_basis(spec)
+            ring = gb.ring
+            assert ring.order != GREVLEX, spec
+            assert is_groebner(gb), spec
+            for g in build_presentation(spec).generators:
+                assert normal_form(ring.poly(g.terms), gb).is_zero, spec
+            leads = set(gb.lead_monomials)
+            assert all(ring.var("s%d" % r).lead_monomial in leads for r in range(3, 2 * n - 1)), spec
+            if not spec.symbolic_q:
+                assert quotient_dimension(gb) == 2 * n * (n - 1), spec
+
+
+def test_weighted_and_grevlex_bases_span_one_ideal():
+    for n in (3, 4, 5):
+        for spec in weighted_specs(n):
+            grevlex = presentation_basis(spec)
+            for g in weighted_basis(spec):
+                assert normal_form(grevlex.ring.poly(g.terms), grevlex).is_zero, spec
+
+
+def test_weighted_basis_keeps_grevlex_for_the_ii_variants():
+    for variant in (CLASSICAL_II, QUANTUM_II):
+        spec = PresentationSpec(4, variant)
+        assert weighted_basis(spec) is presentation_basis(spec)
+
+
+def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
+    def report(n, symbolic_q):
+        rep = deformation.verify_lemma_presentation(n, symbolic_q)
+        return {k: str(v) for k, v in rep.items()}  # the rings differ by order
+
+    cases = [(n, symbolic_q) for n in (3, 4, 5) for symbolic_q in (False, True)]
+    weighted = {case: report(*case) for case in cases}
+    assert all(deformation.quantum_context(*case).gb.ring.order != GREVLEX for case in cases)
+    monkeypatch.setattr(deformation, "_context_cache", {})
+    monkeypatch.setattr(deformation, "weighted_basis", presentation_basis)
+    for case in cases:
+        assert report(*case) == weighted[case], case
+        assert deformation.quantum_context(*case).gb.ring.order == GREVLEX
 
 
 def test_quantum_term_sign_alternates():
