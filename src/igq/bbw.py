@@ -67,10 +67,6 @@ class Space:
     def index(self) -> int:
         return self.param if self.kind == GR else 2 * self.param - 1
 
-    @property
-    def v_dim(self) -> int:
-        return self.param if self.kind == GR else 2 * self.param
-
     def __str__(self):
         return "G(2,%d)" % self.param if self.kind == GR else "IG(2,%d)" % (2 * self.param)
 
@@ -94,30 +90,6 @@ class BundleTerm:
         if self.twist:
             body += "(%d)" % self.twist
         return body if self.scalar_mult == 1 else "%d.%s" % (self.scalar_mult, body)
-
-
-@dataclass(frozen=True)
-class BundleSum:
-    terms: tuple
-
-    @staticmethod
-    def of(terms) -> "BundleSum":
-        merged = {}
-        for t in terms:
-            key = (t.sym, t.twist, t.hom_shift)
-            merged[key] = merged.get(key, 0) + t.scalar_mult
-        out = tuple(
-            BundleTerm(s, tw, m, hs)
-            for (s, tw, hs), m in sorted(merged.items())
-            if m
-        )
-        return BundleSum(out)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __str__(self):
-        return " + ".join(str(t) for t in self.terms) if self.terms else "0"
 
 
 @dataclass(frozen=True)
@@ -245,11 +217,6 @@ def _clebsch_gordan(a: int, b: int, shift: int):
         raise ValueError("negative symmetric powers")
     for i in range(min(a, b) + 1):
         yield a + b - 2 * i, shift - a + i
-
-
-def hom_bundle(a: int, c: int, b: int, d: int) -> BundleSum:
-    """Hom(S^a U*(c), S^b U*(d)) as a sum of irreducibles."""
-    return BundleSum.of(BundleTerm(sym, twist) for sym, twist in _clebsch_gordan(a, b, d - c))
 
 
 @dataclass(frozen=True)

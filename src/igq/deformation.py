@@ -11,16 +11,26 @@ the ones pinned by the degree-1 four-point invariants:
 
 Any other correction request raises: unknown Gromov-Witten numbers are
 never fabricated.  The product is therefore partial and tag-driven.
+
+A first-order class is a pair (p0, p1) of polynomials in the sigma-side
+quantum ring, its t^0 and t^1 parts.  Products and sums are formed without
+reducing, and each verdict takes one normal form modulo the QUANTUM_I
+basis.  That decides exactly what reducing after every step would: the
+normal form modulo a Groebner basis is unique and Q-linear, and
+NF(NF(f) NF(g)) = NF(fg), since f - NF(f) lies in the ideal (Cox, Little &
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 sec. 6).  The basis is
+`weighted_basis`, in the paper's weighted order; a verdict asks whether a
+normal form is zero or compares two normal forms in one basis, and neither
+depends on the order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import normal_form
 from .linalg import corank
-from .poly import Polynomial
+from .poly import Polynomial, Ring
 from .presentations import (
     PresentationSpec,
     QUANTUM_I,
@@ -46,109 +56,12 @@ class UntrackedCorrectionError(ValueError):
     """A first-order correction was requested outside the tracked set."""
 
 
-class QuantumContext:
-    """The small quantum ring of IG(2,2n) as a quotient: normal forms are
-    taken modulo the sigma-side quantum basis, with q = 1 or symbolic.
-
-    The basis is `weighted_basis`, in the paper's weighted order, in which
-    s_r leads the determinant D_r: every other term of D_r has the same
-    weighted degree r and a positive exponent at some s_i with i < r.  So
-    the basis is 2n-4 substitution rules plus a small core in s_1, s_2.
-    Every check here asks whether a normal form is zero, or compares two
-    normal forms: p reduces to zero modulo a Groebner basis of I exactly
-    when p is in I, whatever the order, and two normal forms in one basis
-    agree exactly when p - p' is in I.  The one normal form a report
-    prints, the t-coefficient (-1)^n q in `verify_lemma_presentation`, is
-    a constant or q itself, which no basis rewrites: the ideal holds no
-    element of degree 2n-1 that involves q."""
-
-    def __init__(self, n: int, symbolic_q: bool = False):
-        self.n = n
-        self.symbolic_q = symbolic_q
-        mode = SYMBOLIC if symbolic_q else SPECIALIZE_1
-        self.gb = weighted_basis(PresentationSpec(n, QUANTUM_I, mode))
-        self.ring = self.gb.ring
-
-    def nf(self, p: Polynomial) -> Polynomial:
-        return normal_form(p, self.gb)
-
-    def sigma(self, k: int) -> Polynomial:
-        return _sigma(self.ring, self.n, k)
-
-    @property
-    def q(self) -> Polynomial:
-        return self.ring.var("q") if self.symbolic_q else self.ring.one
+def _q(ring: Ring) -> Polynomial:
+    """q as a ring element: the variable in symbolic mode, else 1."""
+    return ring.var("q") if "q" in ring.names else ring.one
 
 
-_context_cache: dict = {}
-
-
-def quantum_context(n: int, symbolic_q: bool = False) -> QuantumContext:
-    key = (n, symbolic_q)
-    if key not in _context_cache:
-        _context_cache[key] = QuantumContext(n, symbolic_q)
-    return _context_cache[key]
-
-
-@dataclass(frozen=True)
-class QHElement:
-    ctx: QuantumContext
-    value: Polynomial
-
-    @staticmethod
-    def make(ctx: QuantumContext, p: Polynomial) -> "QHElement":
-        return QHElement(ctx, ctx.nf(p))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise ValueError("mode mismatch between quantum ring elements")
-
-    def __add__(self, other):
-        self._check(other)
-        return QHElement(self.ctx, self.ctx.nf(self.value + other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return QHElement(self.ctx, self.ctx.nf(self.value - other.value))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QHElement(self.ctx, self.value * other)
-        self._check(other)
-        return QHElement(self.ctx, self.ctx.nf(self.value * other.value))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class FirstOrderElement:
-    """A quantum class plus its t-linear correction (t^2 = 0)."""
-
-    p0: QHElement
-    p1: QHElement
-
-    @staticmethod
-    def of(ctx: QuantumContext, p: Polynomial) -> "FirstOrderElement":
-        zero = QHElement(ctx, ctx.ring.zero)
-        return FirstOrderElement(QHElement.make(ctx, p), zero)
-
-    def __add__(self, other):
-        return FirstOrderElement(self.p0 + other.p0, self.p1 + other.p1)
-
-    def __sub__(self, other):
-        return FirstOrderElement(self.p0 - other.p0, self.p1 - other.p1)
-
-    def __mul__(self, c):
-        return FirstOrderElement(self.p0 * c, self.p1 * c)
-
-    __rmul__ = __mul__
-
-
-def tau_correction(ctx: QuantumContext, xtag, ytag) -> Fraction:
+def tau_correction(n: int, xtag, ytag) -> Fraction:
     """The rational multiple of q correcting x *_tau y at order t.
 
     Tracked pairs only: special classes s_i, s_j with i, j >= 1 and
@@ -161,56 +74,48 @@ def tau_correction(ctx: QuantumContext, xtag, ytag) -> Fraction:
     tags = {xtag, ytag}
     if xtag[0] == "sigma" and ytag[0] == "sigma":
         i, j = xtag[1], ytag[1]
-        if i < 1 or j < 1 or i > 2 * ctx.n - 2 or j > 2 * ctx.n - 2:
+        if i < 1 or j < 1 or i > 2 * n - 2 or j > 2 * n - 2:
             raise UntrackedCorrectionError("tags out of range: %r, %r" % (xtag, ytag))
-        if i + j > 2 * ctx.n - 2:
+        if i + j > 2 * n - 2:
             raise UntrackedCorrectionError(
                 "correction for s_%d * s_%d (degree %d > 2n-2) is not tracked"
                 % (i, j, i + j)
             )
-        return Fraction(1) if i + j == 2 * ctx.n - 2 else Fraction(0)
+        return Fraction(1) if i + j == 2 * n - 2 else Fraction(0)
     if tags == {SIGMA_PRIME, sigma_tag(1)}:
         return Fraction(1)
     raise UntrackedCorrectionError("correction undefined for %r, %r" % (xtag, ytag))
 
 
-def correction_table(ctx: QuantumContext) -> dict:
-    """All nonzero tracked corrections, as a symmetric map from tag pairs
-    to rational multiples of q."""
-    n = ctx.n
-    table = {}
-    for i in range(1, 2 * n - 2):
-        j = 2 * n - 2 - i
-        table[(sigma_tag(i), sigma_tag(j))] = Fraction(1)
-        table[(sigma_tag(j), sigma_tag(i))] = Fraction(1)
-    table[(SIGMA_PRIME, sigma_tag(1))] = Fraction(1)
-    table[(sigma_tag(1), SIGMA_PRIME)] = Fraction(1)
-    return table
-
-
-def star_tau(x: FirstOrderElement, y: FirstOrderElement, xtag, ytag) -> FirstOrderElement:
-    """First-order product: (x0*y0, x0*y1 + x1*y0 + correction(xtag, ytag))."""
-    ctx = x.p0.ctx
-    corr = tau_correction(ctx, xtag, ytag)
-    p0 = x.p0 * y.p0
-    p1 = x.p0 * y.p1 + x.p1 * y.p0
+def star_tau(n: int, x: tuple, y: tuple, xtag, ytag) -> tuple:
+    """First-order product of the pairs x = (x0, x1) and y = (y0, y1),
+    unreduced: (x0*y0, x0*y1 + x1*y0 + correction(xtag, ytag) * q)."""
+    (x0, x1), (y0, y1) = x, y
+    p1 = x0 * y1 + x1 * y0
+    corr = tau_correction(n, xtag, ytag)
     if corr:
-        p1 = p1 + QHElement.make(ctx, corr * ctx.q)
-    return FirstOrderElement(p0, p1)
+        p1 = p1 + corr * _q(p1.ring)
+    return x0 * y0, p1
 
 
-def sigma_prime(ctx: QuantumContext) -> QHElement:
-    """The second degree-(2n-3) class: s_{2n-4} *_0 s_1 - s_{2n-3}.
+def _combine(terms) -> tuple:
+    """The sum of c * (p0, p1) over the (c, pair) in a list, as a pair."""
+    return sum(c * p0 for c, (p0, _) in terms), sum(c * p1 for c, (_, p1) in terms)
+
+
+def sigma_prime(n: int, gb) -> Polynomial:
+    """The normal form of the second degree-(2n-3) class,
+    s_{2n-4} *_0 s_1 - s_{2n-3}, modulo the quantum basis gb.
 
     Must be nonzero; in symbolic-q mode it must also be weighted-pure of
     degree 2n-3 (a genuine class, not a q-correction artifact).
     """
-    n = ctx.n
-    sp = QHElement.make(ctx, ctx.sigma(2 * n - 4) * ctx.sigma(1) - ctx.sigma(2 * n - 3))
+    s = lambda k: _sigma(gb.ring, n, k)
+    sp = normal_form(s(2 * n - 4) * s(1) - s(2 * n - 3), gb)
     if sp.is_zero:
         raise AssertionError("expected a second class of degree 2n-3")
-    if ctx.symbolic_q:
-        degs = sp.value.weighted_degrees(sigma_weights(n))
+    if "q" in gb.ring.names:
+        degs = sp.weighted_degrees(sigma_weights(n))
         if degs != {2 * n - 3}:
             raise AssertionError("degree-impure class: weighted degrees %r" % degs)
     return sp
@@ -226,24 +131,31 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
         has zero t-coefficient and zero t^0 normal form;
     (c) the degree-2n relation is recorded as O(t): its t^0 part reduces
         to zero, and nothing is asserted about its t-coefficient.
+
+    Each reported or compared value is one normal form.  The one a report
+    prints, the t-coefficient (-1)^n q, is a constant or q itself, which
+    no basis rewrites: the ideal holds no element of degree 2n-1 that
+    involves q.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    ctx = quantum_context(n, symbolic_q)
-    fo = lambda k: FirstOrderElement.of(ctx, ctx.sigma(k))
+    gb = weighted_basis(PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1))
+    ring = gb.ring
+    nf = lambda p: normal_form(p, gb)
+    fo = lambda k: (_sigma(ring, n, k), ring.zero)
     tag = lambda k: sigma_tag(k) if k else UNIT
+    star = lambda j, k: star_tau(n, fo(j), fo(k), tag(j), tag(k))
     report = {"n": n, "symbolic_q": symbolic_q}
 
     # (a) sum the tracked corrections across the quadratic relation
-    total = star_tau(fo(n - 1), fo(n - 1), tag(n - 1), tag(n - 1))
-    for i in range(1, n):
-        term = star_tau(fo(n - 1 + i), fo(n - 1 - i), tag(n - 1 + i), tag(n - 1 - i))
-        total = total + 2 * (-1) ** i * term
+    total = _combine(
+        [(1, star(n - 1, n - 1))]
+        + [(2 * (-1) ** i, star(n - 1 + i, n - 1 - i)) for i in range(1, n)]
+    )
     expected_mult = Fraction((-1) ** n)
-    expected_t = QHElement.make(ctx, expected_mult * ctx.q)
-    report["sigma_2n2_t0_zero"] = total.p0.is_zero
-    report["sigma_2n2_t_coeff"] = total.p1.value
-    report["sigma_2n2_t_ok"] = total.p1.value == expected_t.value
+    report["sigma_2n2_t0_zero"] = nf(total[0]).is_zero
+    report["sigma_2n2_t_coeff"] = nf(total[1])
+    report["sigma_2n2_t_ok"] = report["sigma_2n2_t_coeff"] == nf(expected_mult * _q(ring))
     # the telescoping identity behind (a), asserted symbolically
     coeff_sum = Fraction(1) + 2 * sum(Fraction((-1) ** i) for i in range(1, n - 1))
     report["telescoping_ok"] = coeff_sum == expected_mult
@@ -253,30 +165,29 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     report["cross_ok"] = expected_mult + report["rel2_t_entry"] == 0
 
     # (b) the first-column expansion residue, built with tracked products
-    inner = star_tau(fo(2 * n - 4), fo(1), tag(2 * n - 4), tag(1))
-    sp = sigma_prime(ctx)
-    head_class = QHElement.make(ctx, ctx.sigma(2 * n - 3))
-    if (inner.p0 - head_class).value != sp.value:
+    inner = star(2 * n - 4, 1)
+    sp = sigma_prime(n, gb)
+    head_class = _sigma(ring, n, 2 * n - 3)
+    if nf(inner[0] - head_class) != sp:
         raise AssertionError("product of the two classes split incorrectly")
-    head = FirstOrderElement(head_class, inner.p1)
-    prime_part = FirstOrderElement(sp, QHElement(ctx, ctx.ring.zero))
-    outer = star_tau(head, fo(1), tag(2 * n - 3), tag(1)) + star_tau(
-        prime_part, fo(1), SIGMA_PRIME, tag(1)
+    head = star_tau(n, (head_class, inner[1]), fo(1), tag(2 * n - 3), tag(1))
+    prime_part = star_tau(n, (sp, ring.zero), fo(1), SIGMA_PRIME, tag(1))
+    expr = _combine(
+        [
+            (1, star(2 * n - 4, 2)),
+            (-1, head),
+            (-1, prime_part),
+            (1, star(2 * n - 3, 1)),
+            (-1, fo(2 * n - 2)),
+        ]
     )
-    expr = (
-        star_tau(fo(2 * n - 4), fo(2), tag(2 * n - 4), tag(2))
-        - outer
-        + star_tau(fo(2 * n - 3), fo(1), tag(2 * n - 3), tag(1))
-        - fo(2 * n - 2)
-    )
-    report["delta_t_coeff"] = expr.p1.value
-    report["delta_t_ok"] = expr.p1.is_zero
-    report["delta_t0_ok"] = expr.p0.is_zero
+    report["delta_t_coeff"] = nf(expr[1])
+    report["delta_t_ok"] = report["delta_t_coeff"].is_zero
+    report["delta_t0_ok"] = nf(expr[0]).is_zero
 
     # (c) record the degree-2n relation as O(t)
-    q_poly = ctx.q
-    rel2 = sigma_square_relations(n, ctx.ring, True, q_poly)[1]
-    report["sigma_2n_t0_zero"] = ctx.nf(rel2).is_zero
+    rel2 = sigma_square_relations(n, ring, True, _q(ring))[1]
+    report["sigma_2n_t0_zero"] = nf(rel2).is_zero
 
     report["ok"] = all(
         report[k]

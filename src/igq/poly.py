@@ -282,7 +282,8 @@ class Polynomial:
         self._require_same_ring(other)
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
+            prev = acc.get(e)
+            acc[e] = c if prev is None else prev + c
         return self.ring.poly(acc)
 
     __radd__ = __add__
@@ -312,7 +313,8 @@ class Polynomial:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = monomial_mul(e1, e2)
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+                prev = acc.get(e)
+                acc[e] = c1 * c2 if prev is None else prev + c1 * c2
         return self.ring.poly(acc)
 
     __rmul__ = __mul__
@@ -378,7 +380,8 @@ class Polynomial:
         for e, c in self.terms:
             if e[i]:
                 e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                acc[e2] = acc.get(e2, Fraction(0)) + c * e[i]
+                prev = acc.get(e2)
+                acc[e2] = c * e[i] if prev is None else prev + c * e[i]
         return self.ring.poly(acc)
 
     def substitute(self, target: Ring, images: Mapping[str, "Polynomial"]) -> "Polynomial":
@@ -478,7 +481,8 @@ def load_polynomial(ring: Ring, text: str) -> Polynomial:
             name, k = piece.split("^")
             exps[ring.index(name)] = int(k)
         exps = tuple(exps)
-        acc[exps] = acc.get(exps, Fraction(0)) + c
+        prev = acc.get(exps)
+        acc[exps] = c if prev is None else prev + c
     return ring.poly(acc)
 
 

@@ -381,7 +381,18 @@ def _origin_factor(mats, dim: int) -> list:
         kernel = nxt
 
 
-_SEPARATING_COEFFS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+def _separating_coeffs(count: int) -> list:
+    """The first `count` coefficients of the separating forms: 1, then the
+    primes 2, 3, 5, ..."""
+    out = [1]
+    k = 1
+    while len(out) < count:
+        k += 1
+        if all(k % p for p in out[1:]):
+            out.append(k)
+    return out
+
+
 _PRIME = 2**61 - 1  # the modulus of the point-count proof in split_spectrum
 _T_RING = Ring(("t",))
 
@@ -432,7 +443,7 @@ def split_spectrum(gb: GroebnerBasis):
     ring = gb.ring
     tried = []
     for attempt in range(4):
-        coeffs = _SEPARATING_COEFFS[attempt : attempt + ring.ngens]
+        coeffs = _separating_coeffs(attempt + ring.ngens)[attempt:]
         m_ell = [[0] * dim for _ in range(dim)]  # M_l = sum_v c_v M_v
         for c, M in zip(coeffs, mats):
             for row_ell, row in zip(m_ell, M):

@@ -12,7 +12,6 @@ from igq.bbw import (
     ext_bundles,
     ext_f_pair,
     f_complex_euler_consistency,
-    hom_bundle,
     lefschetz_collection,
     serre_duality_holds,
     verify_collection,
@@ -32,6 +31,8 @@ from igq.presentations import (
     weighted_homogeneity_report,
 )
 from igq.unfolding import match_quantum_factor
+
+from bundle_oracle import hom_bundle
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):

@@ -200,6 +200,6 @@ def test_dcat_json_matches_recorded_digest(k, space, capsys):
     ],
     ids=["spectrum", "presentations"],
 )
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qh_json_matches_recorded_digest(n, checks, capsys):
     _assert_recorded_digest(["qh", "--n", str(n)] + checks, capsys)

@@ -176,16 +176,17 @@ def test_weighted_basis_keeps_grevlex_for_the_ii_variants():
 def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
     def report(n, symbolic_q):
         rep = deformation.verify_lemma_presentation(n, symbolic_q)
-        return {k: str(v) for k, v in rep.items()}  # the rings differ by order
+        order = rep["sigma_2n2_t_coeff"].ring.order  # the basis ring's order
+        return order, {k: str(v) for k, v in rep.items()}  # the rings differ by order
 
     cases = [(n, symbolic_q) for n in (3, 4, 5) for symbolic_q in (False, True)]
     weighted = {case: report(*case) for case in cases}
-    assert all(deformation.quantum_context(*case).gb.ring.order != GREVLEX for case in cases)
-    monkeypatch.setattr(deformation, "_context_cache", {})
+    assert all(order != GREVLEX for order, _ in weighted.values())
     monkeypatch.setattr(deformation, "weighted_basis", presentation_basis)
     for case in cases:
-        assert report(*case) == weighted[case], case
-        assert deformation.quantum_context(*case).gb.ring.order == GREVLEX
+        order, rep = report(*case)
+        assert rep == weighted[case][1], case
+        assert order == GREVLEX
 
 
 def test_quantum_term_sign_alternates():
@@ -285,6 +286,20 @@ def test_split_spectrum_counts_on_the_off_origin_factor_only():
     # (2,-1), so counting on the whole quotient would see 2 values, not 3,
     # and reject the form; on the off-origin factor it separates
     assert _split(Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y) == (1, 2, 2, "1*x + 2*y")
+
+
+def test_split_spectrum_form_names_every_variable_of_a_wide_ring():
+    # the points are the origin and (1, ..., 1); x14 needs a 14th
+    # coefficient, the one after 37
+    ring = Ring(["x%d" % i for i in range(1, 15)])
+    x1, *rest = ring.gens
+    length, off_dim, points, form = split_spectrum(
+        buchberger(Ideal(ring, [x1**2 - x1] + [xi - x1 for xi in rest]))
+    )
+    assert (length, off_dim, points) == (1, 1, 1)
+    named = [term.split("*")[1] for term in form.split(" + ")]
+    assert named == list(ring.names)
+    assert form.startswith("1*x1 + 2*x2 + 3*x3 + 5*x4") and form.endswith("37*x13 + 41*x14")
 
 
 def test_split_spectrum_rejects_a_fat_point_off_the_origin():
