@@ -458,17 +458,14 @@ def _ext_first_page(space: Space, sources, targets) -> ExtProfile:
     return ExtProfile.make(acc, _no_consecutive([d for d, v in acc.items() if v]))
 
 
-def ext_f_pair(space: Space, i: int, j: int, twist_i: int = None, twist_j: int = None) -> ExtProfile:
-    """Ext^*(F_i(twist_i), F_j(twist_j)) from the first page of the
-    resolution double complex: the RIGHT resolution of the source against
-    the LEFT resolution of the target."""
+def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
+    """Ext^*(F_i(k-i), F_j(k-j)), each residual object in the twist it has
+    in the collection, from the first page of the resolution double
+    complex: the RIGHT resolution of the source against the LEFT
+    resolution of the target."""
     k = _f_k(space)
-    if twist_i is None:
-        twist_i = k - i
-    if twist_j is None:
-        twist_j = k - j
-    source = [s.twisted(twist_i) for s in f_complex(i, k, RIGHT)]
-    target = [t.twisted(twist_j) for t in f_complex(j, k, LEFT)]
+    source = [s.twisted(k - i) for s in f_complex(i, k, RIGHT)]
+    target = [t.twisted(k - j) for t in f_complex(j, k, LEFT)]
     return _ext_first_page(space, source, target)
 
 

@@ -28,18 +28,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groebner import normal_form
-from .linalg import corank
+from .groebner import Ideal, normal_form
 from .poly import Polynomial, Ring
 from .presentations import (
     PresentationSpec,
     QUANTUM_I,
     SPECIALIZE_1,
     SYMBOLIC,
-    _sigma,
-    sigma_generators,
+    i_relations,
+    origin_tangent_dimension,
+    q_of,
+    sigma_classes,
     sigma_ring,
-    sigma_square_relations,
     sigma_weights,
     weighted_basis,
 )
@@ -54,11 +54,6 @@ def sigma_tag(i: int):
 
 class UntrackedCorrectionError(ValueError):
     """A first-order correction was requested outside the tracked set."""
-
-
-def _q(ring: Ring) -> Polynomial:
-    """q as a ring element: the variable in symbolic mode, else 1."""
-    return ring.var("q") if "q" in ring.names else ring.one
 
 
 def tau_correction(n: int, xtag, ytag) -> Fraction:
@@ -94,7 +89,7 @@ def star_tau(n: int, x: tuple, y: tuple, xtag, ytag) -> tuple:
     p1 = x0 * y1 + x1 * y0
     corr = tau_correction(n, xtag, ytag)
     if corr:
-        p1 = p1 + corr * _q(p1.ring)
+        p1 = p1 + corr * q_of(p1.ring)
     return x0 * y0, p1
 
 
@@ -110,8 +105,8 @@ def sigma_prime(n: int, gb) -> Polynomial:
     Must be nonzero; in symbolic-q mode it must also be weighted-pure of
     degree 2n-3 (a genuine class, not a q-correction artifact).
     """
-    s = lambda k: _sigma(gb.ring, n, k)
-    sp = normal_form(s(2 * n - 4) * s(1) - s(2 * n - 3), gb)
+    s = sigma_classes(gb.ring, n)
+    sp = normal_form(s[2 * n - 4] * s[1] - s[2 * n - 3], gb)
     if sp.is_zero:
         raise AssertionError("expected a second class of degree 2n-3")
     if "q" in gb.ring.names:
@@ -141,8 +136,9 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
         raise ValueError("need n >= 3")
     gb = weighted_basis(PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1))
     ring = gb.ring
+    s = sigma_classes(ring, n)
     nf = lambda p: normal_form(p, gb)
-    fo = lambda k: (_sigma(ring, n, k), ring.zero)
+    fo = lambda k: (s[k], ring.zero)
     tag = lambda k: sigma_tag(k) if k else UNIT
     star = lambda j, k: star_tau(n, fo(j), fo(k), tag(j), tag(k))
     report = {"n": n, "symbolic_q": symbolic_q}
@@ -155,7 +151,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     expected_mult = Fraction((-1) ** n)
     report["sigma_2n2_t0_zero"] = nf(total[0]).is_zero
     report["sigma_2n2_t_coeff"] = nf(total[1])
-    report["sigma_2n2_t_ok"] = report["sigma_2n2_t_coeff"] == nf(expected_mult * _q(ring))
+    report["sigma_2n2_t_ok"] = report["sigma_2n2_t_coeff"] == nf(expected_mult * q_of(ring))
     # the telescoping identity behind (a), asserted symbolically
     coeff_sum = Fraction(1) + 2 * sum(Fraction((-1) ** i) for i in range(1, n - 1))
     report["telescoping_ok"] = coeff_sum == expected_mult
@@ -167,7 +163,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     # (b) the first-column expansion residue, built with tracked products
     inner = star(2 * n - 4, 1)
     sp = sigma_prime(n, gb)
-    head_class = _sigma(ring, n, 2 * n - 3)
+    head_class = s[2 * n - 3]
     if nf(inner[0] - head_class) != sp:
         raise AssertionError("product of the two classes split incorrectly")
     head = star_tau(n, (head_class, inner[1]), fo(1), tag(2 * n - 3), tag(1))
@@ -186,7 +182,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     report["delta_t0_ok"] = nf(expr[0]).is_zero
 
     # (c) record the degree-2n relation as O(t)
-    rel2 = sigma_square_relations(n, ring, True, _q(ring))[1]
+    rel2 = i_relations(s, q_of(ring))[-1]
     report["sigma_2n_t0_zero"] = nf(rel2).is_zero
 
     report["ok"] = all(
@@ -209,23 +205,15 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
 
 
 def regularity_corank(n: int) -> int:
-    """Corank of the matrix of linear parts of the deformed relations, in
-    the variables (s_1, ..., s_{2n-2}, t); regularity means corank 1.
+    """Corank of the deformed relations at the origin, in the variables
+    (s_1, ..., s_{2n-2}, t); regularity means corank 1.
 
-    Rows: the linear part of each determinantal relation (taken from the
-    actual determinant expansion), the linear part of the degree-(2n-2)
-    quadratic relation with its (-1)^{n+1} q t correction, and the linear
-    part of the degree-2n relation (whose t-term vanishes).
+    The deformed ideal is the quantum I-relations at q = 1 with the
+    degree-(2n-2) quadratic relation corrected by (-1)^(n+1) q t (the
+    degree-2n relation's t-term vanishes), and its corank is the
+    dimension of its Zariski tangent space at the origin.
     """
-    ring = sigma_ring(n)
-    names = ring.names
-
-    def linear_row(p: Polynomial, t_entry=Fraction(0)):
-        lin = p.linear_coefficients()
-        return [lin.get(nm, Fraction(0)) for nm in names] + [t_entry]
-
-    *dets, rel1, rel2 = sigma_generators(n, ring, True, ring.one)
-    rows = [linear_row(g) for g in dets]
-    rows.append(linear_row(rel1, Fraction((-1) ** (n + 1))))
-    rows.append(linear_row(rel2))
-    return corank(rows, len(names) + 1)
+    ring = Ring(sigma_ring(n).names + ("t",))
+    *dets, rel1, rel2 = i_relations(sigma_classes(ring, n), ring.one)
+    rel1 = rel1 + (-1) ** (n + 1) * ring.var("t")
+    return origin_tangent_dimension(Ideal(ring, [*dets, rel1, rel2]))

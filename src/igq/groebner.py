@@ -77,12 +77,6 @@ class Ideal:
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.generators), self.ring)
 
-    def __eq__(self, other):
-        """Ideal equality (not generator-list equality): via reduced bases."""
-        if not isinstance(other, Ideal) or self.ring != other.ring:
-            return NotImplemented
-        return buchberger(self).elements == buchberger(other).elements
-
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements, no element's term divisible

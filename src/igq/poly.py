@@ -384,32 +384,6 @@ class Polynomial:
                 acc[e2] = c * e[i] if prev is None else prev + c * e[i]
         return self.ring.poly(acc)
 
-    def substitute(self, target: Ring, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Ring homomorphism: send each variable to its image in `target`.
-
-        Variables without an explicit image map to the same-named variable
-        of the target ring (which must exist).
-        """
-        table = []
-        for name in self.ring.names:
-            if name in images:
-                img = images[name]
-                if isinstance(img, (int, Fraction)):
-                    img = target.const(img)
-                if img.ring != target:
-                    raise RingMismatch("image of %s not in target ring" % name)
-                table.append(img)
-            else:
-                table.append(target.var(name))
-        out = target.zero
-        for e, c in self.terms:
-            term = target.const(c)
-            for img, exp in zip(table, e):
-                if exp:
-                    term = term * img**exp
-            out = out + term
-        return out
-
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         point = [Fraction(values[n]) for n in self.ring.names]
         total = Fraction(0)

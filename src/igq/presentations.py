@@ -101,52 +101,55 @@ def ab_weights(n: int) -> dict:
     return w
 
 
-def _sigma(ring: Ring, n: int, k: int) -> Polynomial:
-    """s_k as a ring element; s_0 = 1 and s_k = 0 outside [0, 2n-2]."""
-    if k == 0:
-        return ring.one
-    if 1 <= k <= 2 * n - 2:
-        return ring.var("s%d" % k)
-    return ring.zero
+def sigma_classes(ring: Ring, n: int) -> list:
+    """[1, s_1, ..., s_{2n-2}] in a ring that has the variables s_1 .. s_{2n-2}."""
+    return [ring.one] + [ring.var("s%d" % k) for k in range(1, 2 * n - 1)]
 
 
-def schur_determinants(n: int, ring: Ring, top: int) -> list:
-    """[D_0, ..., D_top] with D_r = det(s_{1+j-i})_{1 <= i,j <= r}.
+def q_of(ring: Ring) -> Polynomial:
+    """q as a ring element: the variable in symbolic mode, else 1."""
+    return ring.var("q") if "q" in ring.names else ring.one
+
+
+def schur_determinants(s: list, top: int) -> list:
+    """[D_0, ..., D_top] with D_r = det(s_{1+j-i})_{1 <= i,j <= r}, for the
+    classes s = [1, s_1, ..., s_{2n-2}] and s_k = 0 above 2n-2.
 
     The matrix has ones below the diagonal and zeros under them, so
     expanding along the first row gives D_r = sum_{k=1}^{r} (-1)^(k-1)
     s_k D_{r-k}, with D_0 = 1.
     """
-    dets = [ring.one]
+    dets = [s[0]]
     for r in range(1, top + 1):
-        total = ring.zero
-        for k in range(1, min(r, 2 * n - 2) + 1):
-            term = _sigma(ring, n, k) * dets[r - k]
+        total = s[0].ring.zero
+        for k in range(1, min(r, len(s) - 1) + 1):
+            term = s[k] * dets[r - k]
             total = total + (term if k % 2 else -term)
         dets.append(total)
     return dets
 
 
-def sigma_square_relations(n: int, ring: Ring, quantum: bool, q_poly: Polynomial = None):
-    """The two quadratic relations; the second picks up the quantum term."""
-    s = lambda k: _sigma(ring, n, k)
-    rel1 = s(n - 1) ** 2
+def i_relations(s: list, q: Polynomial = None) -> list:
+    """The I-presentation relations on the classes s = [1, s_1, ..., s_{2n-2}],
+    in the ring they live in: the determinants D_r for r in [3, 2n-2], then
+    the two quadratic relations of degrees 2n-2 and 2n.  Given q, the second
+    picks up the quantum term (-1)^(n+1) q s_1; without it the relations
+    are the classical ones.
+
+    The images may be any elements of one ring: the variables s_k give the
+    presentation itself, the expressions `sigma_in_ab` give its image in
+    the a,b-ring, since building the relations commutes with a ring map.
+    """
+    n = (len(s) + 1) // 2
+    rel1 = s[n - 1] ** 2
     for i in range(1, n):
-        rel1 = rel1 + 2 * (-1) ** i * s(n - 1 + i) * s(n - 1 - i)
-    rel2 = s(n) ** 2
+        rel1 = rel1 + 2 * (-1) ** i * s[n - 1 + i] * s[n - 1 - i]
+    rel2 = s[n] ** 2
     for i in range(1, n - 1):
-        rel2 = rel2 + 2 * (-1) ** i * s(n + i) * s(n - i)
-    if quantum:
-        rel2 = rel2 + (-1) ** (n + 1) * q_poly * s(1)
-    return rel1, rel2
-
-
-def sigma_generators(n: int, ring: Ring, quantum: bool, q_poly: Polynomial = None):
-    """The I-presentation generators in `ring`: the determinants for r in
-    [3, 2n-2], then the two quadratic relations (quantum term q_poly*s_1)."""
-    gens = schur_determinants(n, ring, 2 * n - 2)[3:]
-    gens.extend(sigma_square_relations(n, ring, quantum, q_poly))
-    return gens
+        rel2 = rel2 + 2 * (-1) ** i * s[n + i] * s[n - i]
+    if q is not None:
+        rel2 = rel2 + (-1) ** (n + 1) * q * s[1]
+    return schur_determinants(s, 2 * n - 2)[3:] + [rel1, rel2]
 
 
 def _chern_series_coeffs(n: int, ring: Ring):
@@ -162,23 +165,20 @@ def _chern_series_coeffs(n: int, ring: Ring):
     return out
 
 
-def build_presentation(spec: PresentationSpec) -> Ideal:
-    """The relation ideal, with generators exactly as displayed: for the
-    I-variants the determinants for r in [3, 2n-2] plus the two quadratic
-    relations; for the II-variants the coefficients of x^2, ..., x^{2n} of
-    the total-Chern-class identity."""
+def build_presentation(spec: PresentationSpec, order: TermOrder = GREVLEX) -> Ideal:
+    """The relation ideal in `order`, with generators exactly as displayed:
+    for the I-variants `i_relations` on the variables s_k; for the
+    II-variants the coefficients of x^2, ..., x^{2n} of the
+    total-Chern-class identity."""
     n = spec.n
     quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        ring = sigma_ring(n, spec.symbolic_q)
-        q_poly = ring.var("q") if spec.symbolic_q else ring.one
-        return Ideal(ring, sigma_generators(n, ring, quantum, q_poly))
-    ring = ab_ring(n, spec.symbolic_q)
-    coeffs = _chern_series_coeffs(n, ring)
-    gens = list(coeffs[1 : n + 1])
+        ring = Ring(sigma_ring(n, spec.symbolic_q).names, order)
+        return Ideal(ring, i_relations(sigma_classes(ring, n), q_of(ring) if quantum else None))
+    ring = Ring(ab_ring(n, spec.symbolic_q).names, order)
+    gens = _chern_series_coeffs(n, ring)[1 : n + 1]
     if quantum:
-        q_poly = ring.var("q") if spec.symbolic_q else ring.one
-        gens[-1] = gens[-1] + q_poly * ring.var("a1")
+        gens[-1] = gens[-1] + q_of(ring) * ring.var("a1")
     return Ideal(ring, gens)
 
 
@@ -208,11 +208,7 @@ def _basis(spec: PresentationSpec, order: TermOrder) -> GroebnerBasis:
     key = (spec.n, spec.variant, spec.symbolic_q, order)
     gb = _basis_cache.get(key)
     if gb is None:
-        ideal = build_presentation(spec)
-        if order != ideal.ring.order:
-            ring = Ring(ideal.ring.names, order)
-            ideal = Ideal(ring, [ring.poly(g.terms) for g in ideal.generators])
-        gb = _basis_cache[key] = buchberger(ideal, _grading(spec))
+        gb = _basis_cache[key] = buchberger(build_presentation(spec, order), _grading(spec))
     return gb
 
 
@@ -278,8 +274,9 @@ def sigma_in_ab(n: int, k: int, ring: Ring = None) -> Polynomial:
 
 
 def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> dict:
-    """Push every generator of the I-presentation through sigma_in_ab and
-    reduce modulo the II-presentation's basis.
+    """Build the I-presentation's relations on the images sigma_in_ab of
+    the classes, in the II-presentation's ring, and reduce them modulo its
+    basis.
 
     Classically all images must reduce to zero exactly.  In the quantum
     case a single global rescaling q -> lambda*q with lambda in {+1, -1}
@@ -288,18 +285,12 @@ def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> di
     """
     variant_ii = QUANTUM_II if quantum else CLASSICAL_II
     gb_ii = presentation_basis(PresentationSpec(n, variant_ii, q_mode))
-    target = gb_ii.ring
-    symbolic = quantum and q_mode == SYMBOLIC
-    images = {"s%d" % k: sigma_in_ab(n, k, target) for k in range(1, 2 * n - 1)}
-    ring_i = sigma_ring(n, symbolic)
+    ring = gb_ii.ring
+    images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
 
     def residuals(lam):
-        q_poly = lam * (ring_i.var("q") if symbolic else ring_i.one)
-        gens = sigma_generators(n, ring_i, quantum, q_poly)
-        imgs = dict(images)
-        if symbolic:
-            imgs["q"] = target.var("q")
-        return [normal_form(g.substitute(target, imgs), gb_ii) for g in gens]
+        q = lam * q_of(ring) if quantum else None
+        return [normal_form(g, gb_ii) for g in i_relations(images, q)]
 
     if not quantum:
         res = residuals(1)

@@ -25,6 +25,9 @@ from igq.presentations import (
     QUANTUM_I,
     SPECIALIZE_1,
     SYMBOLIC,
+    i_relations,
+    sigma_classes,
+    sigma_ring,
     sigma_weights,
     weighted_basis,
 )
@@ -179,6 +182,21 @@ def test_lemma_rejects_small_n():
 def test_regularity_corank_is_one():
     for n in (2, 3, 4):
         assert regularity_corank(n) == 1
+
+
+def test_regularity_corank_matches_the_linear_part_matrix():
+    # the matrix of linear parts of the relations at q = 1 in the columns
+    # (s_1, ..., s_{2n-2}, t), with (-1)^(n+1) in the t column of the
+    # degree-(2n-2) relation
+    for n in range(2, 10):
+        ring = sigma_ring(n)
+        rels = i_relations(sigma_classes(ring, n), ring.one)
+        rows = []
+        for idx, g in enumerate(rels):
+            lin = g.linear_coefficients()
+            t_entry = (-1) ** (n + 1) if idx == len(rels) - 2 else 0
+            rows.append([lin.get(nm, Fraction(0)) for nm in ring.names] + [Fraction(t_entry)])
+        assert regularity_corank(n) == corank(rows, ring.ngens + 1), n
 
 
 def test_corank_of_empty_relation_list():

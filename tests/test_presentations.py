@@ -4,22 +4,26 @@ import pytest
 
 from igq import deformation, presentations
 from igq.groebner import Ideal, buchberger, is_groebner, normal_form, quotient_dimension
-from igq.poly import GREVLEX, Ring
+from igq.poly import GREVLEX, Ring, WeightedOrder
 from igq.presentations import (
     CLASSICAL_I,
     CLASSICAL_II,
     PresentationSpec,
     QUANTUM_I,
     QUANTUM_II,
+    SPECIALIZE_1,
     SYMBOLIC,
+    VARIANTS,
     ab_ring,
     ab_weights,
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
+    i_relations,
     presentation_basis,
     presentation_dimension,
     schur_determinants,
+    sigma_classes,
     sigma_in_ab,
     sigma_ring,
     sigma_weights,
@@ -28,6 +32,7 @@ from igq.presentations import (
     weighted_basis,
     weighted_homogeneity_report,
 )
+from substitute_oracle import substitute
 
 
 def test_quantum_ii_n2_generators():
@@ -98,7 +103,7 @@ def test_schur_determinant_matches_cofactor_oracle():
         - m[0][0] * m[1][2] * m[2][1]
         - m[0][1] * m[1][0] * m[2][2]
     )
-    assert schur_determinants(n, ring, 3)[3] == sarrus
+    assert schur_determinants([ring.one, *ring.gens], 3)[3] == sarrus
 
 
 def test_schur_recurrence_matches_cofactor_expansion():
@@ -117,11 +122,11 @@ def test_schur_recurrence_matches_cofactor_expansion():
         ring = sigma_ring(n)
         s = [ring.one] + list(ring.gens)  # s_0 .. s_{2n-2}
         entry = lambda k: s[k] if 0 <= k <= 2 * n - 2 else ring.zero
-        dets = schur_determinants(n, ring, 2 * n - 2)
+        dets = schur_determinants(s, 2 * n - 2)
         for r in range(0, 2 * n - 1):
             matrix = [[entry(1 + j - i) for j in range(1, r + 1)] for i in range(1, r + 1)]
             assert dets[r] == laplace(matrix, ring), (n, r)
-            assert schur_determinants(n, ring, r)[r] == dets[r]
+            assert schur_determinants(s, r)[r] == dets[r]
 
 
 def test_classical_basis_shared_by_both_q_modes():
@@ -231,12 +236,47 @@ def test_sigma_in_ab_total_chern_product_oracle():
         x = ring.var("x")
         lhs = ring.one
         for k in range(1, 2 * n - 1):
-            lhs = lhs + sigma_in_ab(n, k, ab_ring(n)).substitute(ring, {}) * x**k
+            lhs = lhs + sigma_in_ab(n, k, ring) * x**k
         b_series = ring.one
         for i in range(1, n - 1):
             b_series = b_series + ring.var("b%d" % i) * x ** (2 * i)
         u_series = ring.one - ring.var("a1") * x + ring.var("a2") * x**2
         assert lhs == b_series * u_series
+
+
+def test_relations_on_the_images_equal_the_substituted_relations():
+    # building the relations on the classes' images in the a,b-ring is the
+    # same as building them on the variables s_k and substituting
+    for n in range(2, 8):
+        for symbolic in (False, True):
+            ring_i, target = sigma_ring(n, symbolic), ab_ring(n, symbolic)
+            images = {"s%d" % k: sigma_in_ab(n, k, target) for k in range(1, 2 * n - 1)}
+            classes = [target.one] + list(images.values())
+            if symbolic:
+                images["q"] = target.var("q")
+                qs = [(lam * ring_i.var("q"), lam * target.var("q")) for lam in (1, -1)]
+            else:
+                qs = [(None, None)] + [(lam * ring_i.one, lam * target.one) for lam in (1, -1)]
+            for q_i, q_t in qs:
+                old = [
+                    substitute(g, target, images)
+                    for g in i_relations(sigma_classes(ring_i, n), q_i)
+                ]
+                assert i_relations(classes, q_t) == old, (n, symbolic, q_t)
+
+
+def test_presentation_built_in_the_weighted_order_is_the_rewrapped_grevlex_one():
+    for n in range(2, 7):
+        for variant in VARIANTS:
+            for q_mode in (SPECIALIZE_1, SYMBOLIC):
+                spec = PresentationSpec(n, variant, q_mode)
+                grevlex = build_presentation(spec)
+                weights = sigma_weights(n) if variant.endswith("_I") else ab_weights(n)
+                order = WeightedOrder(tuple(weights[nm] for nm in grevlex.ring.names))
+                ring = Ring(grevlex.ring.names, order)
+                built = build_presentation(spec, order)
+                assert built.ring == ring, spec
+                assert built.generators == tuple(ring.poly(g.terms) for g in grevlex.generators), spec
 
 
 def test_homomorphism_classical():

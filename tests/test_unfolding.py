@@ -6,6 +6,7 @@ import pytest
 
 from igq.poly import Ring
 from igq.unfolding import GermData, classify_corank1, match_quantum_factor, milnor_data
+from substitute_oracle import substitute
 
 R1 = Ring(("x",))
 (X,) = R1.gens
@@ -47,7 +48,7 @@ def test_corank_invariant_under_unimodular_changes():
             a = rng.randrange(-2, 3)
             u = X2 + a * Y2  # unimodular: det [[1, a], [0, 1]] = 1
             v = Y2
-            g = f.substitute(R2, {"x": u, "y": v})
+            g = substitute(f, R2, {"x": u, "y": v})
             assert milnor_data(g).corank == base
 
 
