@@ -3,22 +3,46 @@ for the Lefschetz collections built from powers of the dual tautological
 subbundle.
 
 Bundle weights: S^sym U*(twist) corresponds to the weight vector
-(sym + twist, twist, 0, ..., 0).  The dotted Weyl action is realized by
-adding rho, testing regularity, and counting the sorting steps:
+(sym + twist, twist, 0, ..., 0).  Adding rho gives (x, y) followed by the
+tail of rho, with x > y the two leading entries:
 
-* type A (GL(m), rho = (m-1, ..., 1, 0)): singular iff two entries repeat;
-  the degree is the inversion count of the sorting permutation;
-* type C (Sp(2k), rho = (k, ..., 1)): singular iff an entry is zero or two
-  entries share an absolute value; the degree is the length of the signed
-  permutation sorting the vector to strictly-decreasing-positive, i.e. the
-  number of positive roots made negative:
-      #{i<j : mu_i < mu_j} + #{i<j : mu_i + mu_j < 0} + #{i : mu_i < 0}.
+* type A, G(2,m): rho = (m-1, ..., 1, 0), x = sym + twist + m - 1,
+  y = twist + m - 2, tail T = {m-3, ..., 0};
+* type C, IG(2,2k): rho = (k, ..., 1), x = sym + twist + k,
+  y = twist + k - 1, tail T = {k-2, ..., 1}.
 
-The tail of rho is distinct (and nonzero in type C), so only the two
-leading entries of a bundle weight plus rho can make it singular; that test
-is closed form (`_singular`).  Ext between two bundles is the sum over the
-Clebsch-Gordan pieces of the Hom bundle, and every nonvanishing piece adds
-a positive dimension, so an Ext vanishes iff each of its pieces does.
+The tail is sorted, distinct and (in type C) positive, so Bott's theorem
+reads off x and y alone.  The weight is singular iff an entry repeats: in
+type A iff x or y lies in T; in type C iff an absolute value repeats or is
+zero, i.e. |x| or |y| is at most k-2, or |x| == |y|.
+
+Degree.  In type A it is the number of inversions.  x and y are outside
+T, so each is either above the whole tail or, when negative, below it and
+passes all m-2 tail entries:  deg = (m-2)([x<0] + [y<0]).  In type C it is
+the length of the signed permutation sorting the absolute values
+decreasingly, i.e. the number of positive roots made negative:
+    #{i<j : mu_i < mu_j} + #{i<j : mu_i + mu_j < 0} + #{i : mu_i < 0}.
+A negative x has |x| above every tail entry t, so it counts both x < t and
+x + t < 0 for each of the k-2 of them, plus itself; likewise y; the pair
+(x, y) adds [x + y < 0]:  deg = (2k-3)([x<0] + [y<0]) + [x+y<0].
+
+Dimension.  Weyl's formula is a product over the sorted entries l of
+weight + rho (type A: of l_i - l_j over the pairs; type C, on absolute
+values: of each l_i and of l_i^2 - l_j^2 over the pairs), divided by the
+same product for rho.  Both sets are T plus two leading entries, {x, y}
+(or {|x|, |y|}) against rho's own two, so every factor inside T cancels:
+* type A: (x - y) P(x) P(y) / ((m-1)! (m-2)!), P(z) = prod_{t in T} |z - t|,
+  which is perm(z, m-2) for z > m-3 and perm(|z| + m-3, m-2) for z < 0
+  (rho's leading pair gives 1 * P(m-1) P(m-2) = (m-1)! (m-2)!);
+* type C, with X = |x|, Y = |y|:
+      X Y |X^2 - Y^2| Q(X) Q(Y) / (k (k-1) (2k-1) Q(k) Q(k-1)),
+  Q(z) = prod_{t in T} (z^2 - t^2) = perm(z-1, k-2) perm(z+k-2, k-2).
+
+The generic algorithm (sort weight + rho, count, take the Weyl product) is
+the test oracle, `tests/bbw_oracle.py`.  Ext between two bundles is the
+sum over the Clebsch-Gordan pieces of the Hom bundle, and every
+nonvanishing piece adds a positive dimension, so an Ext vanishes iff each
+of its pieces does.
 
 The type-C length convention is validated against Serre duality by the
 property suite rather than trusted a priori.
@@ -28,12 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
+from math import comb, factorial, perm
 
 GR = "gr"
 IGR = "igr"
-LEFT = "left"
-RIGHT = "right"
 
 
 @dataclass(frozen=True)
@@ -72,127 +94,51 @@ class Space:
 
 
 @dataclass(frozen=True)
-class BundleTerm:
-    sym: int
-    twist: int
-    scalar_mult: int = 1
-    hom_shift: int = 0
-
-    def __post_init__(self):
-        if self.sym < 0 or self.scalar_mult < 1:
-            raise ValueError("malformed bundle term")
-
-    def twisted(self, j: int) -> "BundleTerm":
-        return BundleTerm(self.sym, self.twist + j, self.scalar_mult, self.hom_shift)
-
-    def __str__(self):
-        body = "O" if self.sym == 0 else ("U*" if self.sym == 1 else "S%dU*" % self.sym)
-        if self.twist:
-            body += "(%d)" % self.twist
-        return body if self.scalar_mult == 1 else "%d.%s" % (self.scalar_mult, body)
-
-
-@dataclass(frozen=True)
 class CohomologyResult:
     vanishes: bool
     degree: int = None
-    highest_weight: tuple = None
     rep_dimension: int = None
-
-    @staticmethod
-    def zero() -> "CohomologyResult":
-        return CohomologyResult(True)
-
-    @staticmethod
-    def of(degree, hw, dim) -> "CohomologyResult":
-        return CohomologyResult(False, degree, tuple(hw), dim)
-
-
-def weyl_dimension_gl(hw) -> int:
-    """Dimension of the GL irrep with the given highest weight."""
-    m = len(hw)
-    num = den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= hw[i] - hw[j] + j - i
-            den *= j - i
-    d, r = divmod(num, den)
-    if r or d <= 0:
-        raise ArithmeticError("Weyl dimension of %r is %d/%d" % (hw, num, den))
-    return d
-
-
-def weyl_dimension_sp(hw) -> int:
-    """Dimension of the Sp(2k) irrep with the given highest weight."""
-    k = len(hw)
-    rho = [k - i for i in range(k)]
-    l = [hw[i] + rho[i] for i in range(k)]
-    num = den = 1
-    for i in range(k):
-        num *= l[i]
-        den *= rho[i]
-        for j in range(i + 1, k):
-            num *= l[i] ** 2 - l[j] ** 2
-            den *= rho[i] ** 2 - rho[j] ** 2
-    d, r = divmod(num, den)
-    if r or d <= 0:
-        raise ArithmeticError("Weyl dimension of %r is %d/%d" % (hw, num, den))
-    return d
-
-
-def bbw_gl(weight, m: int) -> CohomologyResult:
-    """Cohomology of the irreducible homogeneous bundle on G(2,m) with the
-    given length-m weight."""
-    weight = tuple(weight)
-    if len(weight) != m:
-        raise ValueError("weight must have length %d" % m)
-    rho = tuple(m - 1 - i for i in range(m))
-    mu = tuple(w + r for w, r in zip(weight, rho))
-    if len(set(mu)) != m:
-        return CohomologyResult.zero()
-    inversions = sum(
-        1 for i in range(m) for j in range(i + 1, m) if mu[i] < mu[j]
-    )
-    if inversions > m * (m - 1) // 2:
-        raise ArithmeticError("length %d exceeds the full flag bound" % inversions)
-    hw = tuple(x - r for x, r in zip(sorted(mu, reverse=True), rho))
-    return CohomologyResult.of(inversions, hw, weyl_dimension_gl(hw))
-
-
-def bbw_sp(weight, k: int) -> CohomologyResult:
-    """Cohomology of the irreducible homogeneous bundle on IG(2,2k) with the
-    given length-k weight."""
-    weight = tuple(weight)
-    if len(weight) != k:
-        raise ValueError("weight must have length %d" % k)
-    rho = tuple(k - i for i in range(k))
-    mu = tuple(w + r for w, r in zip(weight, rho))
-    if 0 in mu or len({abs(x) for x in mu}) != k:
-        return CohomologyResult.zero()
-    length = (
-        sum(1 for i in range(k) for j in range(i + 1, k) if mu[i] < mu[j])
-        + sum(1 for i in range(k) for j in range(i + 1, k) if mu[i] + mu[j] < 0)
-        + sum(1 for x in mu if x < 0)
-    )
-    if length > k * k:
-        raise ArithmeticError("length %d exceeds the full flag bound" % length)
-    hw = tuple(x - r for x, r in zip(sorted((abs(x) for x in mu), reverse=True), rho))
-    return CohomologyResult.of(length, hw, weyl_dimension_sp(hw))
 
 
 _bbw_cache: dict = {}
-_VANISHING = CohomologyResult.zero()
+_VANISHING = CohomologyResult(True)
 
 
-def _singular(space: Space, sym: int, twist: int) -> bool:
-    """Whether (sym + twist, twist, 0, ..., 0) + rho is singular, from its
-    two leading entries x > y: type A repeats iff x or y is in 0..m-3, type C
-    iff |x| or |y| is at most k-2 (zero included) or |x| == |y|."""
+def _tail_product_gl(z: int, m: int) -> int:
+    """prod |z - t| over the tail t = 0..m-3, for z outside it."""
+    return perm(z, m - 2) if z >= 0 else perm(m - 3 - z, m - 2)
+
+
+def _tail_product_sp(z: int, k: int) -> int:
+    """prod (z^2 - t^2) over the tail t = 1..k-2, for z > k-2."""
+    return perm(z - 1, k - 2) * perm(z + k - 2, k - 2)
+
+
+def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
+    """H^*(space, S^sym U*(twist)) from the two leading entries x > y of
+    (sym + twist, twist, 0, ..., 0) + rho, by the formulas of the module
+    docstring: singular iff type A repeats (x or y in 0..m-3) or type C
+    does (|x| or |y| at most k-2, zero included, or |x| == |y|)."""
     n = space.param
     if space.kind == GR:
-        return 0 <= sym + twist + n - 1 <= n - 3 or 0 <= twist + n - 2 <= n - 3
-    x, y = abs(sym + twist + n), abs(twist + n - 1)
-    return x <= n - 2 or y <= n - 2 or x == y
+        x, y = sym + twist + n - 1, twist + n - 2
+        if 0 <= x <= n - 3 or 0 <= y <= n - 3:
+            return _VANISHING
+        degree = (n - 2) * ((x < 0) + (y < 0))
+        num = (x - y) * _tail_product_gl(x, n) * _tail_product_gl(y, n)
+        den = factorial(n - 1) * factorial(n - 2)
+    else:
+        x, y = sym + twist + n, twist + n - 1
+        X, Y = abs(x), abs(y)
+        if X <= n - 2 or Y <= n - 2 or X == Y:
+            return _VANISHING
+        degree = (2 * n - 3) * ((x < 0) + (y < 0)) + (x + y < 0)
+        num = X * Y * abs(X * X - Y * Y) * _tail_product_sp(X, n) * _tail_product_sp(Y, n)
+        den = n * (n - 1) * (2 * n - 1) * _tail_product_sp(n, n) * _tail_product_sp(n - 1, n)
+    dim, r = divmod(num, den)
+    if r or dim <= 0:
+        raise ArithmeticError("Weyl dimension of S^%dU*(%d) on %s is %d/%d" % (sym, twist, space, num, den))
+    return CohomologyResult(False, degree, dim)
 
 
 def bundle_cohomology(space: Space, sym: int, twist: int) -> CohomologyResult:
@@ -201,12 +147,7 @@ def bundle_cohomology(space: Space, sym: int, twist: int) -> CohomologyResult:
     key = (space, sym, twist)
     res = _bbw_cache.get(key)
     if res is None:
-        if _singular(space, sym, twist):
-            res = _VANISHING
-        else:
-            weight = (sym + twist, twist) + (0,) * (space.param - 2)
-            res = (bbw_gl if space.kind == GR else bbw_sp)(weight, space.param)
-        _bbw_cache[key] = res
+        res = _bbw_cache[key] = _closed_form(space, sym, twist)
     return res
 
 
@@ -380,67 +321,53 @@ def _f_k(space: Space) -> int:
     return space.param // 2
 
 
-def f_complex(i: int, k: int, side: str):
-    """The two resolutions of the i-th staircase sheaf F_i, with exterior
-    powers of the ambient 2k-dimensional space replaced by their scalar
-    multiplicities.
+def _koszul_line(k: int):
+    """The staircase complexes as one line: (sym, twist, mult) at positions
+    0..2k-1, with the exterior powers of the ambient 2k-dimensional space
+    replaced by their dimensions, S^(k-1-j)U*(j-k) x L^j for j < k and
+    S^(j-k)U* x L^(2k-1-j) after.
 
-    LEFT: 0 -> T_0 -> ... -> T_{i-1} -> F_i -> 0 (terms at hom_shift
-    j - (i-1) for j = 0..i-1).  RIGHT: 0 -> F_i -> R_0 -> ... ->
-    R_{2k-i-1} -> 0 (terms at hom_shift 0..2k-i-1); its second half is the
-    Koszul line of twist-free symmetric powers.
+    The i-th staircase sheaf F_i sits between positions i-1 and i.  Its
+    LEFT resolution 0 -> P_0 -> ... -> P_(i-1) -> F_i -> 0 is positions
+    0..i-1, position b in degree b - (i-1); its RIGHT resolution
+    0 -> F_i -> P_i -> ... -> P_(2k-1) -> 0 is positions i..2k-1, position a
+    in degree a - i.  The whole line is exact.
     """
-    if not 1 <= i <= k:
+    return [
+        (k - 1 - j, j - k, comb(2 * k, j)) if j < k else (j - k, 0, comb(2 * k, 2 * k - 1 - j))
+        for j in range(2 * k)
+    ]
+
+
+def _staircase(space: Space, *indices) -> tuple:
+    """(k, the Koszul line) for staircase indices that must lie in 1..k."""
+    k = _f_k(space)
+    if not all(1 <= i <= k for i in indices):
         raise ValueError("need 1 <= i <= k")
-
-    def line_term(j: int) -> BundleTerm:
-        if j <= k - 1:
-            return BundleTerm(k - 1 - j, j - k, comb(2 * k, j))
-        return BundleTerm(j - k, 0, comb(2 * k, 2 * k - 1 - j))
-
-    if side == LEFT:
-        return [
-            BundleTerm(t.sym, t.twist, t.scalar_mult, j - (i - 1))
-            for j, t in ((j, line_term(j)) for j in range(i))
-        ]
-    if side == RIGHT:
-        return [
-            BundleTerm(t.sym, t.twist, t.scalar_mult, j - i)
-            for j, t in ((j, line_term(j)) for j in range(i, 2 * k))
-        ]
-    raise ValueError("side must be LEFT or RIGHT")
-
-
-def euler_characteristic(space: Space, term: BundleTerm) -> int:
-    prof = ext_bundles(space, (0, 0), (term.sym, term.twist))
-    return term.scalar_mult * prof.euler
+    return k, _koszul_line(k)
 
 
 def f_complex_euler_consistency(space: Space) -> dict:
-    """The glued complex is exact, so the alternating sum of twisted Euler
-    characteristics vanishes for every twist 0 .. 2k-1.
-
-    LEFT terms sit at absolute position hom_shift + (k-1), RIGHT terms at
-    hom_shift + k; the sign alternates with the absolute position.
-    """
-    k = _f_k(space)
-    full = [(t.hom_shift + k - 1, t) for t in f_complex(k, k, LEFT)]
-    full += [(t.hom_shift + k, t) for t in f_complex(k, k, RIGHT)]
+    """The Koszul line is exact, so the alternating sum of the Euler
+    characteristics of its terms vanishes in every twist 0 .. 2k-1; the
+    sign alternates with the position."""
+    k, line = _staircase(space)
     bad = []
     for j in range(2 * k):
         total = sum(
-            (-1 if pos % 2 else 1) * euler_characteristic(space, t.twisted(j))
-            for pos, t in full
+            (-1 if pos % 2 else 1) * mult * ext_bundles(space, (0, 0), (sym, twist + j)).euler
+            for pos, (sym, twist, mult) in enumerate(line)
         )
         if total:
             bad.append((j, total))
     return {"space": str(space), "k": k, "bad_twists": bad, "ok": not bad}
 
 
-def _ext_first_page(space: Space, sources, targets) -> ExtProfile:
-    """Ext^* from a complex of bundle terms to another, read off the first
-    page of the Hom double complex: each pair's Ext profile, times both
-    scalar multiplicities, shifted by target minus source hom_shift.
+def _first_page(space: Space, terms) -> ExtProfile:
+    """Ext^* between two complexes of bundles, read off the first page of
+    the Hom double complex: `terms` yields (E, F, mult, shift) for each pair
+    of a source term E and a target term F, with their multiplicities
+    multiplied and the target's degree minus the source's.
 
     Conclusive iff the nonzero first-page total degrees contain no two
     consecutive integers (then no differential can act); inconclusive
@@ -448,37 +375,42 @@ def _ext_first_page(space: Space, sources, targets) -> ExtProfile:
     regardless.
     """
     acc = {}
-    for s in sources:
-        for t in targets:
-            prof = ext_bundles(space, (s.sym, s.twist), (t.sym, t.twist))
-            mult = s.scalar_mult * t.scalar_mult
-            shift = t.hom_shift - s.hom_shift
-            for d, v in prof.dims:
-                acc[d + shift] = acc.get(d + shift, 0) + mult * v
-    return ExtProfile.make(acc, _no_consecutive([d for d, v in acc.items() if v]))
+    for E, F, mult, shift in terms:
+        for d, v in ext_bundles(space, E, F).dims:
+            acc[d + shift] = acc.get(d + shift, 0) + mult * v
+    return ExtProfile.make(acc, _no_consecutive(acc))
 
 
 def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
     """Ext^*(F_i(k-i), F_j(k-j)), each residual object in the twist it has
     in the collection, from the first page of the resolution double
-    complex: the RIGHT resolution of the source against the LEFT
-    resolution of the target."""
-    k = _f_k(space)
-    source = [s.twisted(k - i) for s in f_complex(i, k, RIGHT)]
-    target = [t.twisted(k - j) for t in f_complex(j, k, LEFT)]
-    return _ext_first_page(space, source, target)
+    complex: the RIGHT resolution of the source (positions a >= i) against
+    the LEFT resolution of the target (positions b < j).  Hom(P_a, P_b)
+    depends on the twists through (twist_b + k - j) - (twist_a + k - i) and
+    sits in degree (b - (j-1)) - (a - i)."""
+    _, line = _staircase(space, i, j)
+    return _first_page(
+        space,
+        (
+            ((sa, ta), (sb, tb + i - j), ma * mb, b - a + i - j + 1)
+            for a, (sa, ta, ma) in enumerate(line[i:], i)
+            for b, (sb, tb, mb) in enumerate(line[:j])
+        ),
+    )
 
 
 def check_f_orthogonality(space: Space, i: int) -> dict:
     """F_i(k-i) is right-orthogonal to the blocks A, A(1), ..., A(k-i):
     every Ext from a block object must vanish conclusively, computed
-    against the LEFT resolution of F_i."""
-    k = _f_k(space)
-    target = [t.twisted(k - i) for t in f_complex(i, k, LEFT)]
+    against the LEFT resolution of F_i (positions b < i, twisted by k-i)."""
+    k, line = _staircase(space, i)
     failures = []
     for v in range(0, k - i + 1):
         for u in range(0, k - 1):
-            prof = _ext_first_page(space, [BundleTerm(u, v)], target)
+            prof = _first_page(
+                space,
+                (((u, v), (sb, tb + k - i), mb, b - i + 1) for b, (sb, tb, mb) in enumerate(line[:i])),
+            )
             if not (prof.is_zero and prof.conclusive):
                 failures.append(((u, v), str(prof)))
     return {

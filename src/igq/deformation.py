@@ -38,6 +38,7 @@ from .presentations import (
     i_relations,
     origin_tangent_dimension,
     q_of,
+    quadratic_relations,
     sigma_classes,
     sigma_ring,
     sigma_weights,
@@ -182,7 +183,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     report["delta_t0_ok"] = nf(expr[0]).is_zero
 
     # (c) record the degree-2n relation as O(t)
-    rel2 = i_relations(s, q_of(ring))[-1]
+    rel2 = quadratic_relations(s, q_of(ring))[1]
     report["sigma_2n_t0_zero"] = nf(rel2).is_zero
 
     report["ok"] = all(

@@ -129,17 +129,10 @@ def schur_determinants(s: list, top: int) -> list:
     return dets
 
 
-def i_relations(s: list, q: Polynomial = None) -> list:
-    """The I-presentation relations on the classes s = [1, s_1, ..., s_{2n-2}],
-    in the ring they live in: the determinants D_r for r in [3, 2n-2], then
-    the two quadratic relations of degrees 2n-2 and 2n.  Given q, the second
-    picks up the quantum term (-1)^(n+1) q s_1; without it the relations
-    are the classical ones.
-
-    The images may be any elements of one ring: the variables s_k give the
-    presentation itself, the expressions `sigma_in_ab` give its image in
-    the a,b-ring, since building the relations commutes with a ring map.
-    """
+def quadratic_relations(s: list, q: Polynomial = None) -> list:
+    """The two quadratic I-relations on the classes s = [1, s_1, ..., s_{2n-2}],
+    of degrees 2n-2 and 2n.  Given q, the second picks up the quantum term
+    (-1)^(n+1) q s_1; without it they are the classical ones."""
     n = (len(s) + 1) // 2
     rel1 = s[n - 1] ** 2
     for i in range(1, n):
@@ -149,7 +142,19 @@ def i_relations(s: list, q: Polynomial = None) -> list:
         rel2 = rel2 + 2 * (-1) ** i * s[n + i] * s[n - i]
     if q is not None:
         rel2 = rel2 + (-1) ** (n + 1) * q * s[1]
-    return schur_determinants(s, 2 * n - 2)[3:] + [rel1, rel2]
+    return [rel1, rel2]
+
+
+def i_relations(s: list, q: Polynomial = None) -> list:
+    """The I-presentation relations on the classes s = [1, s_1, ..., s_{2n-2}],
+    in the ring they live in: the determinants D_r for r in [3, 2n-2], then
+    the two `quadratic_relations` (q as there).
+
+    The images may be any elements of one ring: the variables s_k give the
+    presentation itself, the expressions `sigma_in_ab` give its image in
+    the a,b-ring, since building the relations commutes with a ring map.
+    """
+    return schur_determinants(s, len(s) - 1)[3:] + quadratic_relations(s, q)
 
 
 def _chern_series_coeffs(n: int, ring: Ring):

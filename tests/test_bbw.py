@@ -9,28 +9,22 @@ import pytest
 
 from igq import bbw
 from igq.bbw import (
-    LEFT,
-    RIGHT,
-    BundleTerm,
     ExtProfile,
     Space,
-    bbw_gl,
-    bbw_sp,
     bundle_cohomology,
     check_f_orthogonality,
     ext_bundles,
     ext_f_pair,
-    f_complex,
     f_complex_euler_consistency,
     lefschetz_collection,
     serre_duality_holds,
     support_partition,
     verify_collection,
-    weyl_dimension_gl,
-    weyl_dimension_sp,
 )
 
-from bundle_oracle import hom_bundle
+import bundle_oracle
+from bbw_oracle import bbw_gl, bbw_sp, weyl_dimension_gl, weyl_dimension_sp
+from bundle_oracle import LEFT, RIGHT, BundleTerm, f_complex, hom_bundle
 
 
 def test_space_invariants():
@@ -185,7 +179,7 @@ def test_verify_collection_lists_every_pair_of_a_nonzero_key(monkeypatch):
     monkeypatch.setattr(bbw, "_bbw_cache", {})
     monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
     real = bbw.bundle_cohomology
-    bad = bbw.CohomologyResult.of(2, (1, 0), 3)
+    bad = bbw.CohomologyResult(False, 2, 3)
 
     def patched(space, sym, twist):
         return bad if (sym, twist) == (1, -2) else real(space, sym, twist)
@@ -228,14 +222,17 @@ def test_wrong_direction_keys_match_the_pairs():
         assert analytic == by_pairs, space
 
 
-def test_closed_form_singularity_matches_bbw():
+def test_closed_form_matches_the_bbw_oracle(monkeypatch):
+    # vanishing, degree and dimension, computed afresh (not read from the
+    # memo) against the generic sort-and-Weyl-product algorithm
+    monkeypatch.setattr(bbw, "_bbw_cache", {})
     for space in SWEEP_SPACES:
         n = space.param
         full = bbw_gl if space.kind == "gr" else bbw_sp
         for sym in range(30):
             for twist in range(-40, 25):
-                weight = (sym + twist, twist) + (0,) * (n - 2)
-                assert bbw._singular(space, sym, twist) == full(weight, n).vanishes, (space, sym, twist)
+                expected = full((sym + twist, twist) + (0,) * (n - 2), n)
+                assert bundle_cohomology(space, sym, twist) == expected, (space, sym, twist)
 
 
 def test_singular_weights_share_one_vanishing_result(monkeypatch):
@@ -330,6 +327,39 @@ def test_orthogonality_i1_matches_direct_bundle_ext():
         for u in range(0, k - 1)
     )
     assert rep["ok"] == direct_all_zero == True  # noqa: E712
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_koszul_line_matches_the_double_complex(monkeypatch, perturbed):
+    # every (i, j) for k = 2..7 on G(2,2k) and IG(2,2k), against the
+    # staircase resolutions built as BundleTerm complexes; the perturbed run
+    # makes the piece S^1 U*(-2) nonzero, so that failures, nonzero Euler
+    # sums and inconclusive first pages are compared too
+    monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+    if perturbed:
+        real, bad = bbw.bundle_cohomology, bbw.CohomologyResult(False, 2, 3)
+
+        def patched(space, sym, twist):
+            return bad if (sym, twist) == (1, -2) else real(space, sym, twist)
+
+        monkeypatch.setattr(bbw, "bundle_cohomology", patched)
+    seen = set()
+    for k in range(2, 8):
+        for space in (Space.gr(2 * k), Space.igr(k)):
+            for i in range(1, k + 1):
+                for j in range(1, k + 1):
+                    prof = ext_f_pair(space, i, j)
+                    assert prof == bundle_oracle.ext_f_pair(space, i, j), (space, i, j)
+                    seen.add(("conclusive", prof.conclusive))
+                failures = check_f_orthogonality(space, i)["failures"]
+                assert failures == bundle_oracle.check_f_orthogonality(space, i), (space, i)
+                seen.add(("orthogonal", not failures))
+            sums = bundle_oracle.euler_sums(space)
+            bad_twists = f_complex_euler_consistency(space)["bad_twists"]
+            assert bad_twists == [(j, t) for j, t in enumerate(sums) if t], space
+            seen.add(("exact", not bad_twists))
+    if perturbed:
+        assert {("conclusive", False), ("orthogonal", False), ("exact", False)} <= seen
 
 
 def test_bundle_term_validation():
