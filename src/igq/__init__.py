@@ -20,7 +20,7 @@ from .groebner import (
     quotient_dimension,
     standard_monomials,
 )
-from .univariate import distinct_root_count, squarefree_part, univ_gcd
+from .univariate import distinct_root_count, univ_gcd
 
 __all__ = [
     "__version__",
@@ -36,6 +36,5 @@ __all__ = [
     "quotient_dimension",
     "standard_monomials",
     "distinct_root_count",
-    "squarefree_part",
     "univ_gcd",
 ]

@@ -143,8 +143,9 @@ def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
 
 def bundle_cohomology(space: Space, sym: int, twist: int) -> CohomologyResult:
     """H^*(space, S^sym U*(twist)), memoized; every singular weight shares
-    one vanishing result."""
-    key = (space, sym, twist)
+    one vanishing result.  The memo key is plain ints and strings, not
+    the Space, so a lookup does not hash the dataclass."""
+    key = (space.kind, space.param, sym, twist)
     res = _bbw_cache.get(key)
     if res is None:
         res = _bbw_cache[key] = _closed_form(space, sym, twist)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .groebner import (
     GroebnerBasis,
@@ -37,13 +37,7 @@ from .groebner import (
 )
 from .linalg import corank, minimal_polynomial, nullspace
 from .poly import GREVLEX, Polynomial, Ring, TermOrder, WeightedOrder
-from .univariate import (
-    distinct_root_count,
-    primitive_int,
-    squarefree_part,
-    univ_divide,
-    univ_gcd,
-)
+from .univariate import distinct_root_count, primitive_int, univ_gcd
 
 CLASSICAL_I = "CLASSICAL_I"
 CLASSICAL_II = "CLASSICAL_II"
@@ -390,14 +384,6 @@ def _separating_coeffs(count: int) -> list:
 
 
 _PRIME = 2**61 - 1  # the modulus of the point-count proof in split_spectrum
-_T_RING = Ring(("t",))
-
-
-def _root_count(m_ell, one, origin, modulus=None) -> int:
-    """Distinct roots of the minimal polynomial of M_l on 1 modulo the
-    origin vectors, over Q or, given a prime modulus p, over F_p."""
-    mu = minimal_polynomial(m_ell, one, modulo=origin, modulus=modulus)
-    return distinct_root_count(_T_RING.poly({(k,): c for k, c in enumerate(mu)}), modulus)
 
 
 def split_spectrum(gb: GroebnerBasis):
@@ -428,7 +414,10 @@ def split_spectrum(gb: GroebnerBasis):
     fails (an entry whose denominator p divides, an unlucky prime, or a
     non-reduced A_off), the attempt runs the exact Krylov sieve over Q
     and counts the roots of mu_Q, so the forms chosen, the counts and the
-    RuntimeError below do not depend on p.
+    RuntimeErrors below do not depend on p.  A repeated root of mu_Q
+    refuses at once: on a reduced A_off multiplication by l is
+    semisimple, so mu_Q is squarefree for every form, and no further
+    attempt could succeed.
     """
     mats = multiplication_matrices(gb)
     dim = len(mats[0])
@@ -448,11 +437,18 @@ def split_spectrum(gb: GroebnerBasis):
                         row_ell[j] += c * x
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
         try:
-            count = _root_count(m_ell, one, origin, _PRIME)
+            mu = minimal_polynomial(m_ell, one, modulo=origin, modulus=_PRIME)
+            count = distinct_root_count(mu, _PRIME)
         except ValueError:  # not reducible mod p, origin dependent mod p, or deg mu_p >= p
             count = None
         if count != off_dim:
-            count = _root_count(m_ell, one, origin)
+            mu = minimal_polynomial(m_ell, one, modulo=origin)
+            count = distinct_root_count(mu)
+            if count < len(mu) - 1:
+                raise RuntimeError(
+                    "no separating form found: the minimal polynomial of %s has a "
+                    "repeated root, so the off-origin part is non-reduced" % form
+                )
         if count == off_dim:
             return length, off_dim, count, form
         tried.append((form, count))
@@ -491,25 +487,26 @@ def decompose_spectrum(n: int) -> SpectrumReport:
 
 def count_offorigin_by_substitution(n: int) -> int:
     """Independent count of the off-origin points via the double cover
-    z_1 + z_2 = a_1, z_1 z_2 = a_2 (q = 1).
+    z_1 + z_2 = a_1, z_1 z_2 = a_2 (q = 1), by gcd degrees only.
 
-    Roots of f(z) = (z^{2n} - z)^{2n} - z^{2n} parametrize candidate z_1;
-    the locus z = 0, the z_2 = 0 branch (common roots with z^{2n} - z) and
-    the diagonal z_1 = z_2 (common roots with z^{2n} - 2z) are excluded by
-    gcd division, and the remaining count is halved since the cover is
-    2:1 off the diagonal.
+    Roots of f(z) = (z^{2n} - z)^{2n} - z^{2n} parametrize candidate z_1.
+    The locus z = 0, the z_2 = 0 branch (roots of z^{2n} - z) and the
+    diagonal z_1 = z_2 (roots of z^{2n} - 2z) are the roots f shares with
+    g = (z^{2n} - z)(z^{2n} - 2z), so the remaining candidates number
+    #roots f - #roots gcd(f, g), each count deg h - deg gcd(h, h'); that
+    number is halved since the cover is 2:1 off the diagonal.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    ring = Ring(("z",))
-    (z,) = ring.gens
-    f = (z ** (2 * n) - z) ** (2 * n) - z ** (2 * n)
-    if f.evaluate({"z": 0}) != 0:
+    f = [0] * (4 * n * n + 1)
+    for k in range(2 * n + 1):  # z^{2nk} (-z)^{2n-k}, binomially weighted
+        f[2 * n * k + 2 * n - k] += (-1) ** k * comb(2 * n, k)
+    f[2 * n] -= 1
+    if f[0] != 0:
         raise AssertionError("z = 0 should always be a root")
-    sf = squarefree_part(f)
-    sf = univ_divide(sf, univ_gcd(sf, z ** (2 * n) - z))
-    sf = univ_divide(sf, univ_gcd(sf, z ** (2 * n) - 2 * z))
-    remaining = sf.total_degree
+    g = [0] * (4 * n + 1)  # z^{4n} - 3 z^{2n+1} + 2 z^2
+    g[4 * n], g[2 * n + 1], g[2] = 1, -3, 2
+    remaining = distinct_root_count(f) - distinct_root_count(univ_gcd(f, g))
     if remaining % 2:
         raise RuntimeError(
             "odd residual count %d: the double cover accounting failed" % remaining

@@ -1,11 +1,13 @@
-"""Univariate gcd, squarefree parts, and distinct-root counting.
+"""Univariate gcds and distinct-root counts on dense coefficient lists.
 
-Root multiplicity/distinctness questions are answered by gcd-degree
-arithmetic over exact rationals (primitive pseudo-remainder sequences
-over Z), never by numeric root finding.  The distinct-root count of f is
-deg(f / gcd(f, f')), valid over any algebraically closed field of
-characteristic zero, and over the algebraic closure of F_p for f mod p
-of degree below p (Euclid's algorithm over F_p).
+A polynomial is the list [c_0, ..., c_d] of its ints and Fractions, the
+form `linalg.minimal_polynomial` returns; trailing zeros are ignored, so
+[] is zero.  Root multiplicity questions are answered by gcd-degree
+arithmetic, never by numeric root finding: f has deg f - deg gcd(f, f')
+distinct roots over an algebraically closed field of characteristic
+zero, with the gcd from a primitive pseudo-remainder sequence over Z, and
+over the algebraic closure of F_p when f mod p has degree below p, with
+the gcd from Euclid's algorithm over F_p.
 """
 
 from __future__ import annotations
@@ -14,37 +16,6 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .linalg import reduce_mod
-from .poly import Polynomial, Ring
-
-
-def _active_variable(p: Polynomial) -> int:
-    active = {i for e, _ in p.terms for i, k in enumerate(e) if k}
-    if len(active) > 1:
-        raise ValueError("polynomial is not univariate")
-    return active.pop() if active else 0
-
-
-def _to_coeffs(p: Polynomial):
-    """Dense coefficient list [c_0 .. c_d] in the active variable."""
-    var = _active_variable(p)
-    if p.is_zero:
-        return [], var
-    deg = max(e[var] for e, _ in p.terms)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms:
-        out[e[var]] = c
-    return out, var
-
-
-def _from_coeffs(ring: Ring, coeffs, var: int) -> Polynomial:
-    n = ring.ngens
-    return ring.poly(
-        {
-            tuple(k if i == var else 0 for i in range(n)): c
-            for k, c in enumerate(coeffs)
-            if c
-        }
-    )
 
 
 def _strip(c):
@@ -75,8 +46,6 @@ def primitive_int(coeffs) -> list:
 
 def _pseudo_rem(a, b):
     """Pseudo-remainder of primitive integer polynomials, re-primitivized."""
-    a = list(a)
-    _strip(a)
     db, lb = len(b) - 1, b[-1]
     while a and len(a) - 1 >= db:
         la = a[-1]
@@ -86,107 +55,54 @@ def _pseudo_rem(a, b):
             a[i + shift] -= la * y
         _strip(a)
     g = _content(a)
-    return [x // g for x in a] if a else a
-
-
-def _int_gcd_poly(a, b):
-    a, b = list(a), list(b)
-    _strip(a), _strip(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _pseudo_rem(a, b)
-    return a
-
-
-def univ_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd of two univariate polynomials over Q."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    if f.ring != g.ring:
-        raise ValueError("gcd operands in different rings")
-    cf, vf = _to_coeffs(f)
-    cg, vg = _to_coeffs(g)
-    if vf != vg and f.total_degree > 0 and g.total_degree > 0:
-        raise ValueError("gcd operands in different variables")
-    var = vf if f.total_degree > 0 else vg
-    h = _int_gcd_poly(primitive_int(cf), primitive_int(cg))
-    return _from_coeffs(f.ring, [Fraction(x) for x in h], var).monic()
-
-
-def squarefree_part(f: Polynomial) -> Polynomial:
-    """The monic product of the distinct irreducible factors: f / gcd(f, f')."""
-    if f.is_zero:
-        raise ValueError("squarefree part of the zero polynomial")
-    var = _active_variable(f)
-    if f.total_degree == 0:
-        return f.ring.one
-    fp = f.derivative(var)
-    g = univ_gcd(f, fp)
-    cf, _ = _to_coeffs(f)
-    cg, _ = _to_coeffs(g)
-    q = _exact_div_coeffs(cf, cg)
-    return _from_coeffs(f.ring, q, var).monic()
-
-
-def _exact_div_coeffs(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    out = [Fraction(0)] * (len(a) - db)
-    while _strip(a) and len(a) - 1 >= db:
-        da = len(a) - 1
-        c = a[-1] / lb
-        out[da - db] = c
-        for i, y in enumerate(b):
-            a[i + da - db] -= c * y
-    if a:
-        raise ValueError("not an exact division")
-    return out
-
-
-def univ_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact univariate division f/g; raises if the remainder is nonzero."""
-    cf, var = _to_coeffs(f)
-    cg, _ = _to_coeffs(g)
-    return _from_coeffs(f.ring, _exact_div_coeffs(cf, cg), var)
+    return [x // g for x in a]
 
 
 def _rem_mod(a, b, p):
     """Remainder of a by b over F_p, as stripped coefficient lists."""
     a = list(a)
     inv, db = pow(b[-1], -1, p), len(b) - 1
-    while _strip(a) and len(a) - 1 >= db:
+    while a and len(a) - 1 >= db:
         c, shift = a[-1] * inv % p, len(a) - 1 - db
         for i, y in enumerate(b):
             a[i + shift] = (a[i + shift] - c * y) % p
+        _strip(a)
     return a
 
 
-def distinct_root_count(f: Polynomial, modulus: int = None) -> int:
-    """Number of distinct roots over an algebraically closed field.
+def univ_gcd(f, g, modulus=None) -> list:
+    """Monic gcd of two coefficient lists over Q or, given a prime
+    `modulus` p, over F_p (entries in 0..p-1; ValueError when p divides a
+    denominator)."""
+    if modulus is None:
+        a, b = _strip(primitive_int(f)), _strip(primitive_int(g))
+    else:
+        a, b = _strip(reduce_mod(f, modulus)), _strip(reduce_mod(g, modulus))
+    if not a and not b:
+        raise ValueError("gcd(0, 0) is undefined")
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _pseudo_rem(a, b) if modulus is None else _rem_mod(a, b, modulus)
+    if modulus is not None:
+        inv = pow(a[-1], -1, modulus)
+        return [x * inv % modulus for x in a]
+    return a if a[-1] == 1 else [Fraction(x, a[-1]) for x in a]
+
+
+def distinct_root_count(f, modulus=None) -> int:
+    """Number of distinct roots of f over an algebraically closed field,
+    deg f - deg gcd(f, f').
 
     With a prime `modulus` p it counts the roots of f mod p in the
-    algebraic closure of F_p, as deg f - deg gcd(f, f') over F_p.  That
-    holds because a root of f of multiplicity m is one of f' of
-    multiplicity m - 1 unless p divides m, which needs m >= p; so f mod p
-    must have degree below p, and its coefficients must be p-integral
-    (ValueError otherwise).
+    algebraic closure of F_p.  That holds because a root of f of
+    multiplicity m is one of f' of multiplicity m - 1 unless p divides m,
+    which needs m >= p; so f mod p must have degree below p, and its
+    coefficients must be p-integral (ValueError otherwise).
     """
-    if f.is_zero:
-        raise ValueError("the zero polynomial has no root count")
-    if modulus is None:
-        return squarefree_part(f).total_degree
-    p = modulus
-    c = _strip(reduce_mod(_to_coeffs(f)[0], p))
+    c = _strip(list(f) if modulus is None else reduce_mod(f, modulus))
     if not c:
-        raise ValueError("f vanishes mod %d" % p)
-    if len(c) > p:
-        raise ValueError("degree %d is not below the modulus %d" % (len(c) - 1, p))
-    a, b = c, _strip([k * x % p for k, x in enumerate(c)][1:])
-    while b:
-        a, b = b, _rem_mod(a, b, p)
-    return len(c) - len(a)
+        raise ValueError("f vanishes" + ("" if modulus is None else " mod %d" % modulus))
+    if modulus is not None and len(c) > modulus:
+        raise ValueError("degree %d is not below the modulus %d" % (len(c) - 1, modulus))
+    return len(c) - len(univ_gcd(c, [k * x for k, x in enumerate(c)][1:], modulus))
