@@ -470,25 +470,33 @@ def quotient_dimension(gb: GroebnerBasis):
     return len(standard_monomials(gb))
 
 
-def _coordinates(p: Polynomial, index) -> list:
-    """The coefficient vector of a normal form on the standard monomials,
-    with each integral entry as an int, so integral vectors stay in int
-    arithmetic downstream."""
-    vec = [0] * len(index)
-    for e, c in p.terms:
-        vec[index[e]] = c.numerator if c.denominator == 1 else c
-    return vec
-
-
 def multiplication_matrices(gb: GroebnerBasis):
     """For each ring variable v, the matrix of multiplication by v on the
     finite-dimensional quotient, as a list of rows: entry (i, j) is the
-    coefficient of the i-th standard monomial in NF(v * j-th one)."""
+    coefficient of the i-th standard monomial in NF(v * j-th one), an int
+    when it is integral.  Only the columns where v times the j-th standard
+    monomial w is neither standard (a unit vector) nor the leading
+    monomial of an element g (the basis is reduced, so NF(w) = w - g) take
+    a normal form."""
     std = standard_monomials(gb)
     index = {m: i for i, m in enumerate(std)}
     ring = gb.ring
+    by_lead = {g.lead_monomial: g for g in gb}
+    dim = len(std)
     mats = []
-    for v in ring.gens:
-        cols = [_coordinates(normal_form(ring.monomial(m) * v, gb), index) for m in std]
-        mats.append([list(row) for row in zip(*cols)])
+    for k in range(ring.ngens):
+        M = [[0] * dim for _ in range(dim)]
+        for j, m in enumerate(std):
+            w = m[:k] + (m[k] + 1,) + m[k + 1 :]
+            if w in index:
+                M[index[w]][j] = 1
+                continue
+            g = by_lead.get(w)
+            if g is None:
+                column = normal_form(ring.monomial(w), gb).terms
+            else:
+                column = [(e, -c) for e, c in g.terms[1:]]
+            for e, c in column:
+                M[index[e]][j] = c.numerator if c.denominator == 1 else c
+        mats.append(M)
     return mats

@@ -1,13 +1,15 @@
 """Exact linear algebra on one elimination kernel, `LinearSieve`: rank,
-corank, nullspace, first linear dependence, and the minimal polynomial of
-a matrix on a start vector modulo a subspace.  The sieve runs over Q, by
-fraction-free elimination, or over F_p for a prime p (`ModularSieve`),
-with the same contract."""
+corank, nullspace, first linear dependence, the joint generalized kernel
+of commuting matrices, and the minimal polynomial of a matrix on a start
+vector modulo a subspace, all over Q.  Over F_p, for a prime p, only what
+Wiedemann's method needs: the reduced echelon form of a few vectors, the
+sequence u M^i v, and its minimal polynomial by Berlekamp-Massey."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def reduce_mod(vec, p: int) -> list:
@@ -106,53 +108,6 @@ class LinearSieve:
         return combo
 
 
-class ModularSieve(LinearSieve):
-    """`LinearSieve` over F_p, p prime: the same `add` and `keep`, with
-    dependence coefficients in 0..p-1.  Entries are taken mod p, so they
-    must be p-integral (ValueError otherwise).  Kept rows are scaled to
-    pivot 1, and the steps (k, f) record that a vector v became
-
-        R = s (v - sum f R_k),   s the inverse of the pivot before scaling.
-    """
-
-    def __init__(self, modulus: int):
-        super().__init__()
-        self.modulus = modulus
-
-    def _reduce(self, vec):
-        p = self.modulus
-        row = reduce_mod(vec, p)
-        steps = []
-        for k, (pc, prow) in enumerate(self.pivots):
-            f = row[pc]
-            if f:
-                steps.append((k, f))
-                row = [(a - f * b) % p for a, b in zip(row, prow)]
-        index = self.count
-        self.count += 1
-        pc = next((i for i, x in enumerate(row) if x), None)
-        if pc is None:
-            return index, steps
-        s = pow(row[pc], -1, p)
-        self.pivots.append((pc, [a * s % p for a in row]))
-        self._relations.append((index, s, steps))
-        return None
-
-    def _unwind(self, index, steps):
-        p = self.modulus
-        w = [0] * len(self.pivots)
-        for k, f in steps:
-            w[k] = f
-        combo = [0] * index + [1]
-        for k in reversed(range(len(w))):
-            if w[k]:
-                i, s, ksteps = self._relations[k]
-                combo[i] = (combo[i] - w[k] * s) % p
-                for j, f in ksteps:
-                    w[j] = (w[j] - w[k] * s * f) % p
-        return combo
-
-
 def rank(rows) -> int:
     """Rank of a matrix given as a list of coefficient rows over Q: the
     number of rows the sieve keeps."""
@@ -185,7 +140,74 @@ def nullspace(rows, ncols: int) -> dict:
     return basis
 
 
-def minimal_polynomial(M, start, modulo=(), modulus=None):
+def _kernel_chain(mats, dim: int) -> dict:
+    """The joint generalized kernel of commuting square matrices, in the
+    form `nullspace` gives: {c: u_c}, u_c 1 at column c and 0 at every
+    other key.
+
+    K_j = {a : M a in K_(j-1) for every M} is the kernel of the stacked
+    maps Q M, where Q projects away from K_(j-1).  The chain grows
+    strictly until it stops at the joint generalized kernel, so it takes
+    at most that kernel's dimension in steps.  Each projected row is
+    scaled by the common denominator D of the K_(j-1) basis,
+    D M[i] - sum (D u[i]) M[c], which keeps integral matrices in ints and
+    leaves the kernel unchanged.
+    """
+    kernel = {}
+    while True:
+        den = lcm(*(x.denominator for u in kernel.values() for x in u))
+        proj = [(c, [x.numerator * (den // x.denominator) for x in u]) for c, u in kernel.items()]
+        rows = []
+        for M in mats:
+            for i in range(dim):
+                row = M[i] if den == 1 else [den * a for a in M[i]]
+                for c, u in proj:
+                    if u[i]:
+                        row = [a - u[i] * b for a, b in zip(row, M[c])]
+                rows.append(row)
+        nxt = nullspace(rows, dim)
+        if len(nxt) == len(kernel):
+            return kernel
+        kernel = nxt
+
+
+def generalized_kernel(mats, dim: int) -> list:
+    """A basis of the joint generalized kernel of commuting square
+    matrices: the vectors that some product of them sends to 0.
+
+    First K, the generalized kernel of the first matrix alone, by the
+    chain of `_kernel_chain`.  The matrices commute, so K is invariant
+    under each of them, and a vector x of K is sum x[c] u_c over the keys
+    c of K's basis.  In the basis w_c = D_c u_c, D_c the common
+    denominator of u_c, M acts on K by the matrix (M w_c)[c'] / D_c', c
+    and c' keys, and the lcm of the D_c scales that to an integer matrix
+    with the same generalized kernel.  The chain on these matrices, of
+    the size of K, gives the joint generalized kernel in the coordinates
+    of the w_c, exactly and wherever else the first matrix is singular.
+    """
+    kernel = _kernel_chain(mats[:1], dim)
+    keys = list(kernel)
+    dens = [lcm(*(x.denominator for x in u)) for u in kernel.values()]
+    basis = [
+        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(u) if x]
+        for d, u in zip(dens, kernel.values())
+    ]
+    scale = [lcm(*dens) // d for d in dens]
+    restricted = [
+        [[s * sum(M[c][j] * x for j, x in w) for w in basis] for c, s in zip(keys, scale)]
+        for M in mats
+    ]
+    out = []
+    for y in _kernel_chain(restricted, len(keys)).values():
+        x = [0] * dim
+        for yc, w in zip(y, basis):
+            for j, a in w:
+                x[j] += yc * a
+        out.append(x)
+    return out
+
+
+def minimal_polynomial(M, start, modulo=()):
     """Coefficients c_0..c_d (monic, c_d = 1) of the least polynomial p
     with p(M) start in the span of the `modulo` vectors (none by default,
     so p(M) start = 0).
@@ -194,24 +216,10 @@ def minimal_polynomial(M, start, modulo=(), modulus=None):
     M^2 start, ... until the first dependence on earlier vectors; a
     `modulo` vector that depends on the ones before it adds nothing.  M is
     a list of rows and is applied through its nonzero entries only.
-
-    With a prime `modulus` p everything is reduced mod p and the result
-    is over F_p.  Then a `modulo` vector that depends mod p on the ones
-    before it raises ValueError, as does an entry whose denominator p
-    divides.  If the result has the same degree as the one over Q, it is
-    that one's reduction mod p: the modulo vectors and start .. M^(d-1)
-    start are independent mod p, so one of their maximal minors is a unit
-    mod p, and by Cramer's rule the coefficients over Q are p-integral
-    and solve the same system mod p.
     """
-    if modulus is None:
-        sieve = LinearSieve()
-    else:
-        sieve = ModularSieve(modulus)
-        M = [reduce_mod(row, modulus) for row in M]
+    sieve = LinearSieve()
     for v in modulo:
-        if not sieve.keep(v) and modulus is not None:
-            raise ValueError("the modulo vectors are dependent mod %d" % modulus)
+        sieve.keep(v)
     sparse = [[(j, c) for j, c in enumerate(row) if c] for row in M]
     cur = start
     while True:
@@ -219,5 +227,68 @@ def minimal_polynomial(M, start, modulo=(), modulus=None):
         if combo is not None:
             return combo[len(modulo):]
         cur = [sum(c * cur[j] for j, c in row) for row in sparse]
-        if modulus is not None:
-            cur = [x % modulus for x in cur]
+
+
+def echelon_mod(vectors, p: int) -> list:
+    """The reduced echelon form mod the prime p of vectors that stay
+    independent mod p: one (pivot column, row) per vector, the row 1 at its
+    own pivot column and 0 at every other one.  Raises ValueError when the
+    vectors are dependent mod p or p divides a denominator."""
+    basis = []
+    for vec in vectors:
+        row = reduce_mod(vec, p)
+        for c, b in basis:
+            f = row[c]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        pc = next((i for i, x in enumerate(row) if x), None)
+        if pc is None:
+            raise ValueError("the vectors are dependent mod %d" % p)
+        inv = pow(row[pc], -1, p)
+        row = [x * inv % p for x in row]
+        basis = [(c, [(x - b[pc] * y) % p for x, y in zip(b, row)] if b[pc] else b) for c, b in basis]
+        basis.append((pc, row))
+    return basis
+
+
+def berlekamp_massey(seq, p: int) -> list:
+    """The least monic g = [c_0, ..., c_L] over F_p, p prime, with
+    sum_k c_k s_(i+k) = 0 for every i + L < len(seq): the shortest linear
+    recurrence of the sequence (Massey, IEEE Trans. Inf. Theory 15, 1969).
+
+    If the whole, infinite sequence satisfies some recurrence of order at
+    most len(seq) / 2, then g is its minimal polynomial, and g divides
+    every polynomial that annihilates it.  Tracked as the connection
+    polynomial C = 1 + c_(L-1) x + ... + c_0 x^L, which is g reversed.
+    """
+    conn, prev = [1], [1]  # C, and C before the last change of L
+    length, shift, last = 0, 1, 1  # L, steps since that change, its discrepancy
+    for i, s in enumerate(seq):
+        d = (s + sum(conn[k] * seq[i - k] for k in range(1, min(len(conn), i + 1)))) % p
+        if not d:
+            shift += 1
+            continue
+        coef = d * pow(last, -1, p) % p
+        new = conn + [0] * (len(prev) + shift - len(conn))
+        for k, b in enumerate(prev):
+            new[k + shift] = (new[k + shift] - coef * b) % p
+        if 2 * length <= i:
+            prev, last, length, shift = conn, d, i + 1 - length, 1
+        else:
+            shift += 1
+        conn = new
+    conn += [0] * (length + 1 - len(conn))
+    return conn[length::-1]
+
+
+def projected_sequence(rows, start, u, length: int, p: int) -> list:
+    """s_i = u M^i start mod the prime p, for i < length: the scalar
+    sequence of Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986).  M
+    is given by rows of (column, entry) and applied through them only;
+    ValueError when p divides a denominator of its entries."""
+    rows = [([j for j, _ in row], reduce_mod([x for _, x in row], p)) for row in rows]
+    seq, cur = [], start
+    while len(seq) < length:
+        seq.append(sum(map(mul, u, cur)) % p)
+        cur = [sum(map(mul, cs, map(cur.__getitem__, js))) % p for js, cs in rows]
+    return seq

@@ -12,9 +12,12 @@ degree-(2n-1) correction term.  `decompose_spectrum` splits Spec of the
 quantum quotient into its origin-supported part and the reduced rest by
 exact linear algebra in coordinates on the standard monomials: the
 origin factor is the joint generalized kernel of the multiplication
-matrices, and the rest is counted through the minimal polynomial of
-M_l, for a separating linear form l, on 1 modulo the origin factor:
-proved modulo a prime, and computed over Q only when that proof fails.
+matrices, found inside the generalized kernel of the first variable's
+matrix, and the rest is counted through the minimal polynomial of M_l,
+for a separating linear form l, on 1 modulo the origin factor: proved
+modulo a prime by Berlekamp-Massey on the sequence u M_l^i 1, for a
+functional u that vanishes on the origin factor (Wiedemann's method),
+and computed over Q by a Krylov sieve only when that proof fails.
 `count_offorigin_by_substitution` re-counts the reduced points through the
 z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd degree
 arithmetic.
@@ -22,9 +25,11 @@ arithmetic.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
+from operator import mul
 
 from .groebner import (
     GroebnerBasis,
@@ -35,7 +40,14 @@ from .groebner import (
     normal_form,
     quotient_dimension,
 )
-from .linalg import corank, minimal_polynomial, nullspace
+from .linalg import (
+    berlekamp_massey,
+    corank,
+    echelon_mod,
+    generalized_kernel,
+    minimal_polynomial,
+    projected_sequence,
+)
 from .poly import GREVLEX, Polynomial, Ring, TermOrder, WeightedOrder
 from .univariate import distinct_root_count, primitive_int, univ_gcd
 
@@ -226,9 +238,12 @@ def weighted_basis(spec: PresentationSpec) -> GroebnerBasis:
     (weighted degree first, ties towards the later variables), in which
     they are triangular (see `presentation_dimension`): QUANTUM_I at
     n = 10 has 26 elements, against 970 in grevlex.  The II-variants are
-    triangular there too, b_k leading the x^(2k) coefficient, but the
-    weighted basis slows the spectrum split, so they keep the grevlex
-    `presentation_basis`."""
+    triangular there too, b_k leading the x^(2k) coefficient, but they
+    keep the grevlex `presentation_basis`, because the spectrum split
+    works on QUANTUM_II's multiplication matrices: in grevlex their
+    entries have at most 4 bits, and in the weighted order M_l carries
+    49-bit entries at n = 10 and 78-bit ones at n = 14, with 1.7-1.8 times
+    as many nonzeros, which every step of the split pays for."""
     if spec.variant in (CLASSICAL_II, QUANTUM_II):
         return presentation_basis(spec)
     return _basis(spec, WeightedOrder(_grading(spec)))
@@ -342,35 +357,6 @@ def origin_tangent_dimension(ideal: Ideal) -> int:
     return corank(rows, ring.ngens)
 
 
-def _origin_factor(mats, dim: int) -> list:
-    """A basis of the origin-supported factor A_0 of a finite quotient: the
-    joint generalized kernel of its multiplication matrices.
-
-    K_j = {a : m^j a = 0}, for m the maximal ideal of the origin, is the
-    kernel of the stacked maps Q M_v, where Q projects away from K_{j-1}.
-    The chain grows strictly until it stops at A_0, so it takes at most
-    the local length steps.  Each projected row is scaled by the common
-    denominator D of the K_{j-1} basis, D M[i] - sum (D u[i]) M[c], which
-    keeps integral matrices in ints and leaves the kernel unchanged.
-    """
-    kernel = {}
-    while True:
-        den = lcm(*(x.denominator for u in kernel.values() for x in u))
-        proj = [(c, [x.numerator * (den // x.denominator) for x in u]) for c, u in kernel.items()]
-        rows = []
-        for M in mats:
-            for i in range(dim):
-                row = M[i] if den == 1 else [den * a for a in M[i]]
-                for c, u in proj:
-                    if u[i]:
-                        row = [a - u[i] * b for a, b in zip(row, M[c])]
-                rows.append(row)
-        nxt = nullspace(rows, dim)
-        if len(nxt) == len(kernel):
-            return list(kernel.values())
-        kernel = nxt
-
-
 def _separating_coeffs(count: int) -> list:
     """The first `count` coefficients of the separating forms: 1, then the
     primes 2, 3, 5, ..."""
@@ -386,6 +372,13 @@ def _separating_coeffs(count: int) -> list:
 _PRIME = 2**61 - 1  # the modulus of the point-count proof in split_spectrum
 
 
+def _functional(dim: int) -> list:
+    """The random functional the proof mod p starts from, drawn from a
+    fixed seed so that runs repeat."""
+    rng = random.Random(0)
+    return [rng.randrange(_PRIME) for _ in range(dim)]
+
+
 def split_spectrum(gb: GroebnerBasis):
     """Split a finite quotient A = Q[vars]/I as A_0 x A_off, A_0 supported
     at the origin, and count the distinct points of A_off.
@@ -399,50 +392,82 @@ def split_spectrum(gb: GroebnerBasis):
     separates its points.  Makes four attempts, with shifted coefficient
     sequences.
 
-    The origin factor is exact over Q, and each attempt first tries to
-    prove the count modulo the prime p = 2^61 - 1.  The Krylov sieve runs
-    mod p on the primitive integer forms of the L origin vectors, then 1,
-    M_l 1, ...; the proof holds when the origin vectors stay independent
-    mod p and the resulting mu_p has d distinct roots over the algebraic
-    closure of F_p, which forces deg mu_p = d.  Then the L + d sieved
-    vectors, which have p-integral entries, are independent mod p, so
-    they have a maximal minor that is a unit mod p; they are a basis of
-    A over Q, mu_Q has degree d, and by Cramer's rule its coefficients
-    are p-integral and reduce to those of mu_p.  Roots can only merge
-    under reduction, so mu_Q has d distinct roots too: the attempt
-    succeeds exactly as the exact count would have it.  When the proof
-    fails (an entry whose denominator p divides, an unlucky prime, or a
-    non-reduced A_off), the attempt runs the exact Krylov sieve over Q
-    and counts the roots of mu_Q, so the forms chosen, the counts and the
-    RuntimeErrors below do not depend on p.  A repeated root of mu_Q
-    refuses at once: on a reduced A_off multiplication by l is
-    semisimple, so mu_Q is squarefree for every form, and no further
-    attempt could succeed.
+    The origin factor A_0, the joint generalized kernel of the M_v, is
+    exact over Q (`linalg.generalized_kernel`).  Each attempt first tries
+    to prove the count modulo the prime p = 2^61 - 1, by Wiedemann's
+    method (IEEE Trans. Inf. Theory 32, 1986):
+
+    * Let O_1, ..., O_L be the primitive integer forms of the origin
+      vectors, independent mod p, so that one of their L x L minors is a
+      unit mod p.  By Cramer's rule they are then a basis of the lattice
+      A_0 cap Z_(p)^dim, whose reduction W_p they span, and the quotient
+      lattice Z_(p)^dim / (A_0 cap Z_(p)^dim) is free of rank d.
+    * Let M_l have p-integral entries.  It preserves both lattices, so
+      W_p is invariant under M_l mod p, and the characteristic polynomial
+      chi of M_l on A/A_0 has p-integral coefficients and reduces to that
+      of M_l mod p on F_p^dim / W_p.
+    * Take a functional u that vanishes on W_p: a random one, made to
+      vanish along the reduced echelon form of the O_k mod p.  The
+      sequence s_i = u M_l^i 1 mod p is annihilated by chi mod p, of
+      degree d, so Berlekamp-Massey on s_0 .. s_(2d-1) returns its
+      minimal polynomial g, and g divides chi mod p.
+    * If g has d distinct roots over the algebraic closure of F_p, then
+      g = chi mod p, which is therefore squarefree.  Its discriminant is
+      that of chi reduced mod p, so chi is squarefree over Q.
+    * By Stickelberger's theorem (Cox, Little & O'Shea, *Using Algebraic
+      Geometry*, ch. 2 sec. 4) the roots of chi are the values l(P) at
+      the points P of A_off, each as often as the length of A at P.  So
+      A_off is d reduced points that l separates, mu = chi, and the exact
+      count below would give d too.
+
+    A bad u can only make g a proper divisor of chi mod p, with fewer than
+    d roots: it makes the proof fail, never wrong.  When the proof fails
+    (an entry whose denominator p divides, origin vectors dependent mod
+    p, an unlucky u, points that collide mod p, or a non-reduced A_off),
+    the attempt runs the exact Krylov sieve over Q and counts the roots of
+    mu, so the forms chosen, the counts and the RuntimeErrors below do not
+    depend on p or u.  A repeated root of mu refuses at once: on a reduced
+    A_off multiplication by l is semisimple, so mu is squarefree for every
+    form, and no further attempt could succeed.
     """
     mats = multiplication_matrices(gb)
     dim = len(mats[0])
-    origin = [primitive_int(u) for u in _origin_factor(mats, dim)]
+    origin = [primitive_int(u) for u in generalized_kernel(mats, dim)]
     length = len(origin)
     off_dim = dim - length
+    try:
+        u = _functional(dim)
+        for c, row in echelon_mod(origin, _PRIME):  # u(row) = 0, row[c] = 1
+            u[c] = (u[c] - sum(map(mul, u, row))) % _PRIME
+    except ValueError:  # the origin vectors are dependent mod p
+        u = None
+    sparse = [[[(j, x) for j, x in enumerate(row) if x] for row in M] for M in mats]
     one = [int(i == 0) for i in range(dim)]  # std[0] is 1
     ring = gb.ring
     tried = []
     for attempt in range(4):
         coeffs = _separating_coeffs(attempt + ring.ngens)[attempt:]
-        m_ell = [[0] * dim for _ in range(dim)]  # M_l = sum_v c_v M_v
-        for c, M in zip(coeffs, mats):
-            for row_ell, row in zip(m_ell, M):
-                for j, x in enumerate(row):
-                    if x:
-                        row_ell[j] += c * x
+        m_ell = []  # M_l = sum_v c_v M_v, as rows of (column, entry)
+        for i in range(dim):
+            acc = {}
+            for c, M in zip(coeffs, sparse):
+                for j, x in M[i]:
+                    acc[j] = acc.get(j, 0) + c * x
+            m_ell.append([(j, x) for j, x in acc.items() if x])
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
-        try:
-            mu = minimal_polynomial(m_ell, one, modulo=origin, modulus=_PRIME)
-            count = distinct_root_count(mu, _PRIME)
-        except ValueError:  # not reducible mod p, origin dependent mod p, or deg mu_p >= p
-            count = None
+        count = None
+        if u is not None:
+            try:
+                seq = projected_sequence(m_ell, one, u, 2 * off_dim, _PRIME)
+                count = distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
+            except ValueError:  # M_l not p-integral, or a degree not below p
+                pass
         if count != off_dim:
-            mu = minimal_polynomial(m_ell, one, modulo=origin)
+            dense = [[0] * dim for _ in range(dim)]
+            for row_dense, row in zip(dense, m_ell):
+                for j, x in row:
+                    row_dense[j] = x
+            mu = minimal_polynomial(dense, one, modulo=origin)
             count = distinct_root_count(mu)
             if count < len(mu) - 1:
                 raise RuntimeError(
@@ -485,6 +510,18 @@ def decompose_spectrum(n: int) -> SpectrumReport:
     return report
 
 
+def _cover_polynomial(n: int) -> list:
+    """f(z) = (z^{2n} - z)^{2n} - z^{2n} as a coefficient list: the terms
+    z^{2nk} (-z)^{2n-k}, binomially weighted, of exponent 2n + k(2n - 1),
+    less z^{2n}, which cancels the k = 0 term.  So f(0) = 0, and every
+    exponent left is at least 4n - 1."""
+    f = [0] * (4 * n * n + 1)
+    for k in range(2 * n + 1):
+        f[2 * n * k + 2 * n - k] += (-1) ** k * comb(2 * n, k)
+    f[2 * n] -= 1
+    return f
+
+
 def count_offorigin_by_substitution(n: int) -> int:
     """Independent count of the off-origin points via the double cover
     z_1 + z_2 = a_1, z_1 z_2 = a_2 (q = 1), by gcd degrees only.
@@ -498,12 +535,7 @@ def count_offorigin_by_substitution(n: int) -> int:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    f = [0] * (4 * n * n + 1)
-    for k in range(2 * n + 1):  # z^{2nk} (-z)^{2n-k}, binomially weighted
-        f[2 * n * k + 2 * n - k] += (-1) ** k * comb(2 * n, k)
-    f[2 * n] -= 1
-    if f[0] != 0:
-        raise AssertionError("z = 0 should always be a root")
+    f = _cover_polynomial(n)
     g = [0] * (4 * n + 1)  # z^{4n} - 3 z^{2n+1} + 2 z^2
     g[4 * n], g[2 * n + 1], g[2] = 1, -3, 2
     remaining = distinct_root_count(f) - distinct_root_count(univ_gcd(f, g))

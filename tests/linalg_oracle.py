@@ -1,0 +1,79 @@
+"""The dense Krylov sieve over F_p: `LinearSieve`'s contract mod a prime
+p, and the minimal polynomial of a matrix on a start vector modulo a
+subspace, mod p.  `igq.presentations` proves its point counts by
+Berlekamp-Massey on a projected sequence (`igq.linalg.berlekamp_massey`);
+this dense sieve is that method's oracle."""
+
+from igq.linalg import LinearSieve, reduce_mod
+
+
+class ModularSieve(LinearSieve):
+    """`LinearSieve` over F_p, p prime: the same `add` and `keep`, with
+    dependence coefficients in 0..p-1.  Entries are taken mod p, so they
+    must be p-integral (ValueError otherwise).  Kept rows are scaled to
+    pivot 1, and the steps (k, f) record that a vector v became
+
+        R = s (v - sum f R_k),   s the inverse of the pivot before scaling.
+    """
+
+    def __init__(self, modulus: int):
+        super().__init__()
+        self.modulus = modulus
+
+    def _reduce(self, vec):
+        p = self.modulus
+        row = reduce_mod(vec, p)
+        steps = []
+        for k, (pc, prow) in enumerate(self.pivots):
+            f = row[pc]
+            if f:
+                steps.append((k, f))
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        index = self.count
+        self.count += 1
+        pc = next((i for i, x in enumerate(row) if x), None)
+        if pc is None:
+            return index, steps
+        s = pow(row[pc], -1, p)
+        self.pivots.append((pc, [a * s % p for a in row]))
+        self._relations.append((index, s, steps))
+        return None
+
+    def _unwind(self, index, steps):
+        p = self.modulus
+        w = [0] * len(self.pivots)
+        for k, f in steps:
+            w[k] = f
+        combo = [0] * index + [1]
+        for k in reversed(range(len(w))):
+            if w[k]:
+                i, s, ksteps = self._relations[k]
+                combo[i] = (combo[i] - w[k] * s) % p
+                for j, f in ksteps:
+                    w[j] = (w[j] - w[k] * s * f) % p
+        return combo
+
+
+def minimal_polynomial_mod(M, start, modulus, modulo=()):
+    """`igq.linalg.minimal_polynomial` over F_p: the least monic p with
+    p(M) start in the span of the `modulo` vectors mod p.
+
+    A `modulo` vector that depends mod p on the ones before it raises
+    ValueError, as does an entry whose denominator p divides.  If the
+    result has the same degree as the one over Q, it is that one's
+    reduction mod p: the modulo vectors and start .. M^(d-1) start are
+    independent mod p, so one of their maximal minors is a unit mod p,
+    and by Cramer's rule the coefficients over Q are p-integral and solve
+    the same system mod p.
+    """
+    sieve = ModularSieve(modulus)
+    for v in modulo:
+        if not sieve.keep(v):
+            raise ValueError("the modulo vectors are dependent mod %d" % modulus)
+    sparse = [[(j, c) for j, c in enumerate(reduce_mod(row, modulus)) if c] for row in M]
+    cur = start
+    while True:
+        combo = sieve.add(cur)
+        if combo is not None:
+            return combo[len(modulo):]
+        cur = [sum(c * cur[j] for j, c in row) % modulus for row in sparse]

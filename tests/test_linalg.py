@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from igq.linalg import LinearSieve, ModularSieve, minimal_polynomial, nullspace, rank
+from igq.linalg import (
+    LinearSieve,
+    berlekamp_massey,
+    echelon_mod,
+    minimal_polynomial,
+    nullspace,
+    rank,
+)
+from linalg_oracle import ModularSieve, minimal_polynomial_mod
 
 PRIMES = (2, 3, 7, 2**61 - 1)
 
@@ -197,7 +205,7 @@ def test_minimal_polynomial_mod_p_is_the_reduction_of_the_one_over_q():
             c = [rng.randrange(-50, 51) for _ in range(d)]
             companion = [[int(i == j + 1) for j in range(d - 1)] + [-c[i]] for i in range(d)]
             start = [int(i == 0) for i in range(d)]
-            assert minimal_polynomial(companion, start, modulus=p) == [x % p for x in c] + [1]
+            assert minimal_polynomial_mod(companion, start, p) == [x % p for x in c] + [1]
 
 
 def test_minimal_polynomial_mod_p_refuses_what_it_cannot_reduce():
@@ -206,8 +214,39 @@ def test_minimal_polynomial_mod_p_refuses_what_it_cannot_reduce():
     start = [0, 1, 0]
     modulo = [[1, 0, 3], [1, 0, 0]]
     assert minimal_polynomial(M, start, modulo=modulo) == [0, 1]
-    assert minimal_polynomial(M, start, modulo=modulo, modulus=5) == [0, 1]
+    assert minimal_polynomial_mod(M, start, 5, modulo=modulo) == [0, 1]
     with pytest.raises(ValueError, match="dependent"):
-        minimal_polynomial(M, start, modulo=modulo, modulus=3)
+        minimal_polynomial_mod(M, start, 3, modulo=modulo)
     with pytest.raises(ValueError):
-        minimal_polynomial([[Fraction(1, 3)]], [1], modulus=3)
+        minimal_polynomial_mod([[Fraction(1, 3)]], [1], 3)
+
+
+def test_echelon_mod_spans_the_vectors_in_reduced_form():
+    rng = random.Random(19)
+    for p in PRIMES:
+        for _ in range(200):
+            ncols = rng.randrange(1, 7)
+            rows = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
+            if rank_mod(rows, p) < len(rows):
+                with pytest.raises(ValueError, match="dependent"):
+                    echelon_mod(rows, p)
+                continue
+            basis = echelon_mod(rows, p)
+            assert len(basis) == len(rows)
+            for c, row in basis:
+                assert [row[d] for d, _ in basis] == [int(d == c) for d, _ in basis]
+            assert rank_mod(rows + [row for _, row in basis], p) == len(rows)
+    with pytest.raises(ValueError):
+        echelon_mod([[Fraction(1, 7), 1]], 7)
+
+
+def test_berlekamp_massey_finds_known_recurrences():
+    p = 2**61 - 1
+    fib = [0, 1]
+    while len(fib) < 12:
+        fib.append(fib[-1] + fib[-2])
+    assert berlekamp_massey(fib, p) == [p - 1, p - 1, 1]  # t^2 - t - 1
+    assert berlekamp_massey([3 * 5**i for i in range(6)], p) == [p - 5, 1]
+    assert berlekamp_massey([1, 0, 0, 0], p) == [0, 1]  # s_(i+1) = 0 s_i
+    assert berlekamp_massey([0, 0, 1, 0, 0, 0], p) == [0, 0, 0, 1]
+    assert berlekamp_massey([0] * 5, p) == berlekamp_massey([], p) == [1]

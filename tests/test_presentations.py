@@ -3,7 +3,15 @@
 import pytest
 
 from igq import deformation, presentations
-from igq.groebner import Ideal, buchberger, is_groebner, normal_form, quotient_dimension
+from igq.groebner import (
+    Ideal,
+    buchberger,
+    is_groebner,
+    multiplication_matrices,
+    normal_form,
+    quotient_dimension,
+)
+from igq.linalg import generalized_kernel, rank
 from igq.poly import GREVLEX, Ring, WeightedOrder
 from igq.presentations import (
     CLASSICAL_I,
@@ -32,6 +40,7 @@ from igq.presentations import (
     weighted_basis,
     weighted_homogeneity_report,
 )
+from spectrum_oracle import joint_origin_factor
 from substitute_oracle import substitute
 
 
@@ -357,10 +366,9 @@ def exact_krylov_runs(monkeypatch):
     runs = []
     real = presentations.minimal_polynomial
 
-    def recorded(M, start, modulo=(), modulus=None):
-        if modulus is None:
-            runs.append(len(M))
-        return real(M, start, modulo, modulus)
+    def recorded(M, start, modulo=()):
+        runs.append(len(M))
+        return real(M, start, modulo)
 
     monkeypatch.setattr(presentations, "minimal_polynomial", recorded)
     return runs
@@ -373,6 +381,56 @@ def test_split_spectrum_falls_back_when_two_points_merge_mod_p(monkeypatch):
     p = presentations._PRIME
     assert _split(X * (X - 1) * (X - 1 - p), Y) == (1, 2, 2, "1*x + 2*y")
     assert runs == [3]
+
+
+def spans_the_joint_origin_factor(gb):
+    """The origin factor split_spectrum uses spans the joint generalized
+    kernel of the oracle; returns its dimension and that of the
+    generalized kernel of the first variable's matrix alone."""
+    mats = multiplication_matrices(gb)
+    dim = len(mats[0])
+    origin, oracle = generalized_kernel(mats, dim), joint_origin_factor(mats, dim)
+    assert rank(origin) == rank(oracle) == rank(origin + oracle) == len(origin) == len(oracle)
+    return len(origin), len(generalized_kernel(mats[:1], dim))
+
+
+def test_origin_factor_spans_the_joint_generalized_kernel():
+    for n in range(2, 9):
+        gb = presentation_basis(PresentationSpec(n, QUANTUM_II))
+        assert spans_the_joint_origin_factor(gb) == (n - 1, n - 1)
+
+
+def test_origin_factor_where_the_first_variable_vanishes_off_the_origin():
+    # x vanishes at (0, 1) too, so the generalized kernel of M_x is larger
+    # than A_0 and the joint chain on it must cut the point away.  In the
+    # last ideal, a fat origin and the points (-2, 3), (2, -2), (0, -1),
+    # that kernel's basis has denominators 5, so the chain runs on the
+    # rescaled integer matrices; x + 2y takes -2 twice there, so the
+    # second form counts
+    for gens, lengths, split in (
+        ((X, Y * (Y - 1)), (1, 2), (1, 1, 1, "1*x + 2*y")),
+        ((X, Y**2 * (Y - 1)), (2, 3), (2, 1, 1, "1*x + 2*y")),
+        ((X * (X - 1), Y * (Y - 1)), (1, 2), (1, 3, 3, "1*x + 2*y")),
+        (
+            (Y**2 * (Y - 3) * (Y + 2) * (Y + 1), 30 * X - Y * (Y + 1) * (16 - 7 * Y)),
+            (2, 3),
+            (2, 3, 3, "2*x + 3*y"),
+        ),
+    ):
+        gb = buchberger(Ideal(R2, gens))
+        assert spans_the_joint_origin_factor(gb) == lengths
+        assert split_spectrum(gb) == split
+
+
+def test_a_failed_proof_mod_p_takes_one_exact_count(monkeypatch):
+    # u = 0 gives the zero sequence, whose polynomial 1 has no roots: the
+    # proof fails, and the exact count accepts the first form
+    gb = presentation_basis(PresentationSpec(3, QUANTUM_II))
+    proved = split_spectrum(gb)
+    runs = exact_krylov_runs(monkeypatch)
+    monkeypatch.setattr(presentations, "_functional", lambda dim: [0] * dim)
+    assert split_spectrum(gb) == proved
+    assert runs == [12]
 
 
 def test_spectrum_is_proved_mod_p_for_n_up_to_6(monkeypatch):
@@ -404,6 +462,18 @@ def test_substitution_count_matches_closed_form_and_spectrum():
         assert count_offorigin_by_substitution(n) == (n - 1) * (2 * n - 1)
     for n in (2, 3):
         assert count_offorigin_by_substitution(n) == decompose_spectrum(n).offorigin_distinct_points
+
+
+def test_cover_polynomial_vanishes_at_zero():
+    # the k = 0 binomial term z^{2n} cancels against - z^{2n}, so z = 0 is
+    # a root and the other exponents are 2n + k(2n - 1), k = 1 .. 2n
+    for n in range(2, 13):
+        f = presentations._cover_polynomial(n)
+        z = Ring(("z",)).gens[0]
+        expanded = (z ** (2 * n) - z) ** (2 * n) - z ** (2 * n)
+        assert f == [expanded.coeff((e,)) for e in range(len(f))]
+        assert f[0] == 0
+        assert {e for e, c in enumerate(f) if c} == {2 * n + k * (2 * n - 1) for k in range(1, 2 * n + 1)}
 
 
 def test_substitution_count_rejects_tiny_n():
