@@ -187,9 +187,26 @@ def _assert_recorded_digest(argv, capsys):
 
 
 @pytest.mark.parametrize("space", ["gr", "igr"])
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", range(2, 11))
 def test_dcat_json_matches_recorded_digest(k, space, capsys):
     _assert_recorded_digest(["dcat", "--k", str(k), "--space", space, "--max-k", "10"], capsys)
+
+
+# stdout sha256 of `igq dcat --k K --space S --max-k K` above the benchmark's
+# range, with every j >= i residual row (INCONCLUSIVE) in the digest
+DCAT_GOLDENS = {
+    (20, "gr"): "a7a947f0cf7a133176bec8981b0840c7cded93e7c70848eb78fbae9340451571",
+    (20, "igr"): "532cdfd036ef79878bfeedb55d76c32afca621c79cf2a3a43b88f5307a800469",
+    (30, "gr"): "13f8def8b5b680ac32d88e46ca11c6fb8350b62b47a533253d34f080cc6da894",
+    (30, "igr"): "5c2ad9d24395063fbe777a925d5f6e52a68bff7666dbdc1080947d534dcdee31",
+}
+
+
+@pytest.mark.parametrize("k, space", sorted(DCAT_GOLDENS))
+def test_dcat_json_matches_golden_above_the_benchmark_range(k, space, capsys):
+    assert main(["dcat", "--k", str(k), "--space", space, "--max-k", str(k)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DCAT_GOLDENS[k, space]
 
 
 @pytest.mark.parametrize(
