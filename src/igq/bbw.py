@@ -50,8 +50,9 @@ property suite rather than trusted a priori.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, product
 from math import comb, factorial, perm
 
 GR = "gr"
@@ -200,11 +201,22 @@ def _no_consecutive(degrees) -> bool:
     return all(b - a >= 2 for a, b in zip(degs, degs[1:]))
 
 
-# Ext profiles of the space last asked about, keyed by (a, b, d - c).  The
-# sweeps run space by space, so one space's table is all that pays; holding
-# every space's would only grow the heap.  The table is swapped whole, never
+# Ext profiles of the space last asked about, keyed by (a, b, d - c), and
+# under _RESIDUAL that space's residual first-page terms.  The sweeps run
+# space by space, so one space's table is all that pays; holding every
+# space's would only grow the heap.  The table is swapped whole, never
 # cleared in place, so a caller on another space cannot fill the wrong one.
 _ext_cache: tuple = (None, {})
+_RESIDUAL = "residual"
+
+
+def _space_table(space: Space) -> dict:
+    global _ext_cache
+    held, table = _ext_cache
+    if space is not held and space != held:
+        table = {}
+        _ext_cache = (space, table)
+    return table
 
 
 def ext_bundles(space: Space, E, F) -> ExtProfile:
@@ -212,12 +224,8 @@ def ext_bundles(space: Space, E, F) -> ExtProfile:
     Clebsch-Gordan pieces of the Hom bundle, which depend on the twists
     only through d - c.  Always conclusive: no complexes, hence no
     spectral sequence."""
-    global _ext_cache
     (a, c), (b, d) = E, F
-    held, table = _ext_cache
-    if space is not held and space != held:
-        table = {}
-        _ext_cache = (space, table)
+    table = _space_table(space)
     key = (a, b, d - c)
     prof = table.get(key)
     if prof is None:
@@ -228,6 +236,58 @@ def ext_bundles(space: Space, E, F) -> ExtProfile:
                 acc[res.degree] = acc.get(res.degree, 0) + res.rep_dimension
         prof = table[key] = ExtProfile.make(acc, True) if acc else _NO_EXT
     return prof
+
+
+def _nonzero_shifts(space: Space, families) -> list:
+    """For each family (a, b, shifts) of keys (a, b, s), s in the range
+    shifts, the sorted s whose Ext does not vanish.
+
+    An Ext vanishes iff each Clebsch-Gordan piece of its key has vanishing
+    cohomology: a piece that does not vanish adds a positive dimension, and
+    nothing cancels it.  The piece of (a, b, s) with sym = a + b - 2t has
+    twist s - a + t, so it lies on the diagonal sym + 2 twist = b - a + 2s,
+    and sym runs over |a - b| .. a + b in steps of 2.  In (sym, diagonal)
+    coordinates a family is a rectangle.  Every piece in the box around the
+    rectangles is tested once.  Prefix counts of the failing pieces, summed
+    over the syms of one parity, tell in O(1) whether a rectangle holds any;
+    only those that do are searched for their s."""
+    rects = [
+        (abs(a - b), a + b, b - a + 2 * shifts.start, b - a + 2 * shifts.stop) if shifts else None
+        for a, b, shifts in families
+    ]
+    boxed = [r for r in rects if r]
+    if not boxed:
+        return [[] for _ in families]
+    sym_lo, sym_hi = min(r[0] for r in boxed), max(r[1] for r in boxed)
+    diag_lo, diag_hi = min(r[2] for r in boxed), max(r[3] for r in boxed)
+    bad = {}  # sym -> its failing diagonals, ascending
+    below = {}  # sym -> x -> failing pieces (sym' <= sym of sym's parity, diagonal < diag_lo + x)
+    for sym in range(sym_lo, sym_hi + 1):
+        marks = [0] * (diag_hi - diag_lo)
+        for diag in range(diag_lo + (diag_lo - sym) % 2, diag_hi, 2):
+            if not bundle_cohomology(space, sym, (diag - sym) // 2).vanishes:
+                bad.setdefault(sym, []).append(diag)
+                marks[diag - diag_lo] = 1
+        counts = accumulate(marks, initial=0)
+        prev = below.get(sym - 2)
+        below[sym] = list(counts) if prev is None else [p + c for p, c in zip(prev, counts)]
+
+    def failing(sym, lo, hi):
+        row = below.get(sym)
+        return row[hi - diag_lo] - row[lo - diag_lo] if row else 0
+
+    out = []
+    for (a, b, _), rect in zip(families, rects):
+        found = set()
+        if rect:
+            lo, hi, dlo, dhi = rect
+            if failing(hi, dlo, dhi) != failing(lo - 2, dlo, dhi):
+                for sym in range(lo, hi + 1, 2):
+                    diags = bad.get(sym, ())
+                    hits = diags[bisect_left(diags, dlo) : bisect_left(diags, dhi)]
+                    found.update((d - b + a) // 2 for d in hits)
+        out.append(sorted(found))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,23 +320,18 @@ def _wrong_direction_keys(space: Space):
     holds every sym, so the earlier block d reaches c - 1 down to 0, for
     any block c with a part above a; within one block, b < a adds 0."""
     parts = support_partition(space)
-    return [
-        (a, b, range(1 - sum(p > a for p in parts), 1 if b < a else 0))
-        for a in range(parts[0])
-        for b in range(parts[0])
-    ]
+    blocks = [sum(p > a for p in parts) for a in range(parts[0])]
+    return [(a, b, range(1 - blocks[a], 1 if b < a else 0)) for a in range(parts[0]) for b in range(parts[0])]
 
 
 def verify_collection(space: Space) -> dict:
     """Exceptionality of every object and vanishing of every
     wrong-direction Ext (later object against earlier object).
 
-    An Ext vanishes iff each Clebsch-Gordan piece of its key has vanishing
-    cohomology: a piece that does not vanish adds a positive dimension, and
-    nothing cancels it.  So the distinct pieces of all wrong-direction keys
-    are tested once each.  Only the keys holding a
-    nonvanishing piece get a full Ext, and their pairs are listed as
-    failures in collection order."""
+    The Clebsch-Gordan pieces of all wrong-direction keys are tested once
+    each (`_nonzero_shifts`).  Only the keys holding a nonvanishing piece
+    get a full Ext, and their pairs are listed as failures in collection
+    order."""
     objects = lefschetz_collection(space)
     failures = []
     for sym, twist in objects:
@@ -284,18 +339,12 @@ def verify_collection(space: Space) -> dict:
         if prof.dims != ((0, 1),):
             failures.append(("exceptional", (sym, twist), str(prof)))
     keys = _wrong_direction_keys(space)
-    pieces = set()
-    for a, b, shifts in keys:
-        for sym, twist in _clebsch_gordan(a, b, 0):
-            pieces.update(zip(repeat(sym), range(twist + shifts.start, twist + shifts.stop)))
-    bad = {p for p in pieces if not bundle_cohomology(space, *p).vanishes}
-    if bad:
-        nonzero = {
-            (a, b, s): ext_bundles(space, (a, 0), (b, s))
-            for a, b, shifts in keys
-            for s in shifts
-            if not bad.isdisjoint(_clebsch_gordan(a, b, s))
-        }
+    nonzero = {
+        (a, b, s): ext_bundles(space, (a, 0), (b, s))
+        for (a, b, _), found in zip(keys, _nonzero_shifts(space, keys))
+        for s in found
+    }
+    if nonzero:
         for i, (a, c) in enumerate(objects):
             for b, d in objects[:i]:
                 prof = nonzero.get((a, b, d - c))
@@ -314,12 +363,17 @@ def verify_collection(space: Space) -> dict:
 # the staircase complexes and the residual-category Ext profiles
 
 
-def _f_k(space: Space) -> int:
+def _f_k(space: Space, *indices) -> int:
+    """k of G(2,2k) / IG(2,2k), for staircase indices that must lie in 1..k."""
     if space.kind == IGR:
-        return space.param
-    if space.param % 2:
+        k = space.param
+    elif space.param % 2:
         raise ValueError("staircase complexes live on G(2,2k) / IG(2,2k)")
-    return space.param // 2
+    else:
+        k = space.param // 2
+    if not all(1 <= i <= k for i in indices):
+        raise ValueError("need 1 <= i <= k")
+    return k
 
 
 def _koszul_line(k: int):
@@ -340,25 +394,21 @@ def _koszul_line(k: int):
     ]
 
 
-def _staircase(space: Space, *indices) -> tuple:
-    """(k, the Koszul line) for staircase indices that must lie in 1..k."""
-    k = _f_k(space)
-    if not all(1 <= i <= k for i in indices):
-        raise ValueError("need 1 <= i <= k")
-    return k, _koszul_line(k)
-
-
 def f_complex_euler_consistency(space: Space) -> dict:
     """The Koszul line is exact, so the alternating sum of the Euler
     characteristics of its terms vanishes in every twist 0 .. 2k-1; the
-    sign alternates with the position."""
-    k, line = _staircase(space)
+    sign alternates with the position.  Hom(O, S^sym U*(twist)) is the one
+    Clebsch-Gordan piece S^sym U*(twist), so each Euler characteristic is
+    its rep dimension, signed by the parity of its degree."""
+    k = _f_k(space)
+    line = _koszul_line(k)
     bad = []
     for j in range(2 * k):
-        total = sum(
-            (-1 if pos % 2 else 1) * mult * ext_bundles(space, (0, 0), (sym, twist + j)).euler
-            for pos, (sym, twist, mult) in enumerate(line)
-        )
+        total = 0
+        for pos, (sym, twist, mult) in enumerate(line):
+            res = bundle_cohomology(space, sym, twist + j)
+            if not res.vanishes:
+                total += (-1 if (pos + res.degree) % 2 else 1) * mult * res.rep_dimension
         if total:
             bad.append((j, total))
     return {"space": str(space), "k": k, "bad_twists": bad, "ok": not bad}
@@ -382,38 +432,95 @@ def _first_page(space: Space, terms) -> ExtProfile:
     return ExtProfile.make(acc, _no_consecutive(acc))
 
 
+@dataclass(frozen=True)
+class _ResidualTerms:
+    """The nonvanishing first-page terms of one space's residual sweep."""
+
+    line: list  # the Koszul line
+    pairs: dict  # i - j -> [(a, b, ((degree, dim), ...)), ...]
+    first_target: dict  # (u, w) -> least b with Ext(S^u U*, P_b(w)) != 0
+
+
+def _residual_terms(space: Space) -> _ResidualTerms:
+    """Every first-page term of `ext_f_pair` and `check_f_orthogonality`,
+    with the nonvanishing ones kept, memoized in the space's `_ext_cache`
+    table.
+
+    The pair (i, j) takes source positions a >= i against target positions
+    b < j, with j - i added to the target's twist; the term of (a, b) sits
+    in degree (b - (j-1)) - (a - i), so it depends on (i, j) only through
+    i - j, which ranges over 1-k .. min(a, k) - b - 1.  Orthogonality takes
+    the block object S^u U*(v) against target positions b < i twisted by
+    k - i; the term depends on (i, v) only through w = k - i - v, which
+    ranges over 0 .. k-1-b.  Both families of keys go through one
+    `_nonzero_shifts`, so each Clebsch-Gordan piece is tested once."""
+    table = _space_table(space)
+    terms = table.get(_RESIDUAL)
+    if terms is not None:
+        return terms
+    k = _f_k(space)
+    line = _koszul_line(k)
+    pair_positions = list(product(range(1, 2 * k), range(k)))
+    block_positions = list(product(range(k - 1), range(k)))
+    families = []
+    for a, b in pair_positions:
+        (sa, ta, _), (sb, tb, _) = line[a], line[b]
+        families.append((sa, sb, range(tb - ta + 1 - k, tb - ta + min(a, k) - b)))
+    for u, b in block_positions:
+        sb, tb, _ = line[b]
+        families.append((u, sb, range(tb, tb + k - b)))
+    found = _nonzero_shifts(space, families)
+    pairs = {}
+    for (a, b), shifts in zip(pair_positions, found):
+        (sa, ta, ma), (sb, tb, mb) = line[a], line[b]
+        for s in shifts:
+            delta = s - tb + ta
+            prof = ext_bundles(space, (sa, ta), (sb, tb + delta))
+            dims = tuple((d + b - a + delta + 1, ma * mb * v) for d, v in prof.dims)
+            pairs.setdefault(delta, []).append((a, b, dims))
+    first_target = {}
+    for (u, b), shifts in zip(block_positions, found[len(pair_positions):]):
+        for s in shifts:
+            first_target.setdefault((u, s - line[b][1]), b)
+    terms = table[_RESIDUAL] = _ResidualTerms(line, pairs, first_target)
+    return terms
+
+
 def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
     """Ext^*(F_i(k-i), F_j(k-j)), each residual object in the twist it has
     in the collection, from the first page of the resolution double
     complex: the RIGHT resolution of the source (positions a >= i) against
     the LEFT resolution of the target (positions b < j).  Hom(P_a, P_b)
     depends on the twists through (twist_b + k - j) - (twist_a + k - i) and
-    sits in degree (b - (j-1)) - (a - i)."""
-    _, line = _staircase(space, i, j)
-    return _first_page(
-        space,
-        (
-            ((sa, ta), (sb, tb + i - j), ma * mb, b - a + i - j + 1)
-            for a, (sa, ta, ma) in enumerate(line[i:], i)
-            for b, (sb, tb, mb) in enumerate(line[:j])
-        ),
-    )
+    sits in degree (b - (j-1)) - (a - i); the nonvanishing terms come from
+    `_residual_terms`."""
+    _f_k(space, i, j)
+    acc = {}
+    for a, b, dims in _residual_terms(space).pairs.get(i - j, ()):
+        if a >= i and b < j:
+            for d, v in dims:
+                acc[d] = acc.get(d, 0) + v
+    return ExtProfile.make(acc, _no_consecutive(acc))
 
 
 def check_f_orthogonality(space: Space, i: int) -> dict:
     """F_i(k-i) is right-orthogonal to the blocks A, A(1), ..., A(k-i):
     every Ext from a block object must vanish conclusively, computed
-    against the LEFT resolution of F_i (positions b < i, twisted by k-i)."""
-    k, line = _staircase(space, i)
+    against the LEFT resolution of F_i (positions b < i, twisted by k-i).
+    The object S^u U*(v) fails iff some b < i has a nonvanishing term at
+    w = k - i - v (`_residual_terms`); only a failure gets its first page."""
+    k = _f_k(space, i)
+    terms = _residual_terms(space)
+    failing = sorted(
+        (k - i - w, u) for (u, w), b in terms.first_target.items() if b < i and w <= k - i
+    )
     failures = []
-    for v in range(0, k - i + 1):
-        for u in range(0, k - 1):
-            prof = _first_page(
-                space,
-                (((u, v), (sb, tb + k - i), mb, b - i + 1) for b, (sb, tb, mb) in enumerate(line[:i])),
-            )
-            if not (prof.is_zero and prof.conclusive):
-                failures.append(((u, v), str(prof)))
+    for v, u in failing:
+        prof = _first_page(
+            space,
+            (((u, v), (sb, tb + k - i), mb, b - i + 1) for b, (sb, tb, mb) in enumerate(terms.line[:i])),
+        )
+        failures.append(((u, v), str(prof)))
     return {
         "space": str(space),
         "i": i,

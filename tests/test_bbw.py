@@ -331,20 +331,22 @@ def test_orthogonality_i1_matches_direct_bundle_ext():
 
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_koszul_line_matches_the_double_complex(monkeypatch, perturbed):
-    # every (i, j) for k = 2..7 on G(2,2k) and IG(2,2k), against the
+    # every (i, j) for k = 2..10 on G(2,2k) and IG(2,2k), against the
     # staircase resolutions built as BundleTerm complexes; the perturbed run
-    # makes the piece S^1 U*(-2) nonzero, so that failures, nonzero Euler
-    # sums and inconclusive first pages are compared too
+    # makes the pieces S^1 U*(-2) and S^2 U*(-3) nonzero, so that terms at
+    # several i - j turn nonzero at once and failures, nonzero Euler sums
+    # and inconclusive first pages are compared too
     monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
     if perturbed:
-        real, bad = bbw.bundle_cohomology, bbw.CohomologyResult(False, 2, 3)
+        real = bbw.bundle_cohomology
+        bad = {(1, -2): bbw.CohomologyResult(False, 2, 3), (2, -3): bbw.CohomologyResult(False, 1, 2)}
 
         def patched(space, sym, twist):
-            return bad if (sym, twist) == (1, -2) else real(space, sym, twist)
+            return bad.get((sym, twist)) or real(space, sym, twist)
 
         monkeypatch.setattr(bbw, "bundle_cohomology", patched)
     seen = set()
-    for k in range(2, 8):
+    for k in range(2, 11):
         for space in (Space.gr(2 * k), Space.igr(k)):
             for i in range(1, k + 1):
                 for j in range(1, k + 1):
@@ -360,6 +362,58 @@ def test_koszul_line_matches_the_double_complex(monkeypatch, perturbed):
             seen.add(("exact", not bad_twists))
     if perturbed:
         assert {("conclusive", False), ("orthogonal", False), ("exact", False)} <= seen
+
+
+def test_residual_interleaved_spaces_match_fresh_calls(monkeypatch):
+    # the residual terms hang off the per-space Ext table: a sweep that
+    # leaves a space and comes back must rebuild them for the right space
+    spaces = (Space.gr(6), Space.igr(3), Space.gr(6))
+
+    def sweep(space):
+        return (
+            [ext_f_pair(space, i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
+            [check_f_orthogonality(space, i) for i in (1, 2, 3)],
+        )
+
+    interleaved = [sweep(space) for space in spaces]
+    fresh = []
+    for space in spaces:
+        monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+        fresh.append(sweep(space))
+    assert interleaved == fresh
+    assert interleaved[0][0] != interleaved[1][0]
+
+
+def _residual_lookups(monkeypatch, k, kind):
+    # Ext and cohomology lookups of the residual rows alone, from cold memos
+    monkeypatch.setattr(bbw, "_bbw_cache", {})
+    monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bbw, "ext_bundles", counted(bbw.ext_bundles))
+    monkeypatch.setattr(bbw, "bundle_cohomology", counted(bbw.bundle_cohomology))
+    from igq.cli import run_dcat_suite
+
+    rows = run_dcat_suite(k, kind, ("residual",), max_k=k)
+    assert not [r.claim_id for r in rows if r.status == "FAIL"]
+    return calls[0]
+
+
+@pytest.mark.parametrize("kind", ["gr", "igr"])
+def test_residual_lookups_grow_quadratically(monkeypatch, kind):
+    # the pieces the residual first pages touch number O(k^2), and each is
+    # looked up once: doubling k may at most quadruple the lookups, with
+    # slack; one Ext lookup per resolution pair of every (i, j) grew 15x
+    small = _residual_lookups(monkeypatch, 10, kind)
+    large = _residual_lookups(monkeypatch, 20, kind)
+    assert large <= 5 * small, (small, large)
 
 
 def test_bundle_term_validation():
