@@ -220,3 +220,54 @@ def test_dcat_json_matches_golden_above_the_benchmark_range(k, space, capsys):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_qh_json_matches_recorded_digest(n, checks, capsys):
     _assert_recorded_digest(["qh", "--n", str(n)] + checks, capsys)
+
+
+# stdout sha256 of `igq qh --n N --max-n N --q-mode M` with all seven checks,
+# above the benchmark's range
+QH_GOLDENS = {
+    (6, "1"): "29a5515e2bf5149a93c5894d22e1399b29b905ea359a7f82f516226a1bd65e0c",
+    (6, "symbolic"): "42f1bea2f5e70f8b29cd394b16b62eccc54b0e594b23f6dbdb89816822781ac8",
+    (8, "1"): "8d678b7802635c44e3ff8c3e9f8e80941583cee61d9f61de48354305e5820dee",
+    (8, "symbolic"): "13a0b6fe5b7b034c4b9ca24caaeb8e5507ea53aec80a79d27e48ec43d1c6c072",
+}
+
+
+@pytest.mark.parametrize("n, q_mode", sorted(QH_GOLDENS))
+def test_qh_json_matches_golden_above_the_benchmark_range(n, q_mode, capsys):
+    assert main(["qh", "--n", str(n), "--max-n", str(n), "--q-mode", q_mode]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == QH_GOLDENS[n, q_mode]
+
+
+# sha256 of each file `igq qh --n 4 --dump DIR` writes; the classical
+# variants have no q, so both q-modes write them alike
+_CLASSICAL_DUMPS = {
+    "ig_n4_classical_i.gb.txt": "7c6e7c018185662c9c7da0b21bad108f43bcd442ea483a6554a610167f601653",
+    "ig_n4_classical_i.gens.txt": "a07e6717b820deeb9639ba5c602d2030f46ee19bb9ae3f42c0d576fc395b6ecb",
+    "ig_n4_classical_ii.gb.txt": "eaa60e007bcfeb22b37f5389133223829f320e3b6957a813c1318c4bf701e0ef",
+    "ig_n4_classical_ii.gens.txt": "22a69cee2903fb103e14182f62201c6ae6fa72e770d31e937f20bffccd3178af",
+}
+DUMP_GOLDENS = {
+    "1": {
+        **_CLASSICAL_DUMPS,
+        "ig_n4_quantum_i.gb.txt": "93b8b8bec0c2f2e85cb755a2b3e987ea77e9530618fe878022177139162ffd20",
+        "ig_n4_quantum_i.gens.txt": "68debd0a81dbd54434e45698b6582a20741455d92a12f2f57e519e5002afe23c",
+        "ig_n4_quantum_ii.gb.txt": "83fd25f8380852f84219f175bf8d19965cc50ebaa63d10b91021e31d9a5fd6d6",
+        "ig_n4_quantum_ii.gens.txt": "0616a36184f55c5f6a37354f38f060902fb023ddf5dfc9890824f580c4e715aa",
+    },
+    "symbolic": {
+        **_CLASSICAL_DUMPS,
+        "ig_n4_quantum_i.gb.txt": "517e78a3f7e58ebb0ca37046cc6359f511713ba5a18368f1d677f08a2a59cbc3",
+        "ig_n4_quantum_i.gens.txt": "504a755191a8cfa41d887c48a7031802f979792438524b469a7f506244af85b6",
+        "ig_n4_quantum_ii.gb.txt": "62cc9cf58d5aada64233d327153350c2739f73d12edb46819e4d5cf2f32f25bb",
+        "ig_n4_quantum_ii.gens.txt": "31f5ede75a63b75e051ef9cbefe18cf9c0723ec029b6bcc8ff949eae4515c48f",
+    },
+}
+
+
+@pytest.mark.parametrize("q_mode", sorted(DUMP_GOLDENS))
+def test_dump_files_match_golden(q_mode, tmp_path, capsys):
+    assert main(["qh", "--n", "4", "--check", "dims", "--q-mode", q_mode, "--dump", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == DUMP_GOLDENS[q_mode]
