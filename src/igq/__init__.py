@@ -9,32 +9,3 @@ collections.
 """
 
 __version__ = "0.1.0"
-
-from .poly import GREVLEX, GRLEX, Polynomial, Ring
-from .groebner import (
-    INFINITE,
-    GroebnerBasis,
-    Ideal,
-    buchberger,
-    normal_form,
-    quotient_dimension,
-    standard_monomials,
-)
-from .univariate import distinct_root_count, univ_gcd
-
-__all__ = [
-    "__version__",
-    "GREVLEX",
-    "GRLEX",
-    "Polynomial",
-    "Ring",
-    "INFINITE",
-    "GroebnerBasis",
-    "Ideal",
-    "buchberger",
-    "normal_form",
-    "quotient_dimension",
-    "standard_monomials",
-    "distinct_root_count",
-    "univ_gcd",
-]

@@ -168,20 +168,13 @@ class ExtProfile:
 
     dims: tuple  # sorted ((degree, dim), ...) with dim > 0
     conclusive: bool
-    euler: int
 
     @staticmethod
     def make(degree_dims: dict, conclusive: bool) -> "ExtProfile":
-        dims = tuple(sorted((d, v) for d, v in degree_dims.items() if v))
-        euler = sum(-v if d % 2 else v for d, v in dims)
-        return ExtProfile(dims, conclusive, euler)
+        return ExtProfile(tuple(sorted((d, v) for d, v in degree_dims.items() if v)), conclusive)
 
     def as_dict(self) -> dict:
         return dict(self.dims)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.dims
 
     @property
     def total_dim(self) -> int:
@@ -193,7 +186,7 @@ class ExtProfile:
         return " + ".join("C^%d[%d]" % (v, d) if v > 1 else "C[%d]" % d for d, v in self.dims)
 
 
-_NO_EXT = ExtProfile((), True, 0)
+_NO_EXT = ExtProfile((), True)
 
 
 def _no_consecutive(degrees) -> bool:
@@ -422,8 +415,7 @@ def _first_page(space: Space, terms) -> ExtProfile:
 
     Conclusive iff the nonzero first-page total degrees contain no two
     consecutive integers (then no differential can act); inconclusive
-    results are reported as such, never guessed.  The Euler number is exact
-    regardless.
+    results are reported as such, never guessed.
     """
     acc = {}
     for E, F, mult, shift in terms:

@@ -232,24 +232,17 @@ class _NegKey:
         return self.k > other.k
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
+def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """The unique remainder of f modulo a Groebner basis.
 
     Idempotent and Q-linear; no term of the result is divisible by any
-    leading term of the basis.  The basis may also be a plain list of
-    polynomials forming a Groebner basis, monic or not.  f is reduced with
-    its denominators cleared, and the result divides that common
-    denominator and the reduction's scale out once.
+    leading term of the basis.  f is reduced with its denominators
+    cleared, and the result divides that common denominator and the
+    reduction's scale out once.
     """
-    if isinstance(basis, GroebnerBasis):
-        if f.ring != basis.ring:
-            raise RingMismatch("polynomial not in the basis ring")
-        table = basis._reducer_table()
-    else:
-        polys = list(basis)
-        if any(g.ring != f.ring for g in polys):
-            raise RingMismatch("polynomial not in the basis ring")
-        table = _ReducerTable(f.ring.order, [_primitive(f.ring, g.terms) for g in polys if not g.is_zero])
+    if f.ring != basis.ring:
+        raise RingMismatch("polynomial not in the basis ring")
+    table = basis._reducer_table()
     if not table.rows or f.is_zero:
         return f
     den = lcm(*(c.denominator for _, c in f.terms))
@@ -334,7 +327,7 @@ def _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights):
     return kept
 
 
-def buchberger(ideal, weights=None) -> GroebnerBasis:
+def buchberger(ideal: Ideal, weights=None) -> GroebnerBasis:
     """The unique reduced Groebner basis of an ideal, for its ring's order.
 
     `weights`, one positive int per ring variable (default all 1), grade
@@ -342,11 +335,6 @@ def buchberger(ideal, weights=None) -> GroebnerBasis:
     the result.  An input generator's sugar is the largest weighted degree
     of its terms, and a reduced S-polynomial takes the sugar of its pair.
     """
-    if not isinstance(ideal, Ideal):
-        gens = tuple(ideal)
-        if not gens:
-            raise ValueError("cannot infer the ring of an empty generator list")
-        ideal = Ideal(gens[0].ring, gens)
     ring = ideal.ring
     if weights is None:
         weights = (1,) * ring.ngens

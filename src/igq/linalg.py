@@ -215,18 +215,17 @@ def minimal_polynomial(M, start, modulo=()):
     Krylov: the sieve takes the `modulo` vectors, then start, M start,
     M^2 start, ... until the first dependence on earlier vectors; a
     `modulo` vector that depends on the ones before it adds nothing.  M is
-    a list of rows and is applied through its nonzero entries only.
+    given by rows of (column, entry) and applied through them only.
     """
     sieve = LinearSieve()
     for v in modulo:
         sieve.keep(v)
-    sparse = [[(j, c) for j, c in enumerate(row) if c] for row in M]
     cur = start
     while True:
         combo = sieve.add(cur)
         if combo is not None:
             return combo[len(modulo):]
-        cur = [sum(c * cur[j] for j, c in row) for row in sparse]
+        cur = [sum(c * cur[j] for j, c in row) for row in M]
 
 
 def echelon_mod(vectors, p: int) -> list:

@@ -81,13 +81,6 @@ class _Grevlex(TermOrder):
         return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
-class _Grlex(TermOrder):
-    name = "grlex"
-
-    def key(self, exps):
-        return (sum(exps), exps)
-
-
 class WeightedOrder(TermOrder):
     """Weighted degree first, one positive int weight per variable; ties go
     to the monomial with the smaller exponent of the first variable where
@@ -111,7 +104,6 @@ class WeightedOrder(TermOrder):
 
 
 GREVLEX = _Grevlex()
-GRLEX = _Grlex()
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +240,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    @property
-    def total_degree(self) -> int:
-        """Maximum total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(monomial_degree(e) for e, _ in self.terms)
-
     def coeff(self, exps) -> Fraction:
         exps = tuple(exps)
         for e, c in self.terms:
@@ -348,14 +333,6 @@ class Polynomial:
             return hash(self.terms[0][1])
         return hash((self.ring, self.terms))
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lc = self.lead_coeff
-        if lc == 1:
-            return self
-        return Polynomial(self.ring, tuple((e, c / lc) for e, c in self.terms))
-
     # -- structure ----------------------------------------------------
 
     def linear_coefficients(self) -> dict:
@@ -371,9 +348,6 @@ class Polynomial:
         w = [weights[n] for n in self.ring.names]
         return {sum(wi * ei for wi, ei in zip(w, e)) for e, _ in self.terms}
 
-    def is_weighted_homogeneous(self, weights: Mapping[str, int]) -> bool:
-        return len(self.weighted_degrees(weights)) <= 1
-
     def derivative(self, var) -> "Polynomial":
         i = var if isinstance(var, int) else self.ring.index(var)
         acc = {}
@@ -383,17 +357,6 @@ class Polynomial:
                 prev = acc.get(e2)
                 acc[e2] = c * e[i] if prev is None else prev + c * e[i]
         return self.ring.poly(acc)
-
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        point = [Fraction(values[n]) for n in self.ring.names]
-        total = Fraction(0)
-        for e, c in self.terms:
-            v = c
-            for p, exp in zip(point, e):
-                if exp:
-                    v *= p**exp
-            total += v
-        return total
 
     # -- display ------------------------------------------------------
 
@@ -441,38 +404,9 @@ def dump_polynomial(p: Polynomial) -> str:
     return " + ".join(pieces)
 
 
-def load_polynomial(ring: Ring, text: str) -> Polynomial:
-    text = text.strip()
-    if text == "0":
-        return ring.zero
-    acc = {}
-    for chunk in text.split(" + "):
-        parts = chunk.split("*")
-        num, den = parts[0].split("/")
-        c = Fraction(int(num), int(den))
-        exps = [0] * ring.ngens
-        for piece in parts[1:]:
-            name, k = piece.split("^")
-            exps[ring.index(name)] = int(k)
-        exps = tuple(exps)
-        prev = acc.get(exps)
-        acc[exps] = c if prev is None else prev + c
-    return ring.poly(acc)
-
-
 def dump_generators(polys, header: str = "") -> str:
     lines = []
     if header:
         lines.append("# " + header)
     lines.extend(dump_polynomial(p) for p in polys)
     return "\n".join(lines) + "\n"
-
-
-def load_generators(ring: Ring, text: str):
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(load_polynomial(ring, line))
-    return out

@@ -27,14 +27,12 @@ class GermData:
             raise ValueError("Milnor number must equal the basis size")
 
 
-def milnor_data(f: Polynomial, variables=None) -> GermData:
+def milnor_data(f: Polynomial) -> GermData:
     """Quotient basis of the Jacobian ideal and the Hessian corank at 0.
 
     Requires f(0) = 0 and an isolated singularity (finite Milnor number).
     """
     ring = f.ring
-    if variables is not None and set(variables) != set(ring.names):
-        raise ValueError("germ variables must be exactly the ring variables")
     names = list(ring.names)
     if f.constant_coeff != 0:
         raise ValueError("germ must vanish at the origin")

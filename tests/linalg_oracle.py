@@ -54,9 +54,15 @@ class ModularSieve(LinearSieve):
         return combo
 
 
+def sparse_rows(M) -> list:
+    """A dense matrix as the rows of (column, entry) over its nonzero
+    entries, the form `igq.linalg.minimal_polynomial` takes."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in M]
+
+
 def minimal_polynomial_mod(M, start, modulus, modulo=()):
-    """`igq.linalg.minimal_polynomial` over F_p: the least monic p with
-    p(M) start in the span of the `modulo` vectors mod p.
+    """`igq.linalg.minimal_polynomial` over F_p, on a dense M: the least
+    monic p with p(M) start in the span of the `modulo` vectors mod p.
 
     A `modulo` vector that depends mod p on the ones before it raises
     ValueError, as does an entry whose denominator p divides.  If the

@@ -18,11 +18,12 @@ from igq.bbw import (
 )
 from igq.deformation import regularity_corank, verify_lemma_presentation
 from igq.groebner import Ideal, buchberger, is_groebner, normal_form, quotient_dimension
-from igq.poly import GREVLEX, GRLEX, Ring
+from igq.poly import GREVLEX, Ring, WeightedOrder
 from igq.presentations import (
     PresentationSpec,
     QUANTUM_II,
     VARIANTS,
+    ab_weights,
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
@@ -158,7 +159,7 @@ def test_criterion_08_residual_patterns():
         for i in range(1, k + 1):
             for j in range(1, i):
                 prof = ext_f_pair(gr, i, j)
-                if not (prof.is_zero and prof.conclusive):
+                if prof.dims or not prof.conclusive:
                     ok = False
                     failures.append(("gr", k, i, j, str(prof), prof.conclusive))
         igr = Space.igr(k)
@@ -220,12 +221,14 @@ def test_criterion_10_property_suites():
         )
     checks["normal_form_laws"] = nf_ok
 
-    # term-order invariance of quotient dimensions
+    # term-order invariance of quotient dimensions: grevlex against the
+    # paper's weighted order
     order_ok = True
     for n in (2, 3, 4):
         dims = set()
-        for order in (GREVLEX, GRLEX):
-            ideal = build_presentation(PresentationSpec(n, QUANTUM_II))
+        ideal = build_presentation(PresentationSpec(n, QUANTUM_II))
+        weights = ab_weights(n)
+        for order in (GREVLEX, WeightedOrder(weights[v] for v in ideal.ring.names)):
             ring2 = Ring(ideal.ring.names, order)
             gens = [ring2.poly(g.terms) for g in ideal.generators]
             dims.add(quotient_dimension(buchberger(Ideal(ring2, gens))))

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from igq.cli import main, run_dcat_suite, run_qh_suite
-from igq.poly import load_generators
 from igq.presentations import ab_ring
 from igq.report import (
     CheckResult,
@@ -17,6 +16,8 @@ from igq.report import (
     informational,
     summarize,
 )
+
+from dump_oracle import load_generators
 
 
 def test_qh_suite_full_run_n3():

@@ -161,7 +161,6 @@ def test_lemma_small_cases():
         rep = verify_lemma_presentation(n)
         assert rep["ok"], rep
         assert rep["sigma_2n2_t_coeff"] == Fraction((-1) ** n)
-        assert rep["telescoping_ok"] and rep["cross_ok"]
 
 
 def test_lemma_symbolic_mode_degree_bookkeeping():

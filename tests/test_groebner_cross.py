@@ -11,7 +11,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from igq.groebner import Ideal, buchberger
-from igq.poly import GREVLEX, GRLEX, Ring
+from igq.poly import GREVLEX, Ring
 from igq.presentations import (
     CLASSICAL_I,
     QUANTUM_I,
@@ -20,6 +20,8 @@ from igq.presentations import (
     PresentationSpec,
     build_presentation,
 )
+
+from poly_oracle import GRLEX
 
 
 def to_sympy(p, syms):

@@ -7,19 +7,22 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from igq.groebner import buchberger, normal_form
+from igq.groebner import Ideal, buchberger, normal_form
 from igq.poly import Ring
 
 R2 = Ring(("x", "y"))
 X, Y = R2.gens
 
-# Groebner bases with non-unit, non-integral coefficients: a reduced basis,
-# a non-monic list with coprime leads, and a principal ideal whose standard
-# monomials x^a and x^a*y lie above some reducible ones
-BASES = (
-    buchberger([2 * X**2 - Fraction(3, 5) * Y, 3 * X * Y - Fraction(1, 2)]),
-    [2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1],
-    [3 * Y**2 - Fraction(1, 2) * X],
+# Groebner bases of generators with non-unit, non-integral coefficients: a
+# general ideal, a non-monic pair with coprime leads, and a principal ideal
+# whose standard monomials x^a and x^a*y lie above some reducible ones
+BASES = tuple(
+    buchberger(Ideal(R2, gens))
+    for gens in (
+        [2 * X**2 - Fraction(3, 5) * Y, 3 * X * Y - Fraction(1, 2)],
+        [2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1],
+        [3 * Y**2 - Fraction(1, 2) * X],
+    )
 )
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)

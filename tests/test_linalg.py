@@ -15,7 +15,7 @@ from igq.linalg import (
     nullspace,
     rank,
 )
-from linalg_oracle import ModularSieve, minimal_polynomial_mod
+from linalg_oracle import ModularSieve, minimal_polynomial_mod, sparse_rows
 
 PRIMES = (2, 3, 7, 2**61 - 1)
 
@@ -192,7 +192,7 @@ def test_minimal_polynomial_of_a_companion_matrix_is_its_polynomial():
         p = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(d)] + [Fraction(1)]
         companion = [[int(i == j + 1) for j in range(d - 1)] + [-p[i]] for i in range(d)]
         start = [int(i == 0) for i in range(d)]
-        assert minimal_polynomial(companion, start) == p
+        assert minimal_polynomial(sparse_rows(companion), start) == p
 
 
 def test_minimal_polynomial_mod_p_is_the_reduction_of_the_one_over_q():
@@ -213,7 +213,7 @@ def test_minimal_polynomial_mod_p_refuses_what_it_cannot_reduce():
     M = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]  # e_0 -> e_1 -> e_2 -> 0
     start = [0, 1, 0]
     modulo = [[1, 0, 3], [1, 0, 0]]
-    assert minimal_polynomial(M, start, modulo=modulo) == [0, 1]
+    assert minimal_polynomial(sparse_rows(M), start, modulo=modulo) == [0, 1]
     assert minimal_polynomial_mod(M, start, 5, modulo=modulo) == [0, 1]
     with pytest.raises(ValueError, match="dependent"):
         minimal_polynomial_mod(M, start, 3, modulo=modulo)

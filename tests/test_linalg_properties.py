@@ -10,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from igq.linalg import berlekamp_massey, projected_sequence
 from igq.univariate import univ_gcd
-from linalg_oracle import minimal_polynomial_mod
+from linalg_oracle import minimal_polynomial_mod, sparse_rows
 
 PRIME = 2**61 - 1
 
 
 def sequence(M, v, u, p):
     """s_i = u M^i v mod p for i < 2 dim."""
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in M]
-    return projected_sequence(rows, v, u, 2 * len(M), p)
+    return projected_sequence(sparse_rows(M), v, u, 2 * len(M), p)
 
 
 @st.composite

@@ -453,8 +453,11 @@ def test_spectrum_fallback_agrees_with_the_proof(monkeypatch):
 
 
 def test_spectrum_internal_identity():
-    rep = decompose_spectrum(3)
-    assert rep.total_dim == rep.local_length_origin + rep.offorigin_dim
+    # total_dim counts the split's two parts of the QUANTUM_II quotient in
+    # grevlex; the weighted QUANTUM_I basis counts the same ring apart
+    for n in range(2, 6):
+        rep = decompose_spectrum(n)
+        assert rep.total_dim == presentation_dimension(PresentationSpec(n, QUANTUM_I))
 
 
 def test_substitution_count_matches_closed_form_and_spectrum():
