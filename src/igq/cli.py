@@ -72,11 +72,16 @@ def _guarded(rows, claim_id, thunk):
 def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: int = 5):
     """Run the quantum-cohomology checks for one n, in dependency order.
 
-    Individual failures become FAIL rows; the batch never aborts.
+    Individual failures become FAIL rows; the batch never aborts.  Raises
+    ValueError when n is out of range or no requested check applies.
     """
     if not 2 <= n <= max_n:
         raise ValueError("n out of range [2, %d]" % max_n)
-    checks = [c for c in QH_CHECKS if c in set(checks)]
+    wanted = set(checks)
+    checks = [c for c in QH_CHECKS if c in wanted and (c != "lemma" or n >= 3)]
+    if wanted and not checks:
+        # a run with no rows would exit 0 and certify nothing
+        raise ValueError("no requested qh check applies at n = %d (lemma needs n >= 3)" % n)
     rows = []
     expected_dim = 2 * n * (n - 1)
 
@@ -146,7 +151,9 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         return [
             check(
                 "lemma.sigma_2n2.n=%d" % n,
-                "t-coefficient %s" % ("ok" if rep["sigma_2n2_t_ok"] else "wrong"),
+                "t^0 part nonzero"
+                if not rep["sigma_2n2_t0_zero"]
+                else "t-coefficient %s" % ("ok" if rep["sigma_2n2_t_ok"] else "wrong"),
                 "t-coefficient ok",
                 ms,
                 "found %s" % rep["sigma_2n2_t_coeff"],
@@ -194,18 +201,22 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         "unfolding": unfolding_rows,
     }
     for name in checks:
-        if name == "lemma" and n < 3:
-            continue
         _guarded(rows, "%s.n=%d" % (name, n), plan[name])
     return rows
 
 
 def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
     """Run the derived-category checks for one k on G(2,2k)/G(2,2k+1) or
-    IG(2,2k)."""
+    IG(2,2k).  Raises ValueError when k is out of range or no requested
+    check applies."""
     if not 2 <= k <= max_k:
         raise ValueError("k out of range [2, %d]" % max_k)
-    checks = [c for c in DCAT_CHECKS if c in set(checks)]
+    wanted = set(checks)
+    checks = [c for c in DCAT_CHECKS if c in wanted and (c != "keyext" or space_kind == IGR)]
+    if wanted and not checks:
+        raise ValueError(
+            "no requested dcat check applies to --space %s (keyext runs on igr only)" % space_kind
+        )
     spaces = [Space.gr(2 * k), Space.gr(2 * k + 1)] if space_kind == "gr" else [Space.igr(k)]
     main = spaces[0]
     rows = []
@@ -226,8 +237,6 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         return out
 
     def keyext_rows():
-        if space_kind != IGR:
-            return []
         (prof, ms) = _timed(lambda: ext_bundles(main, (k - 1, 0), (k - 1, 1 - k)))
         return [
             check(

@@ -121,7 +121,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     """Re-derive the first-order shape of the deformed relations.
 
     (a) the degree-(2n-2) quadratic relation, multiplied out with *_tau,
-        has t-coefficient (-1)^n q;
+        has t^0 part reducing to zero and t-coefficient (-1)^n q;
     (b) the first-column expansion residue of the top determinantal
         relation (s_{2n-4}*s_2 - s_{2n-4}*s_1*s_1 + s_{2n-3}*s_1 - s_{2n-2})
         has zero t-coefficient and zero t^0 normal form;

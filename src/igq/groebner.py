@@ -20,9 +20,10 @@ coefficient, and a reduction scales the running remainder by an integer
 instead of dividing.  Fractions appear only at the boundary: the reduced
 basis is emitted monic with `Fraction` coefficients, and `normal_form`
 divides its accumulated scale out once at the end.  For
-zero-dimensional ideals: quotient dimensions, standard monomial bases,
-and the matrices of multiplication by each variable on that basis, on
-which `igq.linalg` does the rest of the quotient's linear algebra.
+zero-dimensional ideals: standard monomial bases, whose length is the
+quotient's dimension, and the matrices of multiplication by each
+variable on that basis, on which `igq.linalg` does the rest of the
+quotient's linear algebra.
 """
 
 from __future__ import annotations
@@ -41,21 +42,6 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
-
-
-class _Infinite:
-    def __repr__(self):
-        return "INFINITE"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __hash__(self):
-        return hash("INFINITE")
-
-
-#: Sentinel returned by quotient_dimension for non-zero-dimensional ideals.
-INFINITE = _Infinite()
 
 
 class Ideal:
@@ -407,31 +393,15 @@ def is_groebner(gb: GroebnerBasis) -> bool:
 # quotient structure
 
 
-def _pure_power_bounds(gb: GroebnerBasis):
-    """For each variable, the least d with x_i^d among the leading terms
-    (None if absent).  All present <=> the quotient is finite-dimensional."""
-    n = gb.ring.ngens
-    bounds = [None] * n
-    for lead in gb.lead_monomials:
-        nz = [i for i, e in enumerate(lead) if e]
-        if len(nz) == 1:
-            i = nz[0]
-            d = lead[i]
-            if bounds[i] is None or d < bounds[i]:
-                bounds[i] = d
-        elif not nz:  # the ideal is (1)
-            return [0] * n
-    return bounds
-
-
 def standard_monomials(gb: GroebnerBasis):
     """Monomials not divisible by any leading term; a vector-space basis of
-    the quotient.  Raises if the quotient is infinite-dimensional."""
-    bounds = _pure_power_bounds(gb)
-    if any(b is None for b in bounds):
-        raise ValueError("quotient is not finite-dimensional")
+    the quotient.  Raises if the quotient is infinite-dimensional, that is
+    if some variable has no pure power among the leading terms (the lead
+    1, of the unit ideal, is a pure power of every variable)."""
     n = gb.ring.ngens
     leads = gb.lead_monomials
+    if any(all(any(L[:i] + L[i + 1 :]) for L in leads) for i in range(n)):
+        raise ValueError("quotient is not finite-dimensional")
     zero = (0,) * n
     seen = {zero}
     frontier = [zero]
@@ -448,14 +418,6 @@ def standard_monomials(gb: GroebnerBasis):
                 frontier.append(m2)
     out.sort(key=gb.ring.order.key)
     return out
-
-
-def quotient_dimension(gb: GroebnerBasis):
-    """Vector-space dimension of the quotient ring, or INFINITE."""
-    bounds = _pure_power_bounds(gb)
-    if any(b is None for b in bounds):
-        return INFINITE
-    return len(standard_monomials(gb))
 
 
 def multiplication_matrices(gb: GroebnerBasis):

@@ -240,17 +240,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
 
-    def coeff(self, exps) -> Fraction:
-        exps = tuple(exps)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return Fraction(0)
-
-    @property
-    def constant_coeff(self) -> Fraction:
-        return self.coeff((0,) * self.ring.ngens)
-
     # -- arithmetic ---------------------------------------------------
 
     def _require_same_ring(self, other: "Polynomial"):
@@ -347,16 +336,6 @@ class Polynomial:
         """Set of weighted degrees occurring among the terms."""
         w = [weights[n] for n in self.ring.names]
         return {sum(wi * ei for wi, ei in zip(w, e)) for e, _ in self.terms}
-
-    def derivative(self, var) -> "Polynomial":
-        i = var if isinstance(var, int) else self.ring.index(var)
-        acc = {}
-        for e, c in self.terms:
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                prev = acc.get(e2)
-                acc[e2] = c * e[i] if prev is None else prev + c * e[i]
-        return self.ring.poly(acc)
 
     # -- display ------------------------------------------------------
 

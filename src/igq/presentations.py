@@ -37,7 +37,7 @@ from .groebner import (
     buchberger,
     multiplication_matrices,
     normal_form,
-    quotient_dimension,
+    standard_monomials,
 )
 from .linalg import (
     berlekamp_massey,
@@ -260,7 +260,7 @@ def presentation_dimension(spec: PresentationSpec):
     & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 5 sec. 3), so
     their number does not depend on the order: this is the dimension the
     grevlex basis gives."""
-    return quotient_dimension(weighted_basis(spec))
+    return len(standard_monomials(weighted_basis(spec)))
 
 
 # ---------------------------------------------------------------------------

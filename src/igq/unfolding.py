@@ -1,99 +1,54 @@
-"""Milnor algebras of isolated hypersurface germs and the A-type match.
+"""The A-type match: the quantum origin factor against the germ x^n.
 
 The quantum side produces a local algebra at the origin with an embedding
-dimension and a length; a corank-1 germ with the same Milnor number has
-the same invariant pair, and in the corank <= 1 regime that pair pins the
-local algebra (K[eps]/(eps^mu) is the only candidate).
+dimension and a length.  A one-variable germ f has the invariant pair
+(Hessian corank, Milnor number); a corank-1 germ with Milnor number mu is
+the A_mu singularity x^(mu+1) (Arnold, Gusein-Zade & Varchenko,
+*Singularities of Differentiable Maps* I, ch. 2), and in the corank <= 1
+regime the pair pins the local algebra (K[eps]/(eps^mu) is the only
+candidate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groebner import INFINITE, Ideal, buchberger, quotient_dimension, standard_monomials
-from .linalg import corank
-from .poly import Polynomial
 from .presentations import decompose_spectrum
 
 
-@dataclass(frozen=True)
-class GermData:
-    milnor_number: int
-    corank: int
-    monomial_basis: tuple
+def germ_pair(f) -> tuple:
+    """(Hessian corank, Milnor number) at 0 of the one-variable germ with
+    dense coefficient list f = [c_0, c_1, ...].
 
-    def __post_init__(self):
-        if self.milnor_number != len(self.monomial_basis):
-            raise ValueError("Milnor number must equal the basis size")
-
-
-def milnor_data(f: Polynomial) -> GermData:
-    """Quotient basis of the Jacobian ideal and the Hessian corank at 0.
-
-    Requires f(0) = 0 and an isolated singularity (finite Milnor number).
+    The Milnor number is the length of Q[x]_(x)/(f'), which is the order
+    of f' at 0: f' = x^mu * u with u(0) != 0, a unit of the local ring.
+    The Hessian is the 1 x 1 matrix (f''(0)) = (2 c_2).  Requires f(0) = 0
+    and an isolated singularity (f' != 0).
     """
-    ring = f.ring
-    names = list(ring.names)
-    if f.constant_coeff != 0:
+    if f and f[0]:
         raise ValueError("germ must vanish at the origin")
-    jac = Ideal(ring, [f.derivative(v) for v in names])
-    gb = buchberger(jac)
-    dim = quotient_dimension(gb)
-    if dim is INFINITE:
-        raise ValueError("non-isolated singularity: infinite Milnor algebra")
-    basis = tuple(standard_monomials(gb))
-    hess = []
-    for v in names:
-        row = []
-        dv = f.derivative(v)
-        for w in names:
-            row.append(dv.derivative(w).constant_coeff)
-        hess.append(row)
-    return GermData(milnor_number=dim, corank=corank(hess, len(names)), monomial_basis=basis)
-
-
-def classify_corank1(mu: int, corank: int = 1) -> str:
-    """The A-series label: the only corank-1 germ with Milnor number mu."""
-    if corank != 1:
-        raise ValueError("classification requires corank 1 (got %d)" % corank)
-    if mu < 1:
-        raise ValueError("Milnor number must be positive")
-    return "A%d" % mu
+    mu = next((i - 1 for i in range(1, len(f)) if f[i]), None)
+    if mu is None:
+        raise ValueError("non-isolated singularity: f' = 0")
+    return (0 if len(f) > 2 and f[2] else 1), mu
 
 
 def match_quantum_factor(n: int) -> dict:
     """Match the quantum ring's origin factor against the one-variable germ
     x^n: both must have invariant pair (embedding dimension, length) =
-    (1, n-1) for n >= 3, pinning the factor to the A_{n-1} Milnor algebra.
-
-    For n = 2 the origin factor is a reduced point (length 1) and the germ
-    is Morse (corank 0); the label A_1 folds into the reduced-point count.
+    (1, n-1), pinning the factor to the A_{n-1} Milnor algebra.  For n = 2
+    both are (0, 1): a reduced point and the Morse germ A_1.
 
     The analytic convergence hypothesis behind the unfolding statement is
     not machine-checkable; only these algebraic consequences are verified.
     """
-    from .poly import Ring
-
     spectrum = decompose_spectrum(n)
-    ring = Ring(("x",))
-    (x,) = ring.gens
-    germ = milnor_data(x**n)
-    report = {
+    quantum = (spectrum.tangent_dim_origin, spectrum.local_length_origin)
+    germ = germ_pair([0] * n + [1])
+    ok = quantum == germ
+    return {
         "n": n,
-        "quantum_pair": (spectrum.tangent_dim_origin, spectrum.local_length_origin),
-        "germ_pair": (germ.corank, germ.milnor_number),
+        "quantum_pair": quantum,
+        "germ_pair": germ,
+        "ok": ok,
+        "label": "A%d" % germ[1] if ok else None,
         "scope": "algebraic invariants only; convergence hypothesis not machine-checkable",
     }
-    if n >= 3:
-        report["ok"] = (
-            report["quantum_pair"] == (1, n - 1)
-            and report["germ_pair"] == (1, n - 1)
-        )
-        report["label"] = classify_corank1(n - 1) if report["ok"] else None
-    else:
-        report["ok"] = (
-            report["quantum_pair"] == (0, 1) and report["germ_pair"] == (0, 1)
-        )
-        report["label"] = "A1" if report["ok"] else None
-        report["degenerate"] = "origin factor is itself a reduced point"
-    return report

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from igq import cli, unfolding
 from igq.cli import main, run_dcat_suite, run_qh_suite
 from igq.presentations import ab_ring
 from igq.report import (
@@ -272,3 +274,50 @@ def test_dump_files_match_golden(q_mode, tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == DUMP_GOLDENS[q_mode]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["qh", "--n", "2", "--check", "lemma"], "lemma needs n >= 3"),
+        (["dcat", "--k", "3", "--space", "gr", "--check", "keyext"], "keyext runs on igr only"),
+    ],
+    ids=["qh-lemma-n2", "dcat-keyext-gr"],
+)
+def test_no_applicable_check_is_refused(argv, reason, capsys):
+    # every requested check is known but none applies: the rows would be empty
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no requested %s check applies" % argv[0])
+    assert reason in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_lemma_is_skipped_below_n3_next_to_an_applicable_check(capsys):
+    assert main(["qh", "--n", "2", "--check", "dims,lemma"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["invocation"]["checks"] == "dims,lemma"
+    assert [row["claim_id"].split(".")[0] for row in doc["rows"]] == ["dims"] * 4
+
+
+def test_lemma_t0_part_is_part_of_the_verdict(monkeypatch):
+    real = cli.verify_lemma_presentation
+    monkeypatch.setattr(
+        cli, "verify_lemma_presentation", lambda n, s: {**real(n, s), "sigma_2n2_t0_zero": False}
+    )
+    (row,) = [r for r in run_qh_suite(3, checks=("lemma",)) if r.claim_id == "lemma.sigma_2n2.n=3"]
+    assert row.status == "FAIL"
+    assert row.computed == "t^0 part nonzero"
+    assert row.expected == "t-coefficient ok"
+
+
+def test_unfolding_mismatch_is_a_fail_row(monkeypatch):
+    real = unfolding.decompose_spectrum
+    monkeypatch.setattr(
+        unfolding, "decompose_spectrum", lambda n: replace(real(n), tangent_dim_origin=2)
+    )
+    (row,) = run_qh_suite(3, checks=("unfolding",))
+    assert row.status == "FAIL"
+    assert row.computed == "(2, 2) None"
+    assert row.expected == "(1, 2) A2"

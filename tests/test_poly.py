@@ -136,15 +136,6 @@ def test_substitute_and_evaluate_agree():
         assert evaluate(g, {"u": t}) == evaluate(f, {"x": t + 1, "y": 2 * t})
 
 
-def test_derivative_product_rule():
-    rng = random.Random(2)
-    R = Ring(("x", "y"))
-    for _ in range(10):
-        f, g = random_poly(R, rng), random_poly(R, rng)
-        lhs = (f * g).derivative("x")
-        assert lhs == f.derivative("x") * g + f * g.derivative("x")
-
-
 def test_weighted_degrees_and_linear_part():
     R = Ring(("a", "b"))
     a, b = R.gens

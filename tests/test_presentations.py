@@ -9,7 +9,7 @@ from igq.groebner import (
     is_groebner,
     multiplication_matrices,
     normal_form,
-    quotient_dimension,
+    standard_monomials,
 )
 from igq.linalg import generalized_kernel, rank
 from igq.poly import GREVLEX, Ring, WeightedOrder
@@ -170,7 +170,7 @@ def test_weighted_bases_are_certified_and_triangular():
             leads = set(gb.lead_monomials)
             assert all(ring.var("s%d" % r).lead_monomial in leads for r in range(3, 2 * n - 1)), spec
             if not spec.symbolic_q:
-                assert quotient_dimension(gb) == 2 * n * (n - 1), spec
+                assert len(standard_monomials(gb)) == 2 * n * (n - 1), spec
 
 
 def test_weighted_and_grevlex_bases_span_one_ideal():
@@ -208,8 +208,7 @@ def test_quantum_term_sign_alternates():
         ideal = build_presentation(PresentationSpec(n, QUANTUM_I))
         last = ideal.generators[-1]
         s1 = ideal.ring.var("s1")
-        coeff = last.coeff(s1.lead_monomial)
-        assert coeff == (-1) ** (n + 1)
+        assert dict(last.terms)[s1.lead_monomial] == (-1) ** (n + 1)
 
 
 def test_n_below_two_rejected():
@@ -474,7 +473,8 @@ def test_cover_polynomial_vanishes_at_zero():
         f = presentations._cover_polynomial(n)
         z = Ring(("z",)).gens[0]
         expanded = (z ** (2 * n) - z) ** (2 * n) - z ** (2 * n)
-        assert f == [expanded.coeff((e,)) for e in range(len(f))]
+        coeffs = dict(expanded.terms)
+        assert f == [coeffs.get((e,), 0) for e in range(len(f))]
         assert f[0] == 0
         assert {e for e, c in enumerate(f) if c} == {2 * n + k * (2 * n - 1) for k in range(1, 2 * n + 1)}
 
