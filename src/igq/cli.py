@@ -69,12 +69,9 @@ def _guarded(rows, claim_id, thunk):
         )
 
 
-def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: int = 5):
-    """Run the quantum-cohomology checks for one n, in dependency order.
-
-    Individual failures become FAIL rows; the batch never aborts.  Raises
-    ValueError when n is out of range or no requested check applies.
-    """
+def _qh_checks(n: int, checks=QH_CHECKS, max_n: int = 5) -> list:
+    """The requested qh checks that apply at n, in dependency order;
+    ValueError when n is out of range or no requested check applies."""
     if not 2 <= n <= max_n:
         raise ValueError("n out of range [2, %d]" % max_n)
     wanted = set(checks)
@@ -82,6 +79,14 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
     if wanted and not checks:
         # a run with no rows would exit 0 and certify nothing
         raise ValueError("no requested qh check applies at n = %d (lemma needs n >= 3)" % n)
+    return checks
+
+
+def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: int = 5):
+    """Run the quantum-cohomology checks for one n, in dependency order.
+    Individual failures become FAIL rows; the batch never aborts.  Raises
+    ValueError as `_qh_checks` does."""
+    checks = _qh_checks(n, checks, max_n)
     rows = []
     expected_dim = 2 * n * (n - 1)
 
@@ -364,17 +369,17 @@ def main(argv=None) -> int:
         if checks is None:
             return 2
         q_mode = SYMBOLIC if args.q_mode == "symbolic" else SPECIALIZE_1
-        if args.dump:
-            try:
-                os.makedirs(args.dump, exist_ok=True)
-            except OSError as exc:
-                print("cannot create dump directory: %s" % exc, file=sys.stderr)
-                return 2
         try:
-            rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
+            _qh_checks(args.n, checks, args.max_n)  # refuse before making the dump directory
+            if args.dump:
+                os.makedirs(args.dump, exist_ok=True)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+        except OSError as exc:
+            print("cannot create dump directory: %s" % exc, file=sys.stderr)
+            return 2
+        rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
         if args.dump:
             _dump_presentations(args.n, q_mode, args.dump)
         invocation = {

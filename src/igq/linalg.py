@@ -2,8 +2,8 @@
 corank, nullspace, first linear dependence, the joint generalized kernel
 of commuting matrices, and the minimal polynomial of a matrix on a start
 vector modulo a subspace, all over Q.  Over F_p, for a prime p, only what
-Wiedemann's method needs: the reduced echelon form of a few vectors, the
-sequence u M^i v, and its minimal polynomial by Berlekamp-Massey."""
+Wiedemann's method needs: the sequence u M^i v and its minimal polynomial
+by Berlekamp-Massey."""
 
 from __future__ import annotations
 
@@ -228,28 +228,6 @@ def minimal_polynomial(M, start, modulo=()):
         cur = [sum(c * cur[j] for j, c in row) for row in M]
 
 
-def echelon_mod(vectors, p: int) -> list:
-    """The reduced echelon form mod the prime p of vectors that stay
-    independent mod p: one (pivot column, row) per vector, the row 1 at its
-    own pivot column and 0 at every other one.  Raises ValueError when the
-    vectors are dependent mod p or p divides a denominator."""
-    basis = []
-    for vec in vectors:
-        row = reduce_mod(vec, p)
-        for c, b in basis:
-            f = row[c]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, b)]
-        pc = next((i for i, x in enumerate(row) if x), None)
-        if pc is None:
-            raise ValueError("the vectors are dependent mod %d" % p)
-        inv = pow(row[pc], -1, p)
-        row = [x * inv % p for x in row]
-        basis = [(c, [(x - b[pc] * y) % p for x, y in zip(b, row)] if b[pc] else b) for c, b in basis]
-        basis.append((pc, row))
-    return basis
-
-
 def berlekamp_massey(seq, p: int) -> list:
     """The least monic g = [c_0, ..., c_L] over F_p, p prime, with
     sum_k c_k s_(i+k) = 0 for every i + L < len(seq): the shortest linear
@@ -284,9 +262,9 @@ def projected_sequence(rows, start, u, length: int, p: int) -> list:
     """s_i = u M^i start mod the prime p, for i < length: the scalar
     sequence of Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986).  M
     is given by rows of (column, entry) and applied through them only;
-    ValueError when p divides a denominator of its entries."""
+    ValueError when p divides a denominator of its entries or of start's."""
     rows = [([j for j, _ in row], reduce_mod([x for _, x in row], p)) for row in rows]
-    seq, cur = [], start
+    seq, cur = [], reduce_mod(start, p)
     while len(seq) < length:
         seq.append(sum(map(mul, u, cur)) % p)
         cur = [sum(map(mul, cs, map(cur.__getitem__, js))) % p for js, cs in rows]

@@ -15,12 +15,12 @@ origin factor is the joint generalized kernel of the multiplication
 matrices, found inside the generalized kernel of the first variable's
 matrix, and the rest is counted through the minimal polynomial of M_l,
 for a separating linear form l, on 1 modulo the origin factor: proved
-modulo a prime by Berlekamp-Massey on the sequence u M_l^i 1, for a
-functional u that vanishes on the origin factor (Wiedemann's method),
-and computed over Q by a Krylov sieve only when that proof fails.
-`count_offorigin_by_substitution` re-counts the reduced points through the
-z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd degree
-arithmetic.
+modulo a prime by Berlekamp-Massey on the sequence u M_l^i M_v^L 1, v the
+first variable and L the local length, for a random functional u
+(Wiedemann's method), and computed over Q by a Krylov sieve only when
+that proof fails.  `count_offorigin_by_substitution` re-counts the
+reduced points through the z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2,
+entirely by gcd degree arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import mul
 
 from .groebner import (
     GroebnerBasis,
@@ -42,13 +41,12 @@ from .groebner import (
 from .linalg import (
     berlekamp_massey,
     corank,
-    echelon_mod,
     generalized_kernel,
     minimal_polynomial,
     projected_sequence,
 )
 from .poly import GREVLEX, Polynomial, Ring, TermOrder, WeightedOrder
-from .univariate import distinct_root_count, primitive_int, univ_gcd
+from .univariate import distinct_root_count, univ_gcd
 
 CLASSICAL_I = "CLASSICAL_I"
 CLASSICAL_II = "CLASSICAL_II"
@@ -392,20 +390,14 @@ def split_spectrum(gb: GroebnerBasis):
     to prove the count modulo the prime p = 2^61 - 1, by Wiedemann's
     method (IEEE Trans. Inf. Theory 32, 1986):
 
-    * Let O_1, ..., O_L be the primitive integer forms of the origin
-      vectors, independent mod p, so that one of their L x L minors is a
-      unit mod p.  By Cramer's rule they are then a basis of the lattice
-      A_0 cap Z_(p)^dim, whose reduction W_p they span, and the quotient
-      lattice Z_(p)^dim / (A_0 cap Z_(p)^dim) is free of rank d.
-    * Let M_l have p-integral entries.  It preserves both lattices, so
-      W_p is invariant under M_l mod p, and the characteristic polynomial
-      chi of M_l on A/A_0 has p-integral coefficients and reduces to that
-      of M_l mod p on F_p^dim / W_p.
-    * Take a functional u that vanishes on W_p: a random one, made to
-      vanish along the reduced echelon form of the O_k mod p.  The
-      sequence s_i = u M_l^i 1 mod p is annihilated by chi mod p, of
-      degree d, so Berlekamp-Massey on s_0 .. s_(2d-1) returns its
-      minimal polynomial g, and g divides chi mod p.
+    * M_v, v the first variable, is nilpotent on the L-dimensional A_0,
+      so w = M_v^L 1 = M_v^L e_off lies in A_off.
+    * M_l preserves A_0 and A_off, so its characteristic polynomial on A
+      is t^L chi.  When M_l is p-integral, chi is too: its coefficients
+      are a shift of that polynomial's.  Cayley-Hamilton gives
+      chi(M_l) w = 0, which reduces mod p.  So for any u, chi mod p
+      annihilates the sequence s_i = u M_l^i w mod p, and Berlekamp-Massey
+      on s_0 .. s_(2d-1) returns a divisor g of chi mod p.
     * If g has d distinct roots over the algebraic closure of F_p, then
       g = chi mod p, which is therefore squarefree.  Its discriminant is
       that of chi reduced mod p, so chi is squarefree over Q.
@@ -417,27 +409,29 @@ def split_spectrum(gb: GroebnerBasis):
 
     A bad u can only make g a proper divisor of chi mod p, with fewer than
     d roots: it makes the proof fail, never wrong.  When the proof fails
-    (an entry whose denominator p divides, origin vectors dependent mod
-    p, an unlucky u, points that collide mod p, or a non-reduced A_off),
-    the attempt runs the exact Krylov sieve over Q and counts the roots of
-    mu, so the forms chosen, the counts and the RuntimeErrors below do not
-    depend on p or u.  A repeated root of mu refuses at once: on a reduced
-    A_off multiplication by l is semisimple, so mu is squarefree for every
+    (an entry whose denominator p divides, a point of A_off where v
+    vanishes (it drops out of w), an unlucky u, points that collide mod
+    p, or a non-reduced A_off), the attempt runs the exact Krylov sieve
+    over Q on 1 modulo A_0 and counts the roots of mu, so the forms
+    chosen, the counts and the RuntimeErrors below do not depend on p, u
+    or w.  A repeated root of mu refuses at once: on a reduced A_off
+    multiplication by l is semisimple, so mu is squarefree for every
     form, and no further attempt could succeed.
+
+    For QUANTUM_II, v = a1 vanishes at no point of A_off: the generalized
+    kernel of M_a1 alone has dimension n - 1 = L
+    (`test_origin_factor_spans_the_joint_generalized_kernel`, n <= 8).
     """
     mats = multiplication_matrices(gb)
     dim = len(mats[0])
-    origin = [primitive_int(u) for u in generalized_kernel(mats, dim)]
+    origin = generalized_kernel(mats, dim)
     length = len(origin)
     off_dim = dim - length
-    try:
-        u = _functional(dim)
-        for c, row in echelon_mod(origin, _PRIME):  # u(row) = 0, row[c] = 1
-            u[c] = (u[c] - sum(map(mul, u, row))) % _PRIME
-    except ValueError:  # the origin vectors are dependent mod p
-        u = None
+    u = _functional(dim)
     sparse = [[[(j, x) for j, x in enumerate(row) if x] for row in M] for M in mats]
-    one = [int(i == 0) for i in range(dim)]  # std[0] is 1
+    w = one = [int(i == 0) for i in range(dim)]  # std[0] is 1
+    for _ in range(length):  # w = M_v^L 1, in A_off
+        w = [sum(x * w[j] for j, x in row) for row in sparse[0]]
     ring = gb.ring
     tried = []
     for attempt in range(4):
@@ -450,13 +444,11 @@ def split_spectrum(gb: GroebnerBasis):
                     acc[j] = acc.get(j, 0) + c * x
             m_ell.append([(j, x) for j, x in acc.items() if x])
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
-        count = None
-        if u is not None:
-            try:
-                seq = projected_sequence(m_ell, one, u, 2 * off_dim, _PRIME)
-                count = distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
-            except ValueError:  # M_l not p-integral, or a degree not below p
-                pass
+        try:
+            seq = projected_sequence(m_ell, w, u, 2 * off_dim, _PRIME)
+            count = distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
+        except ValueError:  # M_l or w not p-integral, or a degree not below p
+            count = None
         if count != off_dim:
             mu = minimal_polynomial(m_ell, one, modulo=origin)
             count = distinct_root_count(mu)

@@ -33,7 +33,7 @@ def _content(c):
     return g or 1
 
 
-def primitive_int(coeffs) -> list:
+def _primitive_int(coeffs) -> list:
     """Clear denominators and content: the primitive integer list with the
     same ratios as the given ints and Fractions."""
     den = 1
@@ -75,7 +75,7 @@ def univ_gcd(f, g, modulus=None) -> list:
     `modulus` p, over F_p (entries in 0..p-1; ValueError when p divides a
     denominator)."""
     if modulus is None:
-        a, b = _strip(primitive_int(f)), _strip(primitive_int(g))
+        a, b = _strip(_primitive_int(f)), _strip(_primitive_int(g))
     else:
         a, b = _strip(reduce_mod(f, modulus)), _strip(reduce_mod(g, modulus))
     if not a and not b:

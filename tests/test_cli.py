@@ -168,6 +168,16 @@ def test_dump_into_a_file_path_is_refused_before_the_checks(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+def test_a_refused_qh_run_leaves_no_dump_directory(tmp_path, capsys):
+    target = tmp_path / "D"
+    for argv in (["--n", "9"], ["--n", "2", "--check", "lemma"]):
+        code = main(["qh", *argv, "--dump", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not target.exists()
+
+
 def test_dcat_cli_gr(capsys):
     code = main(["dcat", "--k", "2", "--space", "gr", "--check", "lefschetz,euler"])
     out = capsys.readouterr().out

@@ -10,9 +10,9 @@ import pytest
 from igq.linalg import (
     LinearSieve,
     berlekamp_massey,
-    echelon_mod,
     minimal_polynomial,
     nullspace,
+    projected_sequence,
     rank,
 )
 from linalg_oracle import ModularSieve, minimal_polynomial_mod, sparse_rows
@@ -221,25 +221,6 @@ def test_minimal_polynomial_mod_p_refuses_what_it_cannot_reduce():
         minimal_polynomial_mod([[Fraction(1, 3)]], [1], 3)
 
 
-def test_echelon_mod_spans_the_vectors_in_reduced_form():
-    rng = random.Random(19)
-    for p in PRIMES:
-        for _ in range(200):
-            ncols = rng.randrange(1, 7)
-            rows = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
-            if rank_mod(rows, p) < len(rows):
-                with pytest.raises(ValueError, match="dependent"):
-                    echelon_mod(rows, p)
-                continue
-            basis = echelon_mod(rows, p)
-            assert len(basis) == len(rows)
-            for c, row in basis:
-                assert [row[d] for d, _ in basis] == [int(d == c) for d, _ in basis]
-            assert rank_mod(rows + [row for _, row in basis], p) == len(rows)
-    with pytest.raises(ValueError):
-        echelon_mod([[Fraction(1, 7), 1]], 7)
-
-
 def test_berlekamp_massey_finds_known_recurrences():
     p = 2**61 - 1
     fib = [0, 1]
@@ -250,3 +231,16 @@ def test_berlekamp_massey_finds_known_recurrences():
     assert berlekamp_massey([1, 0, 0, 0], p) == [0, 1]  # s_(i+1) = 0 s_i
     assert berlekamp_massey([0, 0, 1, 0, 0, 0], p) == [0, 0, 0, 1]
     assert berlekamp_massey([0] * 5, p) == berlekamp_massey([], p) == [1]
+
+
+def test_projected_sequence_reduces_its_start_mod_p():
+    # a p-integral start gives the sequence of its reduction mod p; one
+    # whose denominator p divides cannot be reduced
+    M = sparse_rows([[1, Fraction(1, 2)], [3, -1]])
+    u = [2, 5]
+    for p in (7, 11, 2**61 - 1):
+        start = [Fraction(-2, 5), Fraction(7, 9)]
+        reduced = [x.numerator * pow(x.denominator, -1, p) % p for x in start]
+        assert projected_sequence(M, start, u, 6, p) == projected_sequence(M, reduced, u, 6, p)
+    with pytest.raises(ValueError):
+        projected_sequence(M, [1, Fraction(1, 7)], u, 6, 7)

@@ -421,6 +421,20 @@ def test_origin_factor_where_the_first_variable_vanishes_off_the_origin():
         assert split_spectrum(gb) == split
 
 
+def test_a_point_where_the_first_variable_vanishes_takes_one_exact_count(monkeypatch):
+    # x vanishes at (0, 1), so M_x^L 1 has no part there and the sequence
+    # mod p misses that point: the proof fails once, and the exact count
+    # on 1 modulo A_0 still finds it with the first form
+    runs = exact_krylov_runs(monkeypatch)
+    for gens, split in (
+        ((X, Y * (Y - 1)), (1, 1, 1, "1*x + 2*y")),
+        ((X * (X - 1), Y * (Y - 1)), (1, 3, 3, "1*x + 2*y")),
+    ):
+        runs.clear()
+        assert split_spectrum(buchberger(Ideal(R2, gens))) == split
+        assert len(runs) == 1
+
+
 def test_a_failed_proof_mod_p_takes_one_exact_count(monkeypatch):
     # u = 0 gives the zero sequence, whose polynomial 1 has no roots: the
     # proof fails, and the exact count accepts the first form
