@@ -309,7 +309,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
 def _dump_presentations(n: int, q_mode: str, directory: str):
     for variant in VARIANTS:
         spec = PresentationSpec(n, variant, q_mode)
-        ideal = build_presentation(spec)
+        ideal = build_presentation(spec, schur=True)
         gb = presentation_basis(spec)
         q_label = "symbolic" if spec.symbolic_q else "1"
         header = "IG(2,%d) variant=%s q=%s" % (2 * n, variant, q_label)

@@ -19,9 +19,10 @@ basis.  That decides exactly what reducing after every step would: the
 normal form modulo a Groebner basis is unique and Q-linear, and
 NF(NF(f) NF(g)) = NF(fg), since f - NF(f) lies in the ideal (Cox, Little &
 O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 sec. 6).  The basis is
-`weighted_basis`, in the paper's weighted order; a verdict asks whether a
-normal form is zero or compares two normal forms in one basis, and neither
-depends on the order.
+the `presentation_basis` in the paper's `weighted_order`, built from the
+triangular rules; a verdict asks whether a normal form is zero or
+compares two normal forms in one basis, and neither depends on the order
+or on which generators of the ideal the basis was built from.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .presentations import (
     SYMBOLIC,
     i_relations,
     origin_tangent_dimension,
+    presentation_basis,
     q_of,
     quadratic_relations,
     sigma_classes,
     sigma_ring,
     sigma_weights,
-    weighted_basis,
+    weighted_order,
 )
 
 UNIT = ("unit",)
@@ -135,7 +137,8 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    gb = weighted_basis(PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1))
+    spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
+    gb = presentation_basis(spec, weighted_order(spec))
     ring = gb.ring
     s = sigma_classes(ring, n)
     nf = lambda p: normal_form(p, gb)
@@ -203,9 +206,13 @@ def regularity_corank(n: int) -> int:
     The deformed ideal is the quantum I-relations at q = 1 with the
     degree-(2n-2) quadratic relation corrected by (-1)^(n+1) q t (the
     degree-2n relation's t-term vanishes), and its corank is the
-    dimension of its Zariski tangent space at the origin.
+    dimension of its Zariski tangent space at the origin.  The generators
+    are the triangular `i_relations`: every one of them vanishes at the
+    origin, so the linear parts of the ideal's elements are spanned by
+    theirs, and the corank depends only on the ideal, which the displayed
+    determinants generate too.
     """
     ring = Ring(sigma_ring(n).names + ("t",))
-    *dets, rel1, rel2 = i_relations(sigma_classes(ring, n), ring.one)
+    *rules, rel1, rel2 = i_relations(sigma_classes(ring, n), ring.one)
     rel1 = rel1 + (-1) ** (n + 1) * ring.var("t")
-    return origin_tangent_dimension(Ideal(ring, [*dets, rel1, rel2]))
+    return origin_tangent_dimension(Ideal(ring, [*rules, rel1, rel2]))

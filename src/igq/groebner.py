@@ -395,26 +395,38 @@ def is_groebner(gb: GroebnerBasis) -> bool:
 
 def standard_monomials(gb: GroebnerBasis):
     """Monomials not divisible by any leading term; a vector-space basis of
-    the quotient.  Raises if the quotient is infinite-dimensional, that is
-    if some variable has no pure power among the leading terms (the lead
-    1, of the unit ideal, is a pure power of every variable)."""
+    the quotient, empty for the unit ideal.  Raises if the quotient is
+    infinite-dimensional, that is if some variable has no pure power among
+    the leading terms (the lead 1, of the unit ideal, is a pure power of
+    every variable).
+
+    The search grows standard monomials one variable at a time.  If m is
+    standard, a lead L that divides m + e_i does not divide m, so
+    L_i = m_i + 1: only the leads indexed by (i, m_i + 1) are tested."""
     n = gb.ring.ngens
     leads = gb.lead_monomials
     if any(all(any(L[:i] + L[i + 1 :]) for L in leads) for i in range(n)):
         raise ValueError("quotient is not finite-dimensional")
     zero = (0,) * n
+    if zero in leads:
+        return []
+    by_step = {}
+    for L in leads:
+        for i, e in enumerate(L):
+            if e:
+                by_step.setdefault((i, e), []).append(L)
     seen = {zero}
     frontier = [zero]
     out = []
     while frontier:
         m = frontier.pop()
-        if any(monomial_divides(L, m) for L in leads):
-            continue
         out.append(m)
         for i in range(n):
             m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            if m2 not in seen:
-                seen.add(m2)
+            if m2 in seen:
+                continue
+            seen.add(m2)
+            if not any(monomial_divides(L, m2) for L in by_step.get((i, m2[i]), ())):
                 frontier.append(m2)
     out.sort(key=gb.ring.order.key)
     return out

@@ -8,9 +8,19 @@ Two coordinate systems are used throughout:
   b_1 .. b_{n-2} for the middle self-dual bundle.
 
 Each classical presentation has a quantum deformation obtained by a single
-degree-(2n-1) correction term.  `decompose_spectrum` splits Spec of the
-quantum quotient into its origin-supported part and the reduced rest by
-exact linear algebra in coordinates on the standard monomials: the
+degree-(2n-1) correction term.  The I-presentations are displayed with
+the determinantal relations D_3 .. D_(2n-2); every check builds them
+from the 2n-4 triangular rules s_k - sigma_k(s_1, s_2) instead, which
+generate the same ideal (`i_relations`), and keeps the determinants for
+the generators `--dump` writes.  Each reduced basis is memoized by the
+ideal and the term order (`presentation_basis`): `dims`, `homomorphism`
+and the lemma read the bases in the paper's weighted order
+(`weighted_order`), where every presentation is triangular, and the
+spectrum reads QUANTUM_II in grevlex.
+
+`decompose_spectrum` splits Spec of the quantum quotient into its
+origin-supported part and the reduced rest by exact linear algebra in
+coordinates on the standard monomials: the
 origin factor is the joint generalized kernel of the multiplication
 matrices, found inside the generalized kernel of the first variable's
 matrix, and the rest is counted through the minimal polynomial of M_l,
@@ -148,16 +158,46 @@ def quadratic_relations(s: list, q: Polynomial = None) -> list:
     return [rel1, rel2]
 
 
+def triangular_rules(s: list) -> list:
+    """[s_k - sigma_k for k in [3, 2n-2]] on the classes s = [1, s_1, ...,
+    s_{2n-2}], where sum_k (-1)^k sigma_k x^k = 1 / (1 + s_1 x +
+    (s_1^2 - s_2) x^2).  Comparing coefficients gives sigma_0 = 1,
+    sigma_1 = s_1 and sigma_k = s_1 sigma_{k-1} + (s_2 - s_1^2)
+    sigma_{k-2}, so sigma_2 = s_2 and each sigma_k is a polynomial in s_1,
+    s_2 of weighted degree k with about k/2 terms."""
+    top = len(s) - 1
+    sigma = [s[0], s[1]]
+    step = s[2] - s[1] ** 2
+    for k in range(2, top + 1):
+        sigma.append(s[1] * sigma[k - 1] + step * sigma[k - 2])
+    return [s[k] - sigma[k] for k in range(3, top + 1)]
+
+
 def i_relations(s: list, q: Polynomial = None) -> list:
     """The I-presentation relations on the classes s = [1, s_1, ..., s_{2n-2}],
-    in the ring they live in: the determinants D_r for r in [3, 2n-2], then
-    the two `quadratic_relations` (q as there).
+    in the ring they live in: the `triangular_rules`, then the two
+    `quadratic_relations` (q as there).
+
+    The rules generate the same ideal as the displayed determinants D_r,
+    r in [3, 2n-2].  Let S(x) = sum_k (-1)^k s_k x^k, with s_k = 0 above
+    2n-2, and D(x) = sum_r D_r x^r.  The recursion in `schur_determinants`
+    says S D = 1 (Jacobi-Trudi; Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.3).  Let D<=2 = 1 + D_1 x + D_2 x^2 and T = 1/D<=2 =
+    sum_k (-1)^k sigma_k x^k.  Then
+
+        S - T = S T (D<=2 - D)   and   D - D<=2 = D D<=2 (T - S).
+
+    S - T starts at x^3 (sigma_1 = s_1, sigma_2 = s_2), as D - D<=2 does.
+    So the x^k coefficient of either side of the first identity shows
+    s_k - sigma_k to be a combination of D_3 .. D_k, and the second shows
+    D_k to be one of s_3 - sigma_3 .. s_k - sigma_k: for every m the two
+    lists up to m generate one ideal, in any commutative ring.
 
     The images may be any elements of one ring: the variables s_k give the
     presentation itself, the expressions `sigma_in_ab` give its image in
     the a,b-ring, since building the relations commutes with a ring map.
     """
-    return schur_determinants(s, len(s) - 1)[3:] + quadratic_relations(s, q)
+    return triangular_rules(s) + quadratic_relations(s, q)
 
 
 def _chern_series_coeffs(n: int, ring: Ring):
@@ -173,16 +213,22 @@ def _chern_series_coeffs(n: int, ring: Ring):
     return out
 
 
-def build_presentation(spec: PresentationSpec, order: TermOrder = GREVLEX) -> Ideal:
-    """The relation ideal in `order`, with generators exactly as displayed:
-    for the I-variants `i_relations` on the variables s_k; for the
-    II-variants the coefficients of x^2, ..., x^{2n} of the
-    total-Chern-class identity."""
+def build_presentation(
+    spec: PresentationSpec, order: TermOrder = GREVLEX, schur: bool = False
+) -> Ideal:
+    """The relation ideal in `order`: for the I-variants `i_relations` on
+    the variables s_k, with the determinants D_3 .. D_(2n-2) in place of
+    the triangular rules when `schur` is set (the generators as displayed,
+    which `--dump` writes); for the II-variants the coefficients of x^2,
+    ..., x^{2n} of the total-Chern-class identity."""
     n = spec.n
     quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         ring = Ring(sigma_ring(n, spec.symbolic_q).names, order)
-        return Ideal(ring, i_relations(sigma_classes(ring, n), q_of(ring) if quantum else None))
+        s, q = sigma_classes(ring, n), q_of(ring) if quantum else None
+        if schur:
+            return Ideal(ring, schur_determinants(s, 2 * n - 2)[3:] + quadratic_relations(s, q))
+        return Ideal(ring, i_relations(s, q))
     ring = Ring(ab_ring(n, spec.symbolic_q).names, order)
     gens = _chern_series_coeffs(n, ring)[1 : n + 1]
     if quantum:
@@ -193,72 +239,54 @@ def build_presentation(spec: PresentationSpec, order: TermOrder = GREVLEX) -> Id
 _basis_cache: dict = {}
 
 
-def _grading(spec: PresentationSpec) -> tuple:
-    """The paper's degrees of the presentation ring's variables, in order."""
+def weighted_order(spec: PresentationSpec) -> WeightedOrder:
+    """The paper's weighted order on the presentation ring's variables
+    (deg s_i = i, deg a_1 = 1, deg a_2 = 2, deg b_i = 2i, deg q = 2n-1;
+    ties towards the later variables).  Every presentation is triangular
+    there: s_r leads the rule s_r - sigma_r, whose other terms are
+    products of s_1 and s_2, and b_k leads the x^(2k) coefficient of the
+    II-identity.  So its reduced basis is 2n-4 (or n-2) substitution
+    rules plus a small core in two variables: QUANTUM_I at n = 10 has 26
+    elements, against 970 in grevlex."""
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         ring, w = sigma_ring(spec.n, spec.symbolic_q), sigma_weights(spec.n)
     else:
         ring, w = ab_ring(spec.n, spec.symbolic_q), ab_weights(spec.n)
-    return tuple(w[name] for name in ring.names)
+    return WeightedOrder(tuple(w[name] for name in ring.names))
 
 
-def _basis(spec: PresentationSpec, order: TermOrder) -> GroebnerBasis:
+def presentation_basis(spec: PresentationSpec, order: TermOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of a presentation ideal in `order`, cached by
     the ideal and the order: (n, variant, whether q is a variable, order).
     A classical variant has no q, so both q-modes share its entries.
 
-    Buchberger selects pairs by sugar in the paper's grading (deg s_i = i,
-    deg a_1 = 1, deg a_2 = 2, deg b_i = 2i, deg q = 2n-1), in which every
-    presentation is weighted-homogeneous, so the run goes degree by degree.
-    For the q = 1 quantum variants the generators' sugars are the degrees
-    of their q-homogenized forms, so the same weights act as a phantom
-    homogenization by q of weight 2n-1."""
+    The grevlex bases are the ones `--dump` writes and the sha256 goldens
+    pin, and the spectrum split reads QUANTUM_II's: in grevlex its
+    multiplication matrices have entries of at most 4 bits, where in the
+    weighted order M_l carries 49-bit entries at n = 10 and 78-bit ones at
+    n = 14, with 1.7-1.8 times as many nonzeros.  Every other check reads
+    the basis in `weighted_order`, which is cheap.
+
+    Buchberger selects pairs by sugar in the paper's grading, in which
+    every presentation is weighted-homogeneous, so the run goes degree by
+    degree.  For the q = 1 quantum variants the generators' sugars are the
+    degrees of their q-homogenized forms, so the same weights act as a
+    phantom homogenization by q of weight 2n-1."""
     key = (spec.n, spec.variant, spec.symbolic_q, order)
     gb = _basis_cache.get(key)
     if gb is None:
-        gb = _basis_cache[key] = buchberger(build_presentation(spec, order), _grading(spec))
+        grading = weighted_order(spec).weights
+        gb = _basis_cache[key] = buchberger(build_presentation(spec, order), grading)
     return gb
 
 
-def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
-    """The reduced grevlex Groebner basis of a presentation ideal.
-
-    This is the basis that `--dump` writes and the sha256 goldens pin, so
-    it stays grevlex; the checks that only need some Groebner basis of the
-    I-presentations read `weighted_basis` instead."""
-    return _basis(spec, GREVLEX)
-
-
-def weighted_basis(spec: PresentationSpec) -> GroebnerBasis:
-    """A reduced Groebner basis of a presentation ideal that is cheap to
-    compute.  For the I-variants it is in the paper's weighted order
-    (weighted degree first, ties towards the later variables), in which
-    they are triangular (see `presentation_dimension`): QUANTUM_I at
-    n = 10 has 26 elements, against 970 in grevlex.  The II-variants are
-    triangular there too, b_k leading the x^(2k) coefficient, but they
-    keep the grevlex `presentation_basis`, because the spectrum split
-    works on QUANTUM_II's multiplication matrices: in grevlex their
-    entries have at most 4 bits, and in the weighted order M_l carries
-    49-bit entries at n = 10 and 78-bit ones at n = 14, with 1.7-1.8 times
-    as many nonzeros, which every step of the split pays for."""
-    if spec.variant in (CLASSICAL_II, QUANTUM_II):
-        return presentation_basis(spec)
-    return _basis(spec, WeightedOrder(_grading(spec)))
-
-
 def presentation_dimension(spec: PresentationSpec):
-    """The quotient dimension, read off `weighted_basis`.
-
-    For the I-variants that basis is in the paper's weighted order, where
-    s_r leads D_r: every other term of D_r has the same weighted degree r
-    and a positive exponent at some s_i with i < r, where s_r has none.
-    So the basis is 2n-4 substitution rules plus a small core in s_1, s_2,
-    and is cheap.  The standard monomials of a Groebner basis in any
-    monomial order are a vector-space basis of the quotient (Cox, Little
-    & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 5 sec. 3), so
-    their number does not depend on the order: this is the dimension the
-    grevlex basis gives."""
-    return len(standard_monomials(weighted_basis(spec)))
+    """The quotient dimension, read off the basis in `weighted_order`.
+    The standard monomials of a Groebner basis in any monomial order are
+    a vector-space basis of the quotient (Cox, Little & O'Shea, *Ideals,
+    Varieties, and Algorithms*, ch. 5 sec. 3), so their number does not
+    depend on the order: this is the dimension the grevlex basis gives."""
+    return len(standard_monomials(presentation_basis(spec, weighted_order(spec))))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +315,21 @@ def sigma_in_ab(n: int, k: int, ring: Ring = None) -> Polynomial:
 def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> dict:
     """Build the I-presentation's relations on the images sigma_in_ab of
     the classes, in the II-presentation's ring, and reduce them modulo its
-    basis.
+    basis in `weighted_order`.
+
+    A ring map sends generators of an ideal to generators of its image, so
+    the images of the triangular rules generate the same ideal as the
+    images of the determinants D_r (`i_relations`): all of them reduce to
+    zero exactly when all of those do, and whether a normal form is zero
+    does not depend on the term order.
 
     Classically all images must reduce to zero exactly.  In the quantum
     case a single global rescaling q -> lambda*q with lambda in {+1, -1}
     must make all images reduce to zero; the lambda found is reported.  If
     no lambda works the claim is falsified and reported as such.
     """
-    variant_ii = QUANTUM_II if quantum else CLASSICAL_II
-    gb_ii = presentation_basis(PresentationSpec(n, variant_ii, q_mode))
+    spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
+    gb_ii = presentation_basis(spec, weighted_order(spec))
     ring = gb_ii.ring
     images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
 
@@ -524,21 +558,3 @@ def count_offorigin_by_substitution(n: int) -> int:
         )
     return remaining // 2
 
-
-def weighted_homogeneity_report(n: int) -> dict:
-    """Check every generator of every symbolic-q presentation for weighted
-    homogeneity (deg s_i = i, deg a1 = 1, deg a2 = 2, deg b_i = 2i,
-    deg q = 2n-1)."""
-    out = {}
-    for variant in VARIANTS:
-        spec = PresentationSpec(n, variant, SYMBOLIC)
-        ideal = build_presentation(spec)
-        weights = sigma_weights(n) if variant.endswith("_I") else ab_weights(n)
-        degs = []
-        ok = True
-        for g in ideal.generators:
-            dset = g.weighted_degrees(weights)
-            degs.append(sorted(dset))
-            ok = ok and len(dset) == 1
-        out[variant] = {"ok": ok, "degrees": degs}
-    return out

@@ -29,11 +29,11 @@ from igq.presentations import (
     decompose_spectrum,
     presentation_basis,
     presentation_dimension,
-    weighted_homogeneity_report,
 )
 from igq.unfolding import match_quantum_factor
 
 from bundle_oracle import hom_bundle
+from presentation_oracle import weighted_homogeneity_report
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
@@ -258,7 +258,8 @@ def test_criterion_10_property_suites():
     )
     checks["staircase_euler"] = euler_ok
 
-    # weighted homogeneity of every presentation generator, symbolic q
+    # weighted homogeneity of every presentation generator with q symbolic,
+    # and of each triangular rule in both q-modes
     wh_ok = all(
         entry["ok"]
         for n in (2, 3, 4, 5)

@@ -26,15 +26,17 @@ from igq.presentations import (
     SPECIALIZE_1,
     SYMBOLIC,
     i_relations,
+    presentation_basis,
     sigma_classes,
     sigma_ring,
     sigma_weights,
-    weighted_basis,
+    weighted_order,
 )
 
 
 def quantum_basis(n, symbolic_q=False):
-    return weighted_basis(PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1))
+    spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
+    return presentation_basis(spec, weighted_order(spec))
 
 
 def first_order(gb, k):

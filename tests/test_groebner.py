@@ -27,9 +27,11 @@ from igq.presentations import (
     QUANTUM_II,
     SPECIALIZE_1,
     SYMBOLIC,
+    VARIANTS,
     PresentationSpec,
     build_presentation,
     presentation_basis,
+    weighted_order,
 )
 
 from linalg_oracle import sparse_rows
@@ -181,6 +183,43 @@ def test_quotient_dimension_monomial_ideal_against_enumeration():
     assert len(standard_monomials(gb)) == 6
     brute = brute_standard_monomials(gb.lead_monomials, (2, 3))
     assert sorted(standard_monomials(gb)) == brute
+
+
+def pure_power_bounds(leads, nvars):
+    """For each variable, the least exponent of a lead that is a pure power of it."""
+    return [
+        min(L[i] for L in leads if L[i] and not any(L[:i] + L[i + 1 :])) for i in range(nvars)
+    ]
+
+
+def test_standard_monomials_against_enumeration():
+    # the lead index must find exactly the monomials the box enumeration
+    # finds, sorted ascending in the ring's order
+    R3 = Ring(("x", "y", "z"))
+    x, y, z = R3.gens
+    W2 = Ring(("x", "y"), WeightedOrder((1, 3)))
+    u, v = W2.gens
+    hand = [
+        Ideal(R2, [X**2, Y**3]),
+        Ideal(R2, [X**4, X**2 * Y, X * Y**3, Y**5]),
+        Ideal(R2, [X**2 - Y, Y**3 - X]),
+        Ideal(R3, [x**2, y**2, z**2, x * y * z]),
+        Ideal(R3, [x**3 - y * z, y**2 - x * z, z**3 - x]),
+        Ideal(W2, [u**5 - v, v**2 - u * v]),
+    ]
+    bases = [buchberger(ideal) for ideal in hand]
+    for n in range(2, 7):
+        for variant in VARIANTS:
+            spec = PresentationSpec(n, variant)
+            bases += [presentation_basis(spec), presentation_basis(spec, weighted_order(spec))]
+    for gb in bases:
+        leads = gb.lead_monomials
+        std = standard_monomials(gb)
+        assert std == sorted(std, key=gb.ring.order.key), leads
+        assert sorted(std) == brute_standard_monomials(leads, pure_power_bounds(leads, gb.ring.ngens))
+    unit = buchberger(Ideal(R3, [x * y - 1, x]))
+    assert unit.lead_monomials == ((0, 0, 0),)
+    assert standard_monomials(unit) == []
 
 
 def test_quotient_dimension_infinite():

@@ -30,6 +30,8 @@ from igq.presentations import (
     i_relations,
     presentation_basis,
     presentation_dimension,
+    q_of,
+    quadratic_relations,
     schur_determinants,
     sigma_classes,
     sigma_in_ab,
@@ -37,9 +39,9 @@ from igq.presentations import (
     sigma_weights,
     split_spectrum,
     verify_homomorphism,
-    weighted_basis,
-    weighted_homogeneity_report,
+    weighted_order,
 )
+from presentation_oracle import weighted_homogeneity_report
 from spectrum_oracle import joint_origin_factor
 from substitute_oracle import substitute
 
@@ -155,6 +157,10 @@ def weighted_specs(n):
     )
 
 
+def weighted_basis(spec):
+    return presentation_basis(spec, weighted_order(spec))
+
+
 def test_weighted_bases_are_certified_and_triangular():
     # the bases dims and lemma read: Buchberger's criterion, every generator
     # in the ideal, s_r leading one element for each r >= 3, and at q = 1
@@ -181,10 +187,82 @@ def test_weighted_and_grevlex_bases_span_one_ideal():
                 assert normal_form(grevlex.ring.poly(g.terms), grevlex).is_zero, spec
 
 
-def test_weighted_basis_keeps_grevlex_for_the_ii_variants():
+def schur_basis(spec, order):
+    """The reduced basis of the ideal the displayed determinants generate."""
+    return buchberger(build_presentation(spec, order, schur=True), weighted_order(spec).weights)
+
+
+def test_rules_and_determinants_give_one_reduced_basis():
+    # the triangular rules generate the determinants' ideal, so the reduced
+    # bases agree in every order; the grevlex ones only for small n, where
+    # their Buchberger runs stay short
+    for n in range(3, 11):
+        for spec in weighted_specs(n):
+            order = weighted_order(spec)
+            assert presentation_basis(spec, order).elements == schur_basis(spec, order).elements, spec
+            if n <= 5:
+                assert presentation_basis(spec).elements == schur_basis(spec, GREVLEX).elements, spec
+
+
+def schur_homomorphism_verdict(n, quantum, q_mode):
+    """verify_homomorphism's (ok, lambda), with the determinants of the
+    images in place of the rules on them."""
+    spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
+    gb = presentation_basis(spec, weighted_order(spec))
+    ring = gb.ring
+    images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
+    dets = schur_determinants(images, 2 * n - 2)[3:]
+
+    def vanish(q):
+        return all(normal_form(g, gb).is_zero for g in dets + quadratic_relations(images, q))
+
+    if not quantum:
+        return vanish(None), None
+    for lam in (1, -1):
+        if vanish(lam * q_of(ring)):
+            return True, lam
+    return False, None
+
+
+def test_homomorphism_by_rules_matches_the_determinants():
+    for n in range(2, 9):
+        for quantum in (False, True):
+            for q_mode in (SPECIALIZE_1, SYMBOLIC):
+                rep = verify_homomorphism(n, quantum, q_mode)
+                expected = schur_homomorphism_verdict(n, quantum, q_mode)
+                assert (rep["ok"], rep["lambda"]) == expected, (n, quantum, q_mode)
+                assert rep["ok"], (n, quantum, q_mode)
+
+
+def test_only_the_spectrum_reads_the_grevlex_ii_basis(monkeypatch):
+    # dims and homomorphism read the II-bases in the weighted order, where
+    # b_k leads the x^(2k) coefficient; decompose_spectrum reads QUANTUM_II
+    # in grevlex, whose multiplication matrices have small entries
+    requests = []
+    real = presentations.presentation_basis
+
+    def recorded(spec, order=GREVLEX):
+        requests.append((spec.variant, order))
+        return real(spec, order)
+
+    monkeypatch.setattr(presentations, "presentation_basis", recorded)
+    monkeypatch.setattr(presentations, "_spectrum_cache", {})
+    n = 4
+    presentations.decompose_spectrum(n)
+    assert requests == [(QUANTUM_II, GREVLEX)]
     for variant in (CLASSICAL_II, QUANTUM_II):
-        spec = PresentationSpec(4, variant)
-        assert weighted_basis(spec) is presentation_basis(spec)
+        spec = PresentationSpec(n, variant)
+        weighted = weighted_order(spec)
+        assert weighted != GREVLEX
+        requests.clear()
+        presentation_dimension(spec)
+        assert requests == [(variant, weighted)]
+        requests.clear()
+        assert verify_homomorphism(n, variant == QUANTUM_II)["ok"]
+        assert requests == [(variant, weighted)]
+        gb = real(spec, weighted)
+        leads = set(gb.lead_monomials)
+        assert all(gb.ring.var("b%d" % k).lead_monomial in leads for k in range(1, n - 1)), variant
 
 
 def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
@@ -196,7 +274,7 @@ def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
     cases = [(n, symbolic_q) for n in (3, 4, 5) for symbolic_q in (False, True)]
     weighted = {case: report(*case) for case in cases}
     assert all(order != GREVLEX for order, _ in weighted.values())
-    monkeypatch.setattr(deformation, "weighted_basis", presentation_basis)
+    monkeypatch.setattr(deformation, "presentation_basis", lambda spec, order: presentation_basis(spec))
     for case in cases:
         order, rep = report(*case)
         assert rep == weighted[case][1], case
@@ -499,7 +577,8 @@ def test_substitution_count_rejects_tiny_n():
 
 
 def test_weighted_homogeneity_symbolic_mode():
-    for n in (2, 3, 4):
+    # every generator with q symbolic, and the rules' degrees in both modes
+    for n in (2, 3, 4, 5):
         report = weighted_homogeneity_report(n)
         assert all(entry["ok"] for entry in report.values()), report
 
