@@ -9,3 +9,43 @@ collections.
 """
 
 __version__ = "0.1.0"
+
+set_field = object.__setattr__  # stores one field of a Value, past its refusing __setattr__
+
+
+class Value:
+    """Base of igq's immutable records.
+
+    A subclass names its fields, in order, in `__slots__`, and its
+    `__init__` validates its arguments and stores each field once through
+    `set_field`, since assignment is refused.  Two records are equal when
+    they are of the same class with equal fields; the hash is over the
+    fields, and the repr reads `Space(kind='gr', param=4)`.  Not a tuple,
+    so a record is neither a container nor a `%` argument list."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which revalidates
+        return type(self), self._values()

@@ -51,28 +51,29 @@ property suite rather than trusted a priori.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, product
 from math import comb, factorial, perm
+
+from . import Value, set_field
 
 GR = "gr"
 IGR = "igr"
 
 
-@dataclass(frozen=True)
-class Space:
-    kind: str
-    param: int  # m for G(2,m); k for IG(2,2k)
+class Space(Value):
+    __slots__ = ("kind", "param")  # param: m for G(2,m); k for IG(2,2k)
 
-    def __post_init__(self):
-        if self.kind == GR:
-            if self.param < 4:
+    def __init__(self, kind: str, param: int):
+        if kind == GR:
+            if param < 4:
                 raise ValueError("need m >= 4 for G(2,m)")
-        elif self.kind == IGR:
-            if self.param < 2:
+        elif kind == IGR:
+            if param < 2:
                 raise ValueError("need k >= 2 for IG(2,2k)")
         else:
-            raise ValueError("unknown space kind %r" % (self.kind,))
+            raise ValueError("unknown space kind %r" % (kind,))
+        set_field(self, "kind", kind)
+        set_field(self, "param", param)
 
     @staticmethod
     def gr(m: int) -> "Space":
@@ -94,11 +95,13 @@ class Space:
         return "G(2,%d)" % self.param if self.kind == GR else "IG(2,%d)" % (2 * self.param)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    vanishes: bool
-    degree: int = None
-    rep_dimension: int = None
+class CohomologyResult(Value):
+    __slots__ = ("vanishes", "degree", "rep_dimension")
+
+    def __init__(self, vanishes: bool, degree: int = None, rep_dimension: int = None):
+        set_field(self, "vanishes", vanishes)
+        set_field(self, "degree", degree)
+        set_field(self, "rep_dimension", rep_dimension)
 
 
 _bbw_cache: dict = {}
@@ -145,7 +148,7 @@ def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
 def bundle_cohomology(space: Space, sym: int, twist: int) -> CohomologyResult:
     """H^*(space, S^sym U*(twist)), memoized; every singular weight shares
     one vanishing result.  The memo key is plain ints and strings, not
-    the Space, so a lookup does not hash the dataclass."""
+    the Space, so a lookup hashes no record."""
     key = (space.kind, space.param, sym, twist)
     res = _bbw_cache.get(key)
     if res is None:
@@ -162,12 +165,14 @@ def _clebsch_gordan(a: int, b: int, shift: int):
         yield a + b - 2 * i, shift - a + i
 
 
-@dataclass(frozen=True)
-class ExtProfile:
+class ExtProfile(Value):
     """Graded dimensions of an Ext computation, with a degeneration flag."""
 
-    dims: tuple  # sorted ((degree, dim), ...) with dim > 0
-    conclusive: bool
+    __slots__ = ("dims", "conclusive")  # dims: sorted ((degree, dim), ...) with dim > 0
+
+    def __init__(self, dims: tuple, conclusive: bool):
+        set_field(self, "dims", dims)
+        set_field(self, "conclusive", conclusive)
 
     @staticmethod
     def make(degree_dims: dict, conclusive: bool) -> "ExtProfile":
@@ -240,10 +245,13 @@ def _nonzero_shifts(space: Space, families) -> list:
     nothing cancels it.  The piece of (a, b, s) with sym = a + b - 2t has
     twist s - a + t, so it lies on the diagonal sym + 2 twist = b - a + 2s,
     and sym runs over |a - b| .. a + b in steps of 2.  In (sym, diagonal)
-    coordinates a family is a rectangle.  Every piece in the box around the
-    rectangles is tested once.  Prefix counts of the failing pieces, summed
-    over the syms of one parity, tell in O(1) whether a rectangle holds any;
-    only those that do are searched for their s."""
+    coordinates a family is a rectangle.  Each sym's pieces are tested once,
+    from the lowest to the highest diagonal of the rectangles holding that
+    sym; a piece outside every rectangle is left untested and counted as
+    vanishing, which changes no rectangle's count.  Prefix counts of the
+    failing pieces, summed over the syms of one parity, tell in O(1)
+    whether a rectangle holds any; only those that do are searched for
+    their s."""
     rects = [
         (abs(a - b), a + b, b - a + 2 * shifts.start, b - a + 2 * shifts.stop) if shifts else None
         for a, b, shifts in families
@@ -253,11 +261,23 @@ def _nonzero_shifts(space: Space, families) -> list:
         return [[] for _ in families]
     sym_lo, sym_hi = min(r[0] for r in boxed), max(r[1] for r in boxed)
     diag_lo, diag_hi = min(r[2] for r in boxed), max(r[3] for r in boxed)
+    bands = {}  # (lo, hi) -> (lowest, highest) diagonal of the rectangles with those syms
+    for lo, hi, dlo, dhi in boxed:
+        low, high = bands.get((lo, hi), (dlo, dhi))
+        bands[lo, hi] = (dlo if dlo < low else low, dhi if dhi > high else high)
+    # sym -> lowest and highest diagonal of the rectangles holding it (none: empty)
+    lows, highs = [diag_hi] * (sym_hi + 1), [diag_lo] * (sym_hi + 1)
+    for (lo, hi), (dlo, dhi) in bands.items():
+        for sym in range(lo, hi + 1, 2):
+            if dlo < lows[sym]:
+                lows[sym] = dlo
+            if dhi > highs[sym]:
+                highs[sym] = dhi
     bad = {}  # sym -> its failing diagonals, ascending
     below = {}  # sym -> x -> failing pieces (sym' <= sym of sym's parity, diagonal < diag_lo + x)
     for sym in range(sym_lo, sym_hi + 1):
         marks = [0] * (diag_hi - diag_lo)
-        for diag in range(diag_lo + (diag_lo - sym) % 2, diag_hi, 2):
+        for diag in range(lows[sym], highs[sym], 2):  # of sym's parity, as every rectangle's
             if not bundle_cohomology(space, sym, (diag - sym) // 2).vanishes:
                 bad.setdefault(sym, []).append(diag)
                 marks[diag - diag_lo] = 1
@@ -424,13 +444,18 @@ def _first_page(space: Space, terms) -> ExtProfile:
     return ExtProfile.make(acc, _no_consecutive(acc))
 
 
-@dataclass(frozen=True)
-class _ResidualTerms:
-    """The nonvanishing first-page terms of one space's residual sweep."""
+class _ResidualTerms(Value):
+    """The nonvanishing first-page terms of one space's residual sweep:
+    `line`, the Koszul line; `pairs`, i - j -> [(a, b, ((degree, dim),
+    ...)), ...]; `first_target`, (u, w) -> least b with
+    Ext(S^u U*, P_b(w)) != 0."""
 
-    line: list  # the Koszul line
-    pairs: dict  # i - j -> [(a, b, ((degree, dim), ...)), ...]
-    first_target: dict  # (u, w) -> least b with Ext(S^u U*, P_b(w)) != 0
+    __slots__ = ("line", "pairs", "first_target")
+
+    def __init__(self, line: list, pairs: dict, first_target: dict):
+        set_field(self, "line", line)
+        set_field(self, "pairs", pairs)
+        set_field(self, "first_target", first_target)
 
 
 def _residual_terms(space: Space) -> _ResidualTerms:

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .bbw import (
@@ -320,7 +321,11 @@ def _dump_presentations(n: int, q_mode: str, directory: str):
             fh.write(dump_generators(gb.elements, header + " groebner"))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` returns
+    a fresh namespace and leaves the parser as it was, so every `main`
+    call shares one tree."""
     parser = argparse.ArgumentParser(
         prog="igq",
         description="Exact verification suite for the quantum cohomology of "

@@ -36,10 +36,10 @@ entirely by gcd degree arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from . import Value, set_field
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -68,19 +68,19 @@ SPECIALIZE_1 = "SPECIALIZE_1"
 SYMBOLIC = "SYMBOLIC"
 
 
-@dataclass(frozen=True)
-class PresentationSpec:
-    n: int
-    variant: str
-    q_mode: str = SPECIALIZE_1
+class PresentationSpec(Value):
+    __slots__ = ("n", "variant", "q_mode")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, variant: str, q_mode: str = SPECIALIZE_1):
+        if n < 2:
             raise ValueError("need n >= 2")
-        if self.variant not in VARIANTS:
-            raise ValueError("unknown variant %r" % (self.variant,))
-        if self.q_mode not in (SPECIALIZE_1, SYMBOLIC):
-            raise ValueError("unknown q mode %r" % (self.q_mode,))
+        if variant not in VARIANTS:
+            raise ValueError("unknown variant %r" % (variant,))
+        if q_mode not in (SPECIALIZE_1, SYMBOLIC):
+            raise ValueError("unknown q mode %r" % (q_mode,))
+        set_field(self, "n", n)
+        set_field(self, "variant", variant)
+        set_field(self, "q_mode", q_mode)
 
     @property
     def symbolic_q(self) -> bool:
@@ -354,14 +354,31 @@ def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> di
 # spectrum of the quantum quotient
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    total_dim: int
-    tangent_dim_origin: int
-    local_length_origin: int
-    offorigin_dim: int
-    offorigin_distinct_points: int
-    separating_form: str = ""
+class SpectrumReport(Value):
+    __slots__ = (
+        "total_dim",
+        "tangent_dim_origin",
+        "local_length_origin",
+        "offorigin_dim",
+        "offorigin_distinct_points",
+        "separating_form",
+    )
+
+    def __init__(
+        self,
+        total_dim: int,
+        tangent_dim_origin: int,
+        local_length_origin: int,
+        offorigin_dim: int,
+        offorigin_distinct_points: int,
+        separating_form: str = "",
+    ):
+        set_field(self, "total_dim", total_dim)
+        set_field(self, "tangent_dim_origin", tangent_dim_origin)
+        set_field(self, "local_length_origin", local_length_origin)
+        set_field(self, "offorigin_dim", offorigin_dim)
+        set_field(self, "offorigin_distinct_points", offorigin_distinct_points)
+        set_field(self, "separating_form", separating_form)
 
     def as_tuple(self):
         return (

@@ -8,29 +8,30 @@ printed separately so it can be detached.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from . import Value, set_field
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
-class CheckResult:
-    claim_id: str
-    computed: str
-    expected: str
-    status: str
-    millis: int = 0
-    note: str = ""
+class CheckResult(Value):
+    __slots__ = ("claim_id", "computed", "expected", "status", "millis", "note")
 
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, INCONCLUSIVE):
-            raise ValueError("bad status %r" % (self.status,))
-        if self.status != INCONCLUSIVE and (
-            (self.status == PASS) != (self.computed == self.expected)
-        ):
+    def __init__(
+        self, claim_id: str, computed: str, expected: str, status: str, millis: int = 0, note: str = ""
+    ):
+        if status not in (PASS, FAIL, INCONCLUSIVE):
+            raise ValueError("bad status %r" % (status,))
+        if status != INCONCLUSIVE and ((status == PASS) != (computed == expected)):
             raise ValueError("status must be PASS exactly when computed == expected")
+        set_field(self, "claim_id", claim_id)
+        set_field(self, "computed", computed)
+        set_field(self, "expected", expected)
+        set_field(self, "status", status)
+        set_field(self, "millis", millis)
+        set_field(self, "note", note)
 
 
 def check(claim_id: str, computed, expected, millis: int = 0, note: str = "") -> CheckResult:

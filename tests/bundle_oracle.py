@@ -3,9 +3,12 @@ Ext oracle of the BBW tests, the rank identity of the acceptance gate, and
 the staircase resolutions as explicit complexes, against which the
 Koszul-line reading of `igq.bbw` is checked."""
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
+from igq import bbw
 from igq.bbw import ExtProfile, _clebsch_gordan, _f_k, _no_consecutive, ext_bundles
 
 LEFT = "left"
@@ -148,3 +151,48 @@ def euler_sums(space) -> list:
         )
         for j in range(2 * k)
     ]
+
+
+def nonzero_shifts_in_box(space, families) -> list:
+    """`igq.bbw._nonzero_shifts` testing every piece of the box around the
+    families' rectangles in (sym, diagonal) coordinates, pieces that no
+    rectangle holds included: the reference for the per-sym ranges.  It
+    reads `bbw.bundle_cohomology` through the module, so a test that
+    patches the cohomology patches both."""
+    rects = [
+        (abs(a - b), a + b, b - a + 2 * shifts.start, b - a + 2 * shifts.stop) if shifts else None
+        for a, b, shifts in families
+    ]
+    boxed = [r for r in rects if r]
+    if not boxed:
+        return [[] for _ in families]
+    sym_lo, sym_hi = min(r[0] for r in boxed), max(r[1] for r in boxed)
+    diag_lo, diag_hi = min(r[2] for r in boxed), max(r[3] for r in boxed)
+    bad = {}
+    below = {}
+    for sym in range(sym_lo, sym_hi + 1):
+        marks = [0] * (diag_hi - diag_lo)
+        for diag in range(diag_lo + (diag_lo - sym) % 2, diag_hi, 2):
+            if not bbw.bundle_cohomology(space, sym, (diag - sym) // 2).vanishes:
+                bad.setdefault(sym, []).append(diag)
+                marks[diag - diag_lo] = 1
+        counts = accumulate(marks, initial=0)
+        prev = below.get(sym - 2)
+        below[sym] = list(counts) if prev is None else [p + c for p, c in zip(prev, counts)]
+
+    def failing(sym, lo, hi):
+        row = below.get(sym)
+        return row[hi - diag_lo] - row[lo - diag_lo] if row else 0
+
+    out = []
+    for (a, b, _), rect in zip(families, rects):
+        found = set()
+        if rect:
+            lo, hi, dlo, dhi = rect
+            if failing(hi, dlo, dhi) != failing(lo - 2, dlo, dhi):
+                for sym in range(lo, hi + 1, 2):
+                    diags = bad.get(sym, ())
+                    hits = diags[bisect_left(diags, dlo) : bisect_left(diags, dhi)]
+                    found.update((d - b + a) // 2 for d in hits)
+        out.append(sorted(found))
+    return out

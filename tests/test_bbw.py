@@ -222,6 +222,52 @@ def test_wrong_direction_keys_match_the_pairs():
         assert analytic == by_pairs, space
 
 
+def test_nonzero_shifts_match_the_box(monkeypatch):
+    # the per-sym diagonal ranges skip the pieces of the box that lie in no
+    # rectangle, which no prefix difference counts: every family of the
+    # collection and residual sweeps must get the shifts the box gives, also
+    # when scattered pieces are made nonzero, inside rectangles and out
+    # (for k <= 12, where the box is quick to search)
+    real_shifts, real_cohomology = bbw._nonzero_shifts, bbw.bundle_cohomology
+    sweeps = []
+
+    def recorded(space, families):
+        sweeps.append((space, families))
+        return real_shifts(space, families)
+
+    monkeypatch.setattr(bbw, "_nonzero_shifts", recorded)
+    for k in range(2, 31):
+        for space in (Space.gr(2 * k), Space.gr(2 * k + 1), Space.igr(k)):
+            monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+            verify_collection(space)
+            if space.kind == "igr" or space.param % 2 == 0:
+                bbw._residual_terms(space)
+    assert len(sweeps) == 29 * 5
+
+    fake = bbw.CohomologyResult(False, 0, 1)
+    for perturbed in (False, True):
+        tested = [0]
+
+        def cohomology(space, sym, twist):
+            tested[0] += 1
+            if perturbed and (3 * sym + 5 * twist + space.param) % 29 == 0:
+                return fake
+            return real_cohomology(space, sym, twist)
+
+        monkeypatch.setattr(bbw, "bundle_cohomology", cohomology)
+        ours = box = 0
+        found_any = False
+        for space, families in sweeps[: 5 * 11] if perturbed else sweeps:
+            start = tested[0]
+            found = real_shifts(space, families)
+            middle = tested[0]
+            assert found == bundle_oracle.nonzero_shifts_in_box(space, families), (space, perturbed)
+            assert middle - start <= tested[0] - middle
+            ours, box = ours + middle - start, box + tested[0] - middle
+            found_any |= any(found)
+        assert found_any and ours < box, perturbed
+
+
 def test_closed_form_matches_the_bbw_oracle(monkeypatch):
     # vanishing, degree and dimension, computed afresh (not read from the
     # memo) against the generic sort-and-Weyl-product algorithm

@@ -2,14 +2,16 @@
 
 import hashlib
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from igq import cli, unfolding
 from igq.cli import main, run_dcat_suite, run_qh_suite
-from igq.presentations import ab_ring
+from igq.presentations import SpectrumReport, ab_ring
 from igq.report import (
     CheckResult,
     check,
@@ -117,6 +119,41 @@ def test_main_exit_codes_and_output(capsys):
     assert code == 0
     assert json.loads(out)["summary"]["fail"] == 0
     assert main(["qh", "--n", "2", "--check", "bogus"]) == 2
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    # the parser is built once per process, so neither a refused run (exit 2)
+    # nor an argparse error (SystemExit) may leave anything in it for the
+    # next call: each parse must equal that of a freshly built parser
+    shared, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    assert cli.build_parser() is shared and fresh is not shared
+    assert main(["qh", "--n", "9", "--check", "dims", "--q-mode", "symbolic"]) == 2
+    assert main(["dcat", "--k", "2", "--space", "igr", "--check", "bogus", "--max-k", "7"]) == 2
+    for argv in (["dcat", "--k", "2", "--space", "p"], ["qh", "--n", "2", "--q-mode", "2"], ["qh"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for argv in (
+        ["qh", "--n", "3"],
+        ["qh", "--n", "2", "--check", "regularity", "--format", "md"],
+        ["dcat", "--k", "2", "--space", "igr"],
+        ["dcat", "--k", "3", "--space", "gr", "--check", "euler", "--max-k", "6"],
+    ):
+        assert vars(shared.parse_args(argv)) == vars(fresh.parse_args(argv))
+    assert main(["dcat", "--k", "2", "--space", "igr", "--check", "keyext"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["invocation"] == {"checks": "keyext", "command": "dcat", "k": 2, "max_k": 4, "space": "igr"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site's .pth imports from loading either module and hiding a
+    # regression; each costs every qh and dcat process its import time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, igq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", [["qh", "--n", "3"], ["dcat", "--k", "2", "--space", "gr"]], ids=["qh", "dcat"])
@@ -324,9 +361,19 @@ def test_lemma_t0_part_is_part_of_the_verdict(monkeypatch):
 
 def test_unfolding_mismatch_is_a_fail_row(monkeypatch):
     real = unfolding.decompose_spectrum
-    monkeypatch.setattr(
-        unfolding, "decompose_spectrum", lambda n: replace(real(n), tangent_dim_origin=2)
-    )
+
+    def with_a_wrong_tangent_dimension(n):
+        rep = real(n)
+        return SpectrumReport(
+            rep.total_dim,
+            2,
+            rep.local_length_origin,
+            rep.offorigin_dim,
+            rep.offorigin_distinct_points,
+            rep.separating_form,
+        )
+
+    monkeypatch.setattr(unfolding, "decompose_spectrum", with_a_wrong_tangent_dimension)
     (row,) = run_qh_suite(3, checks=("unfolding",))
     assert row.status == "FAIL"
     assert row.computed == "(2, 2) None"
