@@ -21,7 +21,8 @@ class Value:
     `set_field`, since assignment is refused.  Two records are equal when
     they are of the same class with equal fields; the hash is over the
     fields, and the repr reads `Space(kind='gr', param=4)`.  Not a tuple,
-    so a record is neither a container nor a `%` argument list."""
+    so a record is neither a container nor a `%` argument list.  A cache
+    slot is left out of an overriding `_values`, as in `GroebnerBasis`."""
 
     __slots__ = ()
 
@@ -35,6 +36,8 @@ class Value:
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__name__))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented

@@ -83,14 +83,6 @@ class Space(Value):
     def igr(k: int) -> "Space":
         return Space(IGR, k)
 
-    @property
-    def dimension(self) -> int:
-        return 2 * (self.param - 2) if self.kind == GR else 4 * self.param - 5
-
-    @property
-    def index(self) -> int:
-        return self.param if self.kind == GR else 2 * self.param - 1
-
     def __str__(self):
         return "G(2,%d)" % self.param if self.kind == GR else "IG(2,%d)" % (2 * self.param)
 
@@ -177,9 +169,6 @@ class ExtProfile(Value):
     @staticmethod
     def make(degree_dims: dict, conclusive: bool) -> "ExtProfile":
         return ExtProfile(tuple(sorted((d, v) for d, v in degree_dims.items() if v)), conclusive)
-
-    def as_dict(self) -> dict:
-        return dict(self.dims)
 
     @property
     def total_dim(self) -> int:
@@ -444,24 +433,13 @@ def _first_page(space: Space, terms) -> ExtProfile:
     return ExtProfile.make(acc, _no_consecutive(acc))
 
 
-class _ResidualTerms(Value):
-    """The nonvanishing first-page terms of one space's residual sweep:
-    `line`, the Koszul line; `pairs`, i - j -> [(a, b, ((degree, dim),
-    ...)), ...]; `first_target`, (u, w) -> least b with
-    Ext(S^u U*, P_b(w)) != 0."""
-
-    __slots__ = ("line", "pairs", "first_target")
-
-    def __init__(self, line: list, pairs: dict, first_target: dict):
-        set_field(self, "line", line)
-        set_field(self, "pairs", pairs)
-        set_field(self, "first_target", first_target)
-
-
-def _residual_terms(space: Space) -> _ResidualTerms:
+def _residual_terms(space: Space) -> tuple:
     """Every first-page term of `ext_f_pair` and `check_f_orthogonality`,
     with the nonvanishing ones kept, memoized in the space's `_ext_cache`
-    table.
+    table: (line, pairs, first_target), with `line` the Koszul line,
+    `pairs` mapping i - j to [(a, b, ((degree, dim), ...)), ...] and
+    `first_target` mapping (u, w) to the least b with
+    Ext(S^u U*, P_b(w)) != 0.
 
     The pair (i, j) takes source positions a >= i against target positions
     b < j, with j - i added to the target's twist; the term of (a, b) sits
@@ -499,8 +477,8 @@ def _residual_terms(space: Space) -> _ResidualTerms:
     for (u, b), shifts in zip(block_positions, found[len(pair_positions):]):
         for s in shifts:
             first_target.setdefault((u, s - line[b][1]), b)
-    terms = table[_RESIDUAL] = _ResidualTerms(line, pairs, first_target)
-    return terms
+    table[_RESIDUAL] = line, pairs, first_target
+    return line, pairs, first_target
 
 
 def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
@@ -513,7 +491,8 @@ def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
     `_residual_terms`."""
     _f_k(space, i, j)
     acc = {}
-    for a, b, dims in _residual_terms(space).pairs.get(i - j, ()):
+    _, pairs, _ = _residual_terms(space)
+    for a, b, dims in pairs.get(i - j, ()):
         if a >= i and b < j:
             for d, v in dims:
                 acc[d] = acc.get(d, 0) + v
@@ -527,15 +506,13 @@ def check_f_orthogonality(space: Space, i: int) -> dict:
     The object S^u U*(v) fails iff some b < i has a nonvanishing term at
     w = k - i - v (`_residual_terms`); only a failure gets its first page."""
     k = _f_k(space, i)
-    terms = _residual_terms(space)
-    failing = sorted(
-        (k - i - w, u) for (u, w), b in terms.first_target.items() if b < i and w <= k - i
-    )
+    line, _, first_target = _residual_terms(space)
+    failing = sorted((k - i - w, u) for (u, w), b in first_target.items() if b < i and w <= k - i)
     failures = []
     for v, u in failing:
         prof = _first_page(
             space,
-            (((u, v), (sb, tb + k - i), mb, b - i + 1) for b, (sb, tb, mb) in enumerate(terms.line[:i])),
+            (((u, v), (sb, tb + k - i), mb, b - i + 1) for b, (sb, tb, mb) in enumerate(line[:i])),
         )
         failures.append(((u, v), str(prof)))
     return {
@@ -546,12 +523,3 @@ def check_f_orthogonality(space: Space, i: int) -> dict:
         "failures": failures,
         "ok": not failures,
     }
-
-
-def serre_duality_holds(space: Space, E, F) -> bool:
-    """dim Ext^d(E, F) == dim Ext^{dim - d}(F, E(-index)) for all d."""
-    (a, c), (b, d) = E, F
-    left = ext_bundles(space, (a, c), (b, d)).as_dict()
-    right = ext_bundles(space, (b, d), (a, c - space.index)).as_dict()
-    n = space.dimension
-    return all(left.get(deg, 0) == right.get(n - deg, 0) for deg in range(n + 1))

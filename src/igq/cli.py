@@ -386,7 +386,11 @@ def main(argv=None) -> int:
             return 2
         rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
         if args.dump:
-            _dump_presentations(args.n, q_mode, args.dump)
+            try:
+                _dump_presentations(args.n, q_mode, args.dump)
+            except OSError as exc:
+                print("cannot write dump files: %s" % exc, file=sys.stderr)
+                return 2
         invocation = {
             "command": "qh",
             "n": args.n,

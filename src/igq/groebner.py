@@ -33,6 +33,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import Value, set_field
 from .poly import (
     Polynomial,
     Ring,
@@ -44,7 +45,7 @@ from .poly import (
 )
 
 
-class Ideal:
+class Ideal(Value):
     """A finite list of generators in a common ring."""
 
     __slots__ = ("ring", "generators")
@@ -54,37 +55,28 @@ class Ideal:
         for g in gens:
             if g.ring != ring:
                 raise RingMismatch("generator not in the ambient ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", gens)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Ideal is immutable")
+        set_field(self, "ring", ring)
+        set_field(self, "generators", gens)
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.generators), self.ring)
 
 
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """A reduced Groebner basis: monic elements, no element's term divisible
-    by another element's leading term, sorted ascending by leading term."""
+    by another element's leading term, sorted ascending by leading term.
+    `_reducers`, their reducer table, is a cache left out of `_values`."""
 
     __slots__ = ("ring", "elements", "_reducers")
 
     def __init__(self, ring: Ring, elements):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "_reducers", None)
+        elements = tuple(elements)
+        set_field(self, "ring", ring)
+        set_field(self, "elements", elements)
+        set_field(self, "_reducers", _ReducerTable(ring.order, [_primitive(ring, g.terms) for g in elements]))
 
-    def __setattr__(self, *a):
-        raise AttributeError("GroebnerBasis is immutable")
-
-    def _reducer_table(self) -> "_ReducerTable":
-        """The reducer table of the elements' primitive integer forms, made
-        by `buchberger` or built on first use."""
-        if self._reducers is None:
-            rows = [_primitive(self.ring, g.terms) for g in self.elements if not g.is_zero]
-            object.__setattr__(self, "_reducers", _ReducerTable(self.ring.order, rows))
-        return self._reducers
+    def _values(self) -> tuple:
+        return self.ring, self.elements
 
     @property
     def lead_monomials(self):
@@ -141,8 +133,7 @@ class _ReducerTable:
         self.keys = []
         self.rows = []
         for g in polys:
-            if not g.is_zero:
-                self.insert(g)
+            self.insert(g)
 
     def insert(self, g: Polynomial) -> None:
         lead = g.lead_monomial
@@ -228,7 +219,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """
     if f.ring != basis.ring:
         raise RingMismatch("polynomial not in the basis ring")
-    table = basis._reducer_table()
+    table = basis._reducers
     if not table.rows or f.is_zero:
         return f
     den = lcm(*(c.denominator for _, c in f.terms))
@@ -357,8 +348,7 @@ def _interreduce(ring: Ring, G) -> GroebnerBasis:
 
     The minimal elements form a Groebner basis, and tail reduction leaves
     every lead unchanged, so a single pass gives the reduced basis.  The
-    only place elements become monic, with Fraction coefficients; the
-    basis keeps the integer rows as its reducer table."""
+    only place elements become monic, with Fraction coefficients."""
     key = ring.order.key
     minimal = []
     for g in sorted(G, key=lambda p: key(p.lead_monomial)):
@@ -374,19 +364,7 @@ def _interreduce(ring: Ring, G) -> GroebnerBasis:
         # rows follow `minimal`; later tails reduce against the shorter tail
         table.rows[i] = (lead, table.rows[i][1], lc, row[1:])
         reduced.append(Polynomial(ring, tuple((e, Fraction(c, lc)) for e, c in row)))
-    gb = GroebnerBasis(ring, reduced)
-    object.__setattr__(gb, "_reducers", table)
-    return gb
-
-
-def is_groebner(gb: GroebnerBasis) -> bool:
-    """Buchberger's criterion: every S-polynomial reduces to zero."""
-    els = gb.elements
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if not normal_form(spoly(els[i], els[j]), gb).is_zero:
-                return False
-    return True
+    return GroebnerBasis(ring, reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from fractions import Fraction
 from operator import add, le, mul, neg
 from typing import Mapping
 
+from . import Value, set_field
+
 Exponents = tuple  # exponent vector, one entry per ring variable
 
 
@@ -52,29 +54,15 @@ def monomial_degree(a: Exponents) -> int:
 # term orders
 
 
-class TermOrder:
-    """A monomial order, realized as a key function on exponent tuples.
+class TermOrder(Value):
+    """A monomial order, realized as a `key` function on exponent tuples:
+    larger key means larger monomial.  Each subclass defines `key`."""
 
-    Larger key means larger monomial.  Orders compare equal by name, so two
-    rings with the same variables and order names are interchangeable.
-    """
-
-    name = "abstract"
-
-    def key(self, exps: Exponents):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
+    __slots__ = ()
 
 
 class _Grevlex(TermOrder):
+    __slots__ = ()
     name = "grevlex"
 
     def key(self, exps):
@@ -88,16 +76,21 @@ class WeightedOrder(TermOrder):
 
     Both parts of the key are additive in the exponents, so the order is
     multiplicative, and positive weights make 1 its least monomial: it is
-    a monomial order.  The weights are in the name, so orders with
+    a monomial order.  The weights are its one field, so orders with
     different weights compare unequal and rings over them do too.
     """
+
+    __slots__ = ("weights",)
 
     def __init__(self, weights):
         weights = tuple(weights)
         if not all(type(w) is int and w > 0 for w in weights):
             raise ValueError("need positive int weights, got %r" % (weights,))
-        self.weights = weights
-        self.name = "weighted(%s)" % ",".join(map(str, weights))
+        set_field(self, "weights", weights)
+
+    @property
+    def name(self) -> str:
+        return "weighted(%s)" % ",".join(map(str, self.weights))
 
     def key(self, exps):
         return (sum(map(mul, self.weights, exps)), tuple(map(neg, exps)))
@@ -114,28 +107,24 @@ class RingMismatch(ValueError):
     pass
 
 
-class Ring:
+class Ring(Value):
     """A polynomial ring over Q: a variable list plus an active term order."""
 
-    __slots__ = ("names", "order", "_index")
+    __slots__ = ("names", "order")
 
     def __init__(self, names, order: TermOrder = GREVLEX):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names: %r" % (names,))
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Ring is immutable")
+        set_field(self, "names", names)
+        set_field(self, "order", order)
 
     @property
     def ngens(self) -> int:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        return self.names.index(name)
 
     def var(self, which) -> "Polynomial":
         i = which if isinstance(which, int) else self.index(which)
@@ -184,16 +173,6 @@ class Ring:
         )
         return Polynomial(self, terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.names == other.names
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.order))
-
     def __repr__(self):
         return "Ring(%s; %s)" % (",".join(self.names), self.order.name)
 
@@ -206,7 +185,7 @@ def _coerce(ring: Ring, value):
     return NotImplemented
 
 
-class Polynomial:
+class Polynomial(Value):
     """Immutable multivariate polynomial with exact rational coefficients.
 
     Terms are stored sorted strictly descending in the ring's term order,
@@ -216,11 +195,8 @@ class Polynomial:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
+        set_field(self, "ring", ring)
+        set_field(self, "terms", tuple(terms))
 
     # -- basic queries ------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Bundle terms and the Hom-bundle double complexes built from them: the
-Ext oracle of the BBW tests, the rank identity of the acceptance gate, and
-the staircase resolutions as explicit complexes, against which the
-Koszul-line reading of `igq.bbw` is checked."""
+Ext oracle of the BBW tests, the rank identity of the acceptance gate, the
+staircase resolutions as explicit complexes, against which the
+Koszul-line reading of `igq.bbw` is checked, and Serre duality on the
+spaces' dimensions and indices."""
 
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from itertools import accumulate
 from math import comb
 
 from igq import bbw
-from igq.bbw import ExtProfile, _clebsch_gordan, _f_k, _no_consecutive, ext_bundles
+from igq.bbw import GR, ExtProfile, _clebsch_gordan, _f_k, _no_consecutive, ext_bundles
 
 LEFT = "left"
 RIGHT = "right"
@@ -196,3 +197,21 @@ def nonzero_shifts_in_box(space, families) -> list:
                     found.update((d - b + a) // 2 for d in hits)
         out.append(sorted(found))
     return out
+
+
+def space_dimension(space) -> int:
+    return 2 * (space.param - 2) if space.kind == GR else 4 * space.param - 5
+
+
+def space_index(space) -> int:
+    """The Fano index: K = O(-index)."""
+    return space.param if space.kind == GR else 2 * space.param - 1
+
+
+def serre_duality_holds(space, E, F) -> bool:
+    """dim Ext^d(E, F) == dim Ext^{dim - d}(F, E(-index)) for all d."""
+    (a, c), (b, d) = E, F
+    left = dict(ext_bundles(space, (a, c), (b, d)).dims)
+    right = dict(ext_bundles(space, (b, d), (a, c - space_index(space))).dims)
+    n = space_dimension(space)
+    return all(left.get(deg, 0) == right.get(n - deg, 0) for deg in range(n + 1))

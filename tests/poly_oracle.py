@@ -28,6 +28,7 @@ class _Grlex(TermOrder):
     """Total degree first, ties to the larger exponent of the first
     variable where two monomials differ."""
 
+    __slots__ = ()
     name = "grlex"
 
     def key(self, exps):

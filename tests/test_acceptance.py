@@ -13,11 +13,10 @@ from igq.bbw import (
     ext_f_pair,
     f_complex_euler_consistency,
     lefschetz_collection,
-    serre_duality_holds,
     verify_collection,
 )
 from igq.deformation import regularity_corank, verify_lemma_presentation
-from igq.groebner import Ideal, buchberger, is_groebner, normal_form, standard_monomials
+from igq.groebner import Ideal, buchberger, normal_form, standard_monomials
 from igq.poly import GREVLEX, Ring, WeightedOrder
 from igq.presentations import (
     PresentationSpec,
@@ -32,7 +31,8 @@ from igq.presentations import (
 )
 from igq.unfolding import match_quantum_factor
 
-from bundle_oracle import hom_bundle
+from bundle_oracle import hom_bundle, serre_duality_holds
+from groebner_oracle import is_groebner
 from presentation_oracle import weighted_homogeneity_report
 
 

@@ -205,6 +205,16 @@ def test_dump_into_a_file_path_is_refused_before_the_checks(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+def test_an_unwritable_dump_file_is_refused(tmp_path, capsys):
+    (tmp_path / "ig_n2_classical_i.gens.txt").mkdir()
+    code = main(["qh", "--n", "2", "--check", "dims", "--dump", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cannot write dump files")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_a_refused_qh_run_leaves_no_dump_directory(tmp_path, capsys):
     target = tmp_path / "D"
     for argv in (["--n", "9"], ["--n", "2", "--check", "lemma"]):

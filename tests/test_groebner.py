@@ -12,7 +12,6 @@ import pytest
 from igq.groebner import (
     Ideal,
     buchberger,
-    is_groebner,
     multiplication_matrices,
     normal_form,
     spoly,
@@ -34,6 +33,7 @@ from igq.presentations import (
     weighted_order,
 )
 
+from groebner_oracle import is_groebner
 from linalg_oracle import sparse_rows
 
 R2 = Ring(("x", "y"))

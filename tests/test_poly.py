@@ -76,6 +76,7 @@ def test_weighted_orders_compare_and_hash_by_weights():
     assert a != GREVLEX and Ring(names, a) != Ring(names)
     same = WeightedOrder([1, 2, 3])
     assert same == a and hash(same) == hash(a)
+    assert a.name == "weighted(1,2,3)" and GREVLEX.name == "grevlex"
     assert Ring(names, same) == Ring(names, a)
     for bad in ((1, 0, 3), (1, -2, 3), (1, 2.0, 3)):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from igq import deformation, presentations
 from igq.groebner import (
     Ideal,
     buchberger,
-    is_groebner,
     multiplication_matrices,
     normal_form,
     standard_monomials,
@@ -41,6 +40,7 @@ from igq.presentations import (
     verify_homomorphism,
     weighted_order,
 )
+from groebner_oracle import is_groebner
 from presentation_oracle import weighted_homogeneity_report
 from spectrum_oracle import joint_origin_factor
 from substitute_oracle import substitute

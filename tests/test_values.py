@@ -1,30 +1,34 @@
-"""The immutable records built on `igq.Value`: equality, hashing,
-immutability, repr and validation, held to the behaviour of a frozen
-dataclass with the same fields."""
+"""The immutable values built on `igq.Value`: the records, held to the
+behaviour of a frozen dataclass with the same fields (equality, hashing,
+immutability, repr and validation), and the algebra types, held to the
+same copy, pickle and immutability contracts with their own reprs.  A
+guard keeps `igq.Value` the one place that refuses assignment."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 import re
 from dataclasses import make_dataclass
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import igq
 from igq import Value
-from igq.bbw import CohomologyResult, ExtProfile, Space, _residual_terms, _ResidualTerms
-from igq.presentations import QUANTUM_I, SYMBOLIC, PresentationSpec, SpectrumReport
+from igq.bbw import CohomologyResult, ExtProfile, Space
+from igq.groebner import GroebnerBasis, Ideal, buchberger, normal_form
+from igq.poly import GREVLEX, Ring, TermOrder, WeightedOrder
+from igq.presentations import QUANTUM_I, SYMBOLIC, PresentationSpec, SpectrumReport, build_presentation
 from igq.report import PASS, CheckResult
 
 # Two makers per class, of different records; each call builds a new object.
-# The residual terms of a real space hold a list and dicts, which cannot be
-# hashed, so the hashed ones are built from tuples.
 RECORDS = {
     "Space": (lambda: Space.gr(4), lambda: Space.igr(4)),
     "CohomologyResult": (lambda: CohomologyResult(False, 2, 3), lambda: CohomologyResult(True)),
     "ExtProfile": (lambda: ExtProfile(((0, 1),), True), lambda: ExtProfile((), False)),
-    "_ResidualTerms": (
-        lambda: _ResidualTerms(((0, -1, 1),), ((1, ()),), ()),
-        lambda: _ResidualTerms((), (), ()),
-    ),
     "PresentationSpec": (lambda: PresentationSpec(3, QUANTUM_I, SYMBOLIC), lambda: PresentationSpec(2, QUANTUM_I)),
     "SpectrumReport": (lambda: SpectrumReport(12, 1, 2, 10, 10, "s1"), lambda: SpectrumReport(4, 0, 1, 3, 3)),
     "CheckResult": (lambda: CheckResult("x", "1", "1", PASS, 3, "n"), lambda: CheckResult("y", "1", "1", PASS)),
@@ -103,14 +107,6 @@ def test_copy_and_pickle_rebuild_an_equal_record(name):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_real_residual_terms_compare_by_fields():
-    terms = _residual_terms(Space.igr(3))
-    rebuilt = _ResidualTerms(list(terms.line), dict(terms.pairs), dict(terms.first_target))
-    assert rebuilt == terms
-    with pytest.raises(TypeError):
-        hash(terms)  # a list and dicts, as in a frozen dataclass
-
-
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -139,3 +135,111 @@ def test_keyword_construction_and_defaults():
     assert report.separating_form == "" and report.as_tuple() == (4, 0, 1, 3, 3)
     row = CheckResult("x", "1", "1", PASS)
     assert (row.millis, row.note) == (0, "")
+
+
+# ---------------------------------------------------------------------------
+# the algebra types
+
+
+def _weighted_ring():
+    return Ring(("x", "y", "z"), WeightedOrder((1, 2, 3)))
+
+
+def _ideal():
+    x, y, z = _weighted_ring().gens
+    return Ideal(x.ring, [x**2 - y, y**2 - Fraction(1, 3) * x * z, z**2 - x])
+
+
+# One maker per value; each call builds a new object, equal to the last.
+ALGEBRA = {
+    "GREVLEX": lambda: copy.copy(GREVLEX),
+    "WeightedOrder": lambda: WeightedOrder((1, 2, 3)),
+    "Ring": _weighted_ring,
+    "Polynomial": lambda: _ideal().generators[1],
+    "Ideal": _ideal,
+    "GroebnerBasis": lambda: buchberger(_ideal()),
+}
+algebra = pytest.mark.parametrize("name", sorted(ALGEBRA))
+
+
+@algebra
+def test_algebra_copy_and_pickle_give_an_equal_value(name):
+    value = ALGEBRA[name]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value)
+
+
+@algebra
+def test_algebra_values_built_apart_are_equal(name):
+    a, b = ALGEBRA[name](), ALGEBRA[name]()
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+@algebra
+def test_algebra_fields_cannot_be_set_or_deleted(name):
+    value = ALGEBRA[name]()
+    for field in type(value).__slots__ + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value == ALGEBRA[name]()
+    assert not hasattr(value, "__dict__")
+
+
+def test_algebra_reprs_stay_short():
+    ideal = _ideal()
+    ring = ideal.ring
+    assert repr(ring) == "Ring(x,y,z; weighted(1,2,3))"
+    assert repr(ideal.generators[0]) == "-y + x^2"  # y outweighs x^2 on the tie
+    assert repr(ideal) == "Ideal(3 generators in Ring(x,y,z; weighted(1,2,3)))"
+    assert repr(buchberger(ideal)).startswith("GroebnerBasis(")
+
+
+def test_an_unpickled_basis_reduces_as_the_original():
+    gb = buchberger(_ideal())
+    twin = pickle.loads(pickle.dumps(gb))
+    x, y, z = gb.ring.gens
+    for f in (x**5 * y - z, Fraction(2, 7) * y**3 * z**2 + x, x * y * z):
+        assert normal_form(f, twin) == normal_form(f, gb)
+        assert normal_form(f, twin).terms == normal_form(f, gb).terms
+
+
+def test_two_bases_of_one_ideal_built_apart_are_equal():
+    ideal = build_presentation(PresentationSpec(3, QUANTUM_I))
+    a, b = buchberger(ideal), buchberger(ideal)
+    rebuilt = GroebnerBasis(a.ring, list(a.elements))
+    assert a is not b and a == b == rebuilt and hash(a) == hash(b) == hash(rebuilt)
+    assert {a: 1}[b] == 1
+
+
+# ---------------------------------------------------------------------------
+# one implementation of immutability
+
+
+def _igq_classes():
+    for info in pkgutil.iter_modules(igq.__path__, "igq."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_every_value_in_igq_is_covered_and_hashable():
+    made = [make() for pair in RECORDS.values() for make in pair] + [make() for make in ALGEBRA.values()]
+    for value in made:
+        hash(value)
+    covered = {type(value) for value in made}
+    values = {cls for cls in _igq_classes() if issubclass(cls, Value)}
+    assert values - covered == {TermOrder}  # the abstract order has no key
+
+
+def test_only_value_refuses_assignment():
+    assert [cls for cls in _igq_classes() if "__setattr__" in vars(cls)] == []
+    for path in sorted(Path(igq.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            text = path.read_text()
+            assert "object.__setattr__" not in text, path.name
+            assert "def __setattr__" not in text, path.name
