@@ -8,6 +8,8 @@ algebra match, and the Borel-Bott-Weil Ext profiles of the appendix-style
 collections.
 """
 
+import sys
+
 __version__ = "0.1.0"
 
 set_field = object.__setattr__  # stores one field of a Value, past its refusing __setattr__
@@ -52,3 +54,23 @@ class Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which revalidates
         return type(self), self._values()
+
+
+def clear_caches() -> None:
+    """Empty every igq memo in place: the BBW lookups and the Ext table of
+    `igq.bbw`, the bases and spectrum reports of `igq.presentations`.
+
+    `cli.main` calls it once per invocation, so every run is cold and a
+    process holds one run's entries.  Each table is read as its module's
+    global at call time, and a module not yet imported is skipped rather
+    than loaded.  The dicts are cleared, never replaced, so a reference
+    held elsewhere sees them empty; `bbw._ext_cache`, a (space, table)
+    pair, is reset whole."""
+    bbw = sys.modules.get("igq.bbw")
+    if bbw is not None:
+        bbw._bbw_cache.clear()
+        bbw._ext_cache = (None, {})
+    presentations = sys.modules.get("igq.presentations")
+    if presentations is not None:
+        presentations._basis_cache.clear()
+        presentations._spectrum_cache.clear()

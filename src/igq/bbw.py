@@ -191,7 +191,8 @@ def _no_consecutive(degrees) -> bool:
 # Ext profiles of the space last asked about, keyed by (a, b, d - c), and
 # under _RESIDUAL that space's residual first-page terms.  The sweeps run
 # space by space, so one space's table is all that pays; holding every
-# space's would only grow the heap.  The table is swapped whole, never
+# space's would only grow the heap.  The pair is swapped whole, here on a
+# new space and by igq.clear_caches at the start of every invocation, never
 # cleared in place, so a caller on another space cannot fill the wrong one.
 _ext_cache: tuple = (None, {})
 _RESIDUAL = "residual"

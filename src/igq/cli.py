@@ -7,6 +7,10 @@
 
 Exit code 0 iff no FAIL rows.  JSON output is byte-identical across
 identical invocations; wall-clock goes to stderr as a detachable footer.
+
+Every `main` call runs cold: it empties igq's memo tables
+(`igq.clear_caches`) before any check, so no invocation reads another's
+entries and a process serving many invocations holds one run's at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 import time
 from functools import cache
 
-from . import __version__
+from . import __version__, clear_caches
 from .bbw import (
     IGR,
     Space,
@@ -368,6 +372,7 @@ def _parse_checks(text: str, known, command: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    clear_caches()
     t0 = time.monotonic()
     if args.command == "qh":
         checks = _parse_checks(args.check, QH_CHECKS, "qh")

@@ -10,9 +10,9 @@ Monomials are bare exponent tuples.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, le, mul, neg
-from typing import Mapping
 
 from . import Value, set_field
 

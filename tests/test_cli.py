@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from igq import cli, unfolding
+from igq import bbw, clear_caches, cli, presentations, unfolding
+from igq.bbw import Space
 from igq.cli import main, run_dcat_suite, run_qh_suite
-from igq.presentations import SpectrumReport, ab_ring
+from igq.presentations import SPECIALIZE_1, VARIANTS, PresentationSpec, SpectrumReport, ab_ring
 from igq.report import (
     CheckResult,
     check,
@@ -146,14 +147,70 @@ def test_one_parser_serves_every_main_call(capsys):
     assert doc["invocation"] == {"checks": "keyext", "command": "dcat", "k": 2, "max_k": 4, "space": "igr"}
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site's .pth imports from loading either module and hiding a
-    # regression; each costs every qh and dcat process its import time
+def _run_without_site(code: str) -> str:
+    # -S keeps site's .pth imports from loading a module and hiding a regression
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, igq.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # each costs every qh and dcat process its import time
+    code = "import sys, igq.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    assert _run_without_site(code) == "[]"
+
+
+def test_clear_caches_imports_nothing():
+    code = "import sys, igq; before = set(sys.modules); igq.clear_caches(); print(sorted(set(sys.modules) - before))"
+    assert _run_without_site(code) == "[]"
+
+
+def test_a_dcat_run_holds_only_its_own_space_in_the_memos(capsys):
+    assert main(["dcat", "--k", "3", "--space", "gr"]) == 0
+    assert main(["dcat", "--k", "4", "--space", "igr"]) == 0
+    capsys.readouterr()
+    assert bbw._bbw_cache and all(key[:2] == ("igr", 4) for key in bbw._bbw_cache)
+    assert bbw._ext_cache[0] == Space.igr(4)
+
+
+def test_a_qh_run_holds_only_its_own_n_in_the_memos(capsys):
+    assert main(["qh", "--n", "3"]) == 0
+    assert main(["qh", "--n", "4", "--check", "spectrum"]) == 0
+    capsys.readouterr()
+    assert list(presentations._spectrum_cache) == [4]
+    assert presentations._basis_cache and all(n == 4 for n, *_ in presentations._basis_cache)
+
+
+def test_clear_caches_empties_the_tables_in_place(monkeypatch):
+    # the benchmark's tracer holds these two dicts to tell hits from misses
+    tables = bbw._bbw_cache, presentations._basis_cache
+    bbw.ext_bundles(Space.gr(4), (1, 0), (1, 1))
+    presentations.presentation_basis(PresentationSpec(2, VARIANTS[0], SPECIALIZE_1))
+    presentations.decompose_spectrum(2)
+    assert bbw._bbw_cache and presentations._basis_cache and presentations._spectrum_cache
+    assert bbw._ext_cache[0] == Space.gr(4)
+    clear_caches()
+    assert (bbw._bbw_cache, presentations._basis_cache) == ({}, {})
+    assert tuple(map(id, tables)) == (id(bbw._bbw_cache), id(presentations._basis_cache))
+    assert presentations._spectrum_cache == {} and bbw._ext_cache == (None, {})
+    # a table patched in is the one cleared
+    patched = [{("gr", 4, 0, 0): None}, {(2,): None}, {2: None}]
+    for module, name, table in zip((bbw, presentations, presentations), ("_bbw_cache", "_basis_cache", "_spectrum_cache"), patched):
+        monkeypatch.setattr(module, name, table)
+    monkeypatch.setattr(bbw, "_ext_cache", (Space.gr(4), {(1, 1, 1): None}))
+    clear_caches()
+    assert patched == [{}, {}, {}] and bbw._ext_cache == (None, {})
+
+
+def test_interleaved_runs_print_the_same_report(capsys):
+    dcat = ["dcat", "--k", "5", "--space", "gr", "--max-k", "5"]
+    outs = []
+    for argv in (dcat, ["qh", "--n", "3"], dcat):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2]
+    assert json.loads(outs[0])["invocation"]["k"] == 5
 
 
 @pytest.mark.parametrize("command", [["qh", "--n", "3"], ["dcat", "--k", "2", "--space", "gr"]], ids=["qh", "dcat"])

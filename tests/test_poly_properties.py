@@ -1,6 +1,7 @@
-"""Property tests of the canonical text form: random polynomials in
-grevlex and weighted-order rings come back equal through
-`dump_polynomial` and the test-side reader, and through pickle."""
+"""Property tests of polynomial arithmetic and the canonical text form:
+random polynomials in grevlex and weighted-order rings obey the ring
+axioms, and come back equal through `dump_polynomial` and the test-side
+reader, and through pickle."""
 
 import pickle
 
@@ -57,3 +58,46 @@ def test_generator_files_round_trip(ring, data):
     polys = data.draw(st.lists(st.dictionaries(exponents, rationals, max_size=5).map(ring.poly), max_size=5))
     text = dump_generators(polys, "header line")
     assert load_generators(ring, text) == polys
+
+
+# Ring axioms in three variables, under grevlex and a weighted order; small
+# degrees and coefficients keep each product to a few dozen terms.
+AXIOM_RINGS = (Ring(NAMES[:3], GREVLEX), Ring(NAMES[:3], WeightedOrder((1, 2, 3))))
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@st.composite
+def polynomial_triples(draw):
+    ring = draw(st.sampled_from(AXIOM_RINGS))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), small_rationals, max_size=5)
+    return tuple(ring.poly(draw(terms)) for _ in range(3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fgh=polynomial_triples())
+def test_addition_and_multiplication_are_associative_and_commutative(fgh):
+    f, g, h = fgh
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+
+
+@settings(max_examples=40, deadline=None)
+@given(fgh=polynomial_triples())
+def test_multiplication_distributes_over_addition(fgh):
+    f, g, h = fgh
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@settings(max_examples=40, deadline=None)
+@given(fgh=polynomial_triples())
+def test_identities_inverses_and_subtraction(fgh):
+    f, g, _ = fgh
+    ring = f.ring
+    assert f + ring.zero == f and ring.zero + f == f
+    assert f * ring.one == f and ring.one * f == f
+    assert f * ring.zero == ring.zero
+    assert f + (-f) == ring.zero and f + (-f) == 0
+    assert f - g == f + (-g)
