@@ -6,9 +6,19 @@ k <= 4): ring presentations and their Groebner bases, the spectrum of the
 small quantum ring, the first-order big-quantum deformation, the Milnor
 algebra match, and the Borel-Bott-Weil Ext profiles of the appendix-style
 collections.
+
+`import igq` runs only this file.  Every submodule but `cli` and `report`
+is deferred: it is registered in `sys.modules`, and bound here as an
+attribute of the package, when `igq` is imported, but its code is compiled
+and run only on its first attribute access (`importlib.util.LazyLoader`).
+The two halves of the paper share no code, so `igq dcat` runs `bbw` alone
+and `igq qh` runs the polynomial stack and never `bbw`.  Binding each one
+here is what keeps `from . import bbw` from loading it at once.
 """
 
 import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -56,21 +66,48 @@ class Value:
         return type(self), self._values()
 
 
+_DEFERRED = (
+    "bbw", "deformation", "groebner", "linalg", "poly", "presentations", "unfolding", "univariate"
+)
+
+
+def _defer(name: str) -> None:
+    spec = find_spec(__name__ + "." + name)
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)  # runs nothing yet
+    globals()[name] = module
+
+
+for _name in _DEFERRED:
+    _defer(_name)
+del _name
+
+
+def _ran(name: str):
+    """Submodule `name` once its code has run, else None.  A deferred
+    module stays of a subclass of ModuleType until its first attribute
+    access runs it, and `type` reads no attribute."""
+    module = sys.modules.get(__name__ + "." + name)
+    return module if type(module) is ModuleType else None
+
+
 def clear_caches() -> None:
     """Empty every igq memo in place: the BBW lookups and the Ext table of
     `igq.bbw`, the bases and spectrum reports of `igq.presentations`.
 
     `cli.main` calls it once per invocation, so every run is cold and a
     process holds one run's entries.  Each table is read as its module's
-    global at call time, and a module not yet imported is skipped rather
-    than loaded.  The dicts are cleared, never replaced, so a reference
-    held elsewhere sees them empty; `bbw._ext_cache`, a (space, table)
-    pair, is reset whole."""
-    bbw = sys.modules.get("igq.bbw")
+    global at call time, and a module whose code has not run yet holds no
+    entries, so it is skipped rather than run.  The dicts are cleared,
+    never replaced, so a reference held elsewhere sees them empty;
+    `bbw._ext_cache`, a (space, table) pair, is reset whole."""
+    bbw = _ran("bbw")
     if bbw is not None:
         bbw._bbw_cache.clear()
         bbw._ext_cache = (None, {})
-    presentations = sys.modules.get("igq.presentations")
+    presentations = _ran("presentations")
     if presentations is not None:
         presentations._basis_cache.clear()
         presentations._spectrum_cache.clear()

@@ -11,6 +11,12 @@ identical invocations; wall-clock goes to stderr as a detachable footer.
 Every `main` call runs cold: it empties igq's memo tables
 (`igq.clear_caches`) before any check, so no invocation reads another's
 entries and a process serving many invocations holds one run's at a time.
+
+`import igq.cli` runs only `igq`, `cli` and `report`.  The other igq
+modules are deferred (see `igq`): each runs on its first attribute access,
+so this module calls them through module attributes
+(`bbw.verify_collection(...)`) and nothing at module level here reads one.
+A `dcat` run then runs `bbw` alone and a `qh` run never runs it.
 """
 
 from __future__ import annotations
@@ -21,32 +27,8 @@ import sys
 import time
 from functools import cache
 
-from . import __version__, clear_caches
-from .bbw import (
-    IGR,
-    Space,
-    check_f_orthogonality,
-    ext_bundles,
-    ext_f_pair,
-    f_complex_euler_consistency,
-    verify_collection,
-)
-from .deformation import regularity_corank, verify_lemma_presentation
-from .poly import dump_generators
-from .presentations import (
-    PresentationSpec,
-    SPECIALIZE_1,
-    SYMBOLIC,
-    VARIANTS,
-    build_presentation,
-    count_offorigin_by_substitution,
-    decompose_spectrum,
-    presentation_basis,
-    presentation_dimension,
-    verify_homomorphism,
-)
+from . import __version__, bbw, clear_caches, deformation, poly, presentations, unfolding
 from .report import check, emit_json, emit_markdown, informational, summarize
-from .unfolding import match_quantum_factor
 
 QH_CHECKS = ("dims", "homomorphism", "spectrum", "zcount", "lemma", "regularity", "unfolding")
 DCAT_CHECKS = ("lefschetz", "keyext", "residual", "euler")
@@ -87,11 +69,14 @@ def _qh_checks(n: int, checks=QH_CHECKS, max_n: int = 5) -> list:
     return checks
 
 
-def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: int = 5):
-    """Run the quantum-cohomology checks for one n, in dependency order.
-    Individual failures become FAIL rows; the batch never aborts.  Raises
-    ValueError as `_qh_checks` does."""
+def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int = 5):
+    """Run the quantum-cohomology checks for one n, in dependency order;
+    q_mode None is `presentations.SPECIALIZE_1`.  Individual failures
+    become FAIL rows; the batch never aborts.  Raises ValueError as
+    `_qh_checks` does."""
     checks = _qh_checks(n, checks, max_n)
+    if q_mode is None:
+        q_mode = presentations.SPECIALIZE_1
     rows = []
     expected_dim = 2 * n * (n - 1)
 
@@ -99,10 +84,10 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         # dimension counting is a zero-dimensional computation: always done
         # with q specialized, whatever mode the graded checks run in
         out = []
-        for variant in VARIANTS:
+        for variant in presentations.VARIANTS:
             (dim, ms) = _timed(
-                lambda v=variant: presentation_dimension(
-                    PresentationSpec(n, v, SPECIALIZE_1)
+                lambda v=variant: presentations.presentation_dimension(
+                    presentations.PresentationSpec(n, v, presentations.SPECIALIZE_1)
                 )
             )
             out.append(check("dims.%s.n=%d" % (variant, n), dim, expected_dim, ms))
@@ -112,7 +97,7 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         out = []
         for quantum in (False, True):
             label = "quantum" if quantum else "classical"
-            (rep, ms) = _timed(lambda q=quantum: verify_homomorphism(n, q, q_mode))
+            (rep, ms) = _timed(lambda q=quantum: presentations.verify_homomorphism(n, q, q_mode))
             note = "lambda=%+d" % rep["lambda"] if rep["lambda"] is not None else ""
             out.append(
                 check(
@@ -126,7 +111,7 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         return out
 
     def spectrum_rows():
-        (rep, ms) = _timed(lambda: decompose_spectrum(n))
+        (rep, ms) = _timed(lambda: presentations.decompose_spectrum(n))
         expected = (
             (4, 0, 1, 3, 3)
             if n == 2
@@ -143,8 +128,8 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         ]
 
     def zcount_rows():
-        (cnt, ms) = _timed(lambda: count_offorigin_by_substitution(n))
-        (rep, ms2) = _timed(lambda: decompose_spectrum(n))
+        (cnt, ms) = _timed(lambda: presentations.count_offorigin_by_substitution(n))
+        (rep, ms2) = _timed(lambda: presentations.decompose_spectrum(n))
         return [
             check("zcount.n=%d" % n, cnt, (n - 1) * (2 * n - 1), ms),
             check(
@@ -157,7 +142,8 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         ]
 
     def lemma_rows():
-        (rep, ms) = _timed(lambda: verify_lemma_presentation(n, q_mode == SYMBOLIC))
+        symbolic = q_mode == presentations.SYMBOLIC
+        (rep, ms) = _timed(lambda: deformation.verify_lemma_presentation(n, symbolic))
         return [
             check(
                 "lemma.sigma_2n2.n=%d" % n,
@@ -186,11 +172,11 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str = SPECIALIZE_1, max_n: in
         ]
 
     def regularity_rows():
-        (c, ms) = _timed(lambda: regularity_corank(n))
+        (c, ms) = _timed(lambda: deformation.regularity_corank(n))
         return [check("regularity.corank.n=%d" % n, c, 1, ms)]
 
     def unfolding_rows():
-        (rep, ms) = _timed(lambda: match_quantum_factor(n))
+        (rep, ms) = _timed(lambda: unfolding.match_quantum_factor(n))
         return [
             check(
                 "unfolding.match.n=%d" % n,
@@ -222,11 +208,12 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
     if not 2 <= k <= max_k:
         raise ValueError("k out of range [2, %d]" % max_k)
     wanted = set(checks)
-    checks = [c for c in DCAT_CHECKS if c in wanted and (c != "keyext" or space_kind == IGR)]
+    checks = [c for c in DCAT_CHECKS if c in wanted and (c != "keyext" or space_kind == bbw.IGR)]
     if wanted and not checks:
         raise ValueError(
             "no requested dcat check applies to --space %s (keyext runs on igr only)" % space_kind
         )
+    Space = bbw.Space
     spaces = [Space.gr(2 * k), Space.gr(2 * k + 1)] if space_kind == "gr" else [Space.igr(k)]
     main = spaces[0]
     rows = []
@@ -234,7 +221,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
     def lefschetz_rows():
         out = []
         for sp in spaces:
-            (rep, ms) = _timed(lambda s=sp: verify_collection(s))
+            (rep, ms) = _timed(lambda s=sp: bbw.verify_collection(s))
             out.append(
                 check(
                     "lefschetz.%s" % rep["space"],
@@ -247,7 +234,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         return out
 
     def keyext_rows():
-        (prof, ms) = _timed(lambda: ext_bundles(main, (k - 1, 0), (k - 1, 1 - k)))
+        (prof, ms) = _timed(lambda: bbw.ext_bundles(main, (k - 1, 0), (k - 1, 1 - k)))
         return [
             check(
                 "keyext.%s" % main,
@@ -262,21 +249,21 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         out = []
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                (prof, ms) = _timed(lambda a=i, b=j: ext_f_pair(main, a, b))
+                (prof, ms) = _timed(lambda a=i, b=j: bbw.ext_f_pair(main, a, b))
                 claim = "residual.%s.i=%d.j=%d" % (main, i, j)
                 shape = "total=%d (%s)" % (
                     prof.total_dim,
                     "conclusive" if prof.conclusive else "inconclusive",
                 )
                 if j < i:
-                    want = 1 if (space_kind == IGR and i == j + 1) else 0
+                    want = 1 if (space_kind == bbw.IGR and i == j + 1) else 0
                     out.append(
                         check(claim, shape, "total=%d (conclusive)" % want, ms, str(prof))
                     )
                 else:
                     out.append(informational(claim, shape, ms, str(prof)))
         for i in range(1, k + 1):
-            (rep, ms) = _timed(lambda a=i: check_f_orthogonality(main, a))
+            (rep, ms) = _timed(lambda a=i: bbw.check_f_orthogonality(main, a))
             out.append(
                 check(
                     "residual.orthogonality.%s.i=%d" % (main, i),
@@ -289,7 +276,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         return out
 
     def euler_rows():
-        (rep, ms) = _timed(lambda: f_complex_euler_consistency(main))
+        (rep, ms) = _timed(lambda: bbw.f_complex_euler_consistency(main))
         return [
             check(
                 "euler.%s" % main,
@@ -312,17 +299,17 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
 
 
 def _dump_presentations(n: int, q_mode: str, directory: str):
-    for variant in VARIANTS:
-        spec = PresentationSpec(n, variant, q_mode)
-        ideal = build_presentation(spec, schur=True)
-        gb = presentation_basis(spec)
+    for variant in presentations.VARIANTS:
+        spec = presentations.PresentationSpec(n, variant, q_mode)
+        ideal = presentations.build_presentation(spec, schur=True)
+        gb = presentations.presentation_basis(spec)
         q_label = "symbolic" if spec.symbolic_q else "1"
         header = "IG(2,%d) variant=%s q=%s" % (2 * n, variant, q_label)
         base = os.path.join(directory, "ig_n%d_%s" % (n, variant.lower()))
         with open(base + ".gens.txt", "w") as fh:
-            fh.write(dump_generators(ideal.generators, header))
+            fh.write(poly.dump_generators(ideal.generators, header))
         with open(base + ".gb.txt", "w") as fh:
-            fh.write(dump_generators(gb.elements, header + " groebner"))
+            fh.write(poly.dump_generators(gb.elements, header + " groebner"))
 
 
 @cache
@@ -378,7 +365,7 @@ def main(argv=None) -> int:
         checks = _parse_checks(args.check, QH_CHECKS, "qh")
         if checks is None:
             return 2
-        q_mode = SYMBOLIC if args.q_mode == "symbolic" else SPECIALIZE_1
+        q_mode = presentations.SYMBOLIC if args.q_mode == "symbolic" else presentations.SPECIALIZE_1
         try:
             _qh_checks(args.n, checks, args.max_n)  # refuse before making the dump directory
             if args.dump:

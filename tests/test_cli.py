@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from igq import bbw, clear_caches, cli, presentations, unfolding
+from igq import bbw, clear_caches, cli, deformation, presentations, unfolding
 from igq.bbw import Space
 from igq.cli import main, run_dcat_suite, run_qh_suite
 from igq.presentations import SPECIALIZE_1, VARIANTS, PresentationSpec, SpectrumReport, ab_ring
@@ -164,6 +164,46 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
 def test_clear_caches_imports_nothing():
     code = "import sys, igq; before = set(sys.modules); igq.clear_caches(); print(sorted(set(sys.modules) - before))"
     assert _run_without_site(code) == "[]"
+    # nor does it run a deferred module: one that has not run holds no entries
+    assert _modules_run("import igq.cli; igq.clear_caches()") == ["__init__", "cli", "report"]
+
+
+# an audit hook sees each module's code run (the "exec" event), whether or
+# not its bytecode was cached; the child's last line names the igq modules that ran
+_RAN = """
+import json, os, sys
+ran = []
+sys.addaudithook(lambda event, args: event == "exec" and ran.append(getattr(args[0], "co_filename", "")))
+%s
+here = os.path.dirname(sys.modules["igq"].__file__)
+print(json.dumps(sorted({os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == here})))
+"""
+
+
+def _modules_run(code: str) -> list:
+    return json.loads(_run_without_site(_RAN % code).splitlines()[-1])
+
+
+def test_importing_the_cli_runs_only_cli_and_report_yet_registers_every_module():
+    # every module has its sys.modules entry from `import igq.cli` on:
+    # perfbench's tracer wraps the functions of the modules it finds there
+    code = "import igq.cli; print(json.dumps(sorted(name for name in sys.modules if name.startswith('igq.'))))"
+    registered, ran = map(json.loads, _run_without_site(_RAN % code).splitlines())
+    src = Path(cli.__file__).parent
+    assert registered == sorted("igq." + p.stem for p in src.glob("*.py") if p.stem not in ("__init__", "__main__"))
+    assert ran == ["__init__", "cli", "report"]
+
+
+def test_a_dcat_run_runs_bbw_and_no_qh_module():
+    code = "import igq.cli; igq.cli.main(['dcat', '--k', '2', '--space', 'igr'])"
+    assert _modules_run(code) == ["__init__", "bbw", "cli", "report"]
+
+
+def test_a_spectrum_run_runs_neither_bbw_nor_deformation():
+    code = "import igq.cli; igq.cli.main(['qh', '--n', '3', '--check', 'spectrum'])"
+    ran = _modules_run(code)
+    assert "bbw" not in ran and "deformation" not in ran
+    assert {"presentations", "groebner", "cli"} <= set(ran)
 
 
 def test_a_dcat_run_holds_only_its_own_space_in_the_memos(capsys):
@@ -416,9 +456,9 @@ def test_lemma_is_skipped_below_n3_next_to_an_applicable_check(capsys):
 
 
 def test_lemma_t0_part_is_part_of_the_verdict(monkeypatch):
-    real = cli.verify_lemma_presentation
+    real = deformation.verify_lemma_presentation
     monkeypatch.setattr(
-        cli, "verify_lemma_presentation", lambda n, s: {**real(n, s), "sigma_2n2_t0_zero": False}
+        deformation, "verify_lemma_presentation", lambda n, s: {**real(n, s), "sigma_2n2_t0_zero": False}
     )
     (row,) = [r for r in run_qh_suite(3, checks=("lemma",)) if r.claim_id == "lemma.sigma_2n2.n=3"]
     assert row.status == "FAIL"
