@@ -14,15 +14,18 @@ and run only on its first attribute access (`importlib.util.LazyLoader`).
 The two halves of the paper share no code, so `igq dcat` runs `bbw` alone
 and `igq qh` runs the polynomial stack and never `bbw`.  Binding each one
 here is what keeps `from . import bbw` from loading it at once.
+
+Every memo table of igq is a dict made by `memo()`, which registers it;
+`clear_caches()` empties each registered table in place.
 """
 
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
-from types import ModuleType
 
 __version__ = "0.1.0"
 
 set_field = object.__setattr__  # stores one field of a Value, past its refusing __setattr__
+_memos = []  # every table made by memo()
 
 
 class Value:
@@ -85,29 +88,19 @@ for _name in _DEFERRED:
 del _name
 
 
-def _ran(name: str):
-    """Submodule `name` once its code has run, else None.  A deferred
-    module stays of a subclass of ModuleType until its first attribute
-    access runs it, and `type` reads no attribute."""
-    module = sys.modules.get(__name__ + "." + name)
-    return module if type(module) is ModuleType else None
+def memo() -> dict:
+    """A new, empty memo table, registered for `clear_caches`.  A module
+    makes its tables when its code runs, so a deferred module that has not
+    run has none to clear.  A plain dict: every lookup is a bare `get`."""
+    table = {}
+    _memos.append(table)
+    return table
 
 
 def clear_caches() -> None:
-    """Empty every igq memo in place: the BBW lookups and the Ext table of
-    `igq.bbw`, the bases and spectrum reports of `igq.presentations`.
-
-    `cli.main` calls it once per invocation, so every run is cold and a
-    process holds one run's entries.  Each table is read as its module's
-    global at call time, and a module whose code has not run yet holds no
-    entries, so it is skipped rather than run.  The dicts are cleared,
-    never replaced, so a reference held elsewhere sees them empty;
-    `bbw._ext_cache`, a (space, table) pair, is reset whole."""
-    bbw = _ran("bbw")
-    if bbw is not None:
-        bbw._bbw_cache.clear()
-        bbw._ext_cache = (None, {})
-    presentations = _ran("presentations")
-    if presentations is not None:
-        presentations._basis_cache.clear()
-        presentations._spectrum_cache.clear()
+    """Empty every `memo()` table in place.  `cli.main` calls it once per
+    invocation, so every run is cold and a process holds one run's
+    entries.  The tables are cleared, never replaced, so a reference held
+    elsewhere sees them empty.  It imports nothing and runs no module."""
+    for table in _memos:
+        table.clear()

@@ -54,7 +54,7 @@ from bisect import bisect_left
 from itertools import accumulate, product
 from math import comb, factorial, perm
 
-from . import Value, set_field
+from . import Value, memo, set_field
 
 GR = "gr"
 IGR = "igr"
@@ -96,7 +96,7 @@ class CohomologyResult(Value):
         set_field(self, "rep_dimension", rep_dimension)
 
 
-_bbw_cache: dict = {}
+_bbw_cache = memo()
 _VANISHING = CohomologyResult(True)
 
 
@@ -188,22 +188,22 @@ def _no_consecutive(degrees) -> bool:
     return all(b - a >= 2 for a, b in zip(degs, degs[1:]))
 
 
-# Ext profiles of the space last asked about, keyed by (a, b, d - c), and
-# under _RESIDUAL that space's residual first-page terms.  The sweeps run
-# space by space, so one space's table is all that pays; holding every
-# space's would only grow the heap.  The pair is swapped whole, here on a
-# new space and by igq.clear_caches at the start of every invocation, never
-# cleared in place, so a caller on another space cannot fill the wrong one.
-_ext_cache: tuple = (None, {})
+# The table of the space last asked about, under its (kind, param): Ext
+# profiles keyed by (a, b, d - c), and under _RESIDUAL the space's residual
+# first-page terms.  The sweeps run space by space, so one space's table is
+# all that pays; holding every space's would only grow the heap, so a new
+# space drops the old table.  Keyed by plain values, not the Space, so a
+# lookup hashes no record.
+_ext_cache = memo()
 _RESIDUAL = "residual"
 
 
 def _space_table(space: Space) -> dict:
-    global _ext_cache
-    held, table = _ext_cache
-    if space is not held and space != held:
-        table = {}
-        _ext_cache = (space, table)
+    key = space.kind, space.param
+    table = _ext_cache.get(key)
+    if table is None:
+        _ext_cache.clear()
+        table = _ext_cache[key] = {}
     return table
 
 

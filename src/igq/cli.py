@@ -8,15 +8,17 @@
 Exit code 0 iff no FAIL rows.  JSON output is byte-identical across
 identical invocations; wall-clock goes to stderr as a detachable footer.
 
-Every `main` call runs cold: it empties igq's memo tables
-(`igq.clear_caches`) before any check, so no invocation reads another's
+Every `main` call runs cold: `igq.clear_caches` empties every table made
+by `igq.memo()` before any check, so no invocation reads another's
 entries and a process serving many invocations holds one run's at a time.
 
 `import igq.cli` runs only `igq`, `cli` and `report`.  The other igq
 modules are deferred (see `igq`): each runs on its first attribute access,
 so this module calls them through module attributes
 (`bbw.verify_collection(...)`) and nothing at module level here reads one.
-A `dcat` run then runs `bbw` alone and a `qh` run never runs it.
+A `dcat` run then runs `bbw` alone and a `qh` run never runs it.  A check
+hands `_timed` the function itself, read off its module before the clock
+starts, so no check's `ms` counts a module's compile.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ QH_CHECKS = ("dims", "homomorphism", "spectrum", "zcount", "lemma", "regularity"
 DCAT_CHECKS = ("lefschetz", "keyext", "residual", "euler")
 
 
-def _timed(fn):
+def _timed(fn, *args):
+    """fn(*args) and its wall time in ms; `fn` is read before the clock starts."""
     t0 = time.monotonic()
-    out = fn()
+    out = fn(*args)
     return out, int(1000 * (time.monotonic() - t0))
 
 
@@ -85,11 +88,8 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
         # with q specialized, whatever mode the graded checks run in
         out = []
         for variant in presentations.VARIANTS:
-            (dim, ms) = _timed(
-                lambda v=variant: presentations.presentation_dimension(
-                    presentations.PresentationSpec(n, v, presentations.SPECIALIZE_1)
-                )
-            )
+            spec = presentations.PresentationSpec(n, variant, presentations.SPECIALIZE_1)
+            (dim, ms) = _timed(presentations.presentation_dimension, spec)
             out.append(check("dims.%s.n=%d" % (variant, n), dim, expected_dim, ms))
         return out
 
@@ -97,7 +97,7 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
         out = []
         for quantum in (False, True):
             label = "quantum" if quantum else "classical"
-            (rep, ms) = _timed(lambda q=quantum: presentations.verify_homomorphism(n, q, q_mode))
+            (rep, ms) = _timed(presentations.verify_homomorphism, n, quantum, q_mode)
             note = "lambda=%+d" % rep["lambda"] if rep["lambda"] is not None else ""
             out.append(
                 check(
@@ -111,7 +111,7 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
         return out
 
     def spectrum_rows():
-        (rep, ms) = _timed(lambda: presentations.decompose_spectrum(n))
+        (rep, ms) = _timed(presentations.decompose_spectrum, n)
         expected = (
             (4, 0, 1, 3, 3)
             if n == 2
@@ -128,8 +128,8 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
         ]
 
     def zcount_rows():
-        (cnt, ms) = _timed(lambda: presentations.count_offorigin_by_substitution(n))
-        (rep, ms2) = _timed(lambda: presentations.decompose_spectrum(n))
+        (cnt, ms) = _timed(presentations.count_offorigin_by_substitution, n)
+        (rep, ms2) = _timed(presentations.decompose_spectrum, n)
         return [
             check("zcount.n=%d" % n, cnt, (n - 1) * (2 * n - 1), ms),
             check(
@@ -143,7 +143,7 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
 
     def lemma_rows():
         symbolic = q_mode == presentations.SYMBOLIC
-        (rep, ms) = _timed(lambda: deformation.verify_lemma_presentation(n, symbolic))
+        (rep, ms) = _timed(deformation.verify_lemma_presentation, n, symbolic)
         return [
             check(
                 "lemma.sigma_2n2.n=%d" % n,
@@ -172,11 +172,11 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
         ]
 
     def regularity_rows():
-        (c, ms) = _timed(lambda: deformation.regularity_corank(n))
+        (c, ms) = _timed(deformation.regularity_corank, n)
         return [check("regularity.corank.n=%d" % n, c, 1, ms)]
 
     def unfolding_rows():
-        (rep, ms) = _timed(lambda: unfolding.match_quantum_factor(n))
+        (rep, ms) = _timed(unfolding.match_quantum_factor, n)
         return [
             check(
                 "unfolding.match.n=%d" % n,
@@ -221,7 +221,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
     def lefschetz_rows():
         out = []
         for sp in spaces:
-            (rep, ms) = _timed(lambda s=sp: bbw.verify_collection(s))
+            (rep, ms) = _timed(bbw.verify_collection, sp)
             out.append(
                 check(
                     "lefschetz.%s" % rep["space"],
@@ -234,7 +234,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         return out
 
     def keyext_rows():
-        (prof, ms) = _timed(lambda: bbw.ext_bundles(main, (k - 1, 0), (k - 1, 1 - k)))
+        (prof, ms) = _timed(bbw.ext_bundles, main, (k - 1, 0), (k - 1, 1 - k))
         return [
             check(
                 "keyext.%s" % main,
@@ -249,7 +249,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         out = []
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                (prof, ms) = _timed(lambda a=i, b=j: bbw.ext_f_pair(main, a, b))
+                (prof, ms) = _timed(bbw.ext_f_pair, main, i, j)
                 claim = "residual.%s.i=%d.j=%d" % (main, i, j)
                 shape = "total=%d (%s)" % (
                     prof.total_dim,
@@ -263,7 +263,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
                 else:
                     out.append(informational(claim, shape, ms, str(prof)))
         for i in range(1, k + 1):
-            (rep, ms) = _timed(lambda a=i: bbw.check_f_orthogonality(main, a))
+            (rep, ms) = _timed(bbw.check_f_orthogonality, main, i)
             out.append(
                 check(
                     "residual.orthogonality.%s.i=%d" % (main, i),
@@ -276,7 +276,7 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
         return out
 
     def euler_rows():
-        (rep, ms) = _timed(lambda: bbw.f_complex_euler_consistency(main))
+        (rep, ms) = _timed(bbw.f_complex_euler_consistency, main)
         return [
             check(
                 "euler.%s" % main,

@@ -39,7 +39,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from . import Value, set_field
+from . import Value, memo, set_field
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -236,7 +236,7 @@ def build_presentation(
     return Ideal(ring, gens)
 
 
-_basis_cache: dict = {}
+_basis_cache = memo()
 
 
 def weighted_order(spec: PresentationSpec) -> WeightedOrder:
@@ -517,7 +517,7 @@ def split_spectrum(gb: GroebnerBasis):
     )
 
 
-_spectrum_cache: dict = {}
+_spectrum_cache = memo()
 
 
 def decompose_spectrum(n: int) -> SpectrumReport:

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from igq import bbw
+from igq import bbw, clear_caches
 from igq.bbw import (
     ExtProfile,
     Space,
@@ -185,8 +185,6 @@ def test_verify_collection_lists_every_pair_of_a_nonzero_key(monkeypatch):
     # make the piece S^1 U*(-2) nonzero: it lies in several keys, among
     # them (1, 0, -1), (0, 1, -2) and (2, 1, -1), and every pair with one
     # of its keys must fail, in the order of the pair-by-pair sweep
-    monkeypatch.setattr(bbw, "_bbw_cache", {})
-    monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
     real = bbw.bundle_cohomology
     bad = bbw.CohomologyResult(False, 2, 3)
 
@@ -247,7 +245,7 @@ def test_nonzero_shifts_match_the_box(monkeypatch):
     monkeypatch.setattr(bbw, "_nonzero_shifts", recorded)
     for k in range(2, 31):
         for space in (Space.gr(2 * k), Space.gr(2 * k + 1), Space.igr(k)):
-            monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+            clear_caches()
             verify_collection(space)
             if space.kind == "igr" or space.param % 2 == 0:
                 bbw._residual_terms(space)
@@ -277,10 +275,9 @@ def test_nonzero_shifts_match_the_box(monkeypatch):
         assert found_any and ours < box, perturbed
 
 
-def test_closed_form_matches_the_bbw_oracle(monkeypatch):
+def test_closed_form_matches_the_bbw_oracle():
     # vanishing, degree and dimension, computed afresh (not read from the
     # memo) against the generic sort-and-Weyl-product algorithm
-    monkeypatch.setattr(bbw, "_bbw_cache", {})
     for space in SWEEP_SPACES:
         n = space.param
         full = bbw_gl if space.kind == "gr" else bbw_sp
@@ -290,8 +287,7 @@ def test_closed_form_matches_the_bbw_oracle(monkeypatch):
                 assert bundle_cohomology(space, sym, twist) == expected, (space, sym, twist)
 
 
-def test_singular_weights_share_one_vanishing_result(monkeypatch):
-    monkeypatch.setattr(bbw, "_bbw_cache", {})
+def test_singular_weights_share_one_vanishing_result():
     space = Space.igr(3)
     assert bundle_cohomology(space, 0, -1) is bundle_cohomology(space, 0, -2)
     assert ext_bundles(space, (0, 0), (0, -1)) is ext_bundles(space, (0, 0), (1, -1))
@@ -380,7 +376,6 @@ def test_koszul_line_matches_the_double_complex(monkeypatch, perturbed):
     # makes the pieces S^1 U*(-2) and S^2 U*(-3) nonzero, so that terms at
     # several i - j turn nonzero at once and failures, nonzero Euler sums
     # and inconclusive first pages are compared too
-    monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
     if perturbed:
         real = bbw.bundle_cohomology
         bad = {(1, -2): bbw.CohomologyResult(False, 2, 3), (2, -3): bbw.CohomologyResult(False, 1, 2)}
@@ -422,7 +417,7 @@ def test_residual_interleaved_spaces_match_fresh_calls(monkeypatch):
     interleaved = [sweep(space) for space in spaces]
     fresh = []
     for space in spaces:
-        monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+        clear_caches()
         fresh.append(sweep(space))
     assert interleaved == fresh
     assert interleaved[0][0] != interleaved[1][0]
@@ -430,8 +425,7 @@ def test_residual_interleaved_spaces_match_fresh_calls(monkeypatch):
 
 def _residual_lookups(monkeypatch, k, kind):
     # Ext and cohomology lookups of the residual rows alone, from cold memos
-    monkeypatch.setattr(bbw, "_bbw_cache", {})
-    monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+    clear_caches()
     calls = [0]
 
     def counted(fn):
@@ -514,7 +508,7 @@ def test_ext_interleaved_spaces_match_fresh_calls(monkeypatch):
     for space in (first, second, first):
         row = []
         for E, F in pairs:
-            monkeypatch.setattr(bbw, "_ext_cache", (None, {}))
+            clear_caches()
             row.append(ext_bundles(space, E, F))
         fresh.append(row)
     assert interleaved == fresh

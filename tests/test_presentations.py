@@ -2,7 +2,7 @@
 
 import pytest
 
-from igq import deformation, presentations
+from igq import clear_caches, deformation, presentations
 from igq.groebner import (
     Ideal,
     buchberger,
@@ -246,7 +246,6 @@ def test_only_the_spectrum_reads_the_grevlex_ii_basis(monkeypatch):
         return real(spec, order)
 
     monkeypatch.setattr(presentations, "presentation_basis", recorded)
-    monkeypatch.setattr(presentations, "_spectrum_cache", {})
     n = 4
     presentations.decompose_spectrum(n)
     assert requests == [(QUANTUM_II, GREVLEX)]
@@ -525,7 +524,6 @@ def test_a_failed_proof_mod_p_takes_one_exact_count(monkeypatch):
 
 
 def test_spectrum_is_proved_mod_p_for_n_up_to_6(monkeypatch):
-    monkeypatch.setattr(presentations, "_spectrum_cache", {})
     runs = exact_krylov_runs(monkeypatch)
     for n in range(2, 7):
         decompose_spectrum(n)
@@ -536,7 +534,7 @@ def test_spectrum_fallback_agrees_with_the_proof(monkeypatch):
     # with p = 2 every off-origin part has degree >= p, so no attempt is
     # proved and each n takes the exact path
     proved = {n: decompose_spectrum(n) for n in range(2, 6)}
-    monkeypatch.setattr(presentations, "_spectrum_cache", {})
+    clear_caches()
     monkeypatch.setattr(presentations, "_PRIME", 2)
     runs = exact_krylov_runs(monkeypatch)
     assert {n: decompose_spectrum(n) for n in range(2, 6)} == proved

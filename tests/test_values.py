@@ -2,7 +2,8 @@
 behaviour of a frozen dataclass with the same fields (equality, hashing,
 immutability, repr and validation), and the algebra types, held to the
 same copy, pickle and immutability contracts with their own reprs.  A
-guard keeps `igq.Value` the one place that refuses assignment."""
+guard keeps `igq.Value` the one place that refuses assignment, and another
+keeps `igq.memo()` the one maker of memo tables."""
 
 import copy
 import importlib
@@ -219,9 +220,13 @@ def test_two_bases_of_one_ideal_built_apart_are_equal():
 # one implementation of immutability
 
 
-def _igq_classes():
+def _igq_modules():
     for info in pkgutil.iter_modules(igq.__path__, "igq."):
-        module = importlib.import_module(info.name)
+        yield importlib.import_module(info.name)
+
+
+def _igq_classes():
+    for module in _igq_modules():
         for cls in vars(module).values():
             if inspect.isclass(cls) and cls.__module__ == module.__name__:
                 yield cls
@@ -243,3 +248,21 @@ def test_only_value_refuses_assignment():
             text = path.read_text()
             assert "object.__setattr__" not in text, path.name
             assert "def __setattr__" not in text, path.name
+
+
+# ---------------------------------------------------------------------------
+# one memo mechanism
+
+
+def test_every_memo_is_made_by_igq_memo():
+    # clear_caches empties only the tables igq.memo() registered, so a
+    # hand-rolled dict memo would carry entries from one run into the next
+    caches = {
+        (module.__name__, name): table
+        for module in _igq_modules()
+        for name, table in vars(module).items()
+        if name.endswith("_cache")
+    }
+    assert len(caches) == 4
+    for where, table in caches.items():
+        assert any(table is memo for memo in igq._memos), where
