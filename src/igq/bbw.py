@@ -13,18 +13,21 @@ tail of rho, with x > y the two leading entries:
 
 The tail is sorted, distinct and (in type C) positive, so Bott's theorem
 reads off x and y alone.  The weight is singular iff an entry repeats: in
-type A iff x or y lies in T; in type C iff an absolute value repeats or is
-zero, i.e. |x| or |y| is at most k-2, or |x| == |y|.
+type A iff x or y lies in T; in type C iff |x| or |y| is at most k-2 (zero
+included) or |x| == |y|, i.e. x = -y.  With p = m - 2 on G(2,m) and
+p = 2k - 3 on IG(2,2k), that is one rule of two bands:
+    twist in [-p, -1] (y),  or  sym + twist in [-p-1, -2] (x),
+or, on IG(2,2k) only, sym + 2 twist = 1 - 2k (x = -y).
 
 Degree.  In type A it is the number of inversions.  x and y are outside
 T, so each is either above the whole tail or, when negative, below it and
-passes all m-2 tail entries:  deg = (m-2)([x<0] + [y<0]).  In type C it is
+passes all p = m-2 tail entries:  deg = p([x<0] + [y<0]).  In type C it is
 the length of the signed permutation sorting the absolute values
 decreasingly, i.e. the number of positive roots made negative:
     #{i<j : mu_i < mu_j} + #{i<j : mu_i + mu_j < 0} + #{i : mu_i < 0}.
 A negative x has |x| above every tail entry t, so it counts both x < t and
 x + t < 0 for each of the k-2 of them, plus itself; likewise y; the pair
-(x, y) adds [x + y < 0]:  deg = (2k-3)([x<0] + [y<0]) + [x+y<0].
+(x, y) adds [x + y < 0]:  deg = p([x<0] + [y<0]) + [x+y<0].
 
 Dimension.  Weyl's formula is a product over the sorted entries l of
 weight + rho (type A: of l_i - l_j over the pairs; type C, on absolute
@@ -39,10 +42,20 @@ same product for rho.  Both sets are T plus two leading entries, {x, y}
   Q(z) = prod_{t in T} (z^2 - t^2) = perm(z-1, k-2) perm(z+k-2, k-2).
 
 The generic algorithm (sort weight + rho, count, take the Weyl product) is
-the test oracle, `tests/bbw_oracle.py`.  Ext between two bundles is the
-sum over the Clebsch-Gordan pieces of the Hom bundle, and every
-nonvanishing piece adds a positive dimension, so an Ext vanishes iff each
-of its pieces does.
+the test oracle, `tests/bbw_oracle.py`.
+
+Ext vanishing.  An Ext is the sum over the Clebsch-Gordan pieces of the
+Hom bundle, each nonvanishing one adding a positive dimension, so it
+vanishes iff each piece does.  The key (a, b, s), Ext(S^a U*, S^b U*(s)),
+has the pieces t = 0..r, r = min(a, b), with twist s - a + t and
+sym + twist s + b - t, all on the diagonal sym + 2 twist = b - a + 2s.  A
+piece with twist >= 0 is regular, so s <= a - r - 1.  The pieces with
+twist < -p, t <= a - s - p - 1, need sym + twist, which falls with t, in
+[-p-1, -2]: when s <= a - p - 1 that is s + b <= -2 and s + b - r >= -p - 1
+(if the last of them is below r, s > a - r - p - 1 gives both its bound
+and this one).  As a - p > r - b - p - 1, the Ext vanishes iff
+    s in [r - b - p - 1, a - r - 1] and s not in [-b - 1, a - p - 1],
+or, on IG(2,2k), b - a + 2s = 1 - 2k.
 
 The type-C length convention is validated against Serre duality by the
 property suite rather than trusted a priori.
@@ -50,8 +63,7 @@ property suite rather than trusted a priori.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import accumulate, product
+from itertools import product
 from math import comb, factorial, perm
 
 from . import Value, memo, set_field
@@ -110,25 +122,29 @@ def _tail_product_sp(z: int, k: int) -> int:
     return perm(z - 1, k - 2) * perm(z + k - 2, k - 2)
 
 
+def _p(space: Space) -> int:
+    """p = m - 2 on G(2,m), 2k - 3 on IG(2,2k): band width and degree step."""
+    return space.param - 2 if space.kind == GR else 2 * space.param - 3
+
+
 def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
-    """H^*(space, S^sym U*(twist)) from the two leading entries x > y of
-    (sym + twist, twist, 0, ..., 0) + rho, by the formulas of the module
-    docstring: singular iff type A repeats (x or y in 0..m-3) or type C
-    does (|x| or |y| at most k-2, zero included, or |x| == |y|)."""
-    n = space.param
+    """H^*(space, S^sym U*(twist)) by the module docstring: vanishing on the
+    singular bands, else the degree and Weyl dimension from the leading
+    entries x > y of (sym + twist, twist, 0, ..., 0) + rho."""
+    n, p = space.param, _p(space)
+    if -p <= twist <= -1 or -p - 1 <= sym + twist <= -2:
+        return _VANISHING
     if space.kind == GR:
         x, y = sym + twist + n - 1, twist + n - 2
-        if 0 <= x <= n - 3 or 0 <= y <= n - 3:
-            return _VANISHING
-        degree = (n - 2) * ((x < 0) + (y < 0))
+        degree = p * ((x < 0) + (y < 0))
         num = (x - y) * _tail_product_gl(x, n) * _tail_product_gl(y, n)
         den = factorial(n - 1) * factorial(n - 2)
     else:
+        if sym + 2 * twist == 1 - 2 * n:
+            return _VANISHING
         x, y = sym + twist + n, twist + n - 1
         X, Y = abs(x), abs(y)
-        if X <= n - 2 or Y <= n - 2 or X == Y:
-            return _VANISHING
-        degree = (2 * n - 3) * ((x < 0) + (y < 0)) + (x + y < 0)
+        degree = p * ((x < 0) + (y < 0)) + (x + y < 0)
         num = X * Y * abs(X * X - Y * Y) * _tail_product_sp(X, n) * _tail_product_sp(Y, n)
         den = n * (n - 1) * (2 * n - 1) * _tail_product_sp(n, n) * _tail_product_sp(n - 1, n)
     dim, r = divmod(num, den)
@@ -228,68 +244,24 @@ def ext_bundles(space: Space, E, F) -> ExtProfile:
 
 def _nonzero_shifts(space: Space, families) -> list:
     """For each family (a, b, shifts) of keys (a, b, s), s in the range
-    shifts, the sorted s whose Ext does not vanish.
-
-    An Ext vanishes iff each Clebsch-Gordan piece of its key has vanishing
-    cohomology: a piece that does not vanish adds a positive dimension, and
-    nothing cancels it.  The piece of (a, b, s) with sym = a + b - 2t has
-    twist s - a + t, so it lies on the diagonal sym + 2 twist = b - a + 2s,
-    and sym runs over |a - b| .. a + b in steps of 2.  In (sym, diagonal)
-    coordinates a family is a rectangle.  Each sym's pieces are tested once,
-    from the lowest to the highest diagonal of the rectangles holding that
-    sym; a piece outside every rectangle is left untested and counted as
-    vanishing, which changes no rectangle's count.  Prefix counts of the
-    failing pieces, summed over the syms of one parity, tell in O(1)
-    whether a rectangle holds any; only those that do are searched for
-    their s."""
-    rects = [
-        (abs(a - b), a + b, b - a + 2 * shifts.start, b - a + 2 * shifts.stop) if shifts else None
-        for a, b, shifts in families
-    ]
-    boxed = [r for r in rects if r]
-    if not boxed:
-        return [[] for _ in families]
-    sym_lo, sym_hi = min(r[0] for r in boxed), max(r[1] for r in boxed)
-    diag_lo, diag_hi = min(r[2] for r in boxed), max(r[3] for r in boxed)
-    bands = {}  # (lo, hi) -> (lowest, highest) diagonal of the rectangles with those syms
-    for lo, hi, dlo, dhi in boxed:
-        low, high = bands.get((lo, hi), (dlo, dhi))
-        bands[lo, hi] = (dlo if dlo < low else low, dhi if dhi > high else high)
-    # sym -> lowest and highest diagonal of the rectangles holding it (none: empty)
-    lows, highs = [diag_hi] * (sym_hi + 1), [diag_lo] * (sym_hi + 1)
-    for (lo, hi), (dlo, dhi) in bands.items():
-        for sym in range(lo, hi + 1, 2):
-            if dlo < lows[sym]:
-                lows[sym] = dlo
-            if dhi > highs[sym]:
-                highs[sym] = dhi
-    bad = {}  # sym -> its failing diagonals, ascending
-    below = {}  # sym -> x -> failing pieces (sym' <= sym of sym's parity, diagonal < diag_lo + x)
-    for sym in range(sym_lo, sym_hi + 1):
-        marks = [0] * (diag_hi - diag_lo)
-        for diag in range(lows[sym], highs[sym], 2):  # of sym's parity, as every rectangle's
-            if not bundle_cohomology(space, sym, (diag - sym) // 2).vanishes:
-                bad.setdefault(sym, []).append(diag)
-                marks[diag - diag_lo] = 1
-        counts = accumulate(marks, initial=0)
-        prev = below.get(sym - 2)
-        below[sym] = list(counts) if prev is None else [p + c for p, c in zip(prev, counts)]
-
-    def failing(sym, lo, hi):
-        row = below.get(sym)
-        return row[hi - diag_lo] - row[lo - diag_lo] if row else 0
-
+    shifts, the ascending s whose Ext does not vanish, read off the rule of
+    the module docstring with no cohomology lookup."""
+    p = _p(space)
     out = []
-    for (a, b, _), rect in zip(families, rects):
-        found = set()
-        if rect:
-            lo, hi, dlo, dhi = rect
-            if failing(hi, dlo, dhi) != failing(lo - 2, dlo, dhi):
-                for sym in range(lo, hi + 1, 2):
-                    diags = bad.get(sym, ())
-                    hits = diags[bisect_left(diags, dlo) : bisect_left(diags, dhi)]
-                    found.update((d - b + a) // 2 for d in hits)
-        out.append(sorted(found))
+    for a, b, shifts in families:
+        r = min(a, b)
+        lo, hi = r - b - p - 1, a - r - 1  # lo < hi: the hole below is clipped to lo..hi
+        start, stop = shifts.start, shifts.stop
+        found = [
+            *range(start, min(stop, lo)),
+            *range(max(start, lo, -b - 1), min(stop, hi + 1, a - p)),
+            *range(max(start, hi + 1), stop),
+        ]
+        if space.kind == IGR and (a - b) % 2:
+            diagonal = (a - b + 1) // 2 - space.param  # b - a + 2s = 1 - 2k
+            if diagonal in found:
+                found.remove(diagonal)
+        out.append(found)
     return out
 
 
@@ -331,10 +303,9 @@ def verify_collection(space: Space) -> dict:
     """Exceptionality of every object and vanishing of every
     wrong-direction Ext (later object against earlier object).
 
-    The Clebsch-Gordan pieces of all wrong-direction keys are tested once
-    each (`_nonzero_shifts`).  Only the keys holding a nonvanishing piece
-    get a full Ext, and their pairs are listed as failures in collection
-    order."""
+    `_nonzero_shifts` names the wrong-direction keys whose Ext does not
+    vanish; only those get a full Ext, and their pairs are listed as
+    failures in collection order."""
     objects = lefschetz_collection(space)
     failures = []
     for sym, twist in objects:
@@ -423,9 +394,12 @@ def _first_page(space: Space, terms) -> ExtProfile:
     of a source term E and a target term F, with their multiplicities
     multiplied and the target's degree minus the source's.
 
-    Conclusive iff the nonzero first-page total degrees contain no two
-    consecutive integers (then no differential can act); inconclusive
-    results are reported as such, never guessed.
+    Filtering both bounded complexes by their stupid truncations gives a
+    spectral sequence from this page, Ext^q(E, F) in degree q + shift, to
+    RHom between them.  Each d_r raises the degree by one, so when no two
+    nonzero terms sit in consecutive degrees every d_r vanishes and the
+    first page is the answer (conclusive); otherwise the result is
+    reported inconclusive, never guessed.
     """
     acc = {}
     for E, F, mult, shift in terms:
@@ -448,8 +422,8 @@ def _residual_terms(space: Space) -> tuple:
     i - j, which ranges over 1-k .. min(a, k) - b - 1.  Orthogonality takes
     the block object S^u U*(v) against target positions b < i twisted by
     k - i; the term depends on (i, v) only through w = k - i - v, which
-    ranges over 0 .. k-1-b.  Both families of keys go through one
-    `_nonzero_shifts`, so each Clebsch-Gordan piece is tested once."""
+    ranges over 0 .. k-1-b.  `_nonzero_shifts` names the nonvanishing keys
+    of both families; only those get an Ext lookup."""
     table = _space_table(space)
     terms = table.get(_RESIDUAL)
     if terms is not None:

@@ -359,6 +359,10 @@ def _parse_checks(text: str, known, command: str):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flag, limit = ("--max-n", args.max_n) if args.command == "qh" else ("--max-k", args.max_k)
+    if limit < 2:  # n and k start at 2, so a lower limit leaves no run to allow
+        print("%s must be at least 2, got %d" % (flag, limit), file=sys.stderr)
+        return 2
     clear_caches()
     t0 = time.monotonic()
     if args.command == "qh":

@@ -155,11 +155,12 @@ def euler_sums(space) -> list:
 
 
 def nonzero_shifts_in_box(space, families) -> list:
-    """`igq.bbw._nonzero_shifts` testing every piece of the box around the
-    families' rectangles in (sym, diagonal) coordinates, pieces that no
-    rectangle holds included: the reference for the per-sym ranges.  It
-    reads `bbw.bundle_cohomology` through the module, so a test that
-    patches the cohomology patches both."""
+    """For each family (a, b, shifts), the sorted s whose key (a, b, s) holds
+    a nonvanishing Clebsch-Gordan piece, found by looking up every piece of
+    the box around the families' rectangles in (sym, sym + 2 twist)
+    coordinates: the piece-by-piece reference for the closed-form
+    `igq.bbw._nonzero_shifts`.  It reads `bbw.bundle_cohomology` through
+    the module, so it sees the pieces that `inject_nonzero_pieces` adds."""
     rects = [
         (abs(a - b), a + b, b - a + 2 * shifts.start, b - a + 2 * shifts.stop) if shifts else None
         for a, b, shifts in families
@@ -197,6 +198,34 @@ def nonzero_shifts_in_box(space, families) -> list:
                     found.update((d - b + a) // 2 for d in hits)
         out.append(sorted(found))
     return out
+
+
+def inject_nonzero_pieces(monkeypatch, pieces):
+    """Make the Clebsch-Gordan pieces of `pieces(space)`, a dict
+    (sym, twist) -> nonvanishing `CohomologyResult`, nonzero on that space.
+    `bbw.bundle_cohomology` returns them, and `bbw._nonzero_shifts`, which
+    decides vanishing in closed form and reads no cohomology, adds each s of
+    a family (a, b, shifts) whose key holds one: the piece
+    sym = a + b - 2t with t in 0..min(a, b) and s = twist + a - t."""
+    real_cohomology, real_shifts = bbw.bundle_cohomology, bbw._nonzero_shifts
+
+    def cohomology(space, sym, twist):
+        return pieces(space).get((sym, twist)) or real_cohomology(space, sym, twist)
+
+    def nonzero_shifts(space, families):
+        injected = pieces(space)
+        out = []
+        for (a, b, shifts), found in zip(families, real_shifts(space, families)):
+            found = set(found)
+            for sym, twist in injected:
+                t, odd = divmod(a + b - sym, 2)
+                if not odd and 0 <= t <= min(a, b) and twist + a - t in shifts:
+                    found.add(twist + a - t)
+            out.append(sorted(found))
+        return out
+
+    monkeypatch.setattr(bbw, "bundle_cohomology", cohomology)
+    monkeypatch.setattr(bbw, "_nonzero_shifts", nonzero_shifts)
 
 
 def space_dimension(space) -> int:

@@ -1,5 +1,6 @@
 """Weight combinatorics, Ext profiles, collections, staircase complexes."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -185,18 +186,13 @@ def test_verify_collection_lists_every_pair_of_a_nonzero_key(monkeypatch):
     # make the piece S^1 U*(-2) nonzero: it lies in several keys, among
     # them (1, 0, -1), (0, 1, -2) and (2, 1, -1), and every pair with one
     # of its keys must fail, in the order of the pair-by-pair sweep
-    real = bbw.bundle_cohomology
-    bad = bbw.CohomologyResult(False, 2, 3)
-
-    def patched(space, sym, twist):
-        return bad if (sym, twist) == (1, -2) else real(space, sym, twist)
-
-    monkeypatch.setattr(bbw, "bundle_cohomology", patched)
+    bad = {(1, -2): bbw.CohomologyResult(False, 2, 3)}
+    bundle_oracle.inject_nonzero_pieces(monkeypatch, lambda space: bad)
 
     def brute_ext(space, E, F):
         acc = {}
         for sym, twist in bbw._clebsch_gordan(E[0], F[0], F[1] - E[1]):
-            res = patched(space, sym, twist)
+            res = bbw.bundle_cohomology(space, sym, twist)
             if not res.vanishes:
                 acc[res.degree] = acc.get(res.degree, 0) + res.rep_dimension
         return ExtProfile.make(acc, True)
@@ -230,11 +226,11 @@ def test_wrong_direction_keys_match_the_pairs():
 
 
 def test_nonzero_shifts_match_the_box(monkeypatch):
-    # the per-sym diagonal ranges skip the pieces of the box that lie in no
-    # rectangle, which no prefix difference counts: every family of the
-    # collection and residual sweeps must get the shifts the box gives, also
-    # when scattered pieces are made nonzero, inside rectangles and out
-    # (for k <= 12, where the box is quick to search)
+    # every family of the collection and residual sweeps for k = 2..30 must
+    # get the shifts that looking up every piece of the box gives, with no
+    # cohomology lookup of its own; and with scattered pieces made nonzero
+    # (for k <= 12, where the box is quick to search), the injection that
+    # the fault tests use must agree with the box too
     real_shifts, real_cohomology = bbw._nonzero_shifts, bbw.bundle_cohomology
     sweeps = []
 
@@ -251,28 +247,60 @@ def test_nonzero_shifts_match_the_box(monkeypatch):
                 bbw._residual_terms(space)
     assert len(sweeps) == 29 * 5
 
+    looked_up = [0]
+
+    def counted(space, sym, twist):
+        looked_up[0] += 1
+        return real_cohomology(space, sym, twist)
+
+    monkeypatch.setattr(bbw, "bundle_cohomology", counted)
+    for space, families in sweeps:
+        before = looked_up[0]
+        found = real_shifts(space, families)
+        assert looked_up[0] == before, space
+        assert found == bundle_oracle.nonzero_shifts_in_box(space, families), space
+    assert looked_up[0] > 0
+
     fake = bbw.CohomologyResult(False, 0, 1)
-    for perturbed in (False, True):
-        tested = [0]
 
-        def cohomology(space, sym, twist):
-            tested[0] += 1
-            if perturbed and (3 * sym + 5 * twist + space.param) % 29 == 0:
-                return fake
-            return real_cohomology(space, sym, twist)
+    @functools.cache
+    def pieces(space):
+        return {
+            (sym, twist): fake
+            for sym in range(60)
+            for twist in range(-80, 80)
+            if (3 * sym + 5 * twist + space.param) % 29 == 0
+        }
 
-        monkeypatch.setattr(bbw, "bundle_cohomology", cohomology)
-        ours = box = 0
-        found_any = False
-        for space, families in sweeps[: 5 * 11] if perturbed else sweeps:
-            start = tested[0]
-            found = real_shifts(space, families)
-            middle = tested[0]
-            assert found == bundle_oracle.nonzero_shifts_in_box(space, families), (space, perturbed)
-            assert middle - start <= tested[0] - middle
-            ours, box = ours + middle - start, box + tested[0] - middle
-            found_any |= any(found)
-        assert found_any and ours < box, perturbed
+    monkeypatch.setattr(bbw, "bundle_cohomology", real_cohomology)
+    bundle_oracle.inject_nonzero_pieces(monkeypatch, pieces)
+    grew = False
+    for space, families in sweeps[: 5 * 11]:
+        found = bbw._nonzero_shifts(space, families)
+        assert found == bundle_oracle.nonzero_shifts_in_box(space, families), space
+        grew |= found != real_shifts(space, families)
+    assert grew
+
+
+NONZERO_GRID_SPACES = [Space.gr(m) for m in range(4, 14)] + [Space.igr(k) for k in range(2, 9)]
+
+
+def test_nonzero_shifts_match_ext_on_a_grid():
+    # the closed form against a full Ext per key, on both kinds of space,
+    # IG(2,4) (band width p = 1) included, for a > b, a = b and a < b, over
+    # every s from below the vanishing band to above it, and on empty
+    # ranges of shifts
+    families = [(a, b, range(-30, 20)) for a in range(9) for b in range(9)]
+    families += [(3, 5, range(4, 4)), (5, 3, range(2, -2))]
+    for space in NONZERO_GRID_SPACES:
+        found = bbw._nonzero_shifts(space, families)
+        vanishing = 0
+        for (a, b, shifts), shifts_found in zip(families, found):
+            expected = [s for s in shifts if ext_bundles(space, (a, 0), (b, s)).dims != ()]
+            assert shifts_found == expected, (space, a, b)
+            vanishing += len(shifts) - len(expected)
+        assert found[-2:] == [[], []]
+        assert vanishing > 0, space
 
 
 def test_closed_form_matches_the_bbw_oracle():
@@ -377,13 +405,8 @@ def test_koszul_line_matches_the_double_complex(monkeypatch, perturbed):
     # several i - j turn nonzero at once and failures, nonzero Euler sums
     # and inconclusive first pages are compared too
     if perturbed:
-        real = bbw.bundle_cohomology
         bad = {(1, -2): bbw.CohomologyResult(False, 2, 3), (2, -3): bbw.CohomologyResult(False, 1, 2)}
-
-        def patched(space, sym, twist):
-            return bad.get((sym, twist)) or real(space, sym, twist)
-
-        monkeypatch.setattr(bbw, "bundle_cohomology", patched)
+        bundle_oracle.inject_nonzero_pieces(monkeypatch, lambda space: bad)
     seen = set()
     for k in range(2, 11):
         for space in (Space.gr(2 * k), Space.igr(k)):

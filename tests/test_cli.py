@@ -324,6 +324,23 @@ def test_an_unwritable_dump_file_is_refused(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_a_limit_below_2_is_refused_by_its_flag(tmp_path, capsys):
+    # n and k start at 2, so --max-n 1 would allow the empty range [2, 1]
+    target = tmp_path / "D"
+    for argv, message in (
+        (["qh", "--n", "2", "--max-n", "1", "--dump", str(target)], "--max-n must be at least 2, got 1"),
+        (["qh", "--n", "1", "--max-n", "-3"], "--max-n must be at least 2, got -3"),
+        (["dcat", "--k", "2", "--space", "gr", "--max-k", "1"], "--max-k must be at least 2, got 1"),
+        (["dcat", "--k", "2", "--space", "igr", "--max-k", "0"], "--max-k must be at least 2, got 0"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+    assert not target.exists()
+
+
 def test_a_refused_qh_run_leaves_no_dump_directory(tmp_path, capsys):
     target = tmp_path / "D"
     for argv in (["--n", "9"], ["--n", "2", "--check", "lemma"]):
