@@ -301,15 +301,16 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
 def _dump_presentations(n: int, q_mode: str, directory: str):
     for variant in presentations.VARIANTS:
         spec = presentations.PresentationSpec(n, variant, q_mode)
-        ideal = presentations.build_presentation(spec, schur=True)
         gb = presentations.presentation_basis(spec)
+        ideal = presentations.build_presentation(spec, gb.ring.order, schur=True)
         q_label = "symbolic" if spec.symbolic_q else "1"
         header = "IG(2,%d) variant=%s q=%s" % (2 * n, variant, q_label)
+        order = " order=" + gb.ring.order.name
         base = os.path.join(directory, "ig_n%d_%s" % (n, variant.lower()))
         with open(base + ".gens.txt", "w") as fh:
-            fh.write(poly.dump_generators(ideal.generators, header))
+            fh.write(poly.dump_generators(ideal.generators, header + order))
         with open(base + ".gb.txt", "w") as fh:
-            fh.write(poly.dump_generators(gb.elements, header + " groebner"))
+            fh.write(poly.dump_generators(gb.elements, header + " groebner" + order))
 
 
 @cache
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
         q_mode = presentations.SYMBOLIC if args.q_mode == "symbolic" else presentations.SPECIALIZE_1
         try:
             _qh_checks(args.n, checks, args.max_n)  # refuse before making the dump directory
-            if args.dump:
+            if args.dump is not None:  # an empty path is refused here, not skipped
                 os.makedirs(args.dump, exist_ok=True)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
             print("cannot create dump directory: %s" % exc, file=sys.stderr)
             return 2
         rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
-        if args.dump:
+        if args.dump is not None:
             try:
                 _dump_presentations(args.n, q_mode, args.dump)
             except OSError as exc:

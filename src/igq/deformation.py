@@ -44,7 +44,6 @@ from .presentations import (
     sigma_classes,
     sigma_ring,
     sigma_weights,
-    weighted_order,
 )
 
 UNIT = ("unit",)
@@ -138,7 +137,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     if n < 3:
         raise ValueError("need n >= 3")
     spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
-    gb = presentation_basis(spec, weighted_order(spec))
+    gb = presentation_basis(spec)
     ring = gb.ring
     s = sigma_classes(ring, n)
     nf = lambda p: normal_form(p, gb)

@@ -12,11 +12,10 @@ degree-(2n-1) correction term.  The I-presentations are displayed with
 the determinantal relations D_3 .. D_(2n-2); every check builds them
 from the 2n-4 triangular rules s_k - sigma_k(s_1, s_2) instead, which
 generate the same ideal (`i_relations`), and keeps the determinants for
-the generators `--dump` writes.  Each reduced basis is memoized by the
-ideal and the term order (`presentation_basis`): `dims`, `homomorphism`
-and the lemma read the bases in the paper's weighted order
-(`weighted_order`), where every presentation is triangular, and the
-spectrum reads QUANTUM_II in grevlex.
+the generators `--dump` writes.  Each presentation has one reduced
+basis, memoized (`presentation_basis`), in the paper's weighted order
+(`weighted_order`), where it is triangular; only the spectrum builds
+its own, QUANTUM_II in grevlex (`decompose_spectrum`).
 
 `decompose_spectrum` splits Spec of the quantum quotient into its
 origin-supported part and the reduced rest by exact linear algebra in
@@ -242,12 +241,13 @@ _basis_cache = memo()
 def weighted_order(spec: PresentationSpec) -> WeightedOrder:
     """The paper's weighted order on the presentation ring's variables
     (deg s_i = i, deg a_1 = 1, deg a_2 = 2, deg b_i = 2i, deg q = 2n-1;
-    ties towards the later variables).  Every presentation is triangular
-    there: s_r leads the rule s_r - sigma_r, whose other terms are
-    products of s_1 and s_2, and b_k leads the x^(2k) coefficient of the
-    II-identity.  So its reduced basis is 2n-4 (or n-2) substitution
-    rules plus a small core in two variables: QUANTUM_I at n = 10 has 26
-    elements, against 970 in grevlex."""
+    ties towards the later variables), the order of every
+    `presentation_basis`.  Every presentation is triangular there: s_r
+    leads the rule s_r - sigma_r, whose other terms are products of s_1
+    and s_2, and b_k leads the x^(2k) coefficient of the II-identity.  So
+    its reduced basis is 2n-4 (or n-2) substitution rules plus a small
+    core in two variables: QUANTUM_I at n = 10 has 26 elements, against
+    970 in grevlex."""
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         ring, w = sigma_ring(spec.n, spec.symbolic_q), sigma_weights(spec.n)
     else:
@@ -255,38 +255,31 @@ def weighted_order(spec: PresentationSpec) -> WeightedOrder:
     return WeightedOrder(tuple(w[name] for name in ring.names))
 
 
-def presentation_basis(spec: PresentationSpec, order: TermOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of a presentation ideal in `order`, cached by
-    the ideal and the order: (n, variant, whether q is a variable, order).
-    A classical variant has no q, so both q-modes share its entries.
-
-    The grevlex bases are the ones `--dump` writes and the sha256 goldens
-    pin, and the spectrum split reads QUANTUM_II's: in grevlex its
-    multiplication matrices have entries of at most 4 bits, where in the
-    weighted order M_l carries 49-bit entries at n = 10 and 78-bit ones at
-    n = 14, with 1.7-1.8 times as many nonzeros.  Every other check reads
-    the basis in `weighted_order`, which is cheap.
+def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
+    """Reduced Groebner basis of a presentation ideal in `weighted_order`,
+    cached by the ideal: (n, variant, whether q is a variable).  A
+    classical variant has no q, so both q-modes share its entry.
 
     Buchberger selects pairs by sugar in the paper's grading, in which
     every presentation is weighted-homogeneous, so the run goes degree by
     degree.  For the q = 1 quantum variants the generators' sugars are the
     degrees of their q-homogenized forms, so the same weights act as a
     phantom homogenization by q of weight 2n-1."""
-    key = (spec.n, spec.variant, spec.symbolic_q, order)
+    key = (spec.n, spec.variant, spec.symbolic_q)
     gb = _basis_cache.get(key)
     if gb is None:
-        grading = weighted_order(spec).weights
-        gb = _basis_cache[key] = buchberger(build_presentation(spec, order), grading)
+        order = weighted_order(spec)
+        gb = _basis_cache[key] = buchberger(build_presentation(spec, order), order.weights)
     return gb
 
 
 def presentation_dimension(spec: PresentationSpec):
-    """The quotient dimension, read off the basis in `weighted_order`.
-    The standard monomials of a Groebner basis in any monomial order are
-    a vector-space basis of the quotient (Cox, Little & O'Shea, *Ideals,
+    """The quotient dimension, read off the `presentation_basis`.  The
+    standard monomials of a Groebner basis in any monomial order are a
+    vector-space basis of the quotient (Cox, Little & O'Shea, *Ideals,
     Varieties, and Algorithms*, ch. 5 sec. 3), so their number does not
-    depend on the order: this is the dimension the grevlex basis gives."""
-    return len(standard_monomials(presentation_basis(spec, weighted_order(spec))))
+    depend on the order: this is the dimension a grevlex basis gives."""
+    return len(standard_monomials(presentation_basis(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +308,7 @@ def sigma_in_ab(n: int, k: int, ring: Ring = None) -> Polynomial:
 def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> dict:
     """Build the I-presentation's relations on the images sigma_in_ab of
     the classes, in the II-presentation's ring, and reduce them modulo its
-    basis in `weighted_order`.
+    `presentation_basis`.
 
     A ring map sends generators of an ideal to generators of its image, so
     the images of the triangular rules generate the same ideal as the
@@ -329,7 +322,7 @@ def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> di
     no lambda works the claim is falsified and reported as such.
     """
     spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
-    gb_ii = presentation_basis(spec, weighted_order(spec))
+    gb_ii = presentation_basis(spec)
     ring = gb_ii.ring
     images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
 
@@ -523,14 +516,18 @@ _spectrum_cache = memo()
 def decompose_spectrum(n: int) -> SpectrumReport:
     """Split Spec of the quantum quotient (q = 1) into the origin-supported
     factor and the off-origin part, and count the latter's distinct points
-    by a verified-generic projection."""
+    by a verified-generic projection.  It builds QUANTUM_II's basis in
+    grevlex itself: there the multiplication matrices have entries of at
+    most 4 bits, and M_l has 35.5k nonzeros at n = 16, against 66.9k in
+    the weighted order, whose entries reach 78 bits at n = 14."""
     if n in _spectrum_cache:
         return _spectrum_cache[n]
     spec = PresentationSpec(n, QUANTUM_II, SPECIALIZE_1)
-    length, off_dim, count, form = split_spectrum(presentation_basis(spec))
+    ideal = build_presentation(spec)
+    length, off_dim, count, form = split_spectrum(buchberger(ideal, weighted_order(spec).weights))
     report = SpectrumReport(
         total_dim=length + off_dim,
-        tangent_dim_origin=origin_tangent_dimension(build_presentation(spec)),
+        tangent_dim_origin=origin_tangent_dimension(ideal),
         local_length_origin=length,
         offorigin_dim=off_dim,
         offorigin_distinct_points=count,

@@ -3,6 +3,8 @@ writes, as `--dump` files hold it: the tests read dumps back with it."""
 
 from fractions import Fraction
 
+from igq.poly import Ring, WeightedOrder
+
 
 def load_polynomial(ring, text: str):
     text = text.strip()
@@ -32,3 +34,17 @@ def load_generators(ring, text: str):
             continue
         out.append(load_polynomial(ring, line))
     return out
+
+
+def load_dump(text: str):
+    """(ring, polynomials) of a `--dump` file: the weighted order from the
+    header's last field, order=weighted(w1,...), and the variables from
+    the first term, which lists every one of them."""
+    lines = text.splitlines()
+    field, _, name = lines[0].rsplit(" ", 1)[-1].partition("=")
+    if not (lines[0].startswith("#") and field == "order" and name.startswith("weighted(")):
+        raise ValueError("no weighted order in the header %r" % (lines[0],))
+    weights = [int(w) for w in name[len("weighted(") : -1].split(",")]
+    names = [piece.split("^")[0] for piece in lines[1].split(" + ")[0].split("*")[1:]]
+    ring = Ring(names, WeightedOrder(weights))
+    return ring, load_generators(ring, text)

@@ -1,6 +1,9 @@
 """Weighted homogeneity of the presentations' generators in the paper's
-grading: the tests check the relation builders against it."""
+grading, which the tests check the relation builders against, and the
+presentations' grevlex bases, which the tests hold the weighted ones
+against."""
 
+from igq.groebner import buchberger
 from igq.presentations import (
     PresentationSpec,
     SPECIALIZE_1,
@@ -9,7 +12,15 @@ from igq.presentations import (
     ab_weights,
     build_presentation,
     sigma_weights,
+    weighted_order,
 )
+
+
+def grevlex_basis(spec):
+    """The reduced basis of a presentation in grevlex, built as
+    `decompose_spectrum` builds QUANTUM_II's: by sugar in the paper's
+    grading."""
+    return buchberger(build_presentation(spec), weighted_order(spec).weights)
 
 
 def weighted_homogeneity_report(n: int) -> dict:

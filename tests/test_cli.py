@@ -13,7 +13,15 @@ import igq
 from igq import bbw, clear_caches, cli, deformation, presentations, unfolding
 from igq.bbw import Space
 from igq.cli import main, run_dcat_suite, run_qh_suite
-from igq.presentations import SPECIALIZE_1, VARIANTS, PresentationSpec, SpectrumReport, ab_ring
+from igq.groebner import GroebnerBasis, normal_form
+from igq.presentations import (
+    SPECIALIZE_1,
+    VARIANTS,
+    PresentationSpec,
+    SpectrumReport,
+    ab_ring,
+    weighted_order,
+)
 from igq.report import (
     CheckResult,
     check,
@@ -23,7 +31,8 @@ from igq.report import (
     summarize,
 )
 
-from dump_oracle import load_generators
+from dump_oracle import load_dump
+from groebner_oracle import is_groebner
 
 
 def test_qh_suite_full_run_n3():
@@ -235,7 +244,7 @@ def test_a_dcat_run_holds_only_its_own_space_in_the_memos(capsys):
 
 def test_a_qh_run_holds_only_its_own_n_in_the_memos(capsys):
     assert main(["qh", "--n", "3"]) == 0
-    assert main(["qh", "--n", "4", "--check", "spectrum"]) == 0
+    assert main(["qh", "--n", "4", "--check", "spectrum,dims"]) == 0
     capsys.readouterr()
     assert list(presentations._spectrum_cache) == [4]
     assert presentations._basis_cache and all(n == 4 for n, *_ in presentations._basis_cache)
@@ -294,11 +303,47 @@ def test_dump_writes_presentations(tmp_path, capsys):
     gb_file = tmp_path / "ig_n2_quantum_ii.gb.txt"
     assert gens_file.exists() and gb_file.exists()
     text = gens_file.read_text()
-    assert text.splitlines()[0] == "# IG(2,4) variant=QUANTUM_II q=1"
-    ring = ab_ring(2)
-    gens = load_generators(ring, text)
+    assert text.splitlines()[0] == "# IG(2,4) variant=QUANTUM_II q=1 order=weighted(1,2)"
+    ring, gens = load_dump(text)
+    assert ring.names == ab_ring(2).names
     a1, a2 = ring.var("a1"), ring.var("a2")
     assert gens == [2 * a2 - a1**2, a2**2 + a1]
+
+
+@pytest.mark.parametrize("q_mode", ("1", "symbolic"))
+def test_dump_files_name_their_order(q_mode, tmp_path, capsys):
+    # a basis means nothing without its order: read back in the order its
+    # header names, each gb.txt is a Groebner basis of its gens.txt, and
+    # the substitution rules lead it (s_r for r >= 3, or every b_k)
+    mode = presentations.SYMBOLIC if q_mode == "symbolic" else SPECIALIZE_1
+    for n in range(2, 7):
+        argv = ["qh", "--n", str(n), "--max-n", str(n), "--check", "dims", "--q-mode", q_mode]
+        assert main(argv + ["--dump", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for variant in VARIANTS:
+            base = str(tmp_path / ("ig_n%d_%s" % (n, variant.lower())))
+            ring, elements = load_dump(Path(base + ".gb.txt").read_text())
+            gens_ring, gens = load_dump(Path(base + ".gens.txt").read_text())
+            assert ring == gens_ring and ring.order == weighted_order(PresentationSpec(n, variant, mode))
+            gb = GroebnerBasis(ring, elements)
+            assert is_groebner(gb), (n, variant)
+            assert all(normal_form(g, gb).is_zero for g in gens), (n, variant)
+            if variant.endswith("_I"):
+                rules = ["s%d" % r for r in range(3, 2 * n - 1)]
+            else:
+                rules = ["b%d" % k for k in range(1, n - 1)]
+            leads = set(gb.lead_monomials)
+            assert all(ring.var(v).lead_monomial in leads for v in rules), (n, variant)
+
+
+def test_an_empty_dump_path_is_refused(capsys):
+    # an empty path is no directory: refused like any other, not skipped
+    code = main(["qh", "--n", "2", "--dump", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cannot create dump directory")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_dump_into_a_file_path_is_refused_before_the_checks(tmp_path, capsys):
@@ -425,28 +470,28 @@ def test_qh_json_matches_golden_above_the_benchmark_range(n, q_mode, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == QH_GOLDENS[n, q_mode]
 
 
-# sha256 of each file `igq qh --n 4 --dump DIR` writes; the classical
-# variants have no q, so both q-modes write them alike
+# sha256 of each file `igq qh --n 4 --dump DIR` writes, in the weighted
+# order; the classical variants have no q, so both q-modes write them alike
 _CLASSICAL_DUMPS = {
-    "ig_n4_classical_i.gb.txt": "7c6e7c018185662c9c7da0b21bad108f43bcd442ea483a6554a610167f601653",
-    "ig_n4_classical_i.gens.txt": "a07e6717b820deeb9639ba5c602d2030f46ee19bb9ae3f42c0d576fc395b6ecb",
-    "ig_n4_classical_ii.gb.txt": "eaa60e007bcfeb22b37f5389133223829f320e3b6957a813c1318c4bf701e0ef",
-    "ig_n4_classical_ii.gens.txt": "22a69cee2903fb103e14182f62201c6ae6fa72e770d31e937f20bffccd3178af",
+    "ig_n4_classical_i.gb.txt": "42b30e7cf31ac0da28c370780bda7539c42f8fb4f58e6b52a926d2e0cf2b311d",
+    "ig_n4_classical_i.gens.txt": "1010edc677a6056f076db53d4e32274936cb76ff8bfbd36d8d06fba4832214f0",
+    "ig_n4_classical_ii.gb.txt": "93873894d9fdedca62efb416ff28b25063ea062e3b68da55e3015e0904584bd4",
+    "ig_n4_classical_ii.gens.txt": "55bbe690891d1d0ec234c5ac78ef4ac07d0d2460309803d84ad2065404a837f9",
 }
 DUMP_GOLDENS = {
     "1": {
         **_CLASSICAL_DUMPS,
-        "ig_n4_quantum_i.gb.txt": "93b8b8bec0c2f2e85cb755a2b3e987ea77e9530618fe878022177139162ffd20",
-        "ig_n4_quantum_i.gens.txt": "68debd0a81dbd54434e45698b6582a20741455d92a12f2f57e519e5002afe23c",
-        "ig_n4_quantum_ii.gb.txt": "83fd25f8380852f84219f175bf8d19965cc50ebaa63d10b91021e31d9a5fd6d6",
-        "ig_n4_quantum_ii.gens.txt": "0616a36184f55c5f6a37354f38f060902fb023ddf5dfc9890824f580c4e715aa",
+        "ig_n4_quantum_i.gb.txt": "6012e24f50a49e2f09ebc5312339a08967cd8e745872d3929a34ec6c933e31ab",
+        "ig_n4_quantum_i.gens.txt": "3e69c865172f497beb1ee3391fd3678e0e4a5534acc3cd12359e1435f21eb24f",
+        "ig_n4_quantum_ii.gb.txt": "3e47051f9ecf5c89d057bde6dac1b3972de74d88dc365e68d244a7cdbb6ffbb0",
+        "ig_n4_quantum_ii.gens.txt": "426e228b71fe0a202c81b7795f1f32e5b85822ae1fab843008442bd3b64808af",
     },
     "symbolic": {
         **_CLASSICAL_DUMPS,
-        "ig_n4_quantum_i.gb.txt": "517e78a3f7e58ebb0ca37046cc6359f511713ba5a18368f1d677f08a2a59cbc3",
-        "ig_n4_quantum_i.gens.txt": "504a755191a8cfa41d887c48a7031802f979792438524b469a7f506244af85b6",
-        "ig_n4_quantum_ii.gb.txt": "62cc9cf58d5aada64233d327153350c2739f73d12edb46819e4d5cf2f32f25bb",
-        "ig_n4_quantum_ii.gens.txt": "31f5ede75a63b75e051ef9cbefe18cf9c0723ec029b6bcc8ff949eae4515c48f",
+        "ig_n4_quantum_i.gb.txt": "98e251dc8c034d09608334ba276a9be7e7f0868b51b77ecba65e4d71a097c034",
+        "ig_n4_quantum_i.gens.txt": "f2b0a2eef0438d7c2e747717753cbd27978316fa71acc15652670d75efd032e0",
+        "ig_n4_quantum_ii.gb.txt": "9ab65eb6faeb302f77aab46523dad46425dc4c5d06019607bb02cf15e63a9aa1",
+        "ig_n4_quantum_ii.gens.txt": "dcb13bd57b2d829c161e1331d3357260f8479979b9a8bb3de62d671fdb076aba",
     },
 }
 

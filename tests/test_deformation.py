@@ -30,13 +30,12 @@ from igq.presentations import (
     sigma_classes,
     sigma_ring,
     sigma_weights,
-    weighted_order,
 )
 
 
 def quantum_basis(n, symbolic_q=False):
     spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
-    return presentation_basis(spec, weighted_order(spec))
+    return presentation_basis(spec)
 
 
 def first_order(gb, k):

@@ -34,13 +34,15 @@ from igq.presentations import (
 )
 
 from groebner_oracle import is_groebner
+from presentation_oracle import grevlex_basis
 from linalg_oracle import sparse_rows
 
 R2 = Ring(("x", "y"))
 X, Y = R2.gens
 
-# sha256 of dump_generators(basis elements) -- the --dump format without its
-# header line -- for every presentation basis, recorded with the
+# sha256 of dump_generators(basis elements) -- the canonical text form
+# without a header line -- for every presentation's grevlex basis (the
+# order decompose_spectrum reads QUANTUM_II in), recorded with the
 # earlier Buchberger (pairs in a set, reducer table rebuilt per S-pair,
 # iterated interreduction) at commit c2c874b.  Reduced bases are unique, so
 # any change to pair selection or reduction must leave these unchanged.
@@ -211,7 +213,7 @@ def test_standard_monomials_against_enumeration():
     for n in range(2, 7):
         for variant in VARIANTS:
             spec = PresentationSpec(n, variant)
-            bases += [presentation_basis(spec), presentation_basis(spec, weighted_order(spec))]
+            bases += [grevlex_basis(spec), presentation_basis(spec)]
     for gb in bases:
         leads = gb.lead_monomials
         std = standard_monomials(gb)
@@ -287,11 +289,14 @@ def test_sugar_weights_do_not_change_the_basis():
 
 
 def test_presentation_basis_matches_unweighted_buchberger():
+    # sugar in the paper's grading selects the pairs, in either order
     for n in (3, 4):
         for variant in (CLASSICAL_I, CLASSICAL_II, QUANTUM_I, QUANTUM_II):
             for q_mode in (SPECIALIZE_1, SYMBOLIC):
                 spec = PresentationSpec(n, variant, q_mode)
-                assert presentation_basis(spec).elements == buchberger(build_presentation(spec)).elements, spec
+                assert grevlex_basis(spec).elements == buchberger(build_presentation(spec)).elements, spec
+                weighted = build_presentation(spec, weighted_order(spec))
+                assert presentation_basis(spec).elements == buchberger(weighted).elements, spec
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1, 1), (1, 0), (2, -1), (1, 1.0), ()])
@@ -300,39 +305,44 @@ def test_sugar_weights_are_validated(weights):
         buchberger(Ideal(R2, [X**2 - Y, Y**2 - X]), weights)
 
 
-def _basis_digest(spec):
-    text = dump_generators(presentation_basis(spec).elements)
+def _basis_digest(gb):
+    text = dump_generators(gb.elements)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_presentation_bases_golden_small():
+def _golden_cases(keep):
+    """(spec, grevlex basis, recorded digest) for every golden whose n
+    `keep` accepts; a classical ideal has no q, so both q-modes share one
+    basis."""
+    bases = {}
     for (n, variant, q_mode), digest in BASIS_SHA256.items():
-        if n <= 4:
+        if keep(n):
             spec = PresentationSpec(n, variant, q_mode)
-            assert _basis_digest(spec) == digest, spec
-            assert is_groebner(presentation_basis(spec)), spec
+            key = (n, variant, spec.symbolic_q)
+            if key not in bases:
+                bases[key] = grevlex_basis(spec)
+            yield spec, bases[key], digest
+
+
+def test_presentation_bases_golden_small():
+    for spec, gb, digest in _golden_cases(lambda n: n <= 4):
+        assert _basis_digest(gb) == digest, spec
+        assert is_groebner(gb), spec
 
 
 def test_presentation_bases_golden_n5():
-    for (n, variant, q_mode), digest in BASIS_SHA256.items():
-        if n == 5:
-            spec = PresentationSpec(n, variant, q_mode)
-            assert _basis_digest(spec) == digest, spec
+    for spec, gb, digest in _golden_cases(lambda n: n == 5):
+        assert _basis_digest(gb) == digest, spec
 
 
 def test_presentation_bases_golden_n6():
-    # the SPECIALIZE_1 bases are memoised and shared with acceptance row 1b
-    for (n, variant, q_mode), digest in BASIS_SHA256.items():
-        if n == 6:
-            spec = PresentationSpec(n, variant, q_mode)
-            assert _basis_digest(spec) == digest, spec
+    for spec, gb, digest in _golden_cases(lambda n: n == 6):
+        assert _basis_digest(gb) == digest, spec
 
 
 def test_presentation_bases_golden_n7():
-    for (n, variant, q_mode), digest in BASIS_SHA256.items():
-        if n == 7:
-            spec = PresentationSpec(n, variant, q_mode)
-            assert _basis_digest(spec) == digest, spec
+    for spec, gb, digest in _golden_cases(lambda n: n == 7):
+        assert _basis_digest(gb) == digest, spec
 
 
 def test_buchberger_criterion_closure():

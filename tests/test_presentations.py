@@ -2,7 +2,7 @@
 
 import pytest
 
-from igq import clear_caches, deformation, presentations
+from igq import cli, clear_caches, deformation, presentations
 from igq.groebner import (
     Ideal,
     buchberger,
@@ -41,7 +41,7 @@ from igq.presentations import (
     weighted_order,
 )
 from groebner_oracle import is_groebner
-from presentation_oracle import weighted_homogeneity_report
+from presentation_oracle import grevlex_basis, weighted_homogeneity_report
 from spectrum_oracle import joint_origin_factor
 from substitute_oracle import substitute
 
@@ -66,27 +66,27 @@ def test_quantum_ii_n3_generators():
 
 def test_presentation_dump_bytes_are_frozen():
     # golden bytes: catches any drift in term order, normalization, or the
-    # interchange format
+    # interchange format; the files --dump writes are in the weighted
+    # order, where a2 leads a1^2
     from igq.poly import dump_generators
 
     spec = PresentationSpec(2, QUANTUM_II)
+    header = "IG(2,4) variant=QUANTUM_II q=1"
     gens_text = dump_generators(
-        build_presentation(spec).generators, "IG(2,4) variant=QUANTUM_II q=1"
+        build_presentation(spec, weighted_order(spec)).generators, header + " order=weighted(1,2)"
     )
     assert gens_text == (
-        "# IG(2,4) variant=QUANTUM_II q=1\n"
-        "-1/1*a1^2*a2^0 + 2/1*a1^0*a2^1\n"
+        "# IG(2,4) variant=QUANTUM_II q=1 order=weighted(1,2)\n"
+        "2/1*a1^0*a2^1 + -1/1*a1^2*a2^0\n"
         "1/1*a1^0*a2^2 + 1/1*a1^1*a2^0\n"
     )
-    from igq.presentations import presentation_basis
-
     gb_text = dump_generators(
-        presentation_basis(spec).elements, "IG(2,4) variant=QUANTUM_II q=1 groebner"
+        presentation_basis(spec).elements, header + " groebner order=weighted(1,2)"
     )
     assert gb_text == (
-        "# IG(2,4) variant=QUANTUM_II q=1 groebner\n"
-        "1/1*a1^0*a2^2 + 1/1*a1^1*a2^0\n"
-        "1/1*a1^2*a2^0 + -2/1*a1^0*a2^1\n"
+        "# IG(2,4) variant=QUANTUM_II q=1 groebner order=weighted(1,2)\n"
+        "1/1*a1^0*a2^1 + -1/2*a1^2*a2^0\n"
+        "1/1*a1^4*a2^0 + 4/1*a1^1*a2^0\n"
     )
 
 
@@ -157,17 +157,13 @@ def weighted_specs(n):
     )
 
 
-def weighted_basis(spec):
-    return presentation_basis(spec, weighted_order(spec))
-
-
 def test_weighted_bases_are_certified_and_triangular():
     # the bases dims and lemma read: Buchberger's criterion, every generator
     # in the ideal, s_r leading one element for each r >= 3, and at q = 1
     # the closed-form dimension
     for n in range(3, 8):
         for spec in weighted_specs(n):
-            gb = weighted_basis(spec)
+            gb = presentation_basis(spec)
             ring = gb.ring
             assert ring.order != GREVLEX, spec
             assert is_groebner(gb), spec
@@ -182,8 +178,8 @@ def test_weighted_bases_are_certified_and_triangular():
 def test_weighted_and_grevlex_bases_span_one_ideal():
     for n in (3, 4, 5):
         for spec in weighted_specs(n):
-            grevlex = presentation_basis(spec)
-            for g in weighted_basis(spec):
+            grevlex = grevlex_basis(spec)
+            for g in presentation_basis(spec):
                 assert normal_form(grevlex.ring.poly(g.terms), grevlex).is_zero, spec
 
 
@@ -199,16 +195,16 @@ def test_rules_and_determinants_give_one_reduced_basis():
     for n in range(3, 11):
         for spec in weighted_specs(n):
             order = weighted_order(spec)
-            assert presentation_basis(spec, order).elements == schur_basis(spec, order).elements, spec
+            assert presentation_basis(spec).elements == schur_basis(spec, order).elements, spec
             if n <= 5:
-                assert presentation_basis(spec).elements == schur_basis(spec, GREVLEX).elements, spec
+                assert grevlex_basis(spec).elements == schur_basis(spec, GREVLEX).elements, spec
 
 
 def schur_homomorphism_verdict(n, quantum, q_mode):
     """verify_homomorphism's (ok, lambda), with the determinants of the
     images in place of the rules on them."""
     spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
-    gb = presentation_basis(spec, weighted_order(spec))
+    gb = presentation_basis(spec)
     ring = gb.ring
     images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
     dets = schur_determinants(images, 2 * n - 2)[3:]
@@ -234,34 +230,47 @@ def test_homomorphism_by_rules_matches_the_determinants():
                 assert rep["ok"], (n, quantum, q_mode)
 
 
-def test_only_the_spectrum_reads_the_grevlex_ii_basis(monkeypatch):
-    # dims and homomorphism read the II-bases in the weighted order, where
-    # b_k leads the x^(2k) coefficient; decompose_spectrum reads QUANTUM_II
-    # in grevlex, whose multiplication matrices have small entries
-    requests = []
-    real = presentations.presentation_basis
+def test_only_the_spectrum_reads_the_grevlex_ii_basis(monkeypatch, tmp_path, capsys):
+    # every reader asks presentation_basis for the one basis of a spec, in
+    # the weighted order, where b_k leads the x^(2k) coefficient;
+    # decompose_spectrum builds QUANTUM_II in grevlex itself, whose
+    # multiplication matrices have small entries, and leaves the memo alone
+    requests, built = [], []
+    real, real_buchberger = presentations.presentation_basis, presentations.buchberger
 
-    def recorded(spec, order=GREVLEX):
-        requests.append((spec.variant, order))
-        return real(spec, order)
+    def recorded(*args, **kwargs):
+        requests.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    def recorded_buchberger(*args):
+        built.append(real_buchberger(*args))
+        return built[-1]
 
     monkeypatch.setattr(presentations, "presentation_basis", recorded)
+    monkeypatch.setattr(deformation, "presentation_basis", recorded)
+    monkeypatch.setattr(presentations, "buchberger", recorded_buchberger)
     n = 4
     presentations.decompose_spectrum(n)
-    assert requests == [(QUANTUM_II, GREVLEX)]
+    assert requests == [] and presentations._basis_cache == {}
+    assert built == [grevlex_basis(PresentationSpec(n, QUANTUM_II))]
     for variant in (CLASSICAL_II, QUANTUM_II):
         spec = PresentationSpec(n, variant)
-        weighted = weighted_order(spec)
-        assert weighted != GREVLEX
-        requests.clear()
         presentation_dimension(spec)
-        assert requests == [(variant, weighted)]
+        assert requests == [((spec,), {})]
         requests.clear()
         assert verify_homomorphism(n, variant == QUANTUM_II)["ok"]
-        assert requests == [(variant, weighted)]
-        gb = real(spec, weighted)
+        assert requests == [((spec,), {})]
+        requests.clear()
+        gb = real(spec)
+        assert gb.ring.order == weighted_order(spec) != GREVLEX
         leads = set(gb.lead_monomials)
         assert all(gb.ring.var("b%d" % k).lead_monomial in leads for k in range(1, n - 1)), variant
+    deformation.verify_lemma_presentation(n, False)
+    assert requests == [((PresentationSpec(n, QUANTUM_I),), {})]
+    requests.clear()
+    assert cli.main(["qh", "--n", str(n), "--check", "spectrum", "--dump", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert requests == [((PresentationSpec(n, variant),), {}) for variant in VARIANTS]
 
 
 def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
@@ -273,7 +282,7 @@ def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
     cases = [(n, symbolic_q) for n in (3, 4, 5) for symbolic_q in (False, True)]
     weighted = {case: report(*case) for case in cases}
     assert all(order != GREVLEX for order, _ in weighted.values())
-    monkeypatch.setattr(deformation, "presentation_basis", lambda spec, order: presentation_basis(spec))
+    monkeypatch.setattr(deformation, "presentation_basis", grevlex_basis)
     for case in cases:
         order, rep = report(*case)
         assert rep == weighted[case][1], case
@@ -472,7 +481,7 @@ def spans_the_joint_origin_factor(gb):
 
 def test_origin_factor_spans_the_joint_generalized_kernel():
     for n in range(2, 9):
-        gb = presentation_basis(PresentationSpec(n, QUANTUM_II))
+        gb = grevlex_basis(PresentationSpec(n, QUANTUM_II))
         assert spans_the_joint_origin_factor(gb) == (n - 1, n - 1)
 
 
@@ -515,7 +524,7 @@ def test_a_point_where_the_first_variable_vanishes_takes_one_exact_count(monkeyp
 def test_a_failed_proof_mod_p_takes_one_exact_count(monkeypatch):
     # u = 0 gives the zero sequence, whose polynomial 1 has no roots: the
     # proof fails, and the exact count accepts the first form
-    gb = presentation_basis(PresentationSpec(3, QUANTUM_II))
+    gb = grevlex_basis(PresentationSpec(3, QUANTUM_II))
     proved = split_spectrum(gb)
     runs = exact_krylov_runs(monkeypatch)
     monkeypatch.setattr(presentations, "_functional", lambda dim: [0] * dim)
