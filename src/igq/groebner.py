@@ -22,8 +22,8 @@ basis is emitted monic with `Fraction` coefficients, and `normal_form`
 divides its accumulated scale out once at the end.  For
 zero-dimensional ideals: standard monomial bases, whose length is the
 quotient's dimension, and the matrices of multiplication by each
-variable on that basis, on which `igq.linalg` does the rest of the
-quotient's linear algebra.
+variable on that basis, as rows of (column, entry), on which
+`igq.linalg` does the rest of the quotient's linear algebra.
 """
 
 from __future__ import annotations
@@ -412,24 +412,26 @@ def standard_monomials(gb: GroebnerBasis):
 
 def multiplication_matrices(gb: GroebnerBasis):
     """For each ring variable v, the matrix of multiplication by v on the
-    finite-dimensional quotient, as a list of rows: entry (i, j) is the
-    coefficient of the i-th standard monomial in NF(v * j-th one), an int
-    when it is integral.  Only the columns where v times the j-th standard
-    monomial w is neither standard (a unit vector) nor the leading
-    monomial of an element g (the basis is reduced, so NF(w) = w - g) take
-    a normal form."""
+    finite-dimensional quotient, as rows of (column, entry) over its
+    nonzero entries, columns ascending: entry (i, j) is the coefficient of
+    the i-th standard monomial in NF(v * j-th one), an int when it is
+    integral.  The columns are taken in ascending order and each appends
+    its entries to the rows it meets, so every row comes out sorted and
+    no zero is stored.
+    Only the columns where v times the j-th standard monomial w is neither
+    standard (a unit vector) nor the leading monomial of an element g (the
+    basis is reduced, so NF(w) = w - g) take a normal form."""
     std = standard_monomials(gb)
     index = {m: i for i, m in enumerate(std)}
     ring = gb.ring
     by_lead = {g.lead_monomial: g for g in gb}
-    dim = len(std)
     mats = []
     for k in range(ring.ngens):
-        M = [[0] * dim for _ in range(dim)]
+        M = [[] for _ in std]
         for j, m in enumerate(std):
             w = m[:k] + (m[k] + 1,) + m[k + 1 :]
             if w in index:
-                M[index[w]][j] = 1
+                M[index[w]].append((j, 1))
                 continue
             g = by_lead.get(w)
             if g is None:
@@ -437,6 +439,6 @@ def multiplication_matrices(gb: GroebnerBasis):
             else:
                 column = [(e, -c) for e, c in g.terms[1:]]
             for e, c in column:
-                M[index[e]][j] = c.numerator if c.denominator == 1 else c
+                M[index[e]].append((j, c.numerator if c.denominator == 1 else c))
         mats.append(M)
     return mats

@@ -3,7 +3,12 @@ corank, nullspace, first linear dependence, the joint generalized kernel
 of commuting matrices, and the minimal polynomial of a matrix on a start
 vector modulo a subspace, all over Q.  Over F_p, for a prime p, only what
 Wiedemann's method needs: the sequence u M^i v and its minimal polynomial
-by Berlekamp-Massey."""
+by Berlekamp-Massey.
+
+A square matrix has one format here, the one
+`igq.groebner.multiplication_matrices` returns: a list of rows, each a
+list of (column, entry) over its nonzero entries.  Vectors, and the rows
+the sieve takes, are dense lists."""
 
 from __future__ import annotations
 
@@ -141,9 +146,9 @@ def nullspace(rows, ncols: int) -> dict:
 
 
 def _kernel_chain(mats, dim: int) -> dict:
-    """The joint generalized kernel of commuting square matrices, in the
-    form `nullspace` gives: {c: u_c}, u_c 1 at column c and 0 at every
-    other key.
+    """The joint generalized kernel of commuting square matrices, given as
+    sparse rows, in the form `nullspace` gives: {c: u_c}, u_c 1 at column
+    c and 0 at every other key.
 
     K_j = {a : M a in K_(j-1) for every M} is the kernel of the stacked
     maps Q M, where Q projects away from K_(j-1).  The chain grows
@@ -151,7 +156,8 @@ def _kernel_chain(mats, dim: int) -> dict:
     at most that kernel's dimension in steps.  Each projected row is
     scaled by the common denominator D of the K_(j-1) basis,
     D M[i] - sum (D u[i]) M[c], which keeps integral matrices in ints and
-    leaves the kernel unchanged.
+    leaves the kernel unchanged; it is the only dense form of a row, made
+    for the sieve.
     """
     kernel = {}
     while True:
@@ -160,10 +166,13 @@ def _kernel_chain(mats, dim: int) -> dict:
         rows = []
         for M in mats:
             for i in range(dim):
-                row = M[i] if den == 1 else [den * a for a in M[i]]
+                row = [0] * dim
+                for j, a in M[i]:
+                    row[j] = den * a
                 for c, u in proj:
                     if u[i]:
-                        row = [a - u[i] * b for a, b in zip(row, M[c])]
+                        for j, b in M[c]:
+                            row[j] -= u[i] * b
                 rows.append(row)
         nxt = nullspace(rows, dim)
         if len(nxt) == len(kernel):
@@ -173,7 +182,8 @@ def _kernel_chain(mats, dim: int) -> dict:
 
 def generalized_kernel(mats, dim: int) -> list:
     """A basis of the joint generalized kernel of commuting square
-    matrices: the vectors that some product of them sends to 0.
+    matrices, given as sparse rows: the vectors that some product of them
+    sends to 0.
 
     First K, the generalized kernel of the first matrix alone, by the
     chain of `_kernel_chain`.  The matrices commute, so K is invariant
@@ -181,27 +191,31 @@ def generalized_kernel(mats, dim: int) -> list:
     c of K's basis.  In the basis w_c = D_c u_c, D_c the common
     denominator of u_c, M acts on K by the matrix (M w_c)[c'] / D_c', c
     and c' keys, and the lcm of the D_c scales that to an integer matrix
-    with the same generalized kernel.  The chain on these matrices, of
-    the size of K, gives the joint generalized kernel in the coordinates
-    of the w_c, exactly and wherever else the first matrix is singular.
+    with the same generalized kernel, kept as sparse rows too.  The chain
+    on these matrices, of the size of K, gives the joint generalized
+    kernel in the coordinates of the w_c, exactly and wherever else the
+    first matrix is singular.
     """
     kernel = _kernel_chain(mats[:1], dim)
     keys = list(kernel)
     dens = [lcm(*(x.denominator for x in u)) for u in kernel.values()]
     basis = [
-        [(j, x.numerator * (d // x.denominator)) for j, x in enumerate(u) if x]
+        {j: x.numerator * (d // x.denominator) for j, x in enumerate(u) if x}
         for d, u in zip(dens, kernel.values())
     ]
     scale = [lcm(*dens) // d for d in dens]
     restricted = [
-        [[s * sum(M[c][j] * x for j, x in w) for w in basis] for c, s in zip(keys, scale)]
+        [
+            [(k, e) for k, e in enumerate(s * sum(a * w.get(j, 0) for j, a in M[c]) for w in basis) if e]
+            for c, s in zip(keys, scale)
+        ]
         for M in mats
     ]
     out = []
     for y in _kernel_chain(restricted, len(keys)).values():
         x = [0] * dim
         for yc, w in zip(y, basis):
-            for j, a in w:
+            for j, a in w.items():
                 x[j] += yc * a
         out.append(x)
     return out

@@ -9,10 +9,11 @@ Two coordinate systems are used throughout:
 
 Each classical presentation has a quantum deformation obtained by a single
 degree-(2n-1) correction term.  The I-presentations are displayed with
-the determinantal relations D_3 .. D_(2n-2); every check builds them
-from the 2n-4 triangular rules s_k - sigma_k(s_1, s_2) instead, which
-generate the same ideal (`i_relations`), and keeps the determinants for
-the generators `--dump` writes.  Each presentation has one reduced
+the determinantal relations D_3 .. D_(2n-2); every check, and the
+generators `--dump` writes, build them from the 2n-4 triangular rules
+s_k - sigma_k(s_1, s_2) instead, which generate the same ideal
+(`i_relations`); the determinants themselves are kept only in the tests,
+as the oracle of that proof.  Each presentation has one reduced
 basis, memoized (`presentation_basis`), in the paper's weighted order
 (`weighted_order`), where it is triangular; only the spectrum builds
 its own, QUANTUM_II in grevlex (`decompose_spectrum`).
@@ -123,24 +124,6 @@ def q_of(ring: Ring) -> Polynomial:
     return ring.var("q") if "q" in ring.names else ring.one
 
 
-def schur_determinants(s: list, top: int) -> list:
-    """[D_0, ..., D_top] with D_r = det(s_{1+j-i})_{1 <= i,j <= r}, for the
-    classes s = [1, s_1, ..., s_{2n-2}] and s_k = 0 above 2n-2.
-
-    The matrix has ones below the diagonal and zeros under them, so
-    expanding along the first row gives D_r = sum_{k=1}^{r} (-1)^(k-1)
-    s_k D_{r-k}, with D_0 = 1.
-    """
-    dets = [s[0]]
-    for r in range(1, top + 1):
-        total = s[0].ring.zero
-        for k in range(1, min(r, len(s) - 1) + 1):
-            term = s[k] * dets[r - k]
-            total = total + (term if k % 2 else -term)
-        dets.append(total)
-    return dets
-
-
 def quadratic_relations(s: list, q: Polynomial = None) -> list:
     """The two quadratic I-relations on the classes s = [1, s_1, ..., s_{2n-2}],
     of degrees 2n-2 and 2n.  Given q, the second picks up the quantum term
@@ -177,12 +160,14 @@ def i_relations(s: list, q: Polynomial = None) -> list:
     in the ring they live in: the `triangular_rules`, then the two
     `quadratic_relations` (q as there).
 
-    The rules generate the same ideal as the displayed determinants D_r,
-    r in [3, 2n-2].  Let S(x) = sum_k (-1)^k s_k x^k, with s_k = 0 above
-    2n-2, and D(x) = sum_r D_r x^r.  The recursion in `schur_determinants`
-    says S D = 1 (Jacobi-Trudi; Macdonald, *Symmetric Functions and Hall
-    Polynomials*, I.3).  Let D<=2 = 1 + D_1 x + D_2 x^2 and T = 1/D<=2 =
-    sum_k (-1)^k sigma_k x^k.  Then
+    The rules generate the same ideal as the displayed determinants
+    D_r = det(s_{1+j-i})_{1 <= i,j <= r}, r in [3, 2n-2].  Let S(x) =
+    sum_k (-1)^k s_k x^k, with s_k = 0 above 2n-2, and D(x) = sum_r D_r
+    x^r, D_0 = 1.  The matrix has ones below the diagonal and zeros under
+    them, so expanding along the first row gives D_r = sum_{k=1}^{r}
+    (-1)^(k-1) s_k D_{r-k}, that is S D = 1 (Jacobi-Trudi; Macdonald,
+    *Symmetric Functions and Hall Polynomials*, I.3).  Let D<=2 = 1 +
+    D_1 x + D_2 x^2 and T = 1/D<=2 = sum_k (-1)^k sigma_k x^k.  Then
 
         S - T = S T (D<=2 - D)   and   D - D<=2 = D D<=2 (T - S).
 
@@ -212,21 +197,16 @@ def _chern_series_coeffs(n: int, ring: Ring):
     return out
 
 
-def build_presentation(
-    spec: PresentationSpec, order: TermOrder = GREVLEX, schur: bool = False
-) -> Ideal:
-    """The relation ideal in `order`: for the I-variants `i_relations` on
-    the variables s_k, with the determinants D_3 .. D_(2n-2) in place of
-    the triangular rules when `schur` is set (the generators as displayed,
-    which `--dump` writes); for the II-variants the coefficients of x^2,
-    ..., x^{2n} of the total-Chern-class identity."""
+def build_presentation(spec: PresentationSpec, order: TermOrder = GREVLEX) -> Ideal:
+    """The relation ideal in `order`, with the generators every basis is
+    built from and `--dump` writes: for the I-variants `i_relations` on
+    the variables s_k; for the II-variants the coefficients of x^2, ...,
+    x^{2n} of the total-Chern-class identity."""
     n = spec.n
     quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         ring = Ring(sigma_ring(n, spec.symbolic_q).names, order)
         s, q = sigma_classes(ring, n), q_of(ring) if quantum else None
-        if schur:
-            return Ideal(ring, schur_determinants(s, 2 * n - 2)[3:] + quadratic_relations(s, q))
         return Ideal(ring, i_relations(s, q))
     ring = Ring(ab_ring(n, spec.symbolic_q).names, order)
     gens = _chern_series_coeffs(n, ring)[1 : n + 1]
@@ -472,10 +452,9 @@ def split_spectrum(gb: GroebnerBasis):
     length = len(origin)
     off_dim = dim - length
     u = _functional(dim)
-    sparse = [[[(j, x) for j, x in enumerate(row) if x] for row in M] for M in mats]
     w = one = [int(i == 0) for i in range(dim)]  # std[0] is 1
     for _ in range(length):  # w = M_v^L 1, in A_off
-        w = [sum(x * w[j] for j, x in row) for row in sparse[0]]
+        w = [sum(x * w[j] for j, x in row) for row in mats[0]]
     ring = gb.ring
     tried = []
     for attempt in range(4):
@@ -483,7 +462,7 @@ def split_spectrum(gb: GroebnerBasis):
         m_ell = []  # M_l = sum_v c_v M_v, as rows of (column, entry)
         for i in range(dim):
             acc = {}
-            for c, M in zip(coeffs, sparse):
+            for c, M in zip(coeffs, mats):
                 for j, x in M[i]:
                     acc[j] = acc.get(j, 0) + c * x
             m_ell.append([(j, x) for j, x in acc.items() if x])

@@ -56,8 +56,19 @@ class ModularSieve(LinearSieve):
 
 def sparse_rows(M) -> list:
     """A dense matrix as the rows of (column, entry) over its nonzero
-    entries, the form `igq.linalg.minimal_polynomial` takes."""
+    entries, the one matrix format of `igq.linalg`."""
     return [[(j, x) for j, x in enumerate(row) if x] for row in M]
+
+
+def dense_rows(rows, dim: int) -> list:
+    """Rows of (column, entry) as a dense dim-column matrix: the inverse of
+    `sparse_rows`."""
+    out = []
+    for row in rows:
+        out.append([0] * dim)
+        for j, x in row:
+            out[-1][j] = x
+    return out
 
 
 def minimal_polynomial_mod(M, start, modulus, modulo=()):

@@ -1,19 +1,54 @@
 """Weighted homogeneity of the presentations' generators in the paper's
-grading, which the tests check the relation builders against, and the
+grading, which the tests check the relation builders against; the
 presentations' grevlex bases, which the tests hold the weighted ones
-against."""
+against; and the I-presentations with their displayed determinants, the
+oracle of the triangular rules that `igq.presentations.i_relations`
+builds in their place."""
 
-from igq.groebner import buchberger
+from igq.groebner import Ideal, buchberger
+from igq.poly import Ring
 from igq.presentations import (
     PresentationSpec,
+    QUANTUM_I,
     SPECIALIZE_1,
     SYMBOLIC,
     VARIANTS,
     ab_weights,
     build_presentation,
+    q_of,
+    quadratic_relations,
+    sigma_classes,
+    sigma_ring,
     sigma_weights,
     weighted_order,
 )
+
+
+def schur_determinants(s: list, top: int) -> list:
+    """[D_0, ..., D_top] with D_r = det(s_{1+j-i})_{1 <= i,j <= r}, for the
+    classes s = [1, s_1, ..., s_{2n-2}] and s_k = 0 above 2n-2.
+
+    The matrix has ones below the diagonal and zeros under them, so
+    expanding along the first row gives D_r = sum_{k=1}^{r} (-1)^(k-1)
+    s_k D_{r-k}, with D_0 = 1.
+    """
+    dets = [s[0]]
+    for r in range(1, top + 1):
+        total = s[0].ring.zero
+        for k in range(1, min(r, len(s) - 1) + 1):
+            term = s[k] * dets[r - k]
+            total = total + (term if k % 2 else -term)
+        dets.append(total)
+    return dets
+
+
+def schur_presentation(spec, order):
+    """An I-presentation's ideal in `order` as displayed: the determinants
+    D_3 .. D_(2n-2) and the two quadratic relations."""
+    n = spec.n
+    ring = Ring(sigma_ring(n, spec.symbolic_q).names, order)
+    s, q = sigma_classes(ring, n), q_of(ring) if spec.variant == QUANTUM_I else None
+    return Ideal(ring, schur_determinants(s, 2 * n - 2)[3:] + quadratic_relations(s, q))
 
 
 def grevlex_basis(spec):

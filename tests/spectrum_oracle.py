@@ -6,10 +6,12 @@ kernel of the first matrix instead; this is its oracle."""
 from math import lcm
 
 from igq.linalg import nullspace
+from linalg_oracle import dense_rows
 
 
 def joint_origin_factor(mats, dim: int) -> list:
-    """A basis of the joint generalized kernel of the matrices.
+    """A basis of the joint generalized kernel of the matrices, given as
+    rows of (column, entry) and made dense first.
 
     K_j = {a : m^j a = 0}, for m the maximal ideal of the origin, is the
     kernel of the stacked maps Q M_v, where Q projects away from K_{j-1}.
@@ -18,6 +20,7 @@ def joint_origin_factor(mats, dim: int) -> list:
     denominator D of the K_{j-1} basis, D M[i] - sum (D u[i]) M[c], which
     keeps integral matrices in ints and leaves the kernel unchanged.
     """
+    mats = [dense_rows(M, dim) for M in mats]
     kernel = {}
     while True:
         den = lcm(*(x.denominator for u in kernel.values() for x in u))

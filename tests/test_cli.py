@@ -471,10 +471,11 @@ def test_qh_json_matches_golden_above_the_benchmark_range(n, q_mode, capsys):
 
 
 # sha256 of each file `igq qh --n 4 --dump DIR` writes, in the weighted
-# order; the classical variants have no q, so both q-modes write them alike
+# order; the classical variants have no q, so both q-modes write them
+# alike, and the I-variants' gens.txt hold the triangular rules
 _CLASSICAL_DUMPS = {
     "ig_n4_classical_i.gb.txt": "42b30e7cf31ac0da28c370780bda7539c42f8fb4f58e6b52a926d2e0cf2b311d",
-    "ig_n4_classical_i.gens.txt": "1010edc677a6056f076db53d4e32274936cb76ff8bfbd36d8d06fba4832214f0",
+    "ig_n4_classical_i.gens.txt": "e236509501417503201c820de5506d7c12f9eed5eb5f1bb785ea06e15c0c6c4b",
     "ig_n4_classical_ii.gb.txt": "93873894d9fdedca62efb416ff28b25063ea062e3b68da55e3015e0904584bd4",
     "ig_n4_classical_ii.gens.txt": "55bbe690891d1d0ec234c5ac78ef4ac07d0d2460309803d84ad2065404a837f9",
 }
@@ -482,14 +483,14 @@ DUMP_GOLDENS = {
     "1": {
         **_CLASSICAL_DUMPS,
         "ig_n4_quantum_i.gb.txt": "6012e24f50a49e2f09ebc5312339a08967cd8e745872d3929a34ec6c933e31ab",
-        "ig_n4_quantum_i.gens.txt": "3e69c865172f497beb1ee3391fd3678e0e4a5534acc3cd12359e1435f21eb24f",
+        "ig_n4_quantum_i.gens.txt": "a5c79d044c43f943d383ad68227b9093680d29e45614927c8aa988f740e25acf",
         "ig_n4_quantum_ii.gb.txt": "3e47051f9ecf5c89d057bde6dac1b3972de74d88dc365e68d244a7cdbb6ffbb0",
         "ig_n4_quantum_ii.gens.txt": "426e228b71fe0a202c81b7795f1f32e5b85822ae1fab843008442bd3b64808af",
     },
     "symbolic": {
         **_CLASSICAL_DUMPS,
         "ig_n4_quantum_i.gb.txt": "98e251dc8c034d09608334ba276a9be7e7f0868b51b77ecba65e4d71a097c034",
-        "ig_n4_quantum_i.gens.txt": "f2b0a2eef0438d7c2e747717753cbd27978316fa71acc15652670d75efd032e0",
+        "ig_n4_quantum_i.gens.txt": "68382898a397ea4bd58fc181c9a33ce6f0778d6d4094376522e66fb90cab3fa6",
         "ig_n4_quantum_ii.gb.txt": "9ab65eb6faeb302f77aab46523dad46425dc4c5d06019607bb02cf15e63a9aa1",
         "ig_n4_quantum_ii.gens.txt": "dcb13bd57b2d829c161e1331d3357260f8479979b9a8bb3de62d671fdb076aba",
     },

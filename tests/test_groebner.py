@@ -35,7 +35,7 @@ from igq.presentations import (
 
 from groebner_oracle import is_groebner
 from presentation_oracle import grevlex_basis
-from linalg_oracle import sparse_rows
+from linalg_oracle import dense_rows
 
 R2 = Ring(("x", "y"))
 X, Y = R2.gens
@@ -390,7 +390,7 @@ def test_coefficient_types_at_the_boundary():
     gb = buchberger(Ideal(R2, [2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1]))
     for p in (X**3, 6 * X**2 * Y, R2.one, Fraction(7, 4) * X):
         assert all(type(c) is Fraction for _, c in normal_form(p, gb).terms)
-    entries = [c for M in multiplication_matrices(gb) for row in M for c in row]
+    entries = [c for M in multiplication_matrices(gb) for row in M for _, c in row]
     assert all(type(c) in (int, Fraction) for c in entries)
     assert any(type(c) is Fraction for c in entries) and any(type(c) is int for c in entries)
 
@@ -404,11 +404,11 @@ def _coords(gb, p):
 def test_minimal_polynomial_of_nilpotent_and_unit_ideal():
     gb = buchberger(Ideal(R2, [X**3, Y]))
     Mx, _ = multiplication_matrices(gb)
-    coeffs = minimal_polynomial(sparse_rows(Mx), _coords(gb, R2.one))
+    coeffs = minimal_polynomial(Mx, _coords(gb, R2.one))
     assert coeffs == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
     gb1 = buchberger(Ideal(R2, [R2.one]))
     Mx1, _ = multiplication_matrices(gb1)
-    assert minimal_polynomial(sparse_rows(Mx1), _coords(gb1, R2.one)) == [Fraction(1)]
+    assert minimal_polynomial(Mx1, _coords(gb1, R2.one)) == [Fraction(1)]
 
 
 def test_minimal_polynomial_from_a_start_vector():
@@ -417,9 +417,9 @@ def test_minimal_polynomial_from_a_start_vector():
     gb = buchberger(Ideal(R2, [X**2 * (X - 1), Y]))
     Mx, _ = multiplication_matrices(gb)
     one = _coords(gb, R2.one)
-    assert minimal_polynomial(sparse_rows(Mx), one) == [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
-    assert minimal_polynomial(sparse_rows(Mx), _coords(gb, X**2)) == [Fraction(-1), Fraction(1)]
-    assert minimal_polynomial(sparse_rows(Mx), _coords(gb, R2.zero)) == [Fraction(1)]
+    assert minimal_polynomial(Mx, one) == [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(Mx, _coords(gb, X**2)) == [Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(Mx, _coords(gb, R2.zero)) == [Fraction(1)]
 
 
 def test_minimal_polynomial_modulo_the_origin_factor():
@@ -429,9 +429,9 @@ def test_minimal_polynomial_modulo_the_origin_factor():
     Mx, _ = multiplication_matrices(gb)
     one = _coords(gb, R2.one)
     origin = [_coords(gb, R2.one - X**2), _coords(gb, X - X**2)]
-    assert minimal_polynomial(sparse_rows(Mx), one, modulo=origin) == [Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(Mx, one, modulo=origin) == [Fraction(-1), Fraction(1)]
     # a repeated spanning vector changes nothing
-    assert minimal_polynomial(sparse_rows(Mx), one, modulo=origin + origin[:1]) == [Fraction(-1), Fraction(1)]
+    assert minimal_polynomial(Mx, one, modulo=origin + origin[:1]) == [Fraction(-1), Fraction(1)]
 
 
 def test_multiplication_matrices_commute_and_act_on_one():
@@ -440,12 +440,22 @@ def test_multiplication_matrices_commute_and_act_on_one():
     mats = multiplication_matrices(gb)
     dim = len(std)
     assert [len(M) for M in mats] == [dim, dim]
+    # rows of (column, entry): columns ascend, and no entry is 0
+    for M in mats:
+        for row in M:
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
+            assert all(c for _, c in row)
+    dense = [dense_rows(M, dim) for M in mats]
+    # column j of M_v holds the coordinates of NF(v * j-th standard monomial)
+    for M, v in zip(dense, R2.gens):
+        for j, m in enumerate(std):
+            assert [M[i][j] for i in range(dim)] == _coords(gb, v * R2.monomial(m))
     # M_v applied to the coordinates of 1 gives the coordinates of v
     one = std.index((0, 0))
-    for M, v in zip(mats, R2.gens):
+    for M, v in zip(dense, R2.gens):
         column = [M[i][one] for i in range(dim)]
         assert R2.poly(zip(std, column)) == normal_form(v, gb)
-    Mx, My = mats
+    Mx, My = dense
     prod = lambda A, B: [[sum(A[i][k] * B[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
     assert prod(Mx, My) == prod(My, Mx)
 

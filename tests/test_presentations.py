@@ -31,7 +31,6 @@ from igq.presentations import (
     presentation_dimension,
     q_of,
     quadratic_relations,
-    schur_determinants,
     sigma_classes,
     sigma_in_ab,
     sigma_ring,
@@ -41,7 +40,12 @@ from igq.presentations import (
     weighted_order,
 )
 from groebner_oracle import is_groebner
-from presentation_oracle import grevlex_basis, weighted_homogeneity_report
+from presentation_oracle import (
+    grevlex_basis,
+    schur_determinants,
+    schur_presentation,
+    weighted_homogeneity_report,
+)
 from spectrum_oracle import joint_origin_factor
 from substitute_oracle import substitute
 
@@ -94,7 +98,7 @@ def test_classical_i_n3_generator_list():
     ideal = build_presentation(PresentationSpec(3, CLASSICAL_I))
     ring = ideal.ring
     s = {k: ring.var("s%d" % k) for k in range(1, 5)}
-    # determinantal relations for sizes 3 and 4 plus the two quadratic ones
+    # the triangular rules for s_3 and s_4 plus the two quadratic ones
     assert len(ideal.generators) == 4
     assert ideal.generators[2] == s[2] ** 2 - 2 * s[1] * s[3] + 2 * s[4]
     assert ideal.generators[3] == s[3] ** 2 - 2 * s[2] * s[4]
@@ -185,7 +189,7 @@ def test_weighted_and_grevlex_bases_span_one_ideal():
 
 def schur_basis(spec, order):
     """The reduced basis of the ideal the displayed determinants generate."""
-    return buchberger(build_presentation(spec, order, schur=True), weighted_order(spec).weights)
+    return buchberger(schur_presentation(spec, order), weighted_order(spec).weights)
 
 
 def test_rules_and_determinants_give_one_reduced_basis():
