@@ -302,7 +302,7 @@ def _dump_presentations(n: int, q_mode: str, directory: str):
     for variant in presentations.VARIANTS:
         spec = presentations.PresentationSpec(n, variant, q_mode)
         gb = presentations.presentation_basis(spec)
-        ideal = presentations.build_presentation(spec, gb.ring.order)
+        ideal = presentations.build_presentation(spec)
         q_label = "symbolic" if spec.symbolic_q else "1"
         header = "IG(2,%d) variant=%s q=%s" % (2 * n, variant, q_label)
         order = " order=" + gb.ring.order.name

@@ -21,9 +21,10 @@ instead of dividing.  Fractions appear only at the boundary: the reduced
 basis is emitted monic with `Fraction` coefficients, and `normal_form`
 divides its accumulated scale out once at the end.  For
 zero-dimensional ideals: standard monomial bases, whose length is the
-quotient's dimension, and the matrices of multiplication by each
-variable on that basis, as rows of (column, entry), on which
-`igq.linalg` does the rest of the quotient's linear algebra.
+quotient's dimension, the length of the factor at the origin, and the
+matrices of multiplication by each variable, or by any polynomial, on
+that basis, as rows of (column, entry), on which `igq.linalg` does the
+rest of the quotient's linear algebra.
 """
 
 from __future__ import annotations
@@ -442,3 +443,37 @@ def multiplication_matrices(gb: GroebnerBasis):
                 M[index[e]].append((j, c.numerator if c.denominator == 1 else c))
         mats.append(M)
     return mats
+
+
+def multiplication_by(f: Polynomial, gb: GroebnerBasis, mats):
+    """The matrix of multiplication by f on the quotient, in the format of
+    `multiplication_matrices`, given its matrices `mats`.  The column of
+    the standard monomial 1 is NF(f); every other standard monomial is
+    x m' for a variable x and a standard monomial m' before it, and its
+    column is M_x times the column of m'."""
+    std = standard_monomials(gb)
+    index = {m: i for i, m in enumerate(std)}
+    nf = dict(normal_form(f, gb).terms)
+    columns = [[c.numerator if c.denominator == 1 else c for c in (nf.get(m, 0) for m in std)]]
+    for m in std[1:]:
+        k = next(k for k, e in enumerate(m) if e)
+        prev = columns[index[m[:k] + (m[k] - 1,) + m[k + 1 :]]]
+        columns.append([sum(x * prev[j] for j, x in row) for row in mats[k]])
+    return [[(j, column[i]) for j, column in enumerate(columns) if column[i]] for i in range(len(std))]
+
+
+def local_length(gb: GroebnerBasis) -> int:
+    """The length L of the quotient's factor A_0 at the origin (0 if the
+    origin is not a point), by Nakayama (Eisenbud, *Commutative Algebra*,
+    ch. 4): dim Q[x]/(I + m^N), m the maximal ideal of the origin, is dim
+    A_0/m^N A_0, since m is the unit ideal on the other factors.  Equal at
+    N and N + 1, it gives m^N A_0 = m^(N+1) A_0, so m^N A_0 = 0: the first
+    N where it stops growing gives L.  Each I + m^N is built as
+    m (I + m^(N-1)) + I, from the variables times the last basis."""
+    ring, basis, last = gb.ring, (gb.ring.one,), None
+    while True:
+        basis = buchberger(Ideal(ring, gb.elements + tuple(x * g for x in ring.gens for g in basis)))
+        dim = len(standard_monomials(basis))
+        if dim == last:
+            return dim
+        last = dim

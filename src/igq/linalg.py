@@ -1,14 +1,14 @@
 """Exact linear algebra on one elimination kernel, `LinearSieve`: rank,
 corank, nullspace, first linear dependence, the joint generalized kernel
-of commuting matrices, and the minimal polynomial of a matrix on a start
-vector modulo a subspace, all over Q.  Over F_p, for a prime p, only what
-Wiedemann's method needs: the sequence u M^i v and its minimal polynomial
-by Berlekamp-Massey.
+of commuting matrices (one nullspace chain), and the minimal polynomial
+of a matrix on a start vector modulo a subspace, all over Q.  Over F_p,
+for a prime p, only what Wiedemann's method needs: the sequence u M^i v
+and its minimal polynomial by Berlekamp-Massey.
 
-A square matrix has one format here, the one
-`igq.groebner.multiplication_matrices` returns: a list of rows, each a
-list of (column, entry) over its nonzero entries.  Vectors, and the rows
-the sieve takes, are dense lists."""
+A square matrix has one format here, the one `igq.groebner`'s
+multiplication matrices come in: a list of rows, each a list of
+(column, entry) over its nonzero entries.  Vectors, and the rows the
+sieve takes, are dense lists."""
 
 from __future__ import annotations
 
@@ -145,19 +145,18 @@ def nullspace(rows, ncols: int) -> dict:
     return basis
 
 
-def _kernel_chain(mats, dim: int) -> dict:
-    """The joint generalized kernel of commuting square matrices, given as
-    sparse rows, in the form `nullspace` gives: {c: u_c}, u_c 1 at column
-    c and 0 at every other key.
+def generalized_kernel(mats, dim: int) -> list:
+    """A basis of the joint generalized kernel of commuting square
+    matrices, given as sparse rows: the vectors that some product of them
+    sends to 0.
 
     K_j = {a : M a in K_(j-1) for every M} is the kernel of the stacked
-    maps Q M, where Q projects away from K_(j-1).  The chain grows
-    strictly until it stops at the joint generalized kernel, so it takes
-    at most that kernel's dimension in steps.  Each projected row is
-    scaled by the common denominator D of the K_(j-1) basis,
-    D M[i] - sum (D u[i]) M[c], which keeps integral matrices in ints and
-    leaves the kernel unchanged; it is the only dense form of a row, made
-    for the sieve.
+    maps Q M, Q the projection away from K_(j-1); `nullspace` gives it as
+    {c: u_c}.  The chain grows strictly until it stops, so it takes at
+    most the kernel's dimension in steps.  Each projected row is scaled by
+    the common denominator D of the K_(j-1) basis, D M[i] - sum (D u[i])
+    M[c], which keeps integral matrices in ints and leaves the kernel
+    unchanged; it is the only dense form of a row, made for the sieve.
     """
     kernel = {}
     while True:
@@ -176,49 +175,8 @@ def _kernel_chain(mats, dim: int) -> dict:
                 rows.append(row)
         nxt = nullspace(rows, dim)
         if len(nxt) == len(kernel):
-            return kernel
+            return list(kernel.values())
         kernel = nxt
-
-
-def generalized_kernel(mats, dim: int) -> list:
-    """A basis of the joint generalized kernel of commuting square
-    matrices, given as sparse rows: the vectors that some product of them
-    sends to 0.
-
-    First K, the generalized kernel of the first matrix alone, by the
-    chain of `_kernel_chain`.  The matrices commute, so K is invariant
-    under each of them, and a vector x of K is sum x[c] u_c over the keys
-    c of K's basis.  In the basis w_c = D_c u_c, D_c the common
-    denominator of u_c, M acts on K by the matrix (M w_c)[c'] / D_c', c
-    and c' keys, and the lcm of the D_c scales that to an integer matrix
-    with the same generalized kernel, kept as sparse rows too.  The chain
-    on these matrices, of the size of K, gives the joint generalized
-    kernel in the coordinates of the w_c, exactly and wherever else the
-    first matrix is singular.
-    """
-    kernel = _kernel_chain(mats[:1], dim)
-    keys = list(kernel)
-    dens = [lcm(*(x.denominator for x in u)) for u in kernel.values()]
-    basis = [
-        {j: x.numerator * (d // x.denominator) for j, x in enumerate(u) if x}
-        for d, u in zip(dens, kernel.values())
-    ]
-    scale = [lcm(*dens) // d for d in dens]
-    restricted = [
-        [
-            [(k, e) for k, e in enumerate(s * sum(a * w.get(j, 0) for j, a in M[c]) for w in basis) if e]
-            for c, s in zip(keys, scale)
-        ]
-        for M in mats
-    ]
-    out = []
-    for y in _kernel_chain(restricted, len(keys)).values():
-        x = [0] * dim
-        for yc, w in zip(y, basis):
-            for j, a in w.items():
-                x[j] += yc * a
-        out.append(x)
-    return out
 
 
 def minimal_polynomial(M, start, modulo=()):

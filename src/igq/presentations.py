@@ -13,24 +13,18 @@ the determinantal relations D_3 .. D_(2n-2); every check, and the
 generators `--dump` writes, build them from the 2n-4 triangular rules
 s_k - sigma_k(s_1, s_2) instead, which generate the same ideal
 (`i_relations`); the determinants themselves are kept only in the tests,
-as the oracle of that proof.  Each presentation has one reduced
-basis, memoized (`presentation_basis`), in the paper's weighted order
-(`weighted_order`), where it is triangular; only the spectrum builds
-its own, QUANTUM_II in grevlex (`decompose_spectrum`).
+as the oracle of that proof.  Each presentation is built in the paper's
+weighted order (`weighted_order`), where it is triangular, and has one
+reduced basis there, memoized (`presentation_basis`); the spectrum reads
+QUANTUM_II's and splits its two-variable core (`decompose_spectrum`).
 
-`decompose_spectrum` splits Spec of the quantum quotient into its
-origin-supported part and the reduced rest by exact linear algebra in
-coordinates on the standard monomials: the
-origin factor is the joint generalized kernel of the multiplication
-matrices, found inside the generalized kernel of the first variable's
-matrix, and the rest is counted through the minimal polynomial of M_l,
-for a separating linear form l, on 1 modulo the origin factor: proved
-modulo a prime by Berlekamp-Massey on the sequence u M_l^i M_v^L 1, v the
-first variable and L the local length, for a random functional u
-(Wiedemann's method), and computed over Q by a Krylov sieve only when
-that proof fails.  `count_offorigin_by_substitution` re-counts the
-reduced points through the z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2,
-entirely by gcd degree arithmetic.
+`split_spectrum` splits a finite quotient into its origin-supported
+factor, whose length comes by Nakayama, and the reduced rest, whose
+points it counts by exact linear algebra on the standard monomials:
+proved modulo a prime by Wiedemann's method, and counted over Q by a
+Krylov sieve only when that proof fails.  `count_offorigin_by_substitution`
+re-counts the reduced points through the z-substitution a_1 = z_1 + z_2,
+a_2 = z_1 z_2, entirely by gcd degree arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +38,8 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     buchberger,
+    local_length,
+    multiplication_by,
     multiplication_matrices,
     normal_form,
     standard_monomials,
@@ -55,7 +51,7 @@ from .linalg import (
     minimal_polynomial,
     projected_sequence,
 )
-from .poly import GREVLEX, Polynomial, Ring, TermOrder, WeightedOrder
+from .poly import Polynomial, Ring, WeightedOrder
 from .univariate import distinct_root_count, univ_gcd
 
 CLASSICAL_I = "CLASSICAL_I"
@@ -197,12 +193,12 @@ def _chern_series_coeffs(n: int, ring: Ring):
     return out
 
 
-def build_presentation(spec: PresentationSpec, order: TermOrder = GREVLEX) -> Ideal:
-    """The relation ideal in `order`, with the generators every basis is
-    built from and `--dump` writes: for the I-variants `i_relations` on
-    the variables s_k; for the II-variants the coefficients of x^2, ...,
-    x^{2n} of the total-Chern-class identity."""
-    n = spec.n
+def build_presentation(spec: PresentationSpec) -> Ideal:
+    """The relation ideal in `weighted_order(spec)`, with the generators
+    its basis is built from and `--dump` writes: for the I-variants
+    `i_relations` on the variables s_k; for the II-variants the
+    coefficients of x^2, ..., x^{2n} of the total-Chern-class identity."""
+    n, order = spec.n, weighted_order(spec)
     quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         ring = Ring(sigma_ring(n, spec.symbolic_q).names, order)
@@ -248,8 +244,7 @@ def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
     key = (spec.n, spec.variant, spec.symbolic_q)
     gb = _basis_cache.get(key)
     if gb is None:
-        order = weighted_order(spec)
-        gb = _basis_cache[key] = buchberger(build_presentation(spec, order), order.weights)
+        gb = _basis_cache[key] = buchberger(build_presentation(spec), weighted_order(spec).weights)
     return gb
 
 
@@ -396,26 +391,26 @@ def _functional(dim: int) -> list:
     return [rng.randrange(_PRIME) for _ in range(dim)]
 
 
-def split_spectrum(gb: GroebnerBasis):
+def split_spectrum(gb: GroebnerBasis, coordinates: dict):
     """Split a finite quotient A = Q[vars]/I as A_0 x A_off, A_0 supported
     at the origin, and count the distinct points of A_off.
 
     Returns (local length at the origin, dim A_off, distinct off-origin
-    points, separating form).  The points are counted along a
-    verified-generic linear form l: A/A_0 is A_off as an A-module, with
-    the class of 1 going to the idempotent e_off, so the least monic mu
-    with mu(M_l) 1 in A_0 is the minimal polynomial of l on A_off; it has
-    d = dim A_off distinct roots exactly when A_off is reduced and l
-    separates its points.  Makes four attempts, with shifted coefficient
-    sequences.
+    points, separating form).  A form l is sum c_x x over the
+    `coordinates` x, {name: polynomial}, printed by name.  The points are
+    counted along a verified-generic l: A/A_0 is A_off as an
+    A-module, with the class of 1 going to the idempotent e_off, so the
+    least monic mu with mu(M_l) 1 in A_0 is the minimal polynomial of l on
+    A_off; it has d = dim A_off distinct roots exactly when A_off is
+    reduced and l separates its points.  Makes four attempts, with shifted
+    coefficient sequences.  L = dim A_0 by Nakayama
+    (`groebner.local_length`), M_l from one normal form
+    (`groebner.multiplication_by`).  Each attempt first tries to prove the
+    count modulo the prime p = 2^61 - 1, by Wiedemann's method (IEEE
+    Trans. Inf. Theory 32, 1986):
 
-    The origin factor A_0, the joint generalized kernel of the M_v, is
-    exact over Q (`linalg.generalized_kernel`).  Each attempt first tries
-    to prove the count modulo the prime p = 2^61 - 1, by Wiedemann's
-    method (IEEE Trans. Inf. Theory 32, 1986):
-
-    * M_v, v the first variable, is nilpotent on the L-dimensional A_0,
-      so w = M_v^L 1 = M_v^L e_off lies in A_off.
+    * m^L A_0 = 0, m the maximal ideal of the origin, so w = M_v^L 1 =
+      M_v^L e_off, v the first variable, lies in A_off.
     * M_l preserves A_0 and A_off, so its characteristic polynomial on A
       is t^L chi.  When M_l is p-integral, chi is too: its coefficients
       are a shift of that polynomial's.  Cayley-Hamilton gives
@@ -436,43 +431,41 @@ def split_spectrum(gb: GroebnerBasis):
     (an entry whose denominator p divides, a point of A_off where v
     vanishes (it drops out of w), an unlucky u, points that collide mod
     p, or a non-reduced A_off), the attempt runs the exact Krylov sieve
-    over Q on 1 modulo A_0 and counts the roots of mu, so the forms
-    chosen, the counts and the RuntimeErrors below do not depend on p, u
-    or w.  A repeated root of mu refuses at once: on a reduced A_off
-    multiplication by l is semisimple, so mu is squarefree for every
-    form, and no further attempt could succeed.
+    over Q on 1 modulo A_0, the joint generalized kernel of the M_v
+    (`linalg.generalized_kernel`, built only here), and counts the roots
+    of mu, so the forms chosen, the counts and the RuntimeErrors below do
+    not depend on p, u or w.  A repeated root of mu refuses at once: on a
+    reduced A_off multiplication by l is semisimple, so mu is squarefree
+    for every form, and no further attempt could succeed.
 
-    For QUANTUM_II, v = a1 vanishes at no point of A_off: the generalized
-    kernel of M_a1 alone has dimension n - 1 = L
-    (`test_origin_factor_spans_the_joint_generalized_kernel`, n <= 8).
+    On QUANTUM_II's core, v = a1 vanishes at no point of A_off: b_k =
+    beta_k(a1, a2), with beta_0 = 1, beta_1 = a1^2 - 2a2 and beta_k =
+    beta_1 beta_(k-1) - a2^2 beta_(k-2), and R2 = a2^2 beta_(n-2) + a1 is
+    in the ideal.  At a1 = 0, beta_k = (k+1)(-a2)^k, so R2 = (n-1)(-1)^n
+    a2^n forces a2 = 0, and then every b_k = 0: the origin.
     """
     mats = multiplication_matrices(gb)
     dim = len(mats[0])
-    origin = generalized_kernel(mats, dim)
-    length = len(origin)
+    length = local_length(gb)
     off_dim = dim - length
     u = _functional(dim)
     w = one = [int(i == 0) for i in range(dim)]  # std[0] is 1
     for _ in range(length):  # w = M_v^L 1, in A_off
         w = [sum(x * w[j] for j, x in row) for row in mats[0]]
-    ring = gb.ring
-    tried = []
+    origin, tried = None, []
     for attempt in range(4):
-        coeffs = _separating_coeffs(attempt + ring.ngens)[attempt:]
-        m_ell = []  # M_l = sum_v c_v M_v, as rows of (column, entry)
-        for i in range(dim):
-            acc = {}
-            for c, M in zip(coeffs, mats):
-                for j, x in M[i]:
-                    acc[j] = acc.get(j, 0) + c * x
-            m_ell.append([(j, x) for j, x in acc.items() if x])
-        form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, ring.names))
+        coeffs = _separating_coeffs(attempt + len(coordinates))[attempt:]
+        form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, coordinates))
+        ell = sum((c * x for c, x in zip(coeffs, coordinates.values())), gb.ring.zero)
+        m_ell = multiplication_by(ell, gb, mats)
         try:
             seq = projected_sequence(m_ell, w, u, 2 * off_dim, _PRIME)
             count = distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
         except ValueError:  # M_l or w not p-integral, or a degree not below p
             count = None
         if count != off_dim:
+            if origin is None:
+                origin = generalized_kernel(mats, dim)
             mu = minimal_polynomial(m_ell, one, modulo=origin)
             count = distinct_root_count(mu)
             if count < len(mu) - 1:
@@ -495,18 +488,28 @@ _spectrum_cache = memo()
 def decompose_spectrum(n: int) -> SpectrumReport:
     """Split Spec of the quantum quotient (q = 1) into the origin-supported
     factor and the off-origin part, and count the latter's distinct points
-    by a verified-generic projection.  It builds QUANTUM_II's basis in
-    grevlex itself: there the multiplication matrices have entries of at
-    most 4 bits, and M_l has 35.5k nonzeros at n = 16, against 66.9k in
-    the weighted order, whose entries reach 78 bits at n = 14."""
+    by a verified-generic projection.  It reads QUANTUM_II's
+    `presentation_basis`, the rules b_k - f_k(a1, a2) and a basis of the
+    core ideal in a1, a2 (`weighted_order`), and splits the core,
+    re-based in grevlex on Q[a1, a2], with b_k read as f_k in the forms."""
     if n in _spectrum_cache:
         return _spectrum_cache[n]
     spec = PresentationSpec(n, QUANTUM_II, SPECIALIZE_1)
-    ideal = build_presentation(spec)
-    length, off_dim, count, form = split_spectrum(buchberger(ideal, weighted_order(spec).weights))
+    gb = presentation_basis(spec)
+    ring = Ring(("a1", "a2"))
+    core, coordinates = [], dict(zip(ring.names, ring.gens))
+    for g in gb:  # b_k - f_k, led by b_k, or a core element
+        if any(g.lead_monomial[2:]):
+            name = gb.ring.names[g.lead_monomial.index(1)]
+            coordinates[name] = ring.poly((e[:2], -c) for e, c in g.terms[1:])
+        else:
+            core.append(ring.poly((e[:2], c) for e, c in g.terms))
+    core_gb = buchberger(Ideal(ring, core), weighted_order(spec).weights[:2])
+    length, off_dim, count, form = split_spectrum(core_gb, coordinates)
+    # I lies in m, so the linear parts of its basis span those of its generators
     report = SpectrumReport(
         total_dim=length + off_dim,
-        tangent_dim_origin=origin_tangent_dimension(ideal),
+        tangent_dim_origin=origin_tangent_dimension(Ideal(gb.ring, gb)),
         local_length_origin=length,
         offorigin_dim=off_dim,
         offorigin_distinct_points=count,

@@ -1,7 +1,7 @@
 """Weighted homogeneity of the presentations' generators in the paper's
 grading, which the tests check the relation builders against; the
-presentations' grevlex bases, which the tests hold the weighted ones
-against; and the I-presentations with their displayed determinants, the
+presentations in grevlex and their bases there, which the tests hold
+the weighted ones against; and the I-presentations with their displayed determinants, the
 oracle of the triangular rules that `igq.presentations.i_relations`
 builds in their place."""
 
@@ -51,11 +51,16 @@ def schur_presentation(spec, order):
     return Ideal(ring, schur_determinants(s, 2 * n - 2)[3:] + quadratic_relations(s, q))
 
 
+def in_grevlex(ideal):
+    """The ideal's generators in grevlex on the same variables."""
+    ring = Ring(ideal.ring.names)
+    return Ideal(ring, [ring.poly(g.terms) for g in ideal.generators])
+
+
 def grevlex_basis(spec):
-    """The reduced basis of a presentation in grevlex, built as
-    `decompose_spectrum` builds QUANTUM_II's: by sugar in the paper's
-    grading."""
-    return buchberger(build_presentation(spec), weighted_order(spec).weights)
+    """The reduced basis of a presentation in grevlex, built by sugar in
+    the paper's grading."""
+    return buchberger(in_grevlex(build_presentation(spec)), weighted_order(spec).weights)
 
 
 def weighted_homogeneity_report(n: int) -> dict:

@@ -1,11 +1,16 @@
-"""The origin factor as the joint generalized kernel of all the
-multiplication matrices at once, on the whole quotient.
-`igq.linalg.generalized_kernel` runs the same chain on the generalized
-kernel of the first matrix instead; this is its oracle."""
+"""Two oracles of the spectrum split: the joint generalized kernel of the
+multiplication matrices computed on dense rows, which
+`igq.linalg.generalized_kernel` computes on sparse ones, and QUANTUM_II's
+two-variable core at q = 1 from its closed form, which
+`igq.presentations.decompose_spectrum` reads off the weighted basis.
+Also the split of any basis with its variables as the coordinates."""
 
 from math import lcm
 
+from igq.groebner import Ideal
 from igq.linalg import nullspace
+from igq.poly import Ring
+from igq.presentations import split_spectrum
 from linalg_oracle import dense_rows
 
 
@@ -37,3 +42,29 @@ def joint_origin_factor(mats, dim: int) -> list:
         if len(nxt) == len(kernel):
             return list(kernel.values())
         kernel = nxt
+
+
+def core_ideal(n: int):
+    """QUANTUM_II's core at q = 1: the ideal (R1, R2) of Q[a1, a2] and the
+    images beta_1 .. beta_(n-2) of b_1 .. b_(n-2).
+
+    The x^(2k) coefficient of the II-identity, b_k + (2a2 - a1^2) b_(k-1)
+    + a2^2 b_(k-2) with b_0 = 1 and b_(-1) = 0, gives b_k = beta_k =
+    (a1^2 - 2a2) beta_(k-1) - a2^2 beta_(k-2) for k <= n - 2; the
+    coefficients of x^(2n-2) and x^(2n), with q = 1, become
+    R1 = (2a2 - a1^2) beta_(n-2) + a2^2 beta_(n-3) and
+    R2 = a2^2 beta_(n-2) + a1.
+    """
+    ring = Ring(("a1", "a2"))
+    a1, a2 = ring.gens
+    beta = [ring.zero, ring.one]  # beta_(-1), beta_0
+    for _ in range(n - 2):
+        beta.append((a1**2 - 2 * a2) * beta[-1] - a2**2 * beta[-2])
+    r1 = (2 * a2 - a1**2) * beta[-1] + a2**2 * beta[-2]
+    return Ideal(ring, [r1, a2**2 * beta[-1] + a1]), beta[2:]
+
+
+def split_on_variables(gb):
+    """`split_spectrum` with the ring's variables as the coordinates, so
+    that the forms are linear: 1*x + 2*y + ..."""
+    return split_spectrum(gb, dict(zip(gb.ring.names, gb.ring.gens)))

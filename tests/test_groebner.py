@@ -30,11 +30,10 @@ from igq.presentations import (
     PresentationSpec,
     build_presentation,
     presentation_basis,
-    weighted_order,
 )
 
 from groebner_oracle import is_groebner
-from presentation_oracle import grevlex_basis
+from presentation_oracle import grevlex_basis, in_grevlex
 from linalg_oracle import dense_rows
 
 R2 = Ring(("x", "y"))
@@ -243,7 +242,7 @@ SHUFFLE_SPECS = (
 def test_reduced_basis_invariant_under_shuffles():
     rng = random.Random(11)
     for spec in SHUFFLE_SPECS:
-        ideal = build_presentation(spec)
+        ideal = in_grevlex(build_presentation(spec))
         reference = buchberger(ideal).elements
         gens = list(ideal.generators)
         for _ in range(10):
@@ -256,7 +255,7 @@ def test_reduced_basis_invariant_under_rescaling():
     # elements are made monic, and permuting changes which pairs tie
     rng = random.Random(13)
     for spec in SHUFFLE_SPECS:
-        ideal = build_presentation(spec)
+        ideal = in_grevlex(build_presentation(spec))
         reference = buchberger(ideal).elements
         for _ in range(5):
             gens = [
@@ -280,7 +279,7 @@ HAND_IDEALS = (
 def test_sugar_weights_do_not_change_the_basis():
     rng = random.Random(17)
     cases = [Ideal(R2, gens) for gens in HAND_IDEALS]
-    cases += [build_presentation(spec) for spec in SHUFFLE_SPECS]
+    cases += [in_grevlex(build_presentation(spec)) for spec in SHUFFLE_SPECS]
     for ideal in cases:
         reference = buchberger(ideal).elements
         for _ in range(4):
@@ -294,9 +293,9 @@ def test_presentation_basis_matches_unweighted_buchberger():
         for variant in (CLASSICAL_I, CLASSICAL_II, QUANTUM_I, QUANTUM_II):
             for q_mode in (SPECIALIZE_1, SYMBOLIC):
                 spec = PresentationSpec(n, variant, q_mode)
-                assert grevlex_basis(spec).elements == buchberger(build_presentation(spec)).elements, spec
-                weighted = build_presentation(spec, weighted_order(spec))
-                assert presentation_basis(spec).elements == buchberger(weighted).elements, spec
+                grevlex = in_grevlex(build_presentation(spec))
+                assert grevlex_basis(spec).elements == buchberger(grevlex).elements, spec
+                assert presentation_basis(spec).elements == buchberger(build_presentation(spec)).elements, spec
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 1, 1), (1, 0), (2, -1), (1, 1.0), ()])

@@ -82,9 +82,9 @@ def commuting_matrices(draw):
 @given(drawn=commuting_matrices())
 def test_generalized_kernel_spans_the_joint_one(drawn):
     # P's generalized kernel holds M's and, when c is an eigenvalue of M,
-    # that eigenvalue's too, which the chain restricted to it must cut
-    # away when P comes first; the joint kernel is M's generalized kernel,
-    # of the dimension of the zeros on T's diagonal
+    # that eigenvalue's too, which the joint chain must cut away; the
+    # joint kernel is M's generalized kernel, of the dimension of the
+    # zeros on T's diagonal
     mats, zeros = drawn
     dim = len(mats[0])
     origin, oracle = generalized_kernel(mats, dim), joint_origin_factor(mats, dim)

