@@ -1,9 +1,8 @@
 """Exact linear algebra on one elimination kernel, `LinearSieve`: rank,
-corank, nullspace, first linear dependence, the joint generalized kernel
-of commuting matrices (one nullspace chain), and the minimal polynomial
-of a matrix on a start vector modulo a subspace, all over Q.  Over F_p,
-for a prime p, only what Wiedemann's method needs: the sequence u M^i v
-and its minimal polynomial by Berlekamp-Massey.
+corank, first linear dependence, and the minimal polynomial of a matrix
+on a start vector, all over Q.  Over F_p, for a prime p, only what
+Wiedemann's method needs: the sequence u M^i v and its minimal
+polynomial by Berlekamp-Massey.
 
 A square matrix has one format here, the one `igq.groebner`'s
 multiplication matrices come in: a list of rows, each a list of
@@ -127,76 +126,20 @@ def corank(rows, ncols: int) -> int:
     return ncols - rank(rows)
 
 
-def nullspace(rows, ncols: int) -> dict:
-    """A basis of {v : row . v = 0 for every row}, as {c: v_c} with one
-    vector per non-pivot column c: v_c is 1 in column c and 0 in every
-    other non-pivot column.
-
-    The sieve takes the columns in order, so a non-pivot column is the
-    first dependence on the pivot columns before it, and that dependence,
-    padded with zeros, is v_c.
-    """
-    sieve = LinearSieve()
-    basis = {}
-    for c in range(ncols):
-        combo = sieve.add([row[c] for row in rows])
-        if combo is not None:
-            basis[c] = combo + [Fraction(0)] * (ncols - 1 - c)
-    return basis
-
-
-def generalized_kernel(mats, dim: int) -> list:
-    """A basis of the joint generalized kernel of commuting square
-    matrices, given as sparse rows: the vectors that some product of them
-    sends to 0.
-
-    K_j = {a : M a in K_(j-1) for every M} is the kernel of the stacked
-    maps Q M, Q the projection away from K_(j-1); `nullspace` gives it as
-    {c: u_c}.  The chain grows strictly until it stops, so it takes at
-    most the kernel's dimension in steps.  Each projected row is scaled by
-    the common denominator D of the K_(j-1) basis, D M[i] - sum (D u[i])
-    M[c], which keeps integral matrices in ints and leaves the kernel
-    unchanged; it is the only dense form of a row, made for the sieve.
-    """
-    kernel = {}
-    while True:
-        den = lcm(*(x.denominator for u in kernel.values() for x in u))
-        proj = [(c, [x.numerator * (den // x.denominator) for x in u]) for c, u in kernel.items()]
-        rows = []
-        for M in mats:
-            for i in range(dim):
-                row = [0] * dim
-                for j, a in M[i]:
-                    row[j] = den * a
-                for c, u in proj:
-                    if u[i]:
-                        for j, b in M[c]:
-                            row[j] -= u[i] * b
-                rows.append(row)
-        nxt = nullspace(rows, dim)
-        if len(nxt) == len(kernel):
-            return list(kernel.values())
-        kernel = nxt
-
-
-def minimal_polynomial(M, start, modulo=()):
+def minimal_polynomial(M, start):
     """Coefficients c_0..c_d (monic, c_d = 1) of the least polynomial p
-    with p(M) start in the span of the `modulo` vectors (none by default,
-    so p(M) start = 0).
+    with p(M) start = 0.
 
-    Krylov: the sieve takes the `modulo` vectors, then start, M start,
-    M^2 start, ... until the first dependence on earlier vectors; a
-    `modulo` vector that depends on the ones before it adds nothing.  M is
-    given by rows of (column, entry) and applied through them only.
+    Krylov: the sieve takes start, M start, M^2 start, ... until the first
+    dependence on earlier vectors.  M is given by rows of (column, entry)
+    and applied through them only.
     """
     sieve = LinearSieve()
-    for v in modulo:
-        sieve.keep(v)
     cur = start
     while True:
         combo = sieve.add(cur)
         if combo is not None:
-            return combo[len(modulo):]
+            return combo
         cur = [sum(c * cur[j] for j, c in row) for row in M]
 
 

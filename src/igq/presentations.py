@@ -22,9 +22,10 @@ QUANTUM_II's and splits its two-variable core (`decompose_spectrum`).
 factor, whose length comes by Nakayama, and the reduced rest, whose
 points it counts by exact linear algebra on the standard monomials:
 proved modulo a prime by Wiedemann's method, and counted over Q by a
-Krylov sieve only when that proof fails.  `count_offorigin_by_substitution`
-re-counts the reduced points through the z-substitution a_1 = z_1 + z_2,
-a_2 = z_1 z_2, entirely by gcd degree arithmetic.
+Krylov sieve on the same start vector only when that proof fails.
+`count_offorigin_by_substitution` re-counts the reduced points through
+the z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd
+degree arithmetic.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .groebner import (
 from .linalg import (
     berlekamp_massey,
     corank,
-    generalized_kernel,
     minimal_polynomial,
     projected_sequence,
 )
@@ -393,24 +393,27 @@ def _functional(dim: int) -> list:
 
 def split_spectrum(gb: GroebnerBasis, coordinates: dict):
     """Split a finite quotient A = Q[vars]/I as A_0 x A_off, A_0 supported
-    at the origin, and count the distinct points of A_off.
+    at the origin, and count the distinct points of A_off, on the
+    condition that the first variable v vanishes at none of them.
 
     Returns (local length at the origin, dim A_off, distinct off-origin
     points, separating form).  A form l is sum c_x x over the
-    `coordinates` x, {name: polynomial}, printed by name.  The points are
-    counted along a verified-generic l: A/A_0 is A_off as an
-    A-module, with the class of 1 going to the idempotent e_off, so the
-    least monic mu with mu(M_l) 1 in A_0 is the minimal polynomial of l on
-    A_off; it has d = dim A_off distinct roots exactly when A_off is
-    reduced and l separates its points.  Makes four attempts, with shifted
-    coefficient sequences.  L = dim A_0 by Nakayama
-    (`groebner.local_length`), M_l from one normal form
-    (`groebner.multiplication_by`).  Each attempt first tries to prove the
-    count modulo the prime p = 2^61 - 1, by Wiedemann's method (IEEE
-    Trans. Inf. Theory 32, 1986):
+    `coordinates` x, {name: polynomial}, printed by name.  L = dim A_0 by
+    Nakayama (`groebner.local_length`), and m^L A_0 = 0, m the maximal
+    ideal of the origin, so w = M_v^L 1 lies in A_off.  The points are
+    counted along a verified-generic l, M_l from one normal form
+    (`groebner.multiplication_by`), by the least monic mu with
+    mu(M_l) w = 0.  On the local ring of A_off at a point P, l - l(P) is
+    nilpotent, so the distinct roots of mu are the values l(P) at the
+    points where w is nonzero.  Fewer than d = dim A_off such values
+    exist unless every point is reduced, in w's support and separated by
+    l: d distinct roots prove all three, whatever the input.  When v
+    vanishes at no point, w = v^L e_off, e_off the idempotent of A_off, is
+    nonzero at every point, so a reduced A_off and a separating l give d
+    roots.  Makes four attempts, with shifted coefficient sequences.  Each
+    first tries to prove the count modulo the prime p = 2^61 - 1, by
+    Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986):
 
-    * m^L A_0 = 0, m the maximal ideal of the origin, so w = M_v^L 1 =
-      M_v^L e_off, v the first variable, lies in A_off.
     * M_l preserves A_0 and A_off, so its characteristic polynomial on A
       is t^L chi.  When M_l is p-integral, chi is too: its coefficients
       are a shift of that polynomial's.  Cayley-Hamilton gives
@@ -423,20 +426,21 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
     * By Stickelberger's theorem (Cox, Little & O'Shea, *Using Algebraic
       Geometry*, ch. 2 sec. 4) the roots of chi are the values l(P) at
       the points P of A_off, each as often as the length of A at P.  So
-      A_off is d reduced points that l separates, mu = chi, and the exact
-      count below would give d too.
+      A_off is d reduced points that l separates.  g also divides the
+      reduction of a primitive integral multiple of mu, so mu has degree
+      d: mu = chi, and the exact count below would give d too.
 
     A bad u can only make g a proper divisor of chi mod p, with fewer than
     d roots: it makes the proof fail, never wrong.  When the proof fails
-    (an entry whose denominator p divides, a point of A_off where v
-    vanishes (it drops out of w), an unlucky u, points that collide mod
-    p, or a non-reduced A_off), the attempt runs the exact Krylov sieve
-    over Q on 1 modulo A_0, the joint generalized kernel of the M_v
-    (`linalg.generalized_kernel`, built only here), and counts the roots
-    of mu, so the forms chosen, the counts and the RuntimeErrors below do
-    not depend on p, u or w.  A repeated root of mu refuses at once: on a
-    reduced A_off multiplication by l is semisimple, so mu is squarefree
-    for every form, and no further attempt could succeed.
+    (an entry whose denominator p divides, an unlucky u, or points that
+    collide mod p), the attempt runs the exact Krylov sieve over Q on w
+    and counts the roots of mu, so the forms chosen, the counts and the
+    RuntimeErrors below do not depend on p or u.  A repeated root of mu
+    refuses at once: on a reduced A_off multiplication by l is semisimple,
+    so mu is squarefree for every form, and no further attempt could
+    succeed.  Any other count below d comes from a non-reduced A_off,
+    colliding values of l, or a point of A_off where v vanishes, and after
+    four attempts the RuntimeError names all three.
 
     On QUANTUM_II's core, v = a1 vanishes at no point of A_off: b_k =
     beta_k(a1, a2), with beta_0 = 1, beta_1 = a1^2 - 2a2 and beta_k =
@@ -449,10 +453,10 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
     length = local_length(gb)
     off_dim = dim - length
     u = _functional(dim)
-    w = one = [int(i == 0) for i in range(dim)]  # std[0] is 1
+    w = [int(i == 0) for i in range(dim)]  # std[0] is 1
     for _ in range(length):  # w = M_v^L 1, in A_off
         w = [sum(x * w[j] for j, x in row) for row in mats[0]]
-    origin, tried = None, []
+    tried = []
     for attempt in range(4):
         coeffs = _separating_coeffs(attempt + len(coordinates))[attempt:]
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, coordinates))
@@ -464,9 +468,7 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
         except ValueError:  # M_l or w not p-integral, or a degree not below p
             count = None
         if count != off_dim:
-            if origin is None:
-                origin = generalized_kernel(mats, dim)
-            mu = minimal_polynomial(m_ell, one, modulo=origin)
+            mu = minimal_polynomial(m_ell, w)
             count = distinct_root_count(mu)
             if count < len(mu) - 1:
                 raise RuntimeError(
@@ -478,7 +480,8 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
         tried.append((form, count))
     raise RuntimeError(
         "no separating form found (counts %r vs dimension %d): either the "
-        "off-origin part is non-reduced or all projections collided" % (tried, off_dim)
+        "off-origin part is non-reduced, all projections collided, or the first "
+        "variable vanishes at an off-origin point" % (tried, off_dim)
     )
 
 

@@ -2,7 +2,10 @@
 p, and the minimal polynomial of a matrix on a start vector modulo a
 subspace, mod p.  `igq.presentations` proves its point counts by
 Berlekamp-Massey on a projected sequence (`igq.linalg.berlekamp_massey`);
-this dense sieve is that method's oracle."""
+this dense sieve is that method's oracle.  Also a kernel basis over Q on
+`LinearSieve`, for the dense origin factor of `spectrum_oracle`."""
+
+from fractions import Fraction
 
 from igq.linalg import LinearSieve, reduce_mod
 
@@ -71,9 +74,28 @@ def dense_rows(rows, dim: int) -> list:
     return out
 
 
+def nullspace(rows, ncols: int) -> dict:
+    """A basis of {v : row . v = 0 for every row}, as {c: v_c} with one
+    vector per non-pivot column c: v_c is 1 in column c and 0 in every
+    other non-pivot column.
+
+    The sieve takes the columns in order, so a non-pivot column is the
+    first dependence on the pivot columns before it, and that dependence,
+    padded with zeros, is v_c.
+    """
+    sieve = LinearSieve()
+    basis = {}
+    for c in range(ncols):
+        combo = sieve.add([row[c] for row in rows])
+        if combo is not None:
+            basis[c] = combo + [Fraction(0)] * (ncols - 1 - c)
+    return basis
+
+
 def minimal_polynomial_mod(M, start, modulus, modulo=()):
-    """`igq.linalg.minimal_polynomial` over F_p, on a dense M: the least
-    monic p with p(M) start in the span of the `modulo` vectors mod p.
+    """`igq.linalg.minimal_polynomial` over F_p, on a dense M, and modulo
+    a subspace: the least monic p with p(M) start in the span of the
+    `modulo` vectors mod p.
 
     A `modulo` vector that depends mod p on the ones before it raises
     ValueError, as does an entry whose denominator p divides.  If the

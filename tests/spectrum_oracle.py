@@ -1,6 +1,6 @@
 """Two oracles of the spectrum split: the joint generalized kernel of the
-multiplication matrices computed on dense rows, which
-`igq.linalg.generalized_kernel` computes on sparse ones, and QUANTUM_II's
+multiplication matrices computed on dense rows, whose dimension
+`igq.groebner.local_length` finds by Nakayama, and QUANTUM_II's
 two-variable core at q = 1 from its closed form, which
 `igq.presentations.decompose_spectrum` reads off the weighted basis.
 Also the split of any basis with its variables as the coordinates."""
@@ -8,10 +8,9 @@ Also the split of any basis with its variables as the coordinates."""
 from math import lcm
 
 from igq.groebner import Ideal
-from igq.linalg import nullspace
 from igq.poly import Ring
 from igq.presentations import split_spectrum
-from linalg_oracle import dense_rows
+from linalg_oracle import dense_rows, nullspace
 
 
 def joint_origin_factor(mats, dim: int) -> list:

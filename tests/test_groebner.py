@@ -421,18 +421,6 @@ def test_minimal_polynomial_from_a_start_vector():
     assert minimal_polynomial(Mx, _coords(gb, R2.zero)) == [Fraction(1)]
 
 
-def test_minimal_polynomial_modulo_the_origin_factor():
-    # the origin factor of Q[x,y]/(x^2(x-1), y) is (1 - x^2)A, spanned by
-    # 1 - x^2 and x - x^3 = x - x^2; modulo it, 1 is the idempotent x^2
-    gb = buchberger(Ideal(R2, [X**2 * (X - 1), Y]))
-    Mx, _ = multiplication_matrices(gb)
-    one = _coords(gb, R2.one)
-    origin = [_coords(gb, R2.one - X**2), _coords(gb, X - X**2)]
-    assert minimal_polynomial(Mx, one, modulo=origin) == [Fraction(-1), Fraction(1)]
-    # a repeated spanning vector changes nothing
-    assert minimal_polynomial(Mx, one, modulo=origin + origin[:1]) == [Fraction(-1), Fraction(1)]
-
-
 def test_multiplication_matrices_commute_and_act_on_one():
     gb = buchberger(Ideal(R2, [Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y]))
     std = standard_monomials(gb)

@@ -11,7 +11,7 @@ from igq.groebner import (
     normal_form,
     standard_monomials,
 )
-from igq.linalg import generalized_kernel, rank
+from igq.linalg import reduce_mod
 from igq.poly import GREVLEX, Ring, WeightedOrder
 from igq.presentations import (
     CLASSICAL_I,
@@ -458,9 +458,9 @@ def exact_krylov_runs(monkeypatch):
     runs = []
     real = presentations.minimal_polynomial
 
-    def recorded(M, start, modulo=()):
+    def recorded(M, start):
         runs.append(len(M))
-        return real(M, start, modulo)
+        return real(M, start)
 
     monkeypatch.setattr(presentations, "minimal_polynomial", recorded)
     return runs
@@ -475,43 +475,22 @@ def test_split_spectrum_falls_back_when_two_points_merge_mod_p(monkeypatch):
     assert runs == [3]
 
 
-def spans_the_joint_origin_factor(gb):
-    """The origin factor split_spectrum uses spans the joint generalized
-    kernel of the oracle; returns its dimension and that of the
-    generalized kernel of the first variable's matrix alone."""
-    mats = multiplication_matrices(gb)
-    dim = len(mats[0])
-    origin, oracle = generalized_kernel(mats, dim), joint_origin_factor(mats, dim)
-    assert rank(origin) == rank(oracle) == rank(origin + oracle) == len(origin) == len(oracle)
-    return len(origin), len(generalized_kernel(mats[:1], dim))
-
-
-def test_origin_factor_spans_the_joint_generalized_kernel():
-    for n in range(2, 9):
-        gb = grevlex_basis(PresentationSpec(n, QUANTUM_II))
-        assert spans_the_joint_origin_factor(gb) == (n - 1, n - 1)
-
-
 def test_origin_factor_where_the_first_variable_vanishes_off_the_origin():
-    # x vanishes at (0, 1) too, so the generalized kernel of M_x is larger
-    # than A_0 and the joint chain on it must cut the point away.  In the
-    # last ideal, a fat origin and the points (-2, 3), (2, -2), (0, -1),
-    # that kernel's basis has denominators 5, so the chain runs on the
-    # rescaled integer matrices; x + 2y takes -2 twice there, so the
-    # second form counts
-    for gens, lengths, split in (
-        ((X, Y * (Y - 1)), (1, 2), (1, 1, 1, "1*x + 2*y")),
-        ((X, Y**2 * (Y - 1)), (2, 3), (2, 1, 1, "1*x + 2*y")),
-        ((X * (X - 1), Y * (Y - 1)), (1, 2), (1, 3, 3, "1*x + 2*y")),
-        (
-            (Y**2 * (Y - 3) * (Y + 2) * (Y + 1), 30 * X - Y * (Y + 1) * (16 - 7 * Y)),
-            (2, 3),
-            (2, 3, 3, "2*x + 3*y"),
-        ),
+    # x vanishes at an off-origin point of each ideal, where w = M_x^L 1 is
+    # zero, so every form counts fewer values than dim A_off and the split
+    # refuses, naming that cause.  In the last ideal, a fat origin and the
+    # points (-2, 3), (2, -2), (0, -1), w misses (0, -1)
+    forms = ("1*x + 2*y", "2*x + 3*y", "3*x + 5*y", "5*x + 7*y")
+    for gens, off_dim, count in (
+        ((X, Y * (Y - 1)), 1, 0),
+        ((X, Y**2 * (Y - 1)), 1, 0),
+        ((X * (X - 1), Y * (Y - 1)), 3, 2),
+        ((Y**2 * (Y - 3) * (Y + 2) * (Y + 1), 30 * X - Y * (Y + 1) * (16 - 7 * Y)), 3, 2),
     ):
-        gb = buchberger(Ideal(R2, gens))
-        assert spans_the_joint_origin_factor(gb) == lengths
-        assert split_on_variables(gb) == split
+        with pytest.raises(RuntimeError, match="first variable vanishes at an off-origin point") as refused:
+            _split(*gens)
+        tried = [(form, count) for form in forms]
+        assert "(counts %r vs dimension %d)" % (tried, off_dim) in str(refused.value), gens
 
 
 def test_the_spectrum_splits_the_closed_form_core(monkeypatch):
@@ -547,8 +526,9 @@ def test_the_split_on_all_n_variables_agrees_with_the_core():
 
 def test_local_length_is_the_dimension_of_the_generalized_kernel():
     # Nakayama's L against the joint generalized kernel of the
-    # multiplication matrices: on the core, and on every hand-made ideal of
-    # the split tests, (x - 1)^2 among them, which has no origin point
+    # multiplication matrices, from the dense oracle: on the core, and on
+    # every hand-made ideal of the split tests, (x - 1)^2 among them, which
+    # has no origin point
     wide = Ring(["x%d" % i for i in range(1, 15)])
     x1, *rest = wide.gens
     p = presentations._PRIME
@@ -572,21 +552,19 @@ def test_local_length_is_the_dimension_of_the_generalized_kernel():
     for ideal, length in cases:
         gb = buchberger(ideal)
         mats = multiplication_matrices(gb)
-        assert local_length(gb) == len(generalized_kernel(mats, len(mats[0]))) == length, ideal
+        assert local_length(gb) == len(joint_origin_factor(mats, len(mats[0]))) == length, ideal
 
 
 def test_a_point_where_the_first_variable_vanishes_takes_one_exact_count(monkeypatch):
-    # x vanishes at (0, 1), so M_x^L 1 has no part there and the sequence
-    # mod p misses that point: the proof fails once, and the exact count
-    # on 1 modulo A_0 still finds it with the first form
+    # x vanishes at (0, 1), so w = M_x^L 1 has no part there and the proof
+    # mod p fails; each attempt takes one exact count on w, which misses
+    # the point too, and after the fourth the split refuses
     runs = exact_krylov_runs(monkeypatch)
-    for gens, split in (
-        ((X, Y * (Y - 1)), (1, 1, 1, "1*x + 2*y")),
-        ((X * (X - 1), Y * (Y - 1)), (1, 3, 3, "1*x + 2*y")),
-    ):
+    for gens, dim in (((X, Y * (Y - 1)), 2), ((X * (X - 1), Y * (Y - 1)), 4)):
         runs.clear()
-        assert split_on_variables(buchberger(Ideal(R2, gens))) == split
-        assert len(runs) == 1
+        with pytest.raises(RuntimeError, match="first variable vanishes"):
+            _split(*gens)
+        assert runs == [dim] * 4
 
 
 def test_a_failed_proof_mod_p_takes_one_exact_count(monkeypatch):
@@ -605,6 +583,31 @@ def test_spectrum_is_proved_mod_p_for_n_up_to_6(monkeypatch):
     for n in range(2, 7):
         decompose_spectrum(n)
     assert runs == []
+
+
+def test_the_proof_and_the_exact_count_find_one_polynomial(monkeypatch):
+    # on the core, the polynomial Berlekamp-Massey returns for the proof is
+    # the reduction mod p of the one the exact path finds over Q, so the
+    # two start from one vector, w: each proof's polynomial is recorded and
+    # then withheld, so that the exact path runs on the same form
+    proofs, exact = [], []
+    real_massey, real_minimal = presentations.berlekamp_massey, presentations.minimal_polynomial
+
+    def withheld(seq, p):
+        proofs.append(real_massey(seq, p))
+        return [1]  # no roots, so the proof fails
+
+    def recorded(M, start):
+        exact.append(real_minimal(M, start))
+        return exact[-1]
+
+    monkeypatch.setattr(presentations, "berlekamp_massey", withheld)
+    monkeypatch.setattr(presentations, "minimal_polynomial", recorded)
+    for n in range(2, 7):
+        decompose_spectrum(n)
+    assert len(proofs) == len(exact) == 5
+    for g, mu in zip(proofs, exact):
+        assert reduce_mod(mu, presentations._PRIME) == g
 
 
 def test_spectrum_fallback_agrees_with_the_proof(monkeypatch):

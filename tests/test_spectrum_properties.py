@@ -37,9 +37,9 @@ def test_split_spectrum_on_points_of_a_line(a, roots, c, p):
     exact = []
     real = presentations.minimal_polynomial
 
-    def recorded(M, start, modulo=()):
+    def recorded(M, start):
         exact.append(len(M))
-        return real(M, start, modulo)
+        return real(M, start)
 
     with mock.patch.object(presentations, "_PRIME", p), mock.patch.object(
         presentations, "minimal_polynomial", recorded
