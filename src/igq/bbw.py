@@ -388,33 +388,31 @@ def f_complex_euler_consistency(space: Space) -> dict:
     return {"space": str(space), "k": k, "bad_twists": bad, "ok": not bad}
 
 
-def _first_page(space: Space, terms) -> ExtProfile:
+def _page(terms) -> ExtProfile:
     """Ext^* between two complexes of bundles, read off the first page of
-    the Hom double complex: `terms` yields (E, F, mult, shift) for each pair
-    of a source term E and a target term F, with their multiplicities
-    multiplied and the target's degree minus the source's.
+    the Hom double complex from its (degree, dim) terms: each term is the
+    Ext^q between a source term E and a target term F, in degree q plus
+    F's degree minus E's, times both multiplicities.
 
     Filtering both bounded complexes by their stupid truncations gives a
-    spectral sequence from this page, Ext^q(E, F) in degree q + shift, to
-    RHom between them.  Each d_r raises the degree by one, so when no two
-    nonzero terms sit in consecutive degrees every d_r vanishes and the
-    first page is the answer (conclusive); otherwise the result is
-    reported inconclusive, never guessed.
+    spectral sequence from this page to RHom between them.  Each d_r
+    raises the degree by one, so when no two nonzero terms sit in
+    consecutive degrees every d_r vanishes and the first page is the
+    answer (conclusive); otherwise the result is reported inconclusive,
+    never guessed.
     """
     acc = {}
-    for E, F, mult, shift in terms:
-        for d, v in ext_bundles(space, E, F).dims:
-            acc[d + shift] = acc.get(d + shift, 0) + mult * v
+    for d, v in terms:
+        acc[d] = acc.get(d, 0) + v
     return ExtProfile.make(acc, _no_consecutive(acc))
 
 
 def _residual_terms(space: Space) -> tuple:
     """Every first-page term of `ext_f_pair` and `check_f_orthogonality`,
     with the nonvanishing ones kept, memoized in the space's `_ext_cache`
-    table: (line, pairs, first_target), with `line` the Koszul line,
-    `pairs` mapping i - j to [(a, b, ((degree, dim), ...)), ...] and
-    `first_target` mapping (u, w) to the least b with
-    Ext(S^u U*, P_b(w)) != 0.
+    table: (pairs, blocks), with `pairs` mapping i - j to
+    [(a, b, ((degree, dim), ...)), ...] and `blocks` mapping (u, w) to
+    [(b, ((d, dim), ...)), ...], d the degree of Ext(S^u U*, P_b(w)).
 
     The pair (i, j) takes source positions a >= i against target positions
     b < j, with j - i added to the target's twist; the term of (a, b) sits
@@ -422,8 +420,9 @@ def _residual_terms(space: Space) -> tuple:
     i - j, which ranges over 1-k .. min(a, k) - b - 1.  Orthogonality takes
     the block object S^u U*(v) against target positions b < i twisted by
     k - i; the term depends on (i, v) only through w = k - i - v, which
-    ranges over 0 .. k-1-b.  `_nonzero_shifts` names the nonvanishing keys
-    of both families; only those get an Ext lookup."""
+    ranges over 0 .. k-1-b, and the term sits in degree d + b - i + 1.
+    `_nonzero_shifts` names the nonvanishing keys of both families; only
+    those get an Ext lookup."""
     table = _space_table(space)
     terms = table.get(_RESIDUAL)
     if terms is not None:
@@ -448,12 +447,14 @@ def _residual_terms(space: Space) -> tuple:
             prof = ext_bundles(space, (sa, ta), (sb, tb + delta))
             dims = tuple((d + b - a + delta + 1, ma * mb * v) for d, v in prof.dims)
             pairs.setdefault(delta, []).append((a, b, dims))
-    first_target = {}
+    blocks = {}
     for (u, b), shifts in zip(block_positions, found[len(pair_positions):]):
+        sb, tb, mb = line[b]
         for s in shifts:
-            first_target.setdefault((u, s - line[b][1]), b)
-    table[_RESIDUAL] = line, pairs, first_target
-    return line, pairs, first_target
+            dims = tuple((d, mb * v) for d, v in ext_bundles(space, (u, 0), (sb, s)).dims)
+            blocks.setdefault((u, s - tb), []).append((b, dims))
+    table[_RESIDUAL] = pairs, blocks
+    return pairs, blocks
 
 
 def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
@@ -465,13 +466,8 @@ def ext_f_pair(space: Space, i: int, j: int) -> ExtProfile:
     sits in degree (b - (j-1)) - (a - i); the nonvanishing terms come from
     `_residual_terms`."""
     _f_k(space, i, j)
-    acc = {}
-    _, pairs, _ = _residual_terms(space)
-    for a, b, dims in pairs.get(i - j, ()):
-        if a >= i and b < j:
-            for d, v in dims:
-                acc[d] = acc.get(d, 0) + v
-    return ExtProfile.make(acc, _no_consecutive(acc))
+    pairs, _ = _residual_terms(space)
+    return _page(term for a, b, dims in pairs.get(i - j, ()) if a >= i and b < j for term in dims)
 
 
 def check_f_orthogonality(space: Space, i: int) -> dict:
@@ -479,17 +475,15 @@ def check_f_orthogonality(space: Space, i: int) -> dict:
     every Ext from a block object must vanish conclusively, computed
     against the LEFT resolution of F_i (positions b < i, twisted by k-i).
     The object S^u U*(v) fails iff some b < i has a nonvanishing term at
-    w = k - i - v (`_residual_terms`); only a failure gets its first page."""
+    w = k - i - v (`_residual_terms`); failures are sorted by (v, u)."""
     k = _f_k(space, i)
-    line, _, first_target = _residual_terms(space)
-    failing = sorted((k - i - w, u) for (u, w), b in first_target.items() if b < i and w <= k - i)
+    _, blocks = _residual_terms(space)
     failures = []
-    for v, u in failing:
-        prof = _first_page(
-            space,
-            (((u, v), (sb, tb + k - i), mb, b - i + 1) for b, (sb, tb, mb) in enumerate(line[:i])),
-        )
-        failures.append(((u, v), str(prof)))
+    for (u, w), terms in blocks.items():
+        prof = _page((d + b - i + 1, v) for b, dims in terms if b < i for d, v in dims)
+        if prof.dims and w <= k - i:
+            failures.append(((u, k - i - w), str(prof)))
+    failures.sort(key=lambda f: f[0][::-1])
     return {
         "space": str(space),
         "i": i,

@@ -5,8 +5,9 @@
     igq dcat --k K --space gr|igr [--check LIST] [--format json|md]
              [--max-k M]
 
-Exit code 0 iff no FAIL rows.  JSON output is byte-identical across
-identical invocations; wall-clock goes to stderr as a detachable footer.
+Exit code 0 iff no FAIL rows, 2 on a refusal: one stderr line, no stdout.
+JSON output is byte-identical across identical invocations; wall-clock
+goes to stderr as a detachable footer.
 
 Every `main` call runs cold: `igq.clear_caches` empties every table made
 by `igq.memo()` before any check, so no invocation reads another's
@@ -34,6 +35,8 @@ from .report import check, emit_json, emit_markdown, informational, summarize
 
 QH_CHECKS = ("dims", "homomorphism", "spectrum", "zcount", "lemma", "regularity", "unfolding")
 DCAT_CHECKS = ("lefschetz", "keyext", "residual", "euler")
+MAX_N = 5  # the default --max-n
+MAX_K = 4  # the default --max-k
 
 
 def _timed(fn, *args):
@@ -59,7 +62,7 @@ def _guarded(rows, claim_id, thunk):
         )
 
 
-def _qh_checks(n: int, checks=QH_CHECKS, max_n: int = 5) -> list:
+def _qh_checks(n: int, checks=QH_CHECKS, max_n: int = MAX_N) -> list:
     """The requested qh checks that apply at n, in dependency order;
     ValueError when n is out of range or no requested check applies."""
     if not 2 <= n <= max_n:
@@ -72,7 +75,7 @@ def _qh_checks(n: int, checks=QH_CHECKS, max_n: int = 5) -> list:
     return checks
 
 
-def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int = 5):
+def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int = MAX_N):
     """Run the quantum-cohomology checks for one n, in dependency order;
     q_mode None is `presentations.SPECIALIZE_1`.  Individual failures
     become FAIL rows; the batch never aborts.  Raises ValueError as
@@ -201,7 +204,7 @@ def run_qh_suite(n: int, checks=QH_CHECKS, q_mode: str | None = None, max_n: int
     return rows
 
 
-def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = 4):
+def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = MAX_K):
     """Run the derived-category checks for one k on G(2,2k)/G(2,2k+1) or
     IG(2,2k).  Raises ValueError when k is out of range or no requested
     check applies."""
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     qh.add_argument("--check", default=",".join(QH_CHECKS),
                     help="comma-separated subset of %s" % (QH_CHECKS,))
     qh.add_argument("--q-mode", choices=("1", "symbolic"), default="1")
-    qh.add_argument("--max-n", type=int, default=5)
+    qh.add_argument("--max-n", type=int, default=MAX_N)
     qh.add_argument("--format", choices=("json", "md"), default="json")
     qh.add_argument("--dump", metavar="DIR", default=None)
 
@@ -339,78 +342,63 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--space", choices=("gr", "igr"), required=True)
     dc.add_argument("--check", default=",".join(DCAT_CHECKS),
                     help="comma-separated subset of %s" % (DCAT_CHECKS,))
-    dc.add_argument("--max-k", type=int, default=4)
+    dc.add_argument("--max-k", type=int, default=MAX_K)
     dc.add_argument("--format", choices=("json", "md"), default="json")
     return parser
 
 
-def _parse_checks(text: str, known, command: str):
-    """The comma-separated check names, or None after one stderr line when
-    a name is unknown or none is given: an empty run certifies nothing."""
+def _parse_checks(text: str, known, command: str) -> list:
+    """The comma-separated check names; ValueError when a name is unknown
+    or none is given: an empty run certifies nothing."""
     checks = [c for c in text.split(",") if c]
     bad = set(checks) - set(known)
     if bad:
-        print("unknown %s checks: %s" % (command, ",".join(sorted(bad))), file=sys.stderr)
-        return None
+        raise ValueError("unknown %s checks: %s" % (command, ",".join(sorted(bad))))
     if not checks:
-        print("no %s checks given; choose from %s" % (command, ",".join(known)), file=sys.stderr)
-        return None
+        raise ValueError("no %s checks given; choose from %s" % (command, ",".join(known)))
     return checks
+
+
+def _run(args) -> tuple:
+    """The rows and invocation record of one parsed command line.  Each
+    refusal raises ValueError where it is found, in this order: the limit,
+    the check names, the range and applicability, the dump directory
+    (made before any check runs) and, after the checks, the dump files."""
+    flag, limit = ("--max-n", args.max_n) if args.command == "qh" else ("--max-k", args.max_k)
+    if limit < 2:  # n and k start at 2, so a lower limit leaves no run to allow
+        raise ValueError("%s must be at least 2, got %d" % (flag, limit))
+    clear_caches()
+    if args.command == "dcat":
+        checks = _parse_checks(args.check, DCAT_CHECKS, "dcat")
+        rows = run_dcat_suite(args.k, args.space, checks, args.max_k)
+        return rows, {"command": "dcat", "k": args.k, "space": args.space,
+                      "checks": ",".join(checks), "max_k": args.max_k}
+    checks = _parse_checks(args.check, QH_CHECKS, "qh")
+    q_mode = presentations.SYMBOLIC if args.q_mode == "symbolic" else presentations.SPECIALIZE_1
+    _qh_checks(args.n, checks, args.max_n)  # refuse before making the dump directory
+    if args.dump is not None:  # an empty path is refused here, not skipped
+        try:
+            os.makedirs(args.dump, exist_ok=True)
+        except OSError as exc:
+            raise ValueError("cannot create dump directory: %s" % exc) from None
+    rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
+    if args.dump is not None:
+        try:
+            _dump_presentations(args.n, q_mode, args.dump)
+        except OSError as exc:
+            raise ValueError("cannot write dump files: %s" % exc) from None
+    return rows, {"command": "qh", "n": args.n, "checks": ",".join(checks),
+                  "q_mode": args.q_mode, "max_n": args.max_n}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    flag, limit = ("--max-n", args.max_n) if args.command == "qh" else ("--max-k", args.max_k)
-    if limit < 2:  # n and k start at 2, so a lower limit leaves no run to allow
-        print("%s must be at least 2, got %d" % (flag, limit), file=sys.stderr)
-        return 2
-    clear_caches()
     t0 = time.monotonic()
-    if args.command == "qh":
-        checks = _parse_checks(args.check, QH_CHECKS, "qh")
-        if checks is None:
-            return 2
-        q_mode = presentations.SYMBOLIC if args.q_mode == "symbolic" else presentations.SPECIALIZE_1
-        try:
-            _qh_checks(args.n, checks, args.max_n)  # refuse before making the dump directory
-            if args.dump is not None:  # an empty path is refused here, not skipped
-                os.makedirs(args.dump, exist_ok=True)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print("cannot create dump directory: %s" % exc, file=sys.stderr)
-            return 2
-        rows = run_qh_suite(args.n, checks, q_mode, args.max_n)
-        if args.dump is not None:
-            try:
-                _dump_presentations(args.n, q_mode, args.dump)
-            except OSError as exc:
-                print("cannot write dump files: %s" % exc, file=sys.stderr)
-                return 2
-        invocation = {
-            "command": "qh",
-            "n": args.n,
-            "checks": ",".join(checks),
-            "q_mode": args.q_mode,
-            "max_n": args.max_n,
-        }
-    else:
-        checks = _parse_checks(args.check, DCAT_CHECKS, "dcat")
-        if checks is None:
-            return 2
-        try:
-            rows = run_dcat_suite(args.k, args.space, checks, args.max_k)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        invocation = {
-            "command": "dcat",
-            "k": args.k,
-            "space": args.space,
-            "checks": ",".join(checks),
-            "max_k": args.max_k,
-        }
+    try:
+        rows, invocation = _run(args)
+    except ValueError as exc:  # a refusal: `_guarded` makes every check's exception a row
+        print(exc, file=sys.stderr)
+        return 2
     emit = emit_json if args.format == "json" else emit_markdown
     sys.stdout.write(emit(rows, __version__, invocation))
     s = summarize(rows)

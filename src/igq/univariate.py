@@ -13,7 +13,7 @@ the gcd from Euclid's algorithm over F_p.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 from .linalg import reduce_mod
 
@@ -25,21 +25,14 @@ def _strip(c):
 
 
 def _content(c):
-    g = 0
-    for x in c:
-        g = int_gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g or 1
+    return gcd(*c) or 1
 
 
 def _primitive_int(coeffs) -> list:
     """Clear denominators and content: the primitive integer list with the
     same ratios as the given ints and Fractions."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     g = _content(ints)
     return [x // g for x in ints]
 

@@ -1,8 +1,8 @@
 """The dense Krylov sieve over F_p: `LinearSieve`'s contract mod a prime
-p, and the minimal polynomial of a matrix on a start vector modulo a
-subspace, mod p.  `igq.presentations` proves its point counts by
-Berlekamp-Massey on a projected sequence (`igq.linalg.berlekamp_massey`);
-this dense sieve is that method's oracle.  Also a kernel basis over Q on
+p, and the minimal polynomial of a matrix on a start vector mod p.
+`igq.presentations` proves its point counts by Berlekamp-Massey on a
+projected sequence (`igq.linalg.berlekamp_massey`); this dense sieve is
+that method's oracle.  Also a kernel basis over Q on
 `LinearSieve`, for the dense origin factor of `spectrum_oracle`."""
 
 from fractions import Fraction
@@ -92,27 +92,21 @@ def nullspace(rows, ncols: int) -> dict:
     return basis
 
 
-def minimal_polynomial_mod(M, start, modulus, modulo=()):
-    """`igq.linalg.minimal_polynomial` over F_p, on a dense M, and modulo
-    a subspace: the least monic p with p(M) start in the span of the
-    `modulo` vectors mod p.
+def minimal_polynomial_mod(M, start, modulus):
+    """`igq.linalg.minimal_polynomial` over F_p, on a dense M: the least
+    monic p with p(M) start = 0 mod p.
 
-    A `modulo` vector that depends mod p on the ones before it raises
-    ValueError, as does an entry whose denominator p divides.  If the
-    result has the same degree as the one over Q, it is that one's
-    reduction mod p: the modulo vectors and start .. M^(d-1) start are
-    independent mod p, so one of their maximal minors is a unit mod p,
-    and by Cramer's rule the coefficients over Q are p-integral and solve
-    the same system mod p.
+    An entry whose denominator p divides raises ValueError.  If the result
+    has the same degree d as the one over Q, it is that one's reduction
+    mod p: start .. M^(d-1) start are independent mod p, so one of their
+    maximal minors is a unit mod p, and by Cramer's rule the coefficients
+    over Q are p-integral and solve the same system mod p.
     """
     sieve = ModularSieve(modulus)
-    for v in modulo:
-        if not sieve.keep(v):
-            raise ValueError("the modulo vectors are dependent mod %d" % modulus)
     sparse = [[(j, c) for j, c in enumerate(reduce_mod(row, modulus)) if c] for row in M]
     cur = start
     while True:
         combo = sieve.add(cur)
         if combo is not None:
-            return combo[len(modulo):]
+            return combo
         cur = [sum(c * cur[j] for j, c in row) % modulus for row in sparse]

@@ -506,21 +506,27 @@ def test_dump_files_match_golden(q_mode, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, reason",
+    "argv, message",
     [
-        (["qh", "--n", "2", "--check", "lemma"], "lemma needs n >= 3"),
-        (["dcat", "--k", "3", "--space", "gr", "--check", "keyext"], "keyext runs on igr only"),
+        (["qh", "--n", "2", "--check", "lemma"], "no requested qh check applies at n = 2 (lemma needs n >= 3)"),
+        (
+            ["dcat", "--k", "3", "--space", "gr", "--check", "keyext"],
+            "no requested dcat check applies to --space gr (keyext runs on igr only)",
+        ),
+        (["qh", "--n", "2", "--check", "dims,bogus"], "unknown qh checks: bogus"),
+        (["dcat", "--k", "2", "--space", "igr", "--check", "bogus"], "unknown dcat checks: bogus"),
+        (["qh", "--n", "6"], "n out of range [2, 5]"),
+        (["dcat", "--k", "5", "--space", "gr"], "k out of range [2, 4]"),
     ],
-    ids=["qh-lemma-n2", "dcat-keyext-gr"],
+    ids=["qh-lemma-n2", "dcat-keyext-gr", "qh-unknown", "dcat-unknown", "qh-n-range", "dcat-k-range"],
 )
-def test_no_applicable_check_is_refused(argv, reason, capsys):
-    # every requested check is known but none applies: the rows would be empty
+def test_no_applicable_check_is_refused(argv, message, capsys):
+    # no requested check can run (none applies, a name is unknown, or n or
+    # k is past its limit): the rows would be empty, so the run is refused
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("no requested %s check applies" % argv[0])
-    assert reason in captured.err
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == message + "\n"
 
 
 def test_lemma_is_skipped_below_n3_next_to_an_applicable_check(capsys):
