@@ -43,7 +43,7 @@ from .presentations import (
     quadratic_relations,
     sigma_classes,
     sigma_ring,
-    sigma_weights,
+    weighted_order,
 )
 
 UNIT = ("unit",)
@@ -105,14 +105,15 @@ def sigma_prime(n: int, gb) -> Polynomial:
     s_{2n-4} *_0 s_1 - s_{2n-3}, modulo the quantum basis gb.
 
     Must be nonzero; in symbolic-q mode it must also be weighted-pure of
-    degree 2n-3 (a genuine class, not a q-correction artifact).
+    degree 2n-3 (a genuine class, not a q-correction artifact) in the
+    paper's grading, read from `weighted_order` whatever gb's order is.
     """
     s = sigma_classes(gb.ring, n)
     sp = normal_form(s[2 * n - 4] * s[1] - s[2 * n - 3], gb)
     if sp.is_zero:
         raise AssertionError("expected a second class of degree 2n-3")
     if "q" in gb.ring.names:
-        degs = sp.weighted_degrees(sigma_weights(n))
+        degs = sp.weighted_degrees(weighted_order(PresentationSpec(n, QUANTUM_I, SYMBOLIC)).weights)
         if degs != {2 * n - 3}:
             raise AssertionError("degree-impure class: weighted degrees %r" % degs)
     return sp

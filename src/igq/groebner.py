@@ -2,12 +2,9 @@
 
 Buchberger's algorithm with the Gebauer-Moeller pair criteria and the
 sugar selection strategy (Giovini, Mora, Niesi, Robbiano & Traverso, "One
-sugar cube, please", ISSAC 1991) in caller-given variable weights.  Pairs
-wait in a heap keyed by (sugar, order key of their lcm), both computed
-once when the pair is made.  When the input is weighted-homogeneous for
-those weights, as every presentation in `igq.presentations` is for the
-paper's grading (the q = 1 variants once homogenized by q), the run goes
-degree by degree.  Reducers sit in a table sorted by leading term, grown
+sugar cube, please", ISSAC 1991) in total degree.  Pairs wait in a heap
+keyed by (sugar, order key of their lcm), both computed once when the
+pair is made.  Reducers sit in a table sorted by leading term, grown
 by insertion during Buchberger and built once per reduced basis; each
 carries a bitmask of the variables in its leading term, so most
 divisibility tests are one integer AND.  Full tail reduction runs over a
@@ -253,22 +250,18 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 # Buchberger
 
 
-def _wdeg(e, weights) -> int:
-    return sum(w * x for w, x in zip(weights, e))
-
-
-def _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights):
+def _update_pairs(G, leads, masks, excess, pairs, f, sugar, key):
     """Gebauer-Moeller update: add f, of sugar `sugar`, to G, prune the pair
     heap and extend it.
 
     A pair is (sugar, order key of its lcm, i, j, lcm), made once; the heap
     pops the pair of least sugar, ties broken by the smaller lcm (the sugar
-    strategy).  With w the weighted degree, the sugar of a pair with lcm L
-    is w(L) plus the larger excess sugar(g) - w(lm g) of its two elements g.
+    strategy).  The sugar of a pair with lcm L is deg L plus the larger
+    excess sugar(g) - deg(lm g) of its two elements g.
     """
     lf = f.lead_monomial
     mf = _mask(lf)
-    ef = sugar - _wdeg(lf, weights)
+    ef = sugar - sum(lf)
     t = len(G)
     lcm_f = [monomial_lcm(L, lf) for L in leads]
 
@@ -295,7 +288,7 @@ def _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights):
         # coprime leads (disjoint supports): the pair reduces to zero
         if all(masks[i] & mf for i in group):
             i = group[0]
-            kept.append((_wdeg(L, weights) + max(excess[i], ef), k, i, t, L))
+            kept.append((sum(L) + max(excess[i], ef), k, i, t, L))
     heapq.heapify(kept)
 
     G.append(f)
@@ -305,29 +298,22 @@ def _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights):
     return kept
 
 
-def buchberger(ideal: Ideal, weights=None) -> GroebnerBasis:
+def buchberger(ideal: Ideal) -> GroebnerBasis:
     """The unique reduced Groebner basis of an ideal, for its ring's order.
 
-    `weights`, one positive int per ring variable (default all 1), grade
-    the sugar that selects the next pair; they change the work done, never
-    the result.  An input generator's sugar is the largest weighted degree
-    of its terms, and a reduced S-polynomial takes the sugar of its pair.
+    An input generator's sugar is the largest total degree of its terms,
+    and a reduced S-polynomial takes the sugar of its pair.
     """
     ring = ideal.ring
-    if weights is None:
-        weights = (1,) * ring.ngens
-    weights = tuple(weights)
-    if len(weights) != ring.ngens or not all(type(w) is int and w > 0 for w in weights):
-        raise ValueError("need one positive int weight per ring variable, got %r" % (weights,))
     key = ring.order.key
     gens = [g for g in ideal.generators if not g.is_zero]
 
     G, leads, masks, excess, pairs = [], [], [], [], []
     table = _ReducerTable(ring.order)
     for f in sorted(gens, key=lambda p: key(p.lead_monomial)):
-        sugar = max(_wdeg(e, weights) for e, _ in f.terms)
+        sugar = max(sum(e) for e, _ in f.terms)
         f = _primitive(ring, f.terms)
-        pairs = _update_pairs(G, leads, masks, excess, pairs, f, sugar, key, weights)
+        pairs = _update_pairs(G, leads, masks, excess, pairs, f, sugar, key)
         table.insert(f)
 
     while pairs:
@@ -338,7 +324,7 @@ def buchberger(ideal: Ideal, weights=None) -> GroebnerBasis:
         r, _ = _reduce_full(s.terms, table)
         if r:
             r = _primitive(ring, r)
-            pairs = _update_pairs(G, leads, masks, excess, pairs, r, sugar, key, weights)
+            pairs = _update_pairs(G, leads, masks, excess, pairs, r, sugar, key)
             table.insert(r)
 
     return _interreduce(ring, G)

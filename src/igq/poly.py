@@ -46,10 +46,6 @@ def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def monomial_degree(a: Exponents) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
 # term orders
 
@@ -107,6 +103,12 @@ class RingMismatch(ValueError):
     pass
 
 
+def _fraction(c) -> Fraction:
+    if isinstance(c, float):  # not exact
+        raise TypeError("float coefficient %r: coefficients must be exact" % (c,))
+    return Fraction(c)
+
+
 class Ring(Value):
     """A polynomial ring over Q: a variable list plus an active term order."""
 
@@ -116,6 +118,8 @@ class Ring(Value):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names: %r" % (names,))
+        if isinstance(order, WeightedOrder) and len(order.weights) != len(names):
+            raise ValueError("%s on %d variables" % (order.name, len(names)))
         set_field(self, "names", names)
         set_field(self, "order", order)
 
@@ -144,13 +148,13 @@ class Ring(Value):
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _fraction(c)
         if c == 0:
             return self.zero
         return Polynomial(self, (((0,) * self.ngens, c),))
 
     def monomial(self, exps, coeff=1) -> "Polynomial":
-        return self.poly({tuple(exps): Fraction(coeff)})
+        return self.poly({tuple(exps): coeff})
 
     def poly(self, data) -> "Polynomial":
         """Build a polynomial from a dict or iterable of (exponents, coeff)."""
@@ -163,7 +167,7 @@ class Ring(Value):
             if len(exps) != ngens:
                 raise ValueError("exponent tuple of wrong length: %r" % (exps,))
             if type(c) is not Fraction:
-                c = Fraction(c)
+                c = _fraction(c)
             if c:
                 prev = acc.get(exps)
                 acc[exps] = c if prev is None else prev + c
@@ -304,14 +308,15 @@ class Polynomial(Value):
         """Map variable name -> coefficient of its degree-one term."""
         out = {}
         for e, c in self.terms:
-            if monomial_degree(e) == 1:
+            if sum(e) == 1:
                 out[self.ring.names[e.index(1)]] = c
         return out
 
-    def weighted_degrees(self, weights: Mapping[str, int]):
-        """Set of weighted degrees occurring among the terms."""
-        w = [weights[n] for n in self.ring.names]
-        return {sum(wi * ei for wi, ei in zip(w, e)) for e, _ in self.terms}
+    def weighted_degrees(self, weights):
+        """Set of weighted degrees among the terms, one weight per variable."""
+        if len(weights) != self.ring.ngens:
+            raise ValueError("need %d weights, got %r" % (self.ring.ngens, weights))
+        return {sum(map(mul, weights, e)) for e, _ in self.terms}
 
     # -- display ------------------------------------------------------
 

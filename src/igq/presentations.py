@@ -97,19 +97,6 @@ def ab_ring(n: int, symbolic_q: bool = False) -> Ring:
     return Ring(names)
 
 
-def sigma_weights(n: int) -> dict:
-    w = {"s%d" % i: i for i in range(1, 2 * n - 1)}
-    w["q"] = 2 * n - 1
-    return w
-
-
-def ab_weights(n: int) -> dict:
-    w = {"a1": 1, "a2": 2}
-    w.update({"b%d" % i: 2 * i for i in range(1, n - 1)})
-    w["q"] = 2 * n - 1
-    return w
-
-
 def sigma_classes(ring: Ring, n: int) -> list:
     """[1, s_1, ..., s_{2n-2}] in a ring that has the variables s_1 .. s_{2n-2}."""
     return [ring.one] + [ring.var("s%d" % k) for k in range(1, 2 * n - 1)]
@@ -215,36 +202,31 @@ _basis_cache = memo()
 
 
 def weighted_order(spec: PresentationSpec) -> WeightedOrder:
-    """The paper's weighted order on the presentation ring's variables
-    (deg s_i = i, deg a_1 = 1, deg a_2 = 2, deg b_i = 2i, deg q = 2n-1;
-    ties towards the later variables), the order of every
-    `presentation_basis`.  Every presentation is triangular there: s_r
-    leads the rule s_r - sigma_r, whose other terms are products of s_1
-    and s_2, and b_k leads the x^(2k) coefficient of the II-identity.  So
-    its reduced basis is 2n-4 (or n-2) substitution rules plus a small
-    core in two variables: QUANTUM_I at n = 10 has 26 elements, against
-    970 in grevlex."""
+    """The paper's grading, written down only here, as a weighted order on
+    the presentation ring's variables: deg s_i = i; deg a_1 = 1, deg a_2 =
+    2, deg b_i = 2i; deg q = 2n-1 when q is a variable; ties towards the
+    later variables.  It is the order of every `presentation_basis`.
+    Every presentation is triangular there: s_r leads the rule s_r -
+    sigma_r, whose other terms are products of s_1 and s_2, and b_k leads
+    the x^(2k) coefficient of the II-identity.  So its reduced basis is
+    2n-4 (or n-2) substitution rules plus a small core in two variables:
+    QUANTUM_I at n = 10 has 26 elements, against 970 in grevlex."""
+    n = spec.n
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        ring, w = sigma_ring(spec.n, spec.symbolic_q), sigma_weights(spec.n)
+        weights = list(range(1, 2 * n - 1))
     else:
-        ring, w = ab_ring(spec.n, spec.symbolic_q), ab_weights(spec.n)
-    return WeightedOrder(tuple(w[name] for name in ring.names))
+        weights = [1, 2] + list(range(2, 2 * n - 3, 2))
+    return WeightedOrder(weights + [2 * n - 1] * spec.symbolic_q)
 
 
 def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
     """Reduced Groebner basis of a presentation ideal in `weighted_order`,
     cached by the ideal: (n, variant, whether q is a variable).  A
-    classical variant has no q, so both q-modes share its entry.
-
-    Buchberger selects pairs by sugar in the paper's grading, in which
-    every presentation is weighted-homogeneous, so the run goes degree by
-    degree.  For the q = 1 quantum variants the generators' sugars are the
-    degrees of their q-homogenized forms, so the same weights act as a
-    phantom homogenization by q of weight 2n-1."""
+    classical variant has no q, so both q-modes share its entry."""
     key = (spec.n, spec.variant, spec.symbolic_q)
     gb = _basis_cache.get(key)
     if gb is None:
-        gb = _basis_cache[key] = buchberger(build_presentation(spec), weighted_order(spec).weights)
+        gb = _basis_cache[key] = buchberger(build_presentation(spec))
     return gb
 
 
@@ -507,7 +489,7 @@ def decompose_spectrum(n: int) -> SpectrumReport:
             coordinates[name] = ring.poly((e[:2], -c) for e, c in g.terms[1:])
         else:
             core.append(ring.poly((e[:2], c) for e, c in g.terms))
-    core_gb = buchberger(Ideal(ring, core), weighted_order(spec).weights[:2])
+    core_gb = buchberger(Ideal(ring, core))
     length, off_dim, count, form = split_spectrum(core_gb, coordinates)
     # I lies in m, so the linear parts of its basis span those of its generators
     report = SpectrumReport(

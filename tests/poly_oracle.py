@@ -21,6 +21,8 @@ def evaluate(f, values) -> Fraction:
 
 
 def is_weighted_homogeneous(f, weights) -> bool:
+    """Whether all terms of f have one weighted degree, for one weight per
+    ring variable."""
     return len(f.weighted_degrees(weights)) <= 1
 
 

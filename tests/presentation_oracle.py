@@ -1,9 +1,11 @@
-"""Weighted homogeneity of the presentations' generators in the paper's
-grading, which the tests check the relation builders against; the
-presentations in grevlex and their bases there, which the tests hold
-the weighted ones against; and the I-presentations with their displayed determinants, the
-oracle of the triangular rules that `igq.presentations.i_relations`
-builds in their place."""
+"""The paper's grading, written down a second time, independently of
+`igq.presentations.weighted_order`, and the weighted homogeneity of the
+presentations' generators in it, which the tests check the relation
+builders and that order against; the presentations in grevlex and their
+bases there, which the tests hold the weighted ones against; and the
+I-presentations with their displayed determinants, the oracle of the
+triangular rules that `igq.presentations.i_relations` builds in their
+place."""
 
 from igq.groebner import Ideal, buchberger
 from igq.poly import Ring
@@ -13,15 +15,34 @@ from igq.presentations import (
     SPECIALIZE_1,
     SYMBOLIC,
     VARIANTS,
-    ab_weights,
     build_presentation,
     q_of,
     quadratic_relations,
     sigma_classes,
     sigma_ring,
-    sigma_weights,
-    weighted_order,
 )
+
+
+def sigma_weights(n: int) -> dict:
+    """The degrees of the I-variants' variables: deg s_i = i, deg q = 2n-1."""
+    w = {"s%d" % i: i for i in range(1, 2 * n - 1)}
+    w["q"] = 2 * n - 1
+    return w
+
+
+def ab_weights(n: int) -> dict:
+    """The degrees of the II-variants' variables: deg a1 = 1, deg a2 = 2,
+    deg b_i = 2i, deg q = 2n-1."""
+    w = {"a1": 1, "a2": 2}
+    w.update({"b%d" % i: 2 * i for i in range(1, n - 1)})
+    w["q"] = 2 * n - 1
+    return w
+
+
+def grading(table: dict, ring) -> tuple:
+    """A weight table read in the ring's variable order, one weight per
+    variable, as `WeightedOrder` and `Polynomial.weighted_degrees` take them."""
+    return tuple(table[name] for name in ring.names)
 
 
 def schur_determinants(s: list, top: int) -> list:
@@ -58,9 +79,8 @@ def in_grevlex(ideal):
 
 
 def grevlex_basis(spec):
-    """The reduced basis of a presentation in grevlex, built by sugar in
-    the paper's grading."""
-    return buchberger(in_grevlex(build_presentation(spec)), weighted_order(spec).weights)
+    """The reduced basis of a presentation in grevlex."""
+    return buchberger(in_grevlex(build_presentation(spec)))
 
 
 def weighted_homogeneity_report(n: int) -> dict:
@@ -74,11 +94,11 @@ def weighted_homogeneity_report(n: int) -> dict:
     out = {}
     for variant in VARIANTS:
         is_i = variant.endswith("_I")
-        weights = sigma_weights(n) if is_i else ab_weights(n)
+        table = sigma_weights(n) if is_i else ab_weights(n)
         rules = [[k] for k in range(3, 2 * n - 1)] if is_i else []
         for q_mode in (SYMBOLIC, SPECIALIZE_1):
             gens = build_presentation(PresentationSpec(n, variant, q_mode)).generators
-            degs = [sorted(g.weighted_degrees(weights)) for g in gens]
+            degs = [sorted(g.weighted_degrees(grading(table, g.ring))) for g in gens]
             ok = degs[: len(rules)] == rules
             if q_mode == SYMBOLIC:
                 ok = ok and all(len(d) == 1 for d in degs)

@@ -22,7 +22,6 @@ from igq.presentations import (
     PresentationSpec,
     QUANTUM_II,
     VARIANTS,
-    ab_weights,
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
@@ -33,7 +32,7 @@ from igq.unfolding import match_quantum_factor
 
 from bundle_oracle import hom_bundle, serre_duality_holds
 from groebner_oracle import is_groebner
-from presentation_oracle import grevlex_basis, weighted_homogeneity_report
+from presentation_oracle import ab_weights, grading, grevlex_basis, weighted_homogeneity_report
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
@@ -229,8 +228,7 @@ def test_criterion_10_property_suites():
     for n in (2, 3, 4):
         dims = set()
         ideal = build_presentation(PresentationSpec(n, QUANTUM_II))
-        weights = ab_weights(n)
-        for order in (GREVLEX, WeightedOrder(weights[v] for v in ideal.ring.names)):
+        for order in (GREVLEX, WeightedOrder(grading(ab_weights(n), ideal.ring))):
             ring2 = Ring(ideal.ring.names, order)
             gens = [ring2.poly(g.terms) for g in ideal.generators]
             dims.add(len(standard_monomials(buchberger(Ideal(ring2, gens)))))

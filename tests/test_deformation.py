@@ -29,8 +29,8 @@ from igq.presentations import (
     presentation_basis,
     sigma_classes,
     sigma_ring,
-    sigma_weights,
 )
+from presentation_oracle import grading, sigma_weights
 
 
 def quantum_basis(n, symbolic_q=False):
@@ -98,7 +98,7 @@ def test_sigma_prime_nonzero_and_pure_degree():
     sp = sigma_prime(3, quantum_basis(3))
     assert not sp.is_zero
     sp_sym = sigma_prime(3, quantum_basis(3, symbolic_q=True))
-    assert sp_sym.weighted_degrees(sigma_weights(3)) == {3}
+    assert sp_sym.weighted_degrees(grading(sigma_weights(3), sp_sym.ring)) == {3}
 
 
 def test_tau_correction_table():
@@ -171,7 +171,7 @@ def test_lemma_symbolic_mode_degree_bookkeeping():
     tc = rep["sigma_2n2_t_coeff"]
     # the t-coefficient of a degree-(2n-2) relation is a degree-(2n-1)
     # class times nothing else: weight of q is 2n-1, t has degree -1
-    assert tc.weighted_degrees(sigma_weights(n)) == {2 * n - 1}
+    assert tc.weighted_degrees(grading(sigma_weights(n), tc.ring)) == {2 * n - 1}
 
 
 def test_lemma_rejects_small_n():

@@ -266,42 +266,14 @@ def test_reduced_basis_invariant_under_rescaling():
             assert buchberger(Ideal(ideal.ring, gens)).elements == reference, spec
 
 
-HAND_IDEALS = (
-    [X**2 - Y, Y**2 - X],
-    [X**3 + X * Y, Y**2 - 1],
-    [X**2 + Y**2 - 1, X * Y - 1],
-    [X**2 * (X - 1), Y],
-    [Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y],
-    [6 * X**2 - 4 * Y, 9 * X * Y - Fraction(3, 7), -Fraction(5, 2) * Y**3 + X],
-)
-
-
-def test_sugar_weights_do_not_change_the_basis():
-    rng = random.Random(17)
-    cases = [Ideal(R2, gens) for gens in HAND_IDEALS]
-    cases += [in_grevlex(build_presentation(spec)) for spec in SHUFFLE_SPECS]
-    for ideal in cases:
-        reference = buchberger(ideal).elements
-        for _ in range(4):
-            weights = [rng.randrange(1, 8) for _ in range(ideal.ring.ngens)]
-            assert buchberger(ideal, weights).elements == reference, (ideal, weights)
-
-
-def test_presentation_basis_matches_unweighted_buchberger():
-    # sugar in the paper's grading selects the pairs, in either order
+def test_presentation_basis_matches_a_fresh_buchberger_run():
+    # the memoized basis, shared by a classical variant's two q-modes, is
+    # the one a fresh run on the presentation gives
     for n in (3, 4):
         for variant in (CLASSICAL_I, CLASSICAL_II, QUANTUM_I, QUANTUM_II):
             for q_mode in (SPECIALIZE_1, SYMBOLIC):
                 spec = PresentationSpec(n, variant, q_mode)
-                grevlex = in_grevlex(build_presentation(spec))
-                assert grevlex_basis(spec).elements == buchberger(grevlex).elements, spec
                 assert presentation_basis(spec).elements == buchberger(build_presentation(spec)).elements, spec
-
-
-@pytest.mark.parametrize("weights", [(1,), (1, 1, 1), (1, 0), (2, -1), (1, 1.0), ()])
-def test_sugar_weights_are_validated(weights):
-    with pytest.raises(ValueError):
-        buchberger(Ideal(R2, [X**2 - Y, Y**2 - X]), weights)
 
 
 def _basis_digest(gb):

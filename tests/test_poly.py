@@ -83,6 +83,34 @@ def test_weighted_orders_compare_and_hash_by_weights():
             WeightedOrder(bad)
 
 
+def test_ring_refuses_a_weighted_order_of_another_length():
+    # zipping fewer weights than variables would drop the last ones from
+    # the key, and 1 would no longer be the least monomial
+    for weights in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            Ring(("a1", "a2"), WeightedOrder(weights))
+    assert Ring(("a1", "a2"), WeightedOrder((1, 2))).order.weights == (1, 2)
+    f = Ring(("a", "b")).var("a")
+    with pytest.raises(ValueError):
+        f.weighted_degrees((1,))
+
+
+def test_float_coefficients_are_refused():
+    # a float is not exact: 0.1 would become 3602879701896397/2^55
+    R = Ring(("x", "y"))
+    for build in (
+        lambda: R.const(0.1),
+        lambda: R.monomial((1, 0), 0.5),
+        lambda: R.poly({(1, 0): 0.5}),
+        lambda: R.poly([((0, 1), 1), ((1, 0), 2.0)]),
+        lambda: R.var("x") * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert R.const(Fraction(1, 10)) == Fraction(1, 10)
+    assert R.monomial((1, 0), 3) == 3 * R.var("x")
+
+
 def test_poly_coerces_inputs_and_checks_lengths():
     R = Ring(("x", "y"))
     f = R.poly([([1, 0], 2), ((1, 0), Fraction(1, 2)), ((0, 1), 0)])
@@ -141,8 +169,8 @@ def test_weighted_degrees_and_linear_part():
     R = Ring(("a", "b"))
     a, b = R.gens
     f = a**2 * b - 3 * b**2
-    assert is_weighted_homogeneous(f, {"a": 1, "b": 2})
-    assert not is_weighted_homogeneous(f, {"a": 1, "b": 1})
+    assert is_weighted_homogeneous(f, (1, 2))
+    assert not is_weighted_homogeneous(f, (1, 1))
     g = 2 * a - 5 * b + a * b
     assert g.linear_coefficients() == {"a": Fraction(2), "b": Fraction(-5)}
 

@@ -23,7 +23,6 @@ from igq.presentations import (
     SYMBOLIC,
     VARIANTS,
     ab_ring,
-    ab_weights,
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
@@ -35,15 +34,17 @@ from igq.presentations import (
     sigma_classes,
     sigma_in_ab,
     sigma_ring,
-    sigma_weights,
     verify_homomorphism,
     weighted_order,
 )
 from groebner_oracle import is_groebner
 from presentation_oracle import (
+    ab_weights,
+    grading,
     grevlex_basis,
     schur_determinants,
     schur_presentation,
+    sigma_weights,
     weighted_homogeneity_report,
 )
 from spectrum_oracle import core_ideal, joint_origin_factor, split_on_variables
@@ -189,7 +190,7 @@ def test_weighted_and_grevlex_bases_span_one_ideal():
 
 def schur_basis(spec, order):
     """The reduced basis of the ideal the displayed determinants generate."""
-    return buchberger(schur_presentation(spec, order), weighted_order(spec).weights)
+    return buchberger(schur_presentation(spec, order))
 
 
 def test_rules_and_determinants_give_one_reduced_basis():
@@ -247,9 +248,9 @@ def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(mon
         requests.append((args, kwargs))
         return real(*args, **kwargs)
 
-    def recorded_buchberger(ideal, *args):
+    def recorded_buchberger(ideal):
         rings.append(ideal.ring.names)
-        return real_buchberger(ideal, *args)
+        return real_buchberger(ideal)
 
     monkeypatch.setattr(presentations, "presentation_basis", recorded)
     monkeypatch.setattr(deformation, "presentation_basis", recorded)
@@ -369,15 +370,19 @@ def test_relations_on_the_images_equal_the_substituted_relations():
 
 
 def test_presentation_is_built_in_the_paper_grading():
-    # the ring's order weighs each variable by its degree
-    for n in range(2, 7):
+    # the ring's order weighs each variable by its degree: weighted_order's
+    # own weights against the oracle's tables, read in ring order
+    for n in range(2, 9):
         for variant in VARIANTS:
             for q_mode in (SPECIALIZE_1, SYMBOLIC):
                 spec = PresentationSpec(n, variant, q_mode)
                 built = build_presentation(spec)
-                weights = sigma_weights(n) if variant.endswith("_I") else ab_weights(n)
-                ring = Ring(built.ring.names, WeightedOrder(tuple(weights[nm] for nm in built.ring.names)))
-                assert built.ring == ring and ring.order == weighted_order(spec), spec
+                if variant.endswith("_I"):
+                    ring, table = sigma_ring(n, spec.symbolic_q), sigma_weights(n)
+                else:
+                    ring, table = ab_ring(n, spec.symbolic_q), ab_weights(n)
+                assert weighted_order(spec).weights == grading(table, ring), spec
+                assert built.ring == Ring(ring.names, WeightedOrder(grading(table, ring))), spec
 
 
 def test_homomorphism_classical():
