@@ -127,6 +127,20 @@ def _p(space: Space) -> int:
     return space.param - 2 if space.kind == GR else 2 * space.param - 3
 
 
+# Each space's Weyl denominator under its (kind, param), computed at the
+# space's first regular weight.
+_denominators = memo()
+
+
+def _weyl_denominator(space: Space) -> int:
+    """Weyl's product for rho's leading pair, by the module docstring:
+    (m-1)! (m-2)! on G(2,m), k (k-1) (2k-1) Q(k) Q(k-1) on IG(2,2k)."""
+    n = space.param
+    if space.kind == GR:
+        return factorial(n - 1) * factorial(n - 2)
+    return n * (n - 1) * (2 * n - 1) * _tail_product_sp(n, n) * _tail_product_sp(n - 1, n)
+
+
 def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
     """H^*(space, S^sym U*(twist)) by the module docstring: vanishing on the
     singular bands, else the degree and Weyl dimension from the leading
@@ -138,7 +152,6 @@ def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
         x, y = sym + twist + n - 1, twist + n - 2
         degree = p * ((x < 0) + (y < 0))
         num = (x - y) * _tail_product_gl(x, n) * _tail_product_gl(y, n)
-        den = factorial(n - 1) * factorial(n - 2)
     else:
         if sym + 2 * twist == 1 - 2 * n:
             return _VANISHING
@@ -146,7 +159,9 @@ def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
         X, Y = abs(x), abs(y)
         degree = p * ((x < 0) + (y < 0)) + (x + y < 0)
         num = X * Y * abs(X * X - Y * Y) * _tail_product_sp(X, n) * _tail_product_sp(Y, n)
-        den = n * (n - 1) * (2 * n - 1) * _tail_product_sp(n, n) * _tail_product_sp(n - 1, n)
+    den = _denominators.get((space.kind, n))
+    if den is None:
+        den = _denominators[space.kind, n] = _weyl_denominator(space)
     dim, r = divmod(num, den)
     if r or dim <= 0:
         raise ArithmeticError("Weyl dimension of S^%dU*(%d) on %s is %d/%d" % (sym, twist, space, num, den))

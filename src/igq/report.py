@@ -7,7 +7,7 @@ printed separately so it can be detached.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 
 from . import Value, set_field
 
@@ -53,23 +53,40 @@ def summarize(rows) -> dict:
 
 
 def emit_json(rows, tool_version: str, invocation: dict) -> str:
+    """`json.dumps(doc, indent=2) + "\n"` of the report document, written
+    in that fixed layout directly: any indent sends `json` to its
+    pure-Python encoder, while every string here passes through the C
+    function that encoder calls.  The invocation is sorted by key, and a
+    row carries its note only when the note is non-empty."""
     ordered = sorted(rows, key=lambda r: r.claim_id)
-    doc = {
-        "tool_version": tool_version,
-        "invocation": {k: invocation[k] for k in sorted(invocation)},
-        "rows": [
-            {
-                "claim_id": r.claim_id,
-                "computed": r.computed,
-                "expected": r.expected,
-                "status": r.status,
-                **({"note": r.note} if r.note else {}),
-            }
-            for r in ordered
-        ],
-        "summary": summarize(rows),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    inv = ",\n".join(
+        "    %s: %s" % (_string(k), _string(v) if isinstance(v, str) else "%d" % v)
+        for k, v in sorted(invocation.items())
+    )
+    blocks = ",\n".join(
+        '    {\n      "claim_id": %s,\n      "computed": %s,\n      "expected": %s,\n      "status": %s%s\n    }'
+        % (
+            _string(r.claim_id),
+            _string(r.computed),
+            _string(r.expected),
+            _string(r.status),
+            ',\n      "note": ' + _string(r.note) if r.note else "",
+        )
+        for r in ordered
+    )
+    s = summarize(rows)
+    return (
+        '{\n  "tool_version": %s,\n  "invocation": %s,\n  "rows": %s,\n'
+        '  "summary": {\n    "pass": %d,\n    "fail": %d,\n    "inconclusive": %d\n  }\n}\n'
+        % (
+            _string(tool_version),
+            "{\n%s\n  }" % inv if inv else "{}",
+            "[\n%s\n  ]" % blocks if blocks else "[]",
+            s["pass"],
+            s["fail"],
+            s["inconclusive"],
+        )
+    )
 
 
 def emit_markdown(rows, tool_version: str, invocation: dict) -> str:

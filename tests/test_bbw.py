@@ -315,6 +315,25 @@ def test_closed_form_matches_the_bbw_oracle():
                 assert bundle_cohomology(space, sym, twist) == expected, (space, sym, twist)
 
 
+def test_closed_form_matches_the_bbw_oracle_at_reach():
+    # G(2,120) and IG(2,120), whose Weyl denominators have hundreds of
+    # digits, taken in turn with G(2,60), whose param is IG(2,120)'s, so a
+    # denominator read for the wrong space shows; the twists cross the
+    # singular bands (p = 118 and 117) and fall below them, and sym 117 and
+    # 119 reach IG's diagonal x = -y
+    spaces = Space.gr(120), Space.igr(60), Space.gr(60)
+    regular = 0
+    for sym in (*range(7), 117, 119):
+        for twist in (-125, -121, -119, -118, -117, -60, -59, -1, 0, 1, 3):
+            for space in spaces:
+                n = space.param
+                full = bbw_gl if space.kind == "gr" else bbw_sp
+                expected = full((sym + twist, twist) + (0,) * (n - 2), n)
+                assert bundle_cohomology(space, sym, twist) == expected, (space, sym, twist)
+                regular += not expected.vanishes
+    assert len(bbw._denominators) == 3 and regular > 75
+
+
 def test_singular_weights_share_one_vanishing_result():
     space = Space.igr(3)
     assert bundle_cohomology(space, 0, -1) is bundle_cohomology(space, 0, -2)
