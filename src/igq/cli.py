@@ -304,8 +304,8 @@ def run_dcat_suite(k: int, space_kind: str, checks=DCAT_CHECKS, max_k: int = MAX
 def _dump_presentations(n: int, q_mode: str, directory: str):
     for variant in presentations.VARIANTS:
         spec = presentations.PresentationSpec(n, variant, q_mode)
-        gb = presentations.presentation_basis(spec)
-        ideal = presentations.build_presentation(spec)
+        gb = presentations.full_basis(spec)
+        ideal = presentations.presentation_generators(spec)
         q_label = "symbolic" if spec.symbolic_q else "1"
         header = "IG(2,%d) variant=%s q=%s" % (2 * n, variant, q_label)
         order = " order=" + gb.ring.order.name

@@ -12,17 +12,18 @@ the ones pinned by the degree-1 four-point invariants:
 Any other correction request raises: unknown Gromov-Witten numbers are
 never fabricated.  The product is therefore partial and tag-driven.
 
-A first-order class is a pair (p0, p1) of polynomials in the sigma-side
-quantum ring, its t^0 and t^1 parts.  Products and sums are formed without
-reducing, and each verdict takes one normal form modulo the QUANTUM_I
-basis.  That decides exactly what reducing after every step would: the
-normal form modulo a Groebner basis is unique and Q-linear, and
-NF(NF(f) NF(g)) = NF(fg), since f - NF(f) lies in the ideal (Cox, Little &
-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2 sec. 6).  The basis is
-the `presentation_basis` in the paper's `weighted_order`, built from the
-triangular rules; a verdict asks whether a normal form is zero or
-compares two normal forms in one basis, and neither depends on the order
-or on which generators of the ideal the basis was built from.
+A first-order class is a pair (p0, p1) of polynomials in the core of the
+sigma-side quantum ring, its t^0 and t^1 parts: Q[s_1, s_2(, q)], where
+each class s_k is its image sigma_k(s_1, s_2) (`build_presentation`).
+Products and sums are formed without reducing, and each verdict takes one
+normal form modulo the core's basis.  That decides exactly what reducing
+after every step would: the normal form modulo a Groebner basis is unique
+and Q-linear, and NF(NF(f) NF(g)) = NF(fg), since f - NF(f) lies in the
+ideal (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2
+sec. 6).  The core map is an isomorphism of quotients, so a normal form
+is zero, or two agree, exactly when they would modulo the basis in all
+the variables; a verdict asks only that, which depends neither on the
+order nor on which generators of the ideal the basis was built from.
 """
 
 from __future__ import annotations
@@ -36,14 +37,11 @@ from .presentations import (
     QUANTUM_I,
     SPECIALIZE_1,
     SYMBOLIC,
-    i_relations,
+    build_presentation,
     origin_tangent_dimension,
     presentation_basis,
     q_of,
     quadratic_relations,
-    sigma_classes,
-    sigma_ring,
-    weighted_order,
 )
 
 UNIT = ("unit",)
@@ -100,20 +98,21 @@ def _combine(terms) -> tuple:
     return sum(c * p0 for c, (p0, _) in terms), sum(c * p1 for c, (_, p1) in terms)
 
 
-def sigma_prime(n: int, gb) -> Polynomial:
+def sigma_prime(s: list, gb) -> Polynomial:
     """The normal form of the second degree-(2n-3) class,
-    s_{2n-4} *_0 s_1 - s_{2n-3}, modulo the quantum basis gb.
+    s_{2n-4} *_0 s_1 - s_{2n-3}, modulo the quantum basis gb, for the
+    classes s = [1, s_1, ..., s_{2n-2}] in its ring.
 
     Must be nonzero; in symbolic-q mode it must also be weighted-pure of
     degree 2n-3 (a genuine class, not a q-correction artifact) in the
-    paper's grading, read from `weighted_order` whatever gb's order is.
+    paper's grading, which gb's ring carries as its weighted order.
     """
-    s = sigma_classes(gb.ring, n)
+    n = (len(s) + 1) // 2
     sp = normal_form(s[2 * n - 4] * s[1] - s[2 * n - 3], gb)
     if sp.is_zero:
         raise AssertionError("expected a second class of degree 2n-3")
     if "q" in gb.ring.names:
-        degs = sp.weighted_degrees(weighted_order(PresentationSpec(n, QUANTUM_I, SYMBOLIC)).weights)
+        degs = sp.weighted_degrees(gb.ring.order.weights)
         if degs != {2 * n - 3}:
             raise AssertionError("degree-impure class: weighted degrees %r" % degs)
     return sp
@@ -140,7 +139,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
     gb = presentation_basis(spec)
     ring = gb.ring
-    s = sigma_classes(ring, n)
+    s = [ring.one] + list(build_presentation(spec).images[: 2 * n - 2])
     nf = lambda p: normal_form(p, gb)
     fo = lambda k: (s[k], ring.zero)
     tag = lambda k: sigma_tag(k) if k else UNIT
@@ -159,7 +158,7 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
 
     # (b) the first-column expansion residue, built with tracked products
     inner = star(2 * n - 4, 1)
-    sp = sigma_prime(n, gb)
+    sp = sigma_prime(s, gb)
     head_class = s[2 * n - 3]
     if nf(inner[0] - head_class) != sp:
         raise AssertionError("product of the two classes split incorrectly")
@@ -200,19 +199,21 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
 
 
 def regularity_corank(n: int) -> int:
-    """Corank of the deformed relations at the origin, in the variables
-    (s_1, ..., s_{2n-2}, t); regularity means corank 1.
+    """Corank of the deformed relations at the origin, taken on their core
+    in the variables (s_1, s_2, t); regularity means corank 1.
 
     The deformed ideal is the quantum I-relations at q = 1 with the
     degree-(2n-2) quadratic relation corrected by (-1)^(n+1) q t (the
     degree-2n relation's t-term vanishes), and its corank is the
-    dimension of its Zariski tangent space at the origin.  The generators
-    are the triangular `i_relations`: every one of them vanishes at the
-    origin, so the linear parts of the ideal's elements are spanned by
-    theirs, and the corank depends only on the ideal, which the displayed
-    determinants generate too.
+    dimension of its Zariski tangent space at the origin.  The correction
+    leaves the triangular rules s_k - sigma_k(s_1, s_2) alone, so the
+    deformed ring is the quotient of Q[s_1, s_2, t] by QUANTUM_I's core
+    relations (`build_presentation`) with the first corrected, by an
+    isomorphism that fixes the origin, and the tangent dimension is
+    intrinsic.  Both relations vanish at the origin, so the linear parts
+    of the ideal's elements are spanned by theirs.
     """
-    ring = Ring(sigma_ring(n).names + ("t",))
-    *rules, rel1, rel2 = i_relations(sigma_classes(ring, n), ring.one)
-    rel1 = rel1 + (-1) ** (n + 1) * ring.var("t")
-    return origin_tangent_dimension(Ideal(ring, [*rules, rel1, rel2]))
+    rel1, rel2 = build_presentation(PresentationSpec(n, QUANTUM_I)).ideal.generators
+    ring = Ring(rel1.ring.names + ("t",))
+    rel1, rel2 = (ring.poly((e + (0,), c) for e, c in g.terms) for g in (rel1, rel2))
+    return origin_tangent_dimension(Ideal(ring, [rel1 + (-1) ** (n + 1) * ring.var("t"), rel2]))

@@ -367,10 +367,7 @@ def standard_monomials(gb: GroebnerBasis):
 
     The search grows standard monomials one variable at a time.  If m is
     standard, a lead L that divides m + e_i does not divide m, so
-    L_i = m_i + 1: only the leads indexed by (i, m_i + 1) are tested.  A
-    variable whose first power is a lead is in no standard monomial, so it
-    is never grown: on a presentation basis that is every s_k with k >= 3
-    and every b_k."""
+    L_i = m_i + 1: only the leads indexed by (i, m_i + 1) are tested."""
     n = gb.ring.ngens
     leads = gb.lead_monomials
     if any(all(any(L[:i] + L[i + 1 :]) for L in leads) for i in range(n)):
@@ -383,14 +380,13 @@ def standard_monomials(gb: GroebnerBasis):
         for i, e in enumerate(L):
             if e:
                 by_step.setdefault((i, e), []).append(L)
-    grow = [i for i in range(n) if zero[:i] + (1,) + zero[i + 1 :] not in leads]
     seen = {zero}
     frontier = [zero]
     out = []
     while frontier:
         m = frontier.pop()
         out.append(m)
-        for i in grow:
+        for i in range(n):
             m2 = m[:i] + (m[i] + 1,) + m[i + 1 :]
             if m2 in seen:
                 continue

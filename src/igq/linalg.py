@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 
 def reduce_mod(vec, p: int) -> list:
@@ -178,9 +178,15 @@ def projected_sequence(rows, start, u, length: int, p: int) -> list:
     sequence of Wiedemann's method (IEEE Trans. Inf. Theory 32, 1986).  M
     is given by rows of (column, entry) and applied through them only;
     ValueError when p divides a denominator of its entries or of start's."""
-    rows = [([j for j, _ in row], reduce_mod([x for _, x in row], p)) for row in rows]
+    gathered = []
+    for row in rows:
+        # itemgetter of one index returns the entry, not a tuple: pad a
+        # short row with column 0 at coefficient 0
+        pad = max(2 - len(row), 0)
+        js = [j for j, _ in row] + [0] * pad
+        gathered.append((itemgetter(*js), reduce_mod([x for _, x in row], p) + [0] * pad))
     seq, cur = [], reduce_mod(start, p)
     while len(seq) < length:
         seq.append(sum(map(mul, u, cur)) % p)
-        cur = [sum(map(mul, cs, map(cur.__getitem__, js))) % p for js, cs in rows]
+        cur = [sum(map(mul, cs, get(cur))) % p for get, cs in gathered]
     return seq

@@ -4,7 +4,8 @@ Everything downstream (Groebner bases, ring presentations, cohomology
 bookkeeping) is built on the immutable :class:`Polynomial` defined here.
 Every Polynomial the public API takes or returns has `fractions.Fraction`
 coefficients, so arithmetic is exact; no floating point is ever involved.
-(`igq.groebner` runs its internal rows on primitive integer polynomials.)
+(`igq.groebner` runs its internal rows on primitive integer polynomials,
+and a product multiplies ints, its factors scaled by their denominators.)
 Monomials are bare exponent tuples.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from operator import add, le, mul, neg
 
 from . import Value, set_field
@@ -181,6 +183,13 @@ class Ring(Value):
         return "Ring(%s; %s)" % (",".join(self.names), self.order.name)
 
 
+def _scaled(terms) -> tuple:
+    """(d, [(e, d * c)]) for the lcm d of the denominators of the terms'
+    coefficients, so that every scaled coefficient is an int."""
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
+
+
 def _coerce(ring: Ring, value):
     if isinstance(value, Polynomial):
         return value
@@ -263,13 +272,21 @@ class Polynomial(Value):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
+        # the products run on ints: each factor is scaled by the lcm of its
+        # denominators, and the product of the two is divided out per term
+        den1, ints1 = _scaled(self.terms)
+        den2, ints2 = _scaled(other.terms)
         acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in ints1:
+            for e2, c2 in ints2:
                 e = monomial_mul(e1, e2)
                 prev = acc.get(e)
                 acc[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return self.ring.poly(acc)
+        den = den1 * den2
+        key = self.ring.order.key
+        return Polynomial(
+            self.ring, tuple((e, Fraction(acc[e], den)) for e in sorted(acc, key=key, reverse=True) if acc[e])
+        )
 
     __rmul__ = __mul__
 

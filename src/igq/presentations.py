@@ -9,14 +9,23 @@ Two coordinate systems are used throughout:
 
 Each classical presentation has a quantum deformation obtained by a single
 degree-(2n-1) correction term.  The I-presentations are displayed with
-the determinantal relations D_3 .. D_(2n-2); every check, and the
-generators `--dump` writes, build them from the 2n-4 triangular rules
+the determinantal relations D_3 .. D_(2n-2); the generators `--dump`
+writes (`presentation_generators`) are the 2n-4 triangular rules
 s_k - sigma_k(s_1, s_2) instead, which generate the same ideal
 (`i_relations`); the determinants themselves are kept only in the tests,
-as the oracle of that proof.  Each presentation is built in the paper's
-weighted order (`weighted_order`), where it is triangular, and has one
-reduced basis there, memoized (`presentation_basis`); the spectrum reads
-QUANTUM_II's and splits its two-variable core (`decompose_spectrum`).
+as the oracle of that proof.
+
+Every presentation is triangular in the paper's weighted order
+(`weighted_order`): s_k - sigma_k(s_1, s_2) for k >= 3, or b_k -
+beta_k(a_1, a_2).  So Q[vars]/I is isomorphic to Q[x_1, x_2(, q)]/core,
+the core being the two last relations with sigma_k or beta_k substituted:
+a ring isomorphism that fixes the origin.  `build_presentation` returns
+that core and the image of every variable, `presentation_basis` the
+core's reduced basis, memoized, and every check runs there: the
+dimension, the homomorphism, the lemma, the regularity corank and the
+spectrum, which re-bases QUANTUM_II's core in grevlex
+(`decompose_spectrum`).  Only `--dump` needs the basis in all the
+variables, and `full_basis` assembles it from the core's and the rules.
 
 `split_spectrum` splits a finite quotient into its origin-supported
 factor, whose length comes by Nakayama, and the reduced rest, whose
@@ -123,19 +132,25 @@ def quadratic_relations(s: list, q: Polynomial = None) -> list:
     return [rel1, rel2]
 
 
-def triangular_rules(s: list) -> list:
-    """[s_k - sigma_k for k in [3, 2n-2]] on the classes s = [1, s_1, ...,
-    s_{2n-2}], where sum_k (-1)^k sigma_k x^k = 1 / (1 + s_1 x +
-    (s_1^2 - s_2) x^2).  Comparing coefficients gives sigma_0 = 1,
-    sigma_1 = s_1 and sigma_k = s_1 sigma_{k-1} + (s_2 - s_1^2)
-    sigma_{k-2}, so sigma_2 = s_2 and each sigma_k is a polynomial in s_1,
-    s_2 of weighted degree k with about k/2 terms."""
-    top = len(s) - 1
+def sigma_polynomials(s: list, top: int) -> list:
+    """[sigma_0, ..., sigma_top] for s = [1, s_1, s_2, ...], where
+    sum_k (-1)^k sigma_k x^k = 1 / (1 + s_1 x + (s_1^2 - s_2) x^2).
+    Comparing coefficients gives sigma_0 = 1, sigma_1 = s_1 and sigma_k =
+    s_1 sigma_{k-1} + (s_2 - s_1^2) sigma_{k-2}, so sigma_2 = s_2 and each
+    sigma_k is a polynomial in s_1, s_2 of weighted degree k with about
+    k/2 terms."""
     sigma = [s[0], s[1]]
     step = s[2] - s[1] ** 2
     for k in range(2, top + 1):
         sigma.append(s[1] * sigma[k - 1] + step * sigma[k - 2])
-    return [s[k] - sigma[k] for k in range(3, top + 1)]
+    return sigma
+
+
+def triangular_rules(s: list) -> list:
+    """[s_k - sigma_k for k in [3, 2n-2]] on the classes s = [1, s_1, ...,
+    s_{2n-2}], with sigma_k the `sigma_polynomials` of s_1, s_2."""
+    sigma = sigma_polynomials(s, len(s) - 1)
+    return [s[k] - sigma[k] for k in range(3, len(s))]
 
 
 def i_relations(s: list, q: Polynomial = None) -> list:
@@ -161,8 +176,8 @@ def i_relations(s: list, q: Polynomial = None) -> list:
     lists up to m generate one ideal, in any commutative ring.
 
     The images may be any elements of one ring: the variables s_k give the
-    presentation itself, the expressions `sigma_in_ab` give its image in
-    the a,b-ring, since building the relations commutes with a ring map.
+    presentation itself, the `ab_classes` its image in the II-presentation,
+    since building the relations commutes with a ring map.
     """
     return triangular_rules(s) + quadratic_relations(s, q)
 
@@ -180,37 +195,134 @@ def _chern_series_coeffs(n: int, ring: Ring):
     return out
 
 
-def build_presentation(spec: PresentationSpec) -> Ideal:
-    """The relation ideal in `weighted_order(spec)`, with the generators
-    its basis is built from and `--dump` writes: for the I-variants
-    `i_relations` on the variables s_k; for the II-variants the
-    coefficients of x^2, ..., x^{2n} of the total-Chern-class identity."""
-    n, order = spec.n, weighted_order(spec)
+def beta_polynomials(ring: Ring, top: int) -> list:
+    """[beta_0, ..., beta_top] in a ring with the variables a1, a2: the
+    images of b_0 = 1, b_1, ..., for which the x^2 .. x^(2 top) coefficients
+    of the II-identity vanish.  The x^(2k) coefficient is b_k + (2a2 -
+    a1^2) b_(k-1) + a2^2 b_(k-2), so beta_1 = a1^2 - 2a2 and beta_k =
+    beta_1 beta_(k-1) - a2^2 beta_(k-2)."""
+    a2sq = ring.var("a2") ** 2
+    beta = [ring.one, ring.var("a1") ** 2 - 2 * ring.var("a2")]
+    for k in range(2, top + 1):
+        beta.append(beta[1] * beta[k - 1] - a2sq * beta[k - 2])
+    return beta[: top + 1]
+
+
+def ab_classes(b: list) -> list:
+    """[1, s_1, ..., s_{2n-2}] in the a,b-coordinates, for b = [1, b_1, ...,
+    b_{n-2}] in a ring with the variables a1, a2: the total Chern class of
+    the quotient bundle is the product of those of the middle bundle and
+    of the dual subbundle, so s_k = sum_i b_i * e_{k-2i} with (e_0, e_1,
+    e_2) = (1, -a1, a2)."""
+    ring = b[0].ring
+    e = [ring.one, -ring.var("a1"), ring.var("a2")]
+    out = [ring.zero] * (2 * len(b) + 1)
+    for i, bi in enumerate(b):
+        for j, ej in enumerate(e):
+            out[2 * i + j] = out[2 * i + j] + bi * ej
+    return out
+
+
+def presentation_ring(spec: PresentationSpec) -> Ring:
+    """The ring of a presentation in all its variables, in `weighted_order`."""
+    ring = sigma_ring if spec.variant in (CLASSICAL_I, QUANTUM_I) else ab_ring
+    return Ring(ring(spec.n, spec.symbolic_q).names, weighted_order(spec))
+
+
+def presentation_generators(spec: PresentationSpec) -> Ideal:
+    """The relation ideal in all the variables, with the generators
+    `--dump` writes: for the I-variants `i_relations` on the variables
+    s_k; for the II-variants the coefficients of x^2, ..., x^{2n} of the
+    total-Chern-class identity."""
+    n, ring = spec.n, presentation_ring(spec)
     quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        ring = Ring(sigma_ring(n, spec.symbolic_q).names, order)
         s, q = sigma_classes(ring, n), q_of(ring) if quantum else None
         return Ideal(ring, i_relations(s, q))
-    ring = Ring(ab_ring(n, spec.symbolic_q).names, order)
     gens = _chern_series_coeffs(n, ring)[1 : n + 1]
     if quantum:
         gens[-1] = gens[-1] + q_of(ring) * ring.var("a1")
     return Ideal(ring, gens)
 
 
+class CorePresentation(Value):
+    """A presentation Q[vars]/I as its two-variable core: `ring`, the
+    presentation's ring in all its variables; `ideal`, the two core
+    relations in Q[x1, x2(, q)]; and `images`, the image there of each
+    variable of `ring`, in its order.  Sending each variable to its image
+    induces a ring isomorphism Q[vars]/I -> Q[x1, x2(, q)]/core that fixes
+    the origin."""
+
+    __slots__ = ("ring", "ideal", "images")
+
+    def __init__(self, ring: Ring, ideal: Ideal, images):
+        images = tuple(images)
+        if len(images) != ring.ngens or any(p.ring != ideal.ring for p in images):
+            raise ValueError("need one image in the core ring per variable of %r" % (ring,))
+        set_field(self, "ring", ring)
+        set_field(self, "ideal", ideal)
+        set_field(self, "images", images)
+
+
+_core_cache = memo()
 _basis_cache = memo()
+
+
+def _memo_key(spec: PresentationSpec) -> tuple:
+    """What a presentation depends on: (n, variant, whether q is a
+    variable).  A classical variant has no q, so both q-modes share it."""
+    return spec.n, spec.variant, spec.symbolic_q
+
+
+def build_presentation(spec: PresentationSpec) -> CorePresentation:
+    """The core of a presentation, memoized by `_memo_key`.  Its ring has
+    the first two variables of the presentation's (s1, s2 or a1, a2), and
+    q when q is a variable, in the weights `weighted_order` gives them:
+    (1, 2(, 2n-1)).  Each s_k maps to sigma_k(s1, s2)
+    (`sigma_polynomials`), each b_k to beta_k(a1, a2)
+    (`beta_polynomials`), and the core relations are the two last
+    generators of `presentation_generators` with those images
+    substituted: they generate the image of I, since the other generators
+    map to zero.  For the II-variants these are the x^(2n-2) and x^(2n)
+    coefficients of the II-identity with b_(n-1) = b_n = 0: u beta_(n-2)
+    + v beta_(n-3) and v beta_(n-2) (+ q a1), for u = 2a2 - a1^2 and v =
+    a2^2, with beta_(-1) = 0."""
+    key = _memo_key(spec)
+    core = _core_cache.get(key)
+    if core is not None:
+        return core
+    n, full = spec.n, presentation_ring(spec)
+    quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
+    kept = [i for i, name in enumerate(full.names) if i < 2 or name == "q"]
+    ring = Ring([full.names[i] for i in kept], WeightedOrder(full.order.weights[i] for i in kept))
+    x1, x2 = ring.gens[:2]
+    if spec.variant in (CLASSICAL_I, QUANTUM_I):
+        s = sigma_polynomials([ring.one, x1, x2], 2 * n - 2)
+        relations = quadratic_relations(s, q_of(ring) if quantum else None)
+        images = s[1:]
+    else:
+        beta = [ring.zero] + beta_polynomials(ring, n - 2)
+        u, v = 2 * x2 - x1**2, x2**2
+        relations = [u * beta[-1] + v * beta[-2], v * beta[-1] + (q_of(ring) * x1 if quantum else 0)]
+        images = [x1, x2] + beta[2:]
+    images += ring.gens[2:]  # q, when it is a variable, is its own image
+    core = _core_cache[key] = CorePresentation(full, Ideal(ring, relations), images)
+    return core
 
 
 def weighted_order(spec: PresentationSpec) -> WeightedOrder:
     """The paper's grading, written down only here, as a weighted order on
     the presentation ring's variables: deg s_i = i; deg a_1 = 1, deg a_2 =
     2, deg b_i = 2i; deg q = 2n-1 when q is a variable; ties towards the
-    later variables.  It is the order of every `presentation_basis`.
-    Every presentation is triangular there: s_r leads the rule s_r -
-    sigma_r, whose other terms are products of s_1 and s_2, and b_k leads
-    the x^(2k) coefficient of the II-identity.  So its reduced basis is
-    2n-4 (or n-2) substitution rules plus a small core in two variables:
-    QUANTUM_I at n = 10 has 26 elements, against 970 in grevlex."""
+    later variables.  Every presentation is triangular there: s_r leads
+    the rule s_r - sigma_r, whose other terms are products of s_1 and s_2,
+    and b_k leads the x^(2k) coefficient of the II-identity.  The core
+    ring of `build_presentation` takes the weights of its variables from
+    here, and on monomials in those variables the two orders agree: so
+    the reduced basis in all the variables (`full_basis`) is the 2n-4 (or
+    n-2) substitution rules plus the core's basis in two variables
+    (`presentation_basis`); QUANTUM_I at n = 10 has 26 elements, against
+    970 in grevlex."""
     n = spec.n
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
         weights = list(range(1, 2 * n - 1))
@@ -220,22 +332,54 @@ def weighted_order(spec: PresentationSpec) -> WeightedOrder:
 
 
 def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
-    """Reduced Groebner basis of a presentation ideal in `weighted_order`,
-    cached by the ideal: (n, variant, whether q is a variable).  A
-    classical variant has no q, so both q-modes share its entry."""
-    key = (spec.n, spec.variant, spec.symbolic_q)
+    """Reduced Groebner basis of a presentation's core (`build_presentation`),
+    memoized by `_memo_key`: the one basis every check reads."""
+    key = _memo_key(spec)
     gb = _basis_cache.get(key)
     if gb is None:
-        gb = _basis_cache[key] = buchberger(build_presentation(spec))
+        gb = _basis_cache[key] = buchberger(build_presentation(spec).ideal)
     return gb
 
 
+def full_basis(spec: PresentationSpec) -> GroebnerBasis:
+    """The reduced basis of `presentation_generators(spec)` in
+    `weighted_order`, assembled without Buchberger: v - NF(image of v)
+    for each variable v outside the core, the normal form taken modulo
+    the core's `presentation_basis`, and that basis, embedded.
+
+    v leads its element: NF(image) has weighted degree at most deg v and
+    lies in the core variables, which lose every tie to v.  The leads of
+    two rules, or of a rule and a core element, are coprime, so those
+    S-pairs reduce to zero (Buchberger's first criterion), and the core's
+    own pairs do modulo its basis: the union is a Groebner basis of the
+    ideal of the rules and the core, which is I.  No term of a tail is
+    divisible by another lead, so it is the unique reduced basis."""
+    core, gb = build_presentation(spec), presentation_basis(spec)
+    ring, cring = core.ring, gb.ring
+    at = [ring.index(name) for name in cring.names]
+
+    def embed(terms):
+        for e, c in terms:
+            full = [0] * ring.ngens
+            for i, x in zip(at, e):
+                full[i] = x
+            yield tuple(full), c
+
+    elements = [ring.poly(embed(g.terms)) for g in gb]
+    for name, image in zip(ring.names, core.images):
+        if name not in cring.names:
+            elements.append(ring.var(name) - ring.poly(embed(normal_form(image, gb).terms)))
+    elements.sort(key=lambda g: ring.order.key(g.lead_monomial))
+    return GroebnerBasis(ring, elements)
+
+
 def presentation_dimension(spec: PresentationSpec):
-    """The quotient dimension, read off the `presentation_basis`.  The
+    """The quotient dimension, read off the core's `presentation_basis`.
+    The core quotient is isomorphic to the presentation's, and the
     standard monomials of a Groebner basis in any monomial order are a
     vector-space basis of the quotient (Cox, Little & O'Shea, *Ideals,
-    Varieties, and Algorithms*, ch. 5 sec. 3), so their number does not
-    depend on the order: this is the dimension a grevlex basis gives."""
+    Varieties, and Algorithms*, ch. 5 sec. 3), so their number depends
+    neither on the order nor on the coordinates."""
     return len(standard_monomials(presentation_basis(spec)))
 
 
@@ -243,35 +387,20 @@ def presentation_dimension(spec: PresentationSpec):
 # the homomorphism between the two coordinate systems
 
 
-def sigma_in_ab(n: int, k: int, ring: Ring = None) -> Polynomial:
-    """s_k expressed in the a,b-variables: the total Chern class of the
-    quotient bundle is the product of those of the middle bundle and of the
-    dual subbundle, so s_k = sum_i b_i * e_{k-2i} with (e_0, e_1, e_2) =
-    (1, -a1, a2) and b_0 = 1."""
-    if not 1 <= k <= 2 * n - 2:
-        raise ValueError("k out of range [1, %d]" % (2 * n - 2))
-    if ring is None:
-        ring = ab_ring(n)
-    e = [ring.one, -ring.var("a1"), ring.var("a2")]
-    total = ring.zero
-    for i in range(0, n - 1):
-        j = k - 2 * i
-        if 0 <= j <= 2:
-            b = ring.one if i == 0 else ring.var("b%d" % i)
-            total = total + b * e[j]
-    return total
-
-
 def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> dict:
-    """Build the I-presentation's relations on the images sigma_in_ab of
-    the classes, in the II-presentation's ring, and reduce them modulo its
+    """Build the I-presentation's relations on the images `ab_classes` of
+    the classes, with each b_k replaced by its image beta_k(a1, a2) in the
+    II-presentation's core, and reduce them modulo the core's
     `presentation_basis`.
 
-    A ring map sends generators of an ideal to generators of its image, so
-    the images of the triangular rules generate the same ideal as the
-    images of the determinants D_r (`i_relations`): all of them reduce to
-    zero exactly when all of those do, and whether a normal form is zero
-    does not depend on the term order.
+    Replacing b_k by beta_k changes each image by an element of the
+    II-ideal, and the core map is an isomorphism of quotients, so an image
+    relation reduces to zero modulo the core exactly when it lies in the
+    II-ideal.  A ring map sends generators of an ideal to generators of
+    its image, so the images of the triangular rules generate the same
+    ideal as the images of the determinants D_r (`i_relations`): all of
+    them reduce to zero exactly when all of those do, and whether a normal
+    form is zero does not depend on the term order.
 
     Classically all images must reduce to zero exactly.  In the quantum
     case a single global rescaling q -> lambda*q with lambda in {+1, -1}
@@ -281,7 +410,7 @@ def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> di
     spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
     gb_ii = presentation_basis(spec)
     ring = gb_ii.ring
-    images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
+    images = ab_classes([ring.one] + list(build_presentation(spec).images[2:n]))
 
     def residuals(lam):
         q = lam * q_of(ring) if quantum else None
@@ -473,25 +602,21 @@ _spectrum_cache = memo()
 def decompose_spectrum(n: int) -> SpectrumReport:
     """Split Spec of the quantum quotient (q = 1) into the origin-supported
     factor and the off-origin part, and count the latter's distinct points
-    by a verified-generic projection.  It reads QUANTUM_II's
-    `presentation_basis`, the rules b_k - f_k(a1, a2) and a basis of the
-    core ideal in a1, a2 (`weighted_order`), and splits the core,
-    re-based in grevlex on Q[a1, a2], with b_k read as f_k in the forms."""
+    by a verified-generic projection.  It splits QUANTUM_II's core, its
+    `presentation_basis` re-based in grevlex on Q[a1, a2], with each b_k
+    read as its image beta_k(a1, a2) in the forms.  The core map fixes the
+    origin, so the core's tangent space there has the presentation's
+    dimension."""
     if n in _spectrum_cache:
         return _spectrum_cache[n]
     spec = PresentationSpec(n, QUANTUM_II, SPECIALIZE_1)
     gb = presentation_basis(spec)
-    ring = Ring(("a1", "a2"))
-    core, coordinates = [], dict(zip(ring.names, ring.gens))
-    for g in gb:  # b_k - f_k, led by b_k, or a core element
-        if any(g.lead_monomial[2:]):
-            name = gb.ring.names[g.lead_monomial.index(1)]
-            coordinates[name] = ring.poly((e[:2], -c) for e, c in g.terms[1:])
-        else:
-            core.append(ring.poly((e[:2], c) for e, c in g.terms))
-    core_gb = buchberger(Ideal(ring, core))
+    core = build_presentation(spec)
+    ring = Ring(gb.ring.names)
+    core_gb = buchberger(Ideal(ring, [ring.poly(g.terms) for g in gb]))
+    coordinates = {name: ring.poly(image.terms) for name, image in zip(core.ring.names, core.images)}
     length, off_dim, count, form = split_spectrum(core_gb, coordinates)
-    # I lies in m, so the linear parts of its basis span those of its generators
+    # the core lies in m, so the linear parts of its basis span those of its elements
     report = SpectrumReport(
         total_dim=length + off_dim,
         tangent_dim_origin=origin_tangent_dimension(Ideal(gb.ring, gb)),

@@ -257,10 +257,10 @@ def test_clear_caches_empties_the_tables_in_place():
     presentations.presentation_basis(PresentationSpec(2, VARIANTS[0], SPECIALIZE_1))
     presentations.decompose_spectrum(2)
     tables = list(igq._memos)
-    # bbw's cohomology, Ext and Weyl-denominator tables; presentations' basis and spectrum tables
-    assert len(tables) == 5 and all(tables)
+    # bbw's cohomology, Ext and Weyl-denominator tables; presentations' core, basis and spectrum tables
+    assert len(tables) == 6 and all(tables)
     clear_caches()
-    assert igq._memos == [{}] * 5 and all(a is b for a, b in zip(igq._memos, tables))
+    assert igq._memos == [{}] * 6 and all(a is b for a, b in zip(igq._memos, tables))
     assert held[0] is bbw._bbw_cache and held[1] is presentations._basis_cache
     assert bbw._ext_cache == {}
 

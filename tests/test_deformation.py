@@ -25,6 +25,8 @@ from igq.presentations import (
     QUANTUM_I,
     SPECIALIZE_1,
     SYMBOLIC,
+    build_presentation,
+    full_basis,
     i_relations,
     presentation_basis,
     sigma_classes,
@@ -34,8 +36,9 @@ from presentation_oracle import grading, sigma_weights
 
 
 def quantum_basis(n, symbolic_q=False):
+    """QUANTUM_I's basis in all the variables s_1 .. s_{2n-2}(, q)."""
     spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
-    return presentation_basis(spec)
+    return full_basis(spec)
 
 
 def first_order(gb, k):
@@ -95,10 +98,19 @@ def test_normal_form_is_a_ring_map_on_the_quantum_quotient(n, symbolic_q):
 
 
 def test_sigma_prime_nonzero_and_pure_degree():
-    sp = sigma_prime(3, quantum_basis(3))
-    assert not sp.is_zero
-    sp_sym = sigma_prime(3, quantum_basis(3, symbolic_q=True))
-    assert sp_sym.weighted_degrees(grading(sigma_weights(3), sp_sym.ring)) == {3}
+    # in all the variables, and on the core, where each s_k is its image
+    for n in (3, 4, 5):
+        for symbolic_q in (False, True):
+            gb = quantum_basis(n, symbolic_q)
+            sp = sigma_prime(sigma_classes(gb.ring, n), gb)
+            assert not sp.is_zero
+            spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
+            core = presentation_basis(spec)
+            s = [core.ring.one] + list(build_presentation(spec).images[: 2 * n - 2])
+            sp_core = sigma_prime(s, core)
+            if symbolic_q:
+                assert sp.weighted_degrees(grading(sigma_weights(n), sp.ring)) == {2 * n - 3}
+                assert sp_core.weighted_degrees(grading(sigma_weights(n), sp_core.ring)) == {2 * n - 3}
 
 
 def test_tau_correction_table():

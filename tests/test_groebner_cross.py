@@ -18,7 +18,7 @@ from igq.presentations import (
     QUANTUM_II,
     SYMBOLIC,
     PresentationSpec,
-    build_presentation,
+    presentation_generators,
 )
 
 from poly_oracle import GRLEX
@@ -57,7 +57,7 @@ def test_presentation_bases_match_sympy():
     specs = [PresentationSpec(n, v) for n in (2, 3) for v in (QUANTUM_I, QUANTUM_II)]
     specs += [PresentationSpec(3, CLASSICAL_I), PresentationSpec(3, QUANTUM_I, SYMBOLIC)]
     for spec in specs:
-        assert_same_basis(in_grevlex(build_presentation(spec)), "grevlex")
+        assert_same_basis(in_grevlex(presentation_generators(spec)), "grevlex")
 
 
 def test_random_ideals_match_sympy_in_both_orders():

@@ -22,17 +22,19 @@ from igq.presentations import (
     SPECIALIZE_1,
     SYMBOLIC,
     VARIANTS,
+    ab_classes,
     ab_ring,
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
+    full_basis,
     i_relations,
     presentation_basis,
     presentation_dimension,
+    presentation_generators,
     q_of,
     quadratic_relations,
     sigma_classes,
-    sigma_in_ab,
     sigma_ring,
     verify_homomorphism,
     weighted_order,
@@ -40,10 +42,14 @@ from igq.presentations import (
 from groebner_oracle import is_groebner
 from presentation_oracle import (
     ab_weights,
+    generators_basis,
     grading,
     grevlex_basis,
+    in_grevlex,
+    on_all_variables,
     schur_determinants,
     schur_presentation,
+    sigma_in_ab,
     sigma_weights,
     weighted_homogeneity_report,
 )
@@ -52,14 +58,14 @@ from substitute_oracle import substitute
 
 
 def test_quantum_ii_n2_generators():
-    ideal = build_presentation(PresentationSpec(2, QUANTUM_II))
+    ideal = presentation_generators(PresentationSpec(2, QUANTUM_II))
     ring = ideal.ring
     a1, a2 = ring.var("a1"), ring.var("a2")
     assert list(ideal.generators) == [2 * a2 - a1**2, a2**2 + a1]
 
 
 def test_quantum_ii_n3_generators():
-    ideal = build_presentation(PresentationSpec(3, QUANTUM_II))
+    ideal = presentation_generators(PresentationSpec(3, QUANTUM_II))
     ring = ideal.ring
     a1, a2, b1 = ring.var("a1"), ring.var("a2"), ring.var("b1")
     assert list(ideal.generators) == [
@@ -78,7 +84,7 @@ def test_presentation_dump_bytes_are_frozen():
     spec = PresentationSpec(2, QUANTUM_II)
     header = "IG(2,4) variant=QUANTUM_II q=1"
     gens_text = dump_generators(
-        build_presentation(spec).generators, header + " order=weighted(1,2)"
+        presentation_generators(spec).generators, header + " order=weighted(1,2)"
     )
     assert gens_text == (
         "# IG(2,4) variant=QUANTUM_II q=1 order=weighted(1,2)\n"
@@ -86,7 +92,7 @@ def test_presentation_dump_bytes_are_frozen():
         "1/1*a1^0*a2^2 + 1/1*a1^1*a2^0\n"
     )
     gb_text = dump_generators(
-        presentation_basis(spec).elements, header + " groebner order=weighted(1,2)"
+        full_basis(spec).elements, header + " groebner order=weighted(1,2)"
     )
     assert gb_text == (
         "# IG(2,4) variant=QUANTUM_II q=1 groebner order=weighted(1,2)\n"
@@ -96,7 +102,7 @@ def test_presentation_dump_bytes_are_frozen():
 
 
 def test_classical_i_n3_generator_list():
-    ideal = build_presentation(PresentationSpec(3, CLASSICAL_I))
+    ideal = presentation_generators(PresentationSpec(3, CLASSICAL_I))
     ring = ideal.ring
     s = {k: ring.var("s%d" % k) for k in range(1, 5)}
     # the triangular rules for s_3 and s_4 plus the two quadratic ones
@@ -163,16 +169,16 @@ def weighted_specs(n):
 
 
 def test_weighted_bases_are_certified_and_triangular():
-    # the bases dims and lemma read: Buchberger's criterion, every generator
-    # in the ideal, s_r leading one element for each r >= 3, and at q = 1
-    # the closed-form dimension
+    # the assembled bases in all the variables, which --dump writes:
+    # Buchberger's criterion, every generator in the ideal, s_r leading one
+    # element for each r >= 3, and at q = 1 the closed-form dimension
     for n in range(3, 8):
         for spec in weighted_specs(n):
-            gb = presentation_basis(spec)
+            gb = full_basis(spec)
             ring = gb.ring
             assert ring.order != GREVLEX, spec
             assert is_groebner(gb), spec
-            for g in build_presentation(spec).generators:
+            for g in presentation_generators(spec).generators:
                 assert normal_form(ring.poly(g.terms), gb).is_zero, spec
             leads = set(gb.lead_monomials)
             assert all(ring.var("s%d" % r).lead_monomial in leads for r in range(3, 2 * n - 1)), spec
@@ -184,7 +190,7 @@ def test_weighted_and_grevlex_bases_span_one_ideal():
     for n in (3, 4, 5):
         for spec in weighted_specs(n):
             grevlex = grevlex_basis(spec)
-            for g in presentation_basis(spec):
+            for g in full_basis(spec):
                 assert normal_form(grevlex.ring.poly(g.terms), grevlex).is_zero, spec
 
 
@@ -200,16 +206,17 @@ def test_rules_and_determinants_give_one_reduced_basis():
     for n in range(3, 11):
         for spec in weighted_specs(n):
             order = weighted_order(spec)
-            assert presentation_basis(spec).elements == schur_basis(spec, order).elements, spec
+            assert full_basis(spec).elements == schur_basis(spec, order).elements, spec
             if n <= 5:
                 assert grevlex_basis(spec).elements == schur_basis(spec, GREVLEX).elements, spec
 
 
 def schur_homomorphism_verdict(n, quantum, q_mode):
     """verify_homomorphism's (ok, lambda), with the determinants of the
-    images in place of the rules on them."""
+    images in place of the rules on them, in all the variables of the
+    II-presentation."""
     spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
-    gb = presentation_basis(spec)
+    gb = generators_basis(spec)
     ring = gb.ring
     images = [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)]
     dets = schur_determinants(images, 2 * n - 2)[3:]
@@ -235,12 +242,60 @@ def test_homomorphism_by_rules_matches_the_determinants():
                 assert rep["ok"], (n, quantum, q_mode)
 
 
+def test_full_basis_is_the_generators_reduced_basis():
+    # the oracle of the assembly: Buchberger on the generators in all the
+    # variables gives the same reduced basis, element by element
+    for n in range(2, 9):
+        for variant in VARIANTS:
+            for q_mode in (SPECIALIZE_1, SYMBOLIC):
+                spec = PresentationSpec(n, variant, q_mode)
+                assembled, oracle = full_basis(spec), generators_basis(spec)
+                assert assembled.ring == oracle.ring == presentation_generators(spec).ring, spec
+                assert assembled.elements == oracle.elements, spec
+
+
+def check_results(n, q_mode):
+    """What each qh check reads off its presentations at n, in one q-mode:
+    the dimensions (at q = 1, as the dims rows take them), the
+    homomorphism's (ok, lambda), the lemma report as strings, the
+    regularity corank, and at q = 1 the spectrum."""
+    out = {
+        "dims": [presentation_dimension(PresentationSpec(n, variant)) for variant in VARIANTS],
+        "homomorphism": [
+            (rep["ok"], rep["lambda"]) for rep in (verify_homomorphism(n, quantum, q_mode) for quantum in (False, True))
+        ],
+        "regularity": deformation.regularity_corank(n),
+    }
+    if n >= 3:
+        rep = deformation.verify_lemma_presentation(n, q_mode == SYMBOLIC)
+        out["lemma"] = {key: str(value) for key, value in rep.items()}
+    if q_mode == SPECIALIZE_1:
+        rep = decompose_spectrum(n)
+        out["spectrum"] = rep.as_tuple(), rep.separating_form
+    return out
+
+
+def test_the_cores_agree_with_all_the_variables(monkeypatch):
+    # every check on the two-variable cores against the same check in all
+    # the variables, as the checks ran before they moved to the cores
+    cases = [(n, q_mode) for n in range(2, 9) for q_mode in (SPECIALIZE_1, SYMBOLIC)]
+    on_cores = {case: check_results(*case) for case in cases}
+    assert all(on_cores[n, SPECIALIZE_1]["dims"] == [2 * n * (n - 1)] * 4 for n in range(2, 9))
+    assert all(results["regularity"] == 1 for results in on_cores.values())
+    clear_caches()
+    on_all_variables(monkeypatch)
+    for case in cases:
+        assert check_results(*case) == on_cores[case], case
+
+
 def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(monkeypatch, tmp_path, capsys):
-    # every reader asks presentation_basis for the one basis of a spec, in
-    # the weighted order, where b_k leads the x^(2k) coefficient;
-    # decompose_spectrum asks for QUANTUM_II's once, and every Buchberger
-    # run of its own (the core's grevlex basis, Nakayama's local length) is
-    # in the ring (a1, a2)
+    # every check asks presentation_basis once for the one basis of its
+    # spec, the core's, and no Buchberger run on a check path is in more
+    # than three variables: two, and q when it is a variable.  The
+    # spectrum's own runs (the core's grevlex basis, Nakayama's local
+    # length) are in (a1, a2).  --dump asks for every variant's core basis
+    # and assembles the basis in all the variables from it, without
+    # Buchberger
     requests, rings = [], []
     real, real_buchberger = presentations.presentation_basis, groebner.buchberger
 
@@ -254,33 +309,37 @@ def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(mon
 
     monkeypatch.setattr(presentations, "presentation_basis", recorded)
     monkeypatch.setattr(deformation, "presentation_basis", recorded)
-    n = 4
-    spec_ii = PresentationSpec(n, QUANTUM_II)
-    real(spec_ii)  # built before Buchberger is recorded
     monkeypatch.setattr(presentations, "buchberger", recorded_buchberger)
     monkeypatch.setattr(groebner, "buchberger", recorded_buchberger)
+    n = 4
+    spec_ii = PresentationSpec(n, QUANTUM_II)
     presentations.decompose_spectrum(n)
     assert requests == [((spec_ii,), {})]
-    assert len(rings) > 1 and set(rings) == {("a1", "a2")}
-    requests.clear()
-    for variant in (CLASSICAL_II, QUANTUM_II):
-        spec = PresentationSpec(n, variant)
-        presentation_dimension(spec)
-        assert requests == [((spec,), {})]
+    assert len(rings) > 2 and set(rings) == {("a1", "a2")}
+    for q_mode in (SPECIALIZE_1, SYMBOLIC):
+        for variant in (CLASSICAL_II, QUANTUM_II):
+            spec = PresentationSpec(n, variant, q_mode)
+            requests.clear()
+            presentation_dimension(PresentationSpec(n, variant))
+            assert requests == [((PresentationSpec(n, variant),), {})]
+            requests.clear()
+            assert verify_homomorphism(n, variant == QUANTUM_II, q_mode)["ok"]
+            assert requests == [((spec,), {})]
         requests.clear()
-        assert verify_homomorphism(n, variant == QUANTUM_II)["ok"]
-        assert requests == [((spec,), {})]
-        requests.clear()
-        gb = real(spec)
-        assert gb.ring.order == weighted_order(spec) != GREVLEX
-        leads = set(gb.lead_monomials)
-        assert all(gb.ring.var("b%d" % k).lead_monomial in leads for k in range(1, n - 1)), variant
-    deformation.verify_lemma_presentation(n, False)
-    assert requests == [((PresentationSpec(n, QUANTUM_I),), {})]
+        deformation.verify_lemma_presentation(n, q_mode == SYMBOLIC)
+        assert requests == [((PresentationSpec(n, QUANTUM_I, q_mode),), {})]
+    for q_mode in ("1", "symbolic"):
+        clear_caches()
+        argv = ["qh", "--n", str(n), "--q-mode", q_mode, "--check", "dims,homomorphism,lemma,regularity"]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert rings and all(len(names) <= 3 for names in rings)
     requests.clear()
+    rings.clear()
     assert cli.main(["qh", "--n", str(n), "--check", "spectrum", "--dump", str(tmp_path)]) == 0
     capsys.readouterr()
     assert requests == [((spec_ii,), {})] + [((PresentationSpec(n, variant),), {}) for variant in VARIANTS]
+    assert set(rings) == {("a1", "a2"), ("s1", "s2")}
 
 
 def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
@@ -289,10 +348,20 @@ def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
         order = rep["sigma_2n2_t_coeff"].ring.order  # the basis ring's order
         return order, {k: str(v) for k, v in rep.items()}  # the rings differ by order
 
-    cases = [(n, symbolic_q) for n in (3, 4, 5) for symbolic_q in (False, True)]
+    def in_grevlex_everywhere(spec):
+        # the presentation in all its variables and in grevlex, as its own core
+        ideal = in_grevlex(presentation_generators(spec))
+        return presentations.CorePresentation(ideal.ring, ideal, ideal.ring.gens)
+
+    # at q = 1 only: with q symbolic the lemma reads the paper's grading off
+    # the basis ring's weighted order, which grevlex does not carry; there
+    # the cores are held to all the variables in that order instead
+    # (test_the_cores_agree_with_all_the_variables)
+    cases = [(n, False) for n in (3, 4, 5, 6)]
     weighted = {case: report(*case) for case in cases}
     assert all(order != GREVLEX for order, _ in weighted.values())
     monkeypatch.setattr(deformation, "presentation_basis", grevlex_basis)
+    monkeypatch.setattr(deformation, "build_presentation", in_grevlex_everywhere)
     for case in cases:
         order, rep = report(*case)
         assert rep == weighted[case][1], case
@@ -301,7 +370,7 @@ def test_lemma_report_does_not_depend_on_the_basis_order(monkeypatch):
 
 def test_quantum_term_sign_alternates():
     for n in (2, 3, 4):
-        ideal = build_presentation(PresentationSpec(n, QUANTUM_I))
+        ideal = presentation_generators(PresentationSpec(n, QUANTUM_I))
         last = ideal.generators[-1]
         s1 = ideal.ring.var("s1")
         assert dict(last.terms)[s1.lead_monomial] == (-1) ** (n + 1)
@@ -329,6 +398,21 @@ def test_sigma_in_ab_small_cases():
         sigma_in_ab(3, 5)
     with pytest.raises(ValueError):
         sigma_in_ab(3, 0)
+
+
+def test_ab_classes_on_the_b_variables_are_the_oracle_images():
+    # on the variables b_k, the images the homomorphism builds on are the
+    # oracle's sigma_in_ab; on the core they are those with b_k -> beta_k
+    for n in range(2, 8):
+        for symbolic in (False, True):
+            ring = ab_ring(n, symbolic)
+            classes = ab_classes([ring.one] + list(ring.gens[2:n]))
+            assert classes == [ring.one] + [sigma_in_ab(n, k, ring) for k in range(1, 2 * n - 1)], n
+            spec = PresentationSpec(n, QUANTUM_II, SYMBOLIC if symbolic else SPECIALIZE_1)
+            core = build_presentation(spec)
+            images = dict(zip(core.ring.names, core.images))
+            on_core = ab_classes([core.ideal.ring.one] + list(core.images[2:n]))
+            assert on_core == [substitute(c, core.ideal.ring, images) for c in classes], n
 
 
 def test_sigma_in_ab_total_chern_product_oracle():
@@ -376,13 +460,18 @@ def test_presentation_is_built_in_the_paper_grading():
         for variant in VARIANTS:
             for q_mode in (SPECIALIZE_1, SYMBOLIC):
                 spec = PresentationSpec(n, variant, q_mode)
-                built = build_presentation(spec)
+                built = presentation_generators(spec)
                 if variant.endswith("_I"):
                     ring, table = sigma_ring(n, spec.symbolic_q), sigma_weights(n)
                 else:
                     ring, table = ab_ring(n, spec.symbolic_q), ab_weights(n)
                 assert weighted_order(spec).weights == grading(table, ring), spec
                 assert built.ring == Ring(ring.names, WeightedOrder(grading(table, ring))), spec
+                # the core keeps the first two variables and q, with their weights
+                core = build_presentation(spec)
+                names = ring.names[:2] + ("q",) * spec.symbolic_q
+                assert core.ring == built.ring
+                assert core.ideal.ring == Ring(names, WeightedOrder(table[name] for name in names)), spec
 
 
 def test_homomorphism_classical():

@@ -22,8 +22,22 @@ from igq import Value
 from igq.bbw import CohomologyResult, ExtProfile, Space
 from igq.groebner import GroebnerBasis, Ideal, buchberger, normal_form
 from igq.poly import GREVLEX, Ring, TermOrder, WeightedOrder
-from igq.presentations import QUANTUM_I, SYMBOLIC, PresentationSpec, SpectrumReport, build_presentation
+from igq.presentations import (
+    CorePresentation,
+    QUANTUM_I,
+    SYMBOLIC,
+    PresentationSpec,
+    SpectrumReport,
+    presentation_generators,
+)
 from igq.report import PASS, CheckResult
+
+def _core(image):
+    """A core presentation of Q[x, y, z] in Q[x, y], z sent to image(x, y)."""
+    ring, core = Ring(("x", "y", "z")), Ring(("x", "y"))
+    x, y = core.gens
+    return CorePresentation(ring, Ideal(core, [x**2 - y]), (x, y, image(x, y)))
+
 
 # Two makers per class, of different records; each call builds a new object.
 RECORDS = {
@@ -32,6 +46,7 @@ RECORDS = {
     "ExtProfile": (lambda: ExtProfile(((0, 1),), True), lambda: ExtProfile((), False)),
     "PresentationSpec": (lambda: PresentationSpec(3, QUANTUM_I, SYMBOLIC), lambda: PresentationSpec(2, QUANTUM_I)),
     "SpectrumReport": (lambda: SpectrumReport(12, 1, 2, 10, 10, "s1"), lambda: SpectrumReport(4, 0, 1, 3, 3)),
+    "CorePresentation": (lambda: _core(lambda x, y: x * y), lambda: _core(lambda x, y: y**2)),
     "CheckResult": (lambda: CheckResult("x", "1", "1", PASS, 3, "n"), lambda: CheckResult("y", "1", "1", PASS)),
 }
 names = pytest.mark.parametrize("name", sorted(RECORDS))
@@ -117,6 +132,10 @@ def test_copy_and_pickle_rebuild_an_equal_record(name):
         (lambda: PresentationSpec(1, QUANTUM_I), "need n >= 2"),
         (lambda: PresentationSpec(3, "QUANTUM_III"), "unknown variant 'QUANTUM_III'"),
         (lambda: PresentationSpec(3, QUANTUM_I, "q=2"), "unknown q mode 'q=2'"),
+        (
+            lambda: CorePresentation(Ring(("x",)), Ideal(Ring(("y",)), ()), ()),
+            "need one image in the core ring per variable of Ring(x; grevlex)",
+        ),
         (lambda: CheckResult("x", "1", "1", "MAYBE"), "bad status 'MAYBE'"),
         (lambda: CheckResult("x", "1", "2", PASS), "status must be PASS exactly when computed == expected"),
         (lambda: CheckResult("x", "1", "1", "FAIL"), "status must be PASS exactly when computed == expected"),
@@ -209,7 +228,7 @@ def test_an_unpickled_basis_reduces_as_the_original():
 
 
 def test_two_bases_of_one_ideal_built_apart_are_equal():
-    ideal = build_presentation(PresentationSpec(3, QUANTUM_I))
+    ideal = presentation_generators(PresentationSpec(3, QUANTUM_I))
     a, b = buchberger(ideal), buchberger(ideal)
     rebuilt = GroebnerBasis(a.ring, list(a.elements))
     assert a is not b and a == b == rebuilt and hash(a) == hash(b) == hash(rebuilt)
@@ -263,6 +282,6 @@ def test_every_memo_is_made_by_igq_memo():
         for name, table in vars(module).items()
         if name.endswith("_cache")
     }
-    assert len(caches) == 4
+    assert len(caches) == 5
     for where, table in caches.items():
         assert any(table is memo for memo in igq._memos), where
