@@ -498,12 +498,49 @@ DUMP_GOLDENS = {
 }
 
 
+# the same at n = 7, where the II identity has seven coefficients and
+# QUANTUM_I ten triangular rules
+_CLASSICAL_DUMPS_N7 = {
+    "ig_n7_classical_i.gb.txt": "e65b3aaa911b3d73837afff13a5e5371fafab5ce4023ef1244970bfbcbaf5c6c",
+    "ig_n7_classical_i.gens.txt": "16d8ac140a67e7b083e0a447222c064f183eed1e4e743b2110bb56eda7c4c33f",
+    "ig_n7_classical_ii.gb.txt": "f41d6452777e593b4e25e04c580f7f69b5dcd46750db310a29f68ae4a251f142",
+    "ig_n7_classical_ii.gens.txt": "1e6018eaf37ab2766ac31b9b469bfb6e07033ba4f4f0d8a33ddd21a908a8ff04",
+}
+DUMP_GOLDENS_N7 = {
+    "1": {
+        **_CLASSICAL_DUMPS_N7,
+        "ig_n7_quantum_i.gb.txt": "fecbb11dc71bd7c06935dd2ca2f41f7b1bc7bcfc6bdd98d2330478fb34d689eb",
+        "ig_n7_quantum_i.gens.txt": "99439f8a6e1e58f5231f600de75ff98818dd4dc20860e972731a39f33d23b741",
+        "ig_n7_quantum_ii.gb.txt": "bef9153082bca46ec183221d3a22bc00e239276055555b9b597e70e0e5d8e2f2",
+        "ig_n7_quantum_ii.gens.txt": "eda91d4800915aa35bcabf37a29ec01a9255197c673f8df8139034f29fcc855a",
+    },
+    "symbolic": {
+        **_CLASSICAL_DUMPS_N7,
+        "ig_n7_quantum_i.gb.txt": "1fa6c840bae79c44e3676c4398f78090f5e133b98e3796abed7557e45a77d312",
+        "ig_n7_quantum_i.gens.txt": "c29d8704d9017f016cb03d9b8f0e26d96bd13e962ca76ef48fce7cabfb996e6d",
+        "ig_n7_quantum_ii.gb.txt": "8da51d74c67fdf3305397dbabc855ddf7f52639e9d23c94a577dfef4db6e01d4",
+        "ig_n7_quantum_ii.gens.txt": "0a858a086669ca1071ba01334e69733831f09a2684af2dc657e29438358e8742",
+    },
+}
+
+
+def dump_digests(n, q_mode, tmp_path):
+    """sha256 of each file `igq qh --n N --dump DIR` writes, by name."""
+    argv = ["qh", "--n", str(n), "--max-n", str(n), "--check", "dims", "--q-mode", q_mode]
+    assert main(argv + ["--dump", str(tmp_path)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+
+
 @pytest.mark.parametrize("q_mode", sorted(DUMP_GOLDENS))
 def test_dump_files_match_golden(q_mode, tmp_path, capsys):
-    assert main(["qh", "--n", "4", "--check", "dims", "--q-mode", q_mode, "--dump", str(tmp_path)]) == 0
+    assert dump_digests(4, q_mode, tmp_path) == DUMP_GOLDENS[q_mode]
     capsys.readouterr()
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert written == DUMP_GOLDENS[q_mode]
+
+
+@pytest.mark.parametrize("q_mode", sorted(DUMP_GOLDENS_N7))
+def test_dump_files_match_golden_n7(q_mode, tmp_path, capsys):
+    assert dump_digests(7, q_mode, tmp_path) == DUMP_GOLDENS_N7[q_mode]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
