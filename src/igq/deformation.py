@@ -41,7 +41,6 @@ from .presentations import (
     origin_tangent_dimension,
     presentation_basis,
     q_of,
-    quadratic_relations,
 )
 
 UNIT = ("unit",)
@@ -137,9 +136,9 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     if n < 3:
         raise ValueError("need n >= 3")
     spec = PresentationSpec(n, QUANTUM_I, SYMBOLIC if symbolic_q else SPECIALIZE_1)
-    gb = presentation_basis(spec)
+    gb, core = presentation_basis(spec), build_presentation(spec)
     ring = gb.ring
-    s = [ring.one] + list(build_presentation(spec).images[: 2 * n - 2])
+    s = [ring.one] + list(core.images[: 2 * n - 2])
     nf = lambda p: normal_form(p, gb)
     fo = lambda k: (s[k], ring.zero)
     tag = lambda k: sigma_tag(k) if k else UNIT
@@ -177,9 +176,8 @@ def verify_lemma_presentation(n: int, symbolic_q: bool = False) -> dict:
     report["delta_t_ok"] = report["delta_t_coeff"].is_zero
     report["delta_t0_ok"] = nf(expr[0]).is_zero
 
-    # (c) record the degree-2n relation as O(t)
-    rel2 = quadratic_relations(s, q_of(ring))[1]
-    report["sigma_2n_t0_zero"] = nf(rel2).is_zero
+    # (c) record the degree-2n relation, the core's second, as O(t)
+    report["sigma_2n_t0_zero"] = nf(core.ideal.generators[1]).is_zero
 
     report["ok"] = all(
         report[k]

@@ -16,14 +16,14 @@ s_k - sigma_k(s_1, s_2) instead, which generate the same ideal
 as the oracle of that proof.
 
 Every presentation is triangular in the paper's weighted order
-(`weighted_order`): s_k - sigma_k(s_1, s_2) for k >= 3, or b_k -
-beta_k(a_1, a_2).  So Q[vars]/I is isomorphic to Q[x_1, x_2(, q)]/core,
-the core being the two last relations with sigma_k or beta_k substituted:
-a ring isomorphism that fixes the origin.  `build_presentation` returns
-that core and the image of every variable, `presentation_basis` the
-core's reduced basis, memoized, and every check runs there: the
-dimension, the homomorphism, the lemma, the regularity corank and the
-spectrum, which re-bases QUANTUM_II's core in grevlex
+(`presentation_ring`): s_k - sigma_k(s_1, s_2) for k >= 3, or b_k -
+beta_k(a_1, a_2), both from one `recurrence`.  So Q[vars]/I is isomorphic
+to Q[x_1, x_2(, q)]/core, the core being the two last relations with
+sigma_k or beta_k substituted: a ring isomorphism that fixes the origin.
+`build_presentation` returns that core and the image of every variable,
+`presentation_basis` the core's reduced basis, memoized, and every check
+runs there: the dimension, the homomorphism, the lemma, the regularity
+corank and the spectrum, which re-bases QUANTUM_II's core in grevlex
 (`decompose_spectrum`).  Only `--dump` needs the basis in all the
 variables, and `full_basis` assembles it from the core's and the rules.
 
@@ -92,28 +92,53 @@ class PresentationSpec(Value):
         return self.q_mode == SYMBOLIC and self.variant in (QUANTUM_I, QUANTUM_II)
 
 
-def sigma_ring(n: int, symbolic_q: bool = False) -> Ring:
-    names = tuple("s%d" % i for i in range(1, 2 * n - 1))
-    if symbolic_q:
-        names += ("q",)
-    return Ring(names)
-
-
-def ab_ring(n: int, symbolic_q: bool = False) -> Ring:
-    names = ("a1", "a2") + tuple("b%d" % i for i in range(1, n - 1))
-    if symbolic_q:
-        names += ("q",)
-    return Ring(names)
-
-
-def sigma_classes(ring: Ring, n: int) -> list:
-    """[1, s_1, ..., s_{2n-2}] in a ring that has the variables s_1 .. s_{2n-2}."""
-    return [ring.one] + [ring.var("s%d" % k) for k in range(1, 2 * n - 1)]
+def presentation_ring(spec: PresentationSpec) -> Ring:
+    """The ring of a presentation in all its variables, each named with
+    its degree in the paper's grading, which is written down only here:
+    deg s_i = i; deg a_1 = 1, deg a_2 = 2, deg b_i = 2i; deg q = 2n-1
+    when q is a variable.  The order weighs each variable by its degree,
+    ties towards the later variables.  Every presentation is triangular
+    there: s_r leads the rule s_r - sigma_r, whose other terms are
+    products of s_1 and s_2, and b_k leads the x^(2k) coefficient of the
+    `ii_identity`.  The core ring of `build_presentation` takes the
+    weights of its variables from here, and on monomials in those
+    variables the two orders agree: so the reduced basis in all the
+    variables (`full_basis`) is the 2n-4 (or n-2) substitution rules plus
+    the core's basis in two variables (`presentation_basis`); QUANTUM_I
+    at n = 10 has 26 elements, against 970 in grevlex."""
+    n = spec.n
+    if spec.variant in (CLASSICAL_I, QUANTUM_I):
+        graded = [("s%d" % i, i) for i in range(1, 2 * n - 1)]
+    else:
+        graded = [("a1", 1), ("a2", 2)] + [("b%d" % i, 2 * i) for i in range(1, n - 1)]
+    if spec.symbolic_q:
+        graded.append(("q", 2 * n - 1))
+    names, weights = zip(*graded)
+    return Ring(names, WeightedOrder(weights))
 
 
 def q_of(ring: Ring) -> Polynomial:
     """q as a ring element: the variable in symbolic mode, else 1."""
     return ring.var("q") if "q" in ring.names else ring.one
+
+
+def recurrence(c1: Polynomial, c2: Polynomial, top: int) -> list:
+    """[u_0, ..., u_top] with u_(-1) = 0, u_0 = 1 and u_k = c1 u_(k-1) +
+    c2 u_(k-2): the coefficients of 1 / (1 - c1 y - c2 y^2).  It solves
+    both coordinate systems' identities for their higher classes:
+
+    * sigma_k(s_1, s_2), for c1 = s_1 and c2 = s_2 - s_1^2, with y = -x in
+      sum_k (-1)^k sigma_k x^k = 1 / (1 + s_1 x + (s_1^2 - s_2) x^2)
+      (`i_relations`), so sigma_1 = s_1 and sigma_2 = s_2;
+    * beta_k(a_1, a_2), for c1 = a_1^2 - 2a_2 and c2 = -a_2^2, with y = x^2:
+      the x^(2k) coefficient of the `ii_identity` is b_k + (2a_2 - a_1^2)
+      b_(k-1) + a_2^2 b_(k-2).
+
+    Each u_k is a polynomial of weighted degree k (sigma) or 2k (beta)."""
+    u = [c1.ring.one, c1]
+    for _ in range(top - 1):
+        u.append(c1 * u[-1] + c2 * u[-2])
+    return u[: top + 1]
 
 
 def quadratic_relations(s: list, q: Polynomial = None) -> list:
@@ -132,30 +157,10 @@ def quadratic_relations(s: list, q: Polynomial = None) -> list:
     return [rel1, rel2]
 
 
-def sigma_polynomials(s: list, top: int) -> list:
-    """[sigma_0, ..., sigma_top] for s = [1, s_1, s_2, ...], where
-    sum_k (-1)^k sigma_k x^k = 1 / (1 + s_1 x + (s_1^2 - s_2) x^2).
-    Comparing coefficients gives sigma_0 = 1, sigma_1 = s_1 and sigma_k =
-    s_1 sigma_{k-1} + (s_2 - s_1^2) sigma_{k-2}, so sigma_2 = s_2 and each
-    sigma_k is a polynomial in s_1, s_2 of weighted degree k with about
-    k/2 terms."""
-    sigma = [s[0], s[1]]
-    step = s[2] - s[1] ** 2
-    for k in range(2, top + 1):
-        sigma.append(s[1] * sigma[k - 1] + step * sigma[k - 2])
-    return sigma
-
-
-def triangular_rules(s: list) -> list:
-    """[s_k - sigma_k for k in [3, 2n-2]] on the classes s = [1, s_1, ...,
-    s_{2n-2}], with sigma_k the `sigma_polynomials` of s_1, s_2."""
-    sigma = sigma_polynomials(s, len(s) - 1)
-    return [s[k] - sigma[k] for k in range(3, len(s))]
-
-
 def i_relations(s: list, q: Polynomial = None) -> list:
     """The I-presentation relations on the classes s = [1, s_1, ..., s_{2n-2}],
-    in the ring they live in: the `triangular_rules`, then the two
+    in the ring they live in: the 2n-4 triangular rules s_k - sigma_k(s_1,
+    s_2), k in [3, 2n-2], with sigma_k from the `recurrence`, then the two
     `quadratic_relations` (q as there).
 
     The rules generate the same ideal as the displayed determinants
@@ -179,33 +184,20 @@ def i_relations(s: list, q: Polynomial = None) -> list:
     presentation itself, the `ab_classes` its image in the II-presentation,
     since building the relations commutes with a ring map.
     """
-    return triangular_rules(s) + quadratic_relations(s, q)
+    sigma = recurrence(s[1], s[2] - s[1] ** 2, len(s) - 1)
+    return [s[k] - sigma[k] for k in range(3, len(s))] + quadratic_relations(s, q)
 
 
-def _chern_series_coeffs(n: int, ring: Ring):
-    """Coefficients (in x^2 steps) of (1 + (2a2 - a1^2)x^2 + a2^2 x^4) *
-    (1 + b1 x^2 + ... + b_{n-2} x^{2n-4})."""
-    a1, a2 = ring.var("a1"), ring.var("a2")
-    first = [ring.one, 2 * a2 - a1**2, a2**2]
-    second = [ring.one] + [ring.var("b%d" % i) for i in range(1, n - 1)]
-    out = [ring.zero] * (len(first) + len(second) - 1)
-    for i, f in enumerate(first):
-        for j, g in enumerate(second):
-            out[i + j] = out[i + j] + f * g
+def _series_product(f: list, g: list, stride: int) -> list:
+    """The coefficients of f(x^stride) g(x), for coefficient lists f and g
+    in one ring and stride <= len(g), so that each coefficient is a sum of
+    at least one product, started at its first."""
+    out = [None] * (stride * (len(f) - 1) + len(g))
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            k = stride * i + j
+            out[k] = fi * gj if out[k] is None else out[k] + fi * gj
     return out
-
-
-def beta_polynomials(ring: Ring, top: int) -> list:
-    """[beta_0, ..., beta_top] in a ring with the variables a1, a2: the
-    images of b_0 = 1, b_1, ..., for which the x^2 .. x^(2 top) coefficients
-    of the II-identity vanish.  The x^(2k) coefficient is b_k + (2a2 -
-    a1^2) b_(k-1) + a2^2 b_(k-2), so beta_1 = a1^2 - 2a2 and beta_k =
-    beta_1 beta_(k-1) - a2^2 beta_(k-2)."""
-    a2sq = ring.var("a2") ** 2
-    beta = [ring.one, ring.var("a1") ** 2 - 2 * ring.var("a2")]
-    for k in range(2, top + 1):
-        beta.append(beta[1] * beta[k - 1] - a2sq * beta[k - 2])
-    return beta[: top + 1]
 
 
 def ab_classes(b: list) -> list:
@@ -214,35 +206,43 @@ def ab_classes(b: list) -> list:
     the quotient bundle is the product of those of the middle bundle and
     of the dual subbundle, so s_k = sum_i b_i * e_{k-2i} with (e_0, e_1,
     e_2) = (1, -a1, a2)."""
+    a1, a2 = b[0].ring.var("a1"), b[0].ring.var("a2")
+    return _series_product(b, [b[0], -a1, a2], 2)
+
+
+def ii_identity(b: list, q: Polynomial = None) -> list:
+    """The coefficients of x^2, x^4, ..., x^(2n) of the II-identity
+
+        (1 + b_1 x^2 + ... + b_(n-2) x^(2n-4)) (1 + (2a_2 - a_1^2) x^2 + a_2^2 x^4) = 1,
+
+    for b = [1, b_1, ..., b_(n-2)] in a ring with the variables a1, a2:
+    the second factor is the total Chern class of the subbundle times that
+    of its dual, (1 - a_1 x + a_2 x^2)(1 + a_1 x + a_2 x^2).  Given q, the
+    x^(2n) coefficient picks up the quantum term q a_1.
+
+    On the variables b_k these are the II-presentation's generators.  On
+    their images beta_k(a_1, a_2) (`recurrence`) the x^2 .. x^(2n-4)
+    coefficients vanish, so the last two, u beta_(n-2) + v beta_(n-3) and
+    v beta_(n-2) (+ q a_1) for u = 2a_2 - a_1^2 and v = a_2^2, generate
+    the image of the II-ideal: they are the II core relations.  They read
+    only the last two entries of b, so b[-2:] gives them too."""
     ring = b[0].ring
-    e = [ring.one, -ring.var("a1"), ring.var("a2")]
-    out = [ring.zero] * (2 * len(b) + 1)
-    for i, bi in enumerate(b):
-        for j, ej in enumerate(e):
-            out[2 * i + j] = out[2 * i + j] + bi * ej
-    return out
-
-
-def presentation_ring(spec: PresentationSpec) -> Ring:
-    """The ring of a presentation in all its variables, in `weighted_order`."""
-    ring = sigma_ring if spec.variant in (CLASSICAL_I, QUANTUM_I) else ab_ring
-    return Ring(ring(spec.n, spec.symbolic_q).names, weighted_order(spec))
+    a1, a2 = ring.var("a1"), ring.var("a2")
+    coeffs = _series_product(b, [ring.one, 2 * a2 - a1**2, a2**2], 1)[1:]
+    if q is not None:
+        coeffs[-1] = coeffs[-1] + q * a1
+    return coeffs
 
 
 def presentation_generators(spec: PresentationSpec) -> Ideal:
     """The relation ideal in all the variables, with the generators
-    `--dump` writes: for the I-variants `i_relations` on the variables
-    s_k; for the II-variants the coefficients of x^2, ..., x^{2n} of the
-    total-Chern-class identity."""
-    n, ring = spec.n, presentation_ring(spec)
-    quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
+    `--dump` writes: `i_relations` on the variables s_k, or the
+    `ii_identity` on the variables b_k."""
+    ring = presentation_ring(spec)
+    q = q_of(ring) if spec.variant in (QUANTUM_I, QUANTUM_II) else None
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        s, q = sigma_classes(ring, n), q_of(ring) if quantum else None
-        return Ideal(ring, i_relations(s, q))
-    gens = _chern_series_coeffs(n, ring)[1 : n + 1]
-    if quantum:
-        gens[-1] = gens[-1] + q_of(ring) * ring.var("a1")
-    return Ideal(ring, gens)
+        return Ideal(ring, i_relations([ring.one, *ring.gens[: 2 * spec.n - 2]], q))
+    return Ideal(ring, ii_identity([ring.one, *ring.gens[2 : spec.n]], q))
 
 
 class CorePresentation(Value):
@@ -277,58 +277,30 @@ def _memo_key(spec: PresentationSpec) -> tuple:
 def build_presentation(spec: PresentationSpec) -> CorePresentation:
     """The core of a presentation, memoized by `_memo_key`.  Its ring has
     the first two variables of the presentation's (s1, s2 or a1, a2), and
-    q when q is a variable, in the weights `weighted_order` gives them:
-    (1, 2(, 2n-1)).  Each s_k maps to sigma_k(s1, s2)
-    (`sigma_polynomials`), each b_k to beta_k(a1, a2)
-    (`beta_polynomials`), and the core relations are the two last
+    q when q is a variable, in the weights `presentation_ring` gives them:
+    (1, 2(, 2n-1)).  Each s_k maps to sigma_k(s1, s2), each b_k to
+    beta_k(a1, a2) (`recurrence`), and the core relations are the two last
     generators of `presentation_generators` with those images
     substituted: they generate the image of I, since the other generators
-    map to zero.  For the II-variants these are the x^(2n-2) and x^(2n)
-    coefficients of the II-identity with b_(n-1) = b_n = 0: u beta_(n-2)
-    + v beta_(n-3) and v beta_(n-2) (+ q a1), for u = 2a2 - a1^2 and v =
-    a2^2, with beta_(-1) = 0."""
+    map to zero."""
     key = _memo_key(spec)
     core = _core_cache.get(key)
     if core is not None:
         return core
     n, full = spec.n, presentation_ring(spec)
-    quantum = spec.variant in (QUANTUM_I, QUANTUM_II)
     kept = [i for i, name in enumerate(full.names) if i < 2 or name == "q"]
     ring = Ring([full.names[i] for i in kept], WeightedOrder(full.order.weights[i] for i in kept))
     x1, x2 = ring.gens[:2]
+    q = q_of(ring) if spec.variant in (QUANTUM_I, QUANTUM_II) else None
     if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        s = sigma_polynomials([ring.one, x1, x2], 2 * n - 2)
-        relations = quadratic_relations(s, q_of(ring) if quantum else None)
-        images = s[1:]
+        s = recurrence(x1, x2 - x1**2, 2 * n - 2)
+        relations, images = quadratic_relations(s, q), s[1:]
     else:
-        beta = [ring.zero] + beta_polynomials(ring, n - 2)
-        u, v = 2 * x2 - x1**2, x2**2
-        relations = [u * beta[-1] + v * beta[-2], v * beta[-1] + (q_of(ring) * x1 if quantum else 0)]
-        images = [x1, x2] + beta[2:]
+        beta = recurrence(x1**2 - 2 * x2, -(x2**2), n - 2)
+        relations, images = ii_identity(beta[-2:], q)[-2:], [x1, x2, *beta[1:]]
     images += ring.gens[2:]  # q, when it is a variable, is its own image
     core = _core_cache[key] = CorePresentation(full, Ideal(ring, relations), images)
     return core
-
-
-def weighted_order(spec: PresentationSpec) -> WeightedOrder:
-    """The paper's grading, written down only here, as a weighted order on
-    the presentation ring's variables: deg s_i = i; deg a_1 = 1, deg a_2 =
-    2, deg b_i = 2i; deg q = 2n-1 when q is a variable; ties towards the
-    later variables.  Every presentation is triangular there: s_r leads
-    the rule s_r - sigma_r, whose other terms are products of s_1 and s_2,
-    and b_k leads the x^(2k) coefficient of the II-identity.  The core
-    ring of `build_presentation` takes the weights of its variables from
-    here, and on monomials in those variables the two orders agree: so
-    the reduced basis in all the variables (`full_basis`) is the 2n-4 (or
-    n-2) substitution rules plus the core's basis in two variables
-    (`presentation_basis`); QUANTUM_I at n = 10 has 26 elements, against
-    970 in grevlex."""
-    n = spec.n
-    if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        weights = list(range(1, 2 * n - 1))
-    else:
-        weights = [1, 2] + list(range(2, 2 * n - 3, 2))
-    return WeightedOrder(weights + [2 * n - 1] * spec.symbolic_q)
 
 
 def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
@@ -342,8 +314,8 @@ def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
 
 
 def full_basis(spec: PresentationSpec) -> GroebnerBasis:
-    """The reduced basis of `presentation_generators(spec)` in
-    `weighted_order`, assembled without Buchberger: v - NF(image of v)
+    """The reduced basis of `presentation_generators(spec)` in the order
+    of `presentation_ring`, assembled without Buchberger: v - NF(image of v)
     for each variable v outside the core, the normal form taken modulo
     the core's `presentation_basis`, and that basis, embedded.
 

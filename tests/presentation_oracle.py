@@ -1,5 +1,5 @@
 """The paper's grading, written down a second time, independently of
-`igq.presentations.weighted_order`, and the weighted homogeneity of the
+`igq.presentations.presentation_ring`, and the weighted homogeneity of the
 presentations' generators in it, which the tests check the relation
 builders and that order against; the presentations in grevlex and their
 bases there, which the tests hold the weighted ones against; the
@@ -22,15 +22,27 @@ from igq.presentations import (
     SPECIALIZE_1,
     SYMBOLIC,
     VARIANTS,
-    ab_ring,
     i_relations,
     origin_tangent_dimension,
     presentation_generators,
     q_of,
     quadratic_relations,
-    sigma_classes,
-    sigma_ring,
 )
+
+
+def sigma_ring(n: int, symbolic_q: bool = False) -> Ring:
+    """Q[s_1, ..., s_{2n-2}(, q)], in grevlex."""
+    return Ring(tuple("s%d" % i for i in range(1, 2 * n - 1)) + ("q",) * symbolic_q)
+
+
+def ab_ring(n: int, symbolic_q: bool = False) -> Ring:
+    """Q[a1, a2, b_1, ..., b_{n-2}(, q)], in grevlex."""
+    return Ring(("a1", "a2") + tuple("b%d" % i for i in range(1, n - 1)) + ("q",) * symbolic_q)
+
+
+def sigma_classes(ring: Ring, n: int) -> list:
+    """[1, s_1, ..., s_{2n-2}] in a ring that has the variables s_1 .. s_{2n-2}."""
+    return [ring.one] + [ring.var("s%d" % k) for k in range(1, 2 * n - 1)]
 
 
 def sigma_weights(n: int) -> dict:
@@ -137,10 +149,10 @@ def sigma_in_ab(n: int, k: int, ring: Ring = None) -> Polynomial:
 
 @cache
 def generators_basis(spec):
-    """The reduced basis of a presentation in all its variables, in
-    `weighted_order`, by Buchberger on `presentation_generators`: the
-    oracle of `full_basis`.  A classical spec has no q, so both q-modes
-    give one basis."""
+    """The reduced basis of a presentation in all its variables, in the
+    order of `presentation_ring`, by Buchberger on
+    `presentation_generators`: the oracle of `full_basis`.  A classical
+    spec has no q, so both q-modes give one basis."""
     return buchberger(presentation_generators(spec))
 
 

@@ -19,8 +19,7 @@ from igq.presentations import (
     VARIANTS,
     PresentationSpec,
     SpectrumReport,
-    ab_ring,
-    weighted_order,
+    presentation_ring,
 )
 from igq.report import (
     CheckResult,
@@ -306,7 +305,7 @@ def test_dump_writes_presentations(tmp_path, capsys):
     text = gens_file.read_text()
     assert text.splitlines()[0] == "# IG(2,4) variant=QUANTUM_II q=1 order=weighted(1,2)"
     ring, gens = load_dump(text)
-    assert ring.names == ab_ring(2).names
+    assert ring.names == ("a1", "a2")
     a1, a2 = ring.var("a1"), ring.var("a2")
     assert gens == [2 * a2 - a1**2, a2**2 + a1]
 
@@ -325,7 +324,7 @@ def test_dump_files_name_their_order(q_mode, tmp_path, capsys):
             base = str(tmp_path / ("ig_n%d_%s" % (n, variant.lower())))
             ring, elements = load_dump(Path(base + ".gb.txt").read_text())
             gens_ring, gens = load_dump(Path(base + ".gens.txt").read_text())
-            assert ring == gens_ring and ring.order == weighted_order(PresentationSpec(n, variant, mode))
+            assert ring == gens_ring and ring == presentation_ring(PresentationSpec(n, variant, mode))
             gb = GroebnerBasis(ring, elements)
             assert is_groebner(gb), (n, variant)
             assert all(normal_form(g, gb).is_zero for g in gens), (n, variant)
@@ -524,22 +523,14 @@ DUMP_GOLDENS_N7 = {
 }
 
 
-def dump_digests(n, q_mode, tmp_path):
-    """sha256 of each file `igq qh --n N --dump DIR` writes, by name."""
-    argv = ["qh", "--n", str(n), "--max-n", str(n), "--check", "dims", "--q-mode", q_mode]
-    assert main(argv + ["--dump", str(tmp_path)]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-
-
 @pytest.mark.parametrize("q_mode", sorted(DUMP_GOLDENS))
 def test_dump_files_match_golden(q_mode, tmp_path, capsys):
-    assert dump_digests(4, q_mode, tmp_path) == DUMP_GOLDENS[q_mode]
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("q_mode", sorted(DUMP_GOLDENS_N7))
-def test_dump_files_match_golden_n7(q_mode, tmp_path, capsys):
-    assert dump_digests(7, q_mode, tmp_path) == DUMP_GOLDENS_N7[q_mode]
+    for n, goldens in ((4, DUMP_GOLDENS), (7, DUMP_GOLDENS_N7)):
+        out = tmp_path / str(n)
+        argv = ["qh", "--n", str(n), "--max-n", str(n), "--check", "dims", "--q-mode", q_mode]
+        assert main(argv + ["--dump", str(out)]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == goldens[q_mode], n
     capsys.readouterr()
 
 

@@ -29,10 +29,8 @@ from igq.presentations import (
     full_basis,
     i_relations,
     presentation_basis,
-    sigma_classes,
-    sigma_ring,
 )
-from presentation_oracle import grading, sigma_weights
+from presentation_oracle import grading, sigma_classes, sigma_ring, sigma_weights
 
 
 def quantum_basis(n, symbolic_q=False):

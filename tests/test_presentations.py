@@ -23,24 +23,23 @@ from igq.presentations import (
     SYMBOLIC,
     VARIANTS,
     ab_classes,
-    ab_ring,
     build_presentation,
     count_offorigin_by_substitution,
     decompose_spectrum,
     full_basis,
     i_relations,
+    ii_identity,
     presentation_basis,
     presentation_dimension,
     presentation_generators,
+    presentation_ring,
     q_of,
     quadratic_relations,
-    sigma_classes,
-    sigma_ring,
     verify_homomorphism,
-    weighted_order,
 )
 from groebner_oracle import is_groebner
 from presentation_oracle import (
+    ab_ring,
     ab_weights,
     generators_basis,
     grading,
@@ -49,7 +48,9 @@ from presentation_oracle import (
     on_all_variables,
     schur_determinants,
     schur_presentation,
+    sigma_classes,
     sigma_in_ab,
+    sigma_ring,
     sigma_weights,
     weighted_homogeneity_report,
 )
@@ -205,7 +206,7 @@ def test_rules_and_determinants_give_one_reduced_basis():
     # their Buchberger runs stay short
     for n in range(3, 11):
         for spec in weighted_specs(n):
-            order = weighted_order(spec)
+            order = presentation_ring(spec).order
             assert full_basis(spec).elements == schur_basis(spec, order).elements, spec
             if n <= 5:
                 assert grevlex_basis(spec).elements == schur_basis(spec, GREVLEX).elements, spec
@@ -400,6 +401,23 @@ def test_sigma_in_ab_small_cases():
         sigma_in_ab(3, 0)
 
 
+def test_ii_identity_on_the_betas_vanishes_below_the_core_relations():
+    # on b_k = beta_k(a1, a2), the oracle's recurrence, the coefficients of
+    # x^2 .. x^(2n-4) vanish: so the last two generate the image of the
+    # II-ideal, and at q = 1 they are QUANTUM_II's core relations; they
+    # read only the last two betas, which is all build_presentation passes
+    for n in range(2, 13):
+        ideal, beta = core_ideal(n)
+        ring = ideal.ring
+        b = [ring.one, *beta]
+        for q in (None, ring.one):
+            coeffs = ii_identity(b, q)
+            assert len(coeffs) == n, n
+            assert all(c.is_zero for c in coeffs[:-2]), (n, q)
+            assert ii_identity(b[-2:], q)[-2:] == coeffs[-2:], (n, q)
+        assert coeffs[-2:] == list(ideal.generators), n
+
+
 def test_ab_classes_on_the_b_variables_are_the_oracle_images():
     # on the variables b_k, the images the homomorphism builds on are the
     # oracle's sigma_in_ab; on the core they are those with b_k -> beta_k
@@ -454,7 +472,7 @@ def test_relations_on_the_images_equal_the_substituted_relations():
 
 
 def test_presentation_is_built_in_the_paper_grading():
-    # the ring's order weighs each variable by its degree: weighted_order's
+    # the ring's order weighs each variable by its degree: presentation_ring's
     # own weights against the oracle's tables, read in ring order
     for n in range(2, 9):
         for variant in VARIANTS:
@@ -465,7 +483,7 @@ def test_presentation_is_built_in_the_paper_grading():
                     ring, table = sigma_ring(n, spec.symbolic_q), sigma_weights(n)
                 else:
                     ring, table = ab_ring(n, spec.symbolic_q), ab_weights(n)
-                assert weighted_order(spec).weights == grading(table, ring), spec
+                assert presentation_ring(spec).order.weights == grading(table, ring), spec
                 assert built.ring == Ring(ring.names, WeightedOrder(grading(table, ring))), spec
                 # the core keeps the first two variables and q, with their weights
                 core = build_presentation(spec)
