@@ -206,8 +206,9 @@ def ab_classes(b: list) -> list:
     the quotient bundle is the product of those of the middle bundle and
     of the dual subbundle, so s_k = sum_i b_i * e_{k-2i} with (e_0, e_1,
     e_2) = (1, -a1, a2)."""
-    a1, a2 = b[0].ring.var("a1"), b[0].ring.var("a2")
-    return _series_product(b, [b[0], -a1, a2], 2)
+    ring = b[0].ring
+    a1, a2 = ring.var("a1"), ring.var("a2")
+    return _series_product(b, [ring.one, -a1, a2], 2)
 
 
 def ii_identity(b: list, q: Polynomial = None) -> list:
