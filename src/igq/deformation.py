@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groebner import Ideal, normal_form
-from .poly import Polynomial, Ring
+from .poly import Polynomial, Ring, WeightedOrder, lift
 from .presentations import (
     PresentationSpec,
     QUANTUM_I,
@@ -212,6 +212,7 @@ def regularity_corank(n: int) -> int:
     of the ideal's elements are spanned by theirs.
     """
     rel1, rel2 = build_presentation(PresentationSpec(n, QUANTUM_I)).ideal.generators
-    ring = Ring(rel1.ring.names + ("t",))
-    rel1, rel2 = (ring.poly((e + (0,), c) for e, c in g.terms) for g in (rel1, rel2))
+    core = rel1.ring  # any weight of t serves: the corank reads only linear parts
+    ring = Ring(core.names + ("t",), WeightedOrder(core.order.weights + (1,)))
+    rel1, rel2 = (lift(g, ring) for g in (rel1, rel2))
     return origin_tangent_dimension(Ideal(ring, [rel1 + (-1) ** (n + 1) * ring.var("t"), rel2]))

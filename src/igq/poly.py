@@ -135,7 +135,7 @@ class Ring(Value):
     def var(self, which) -> "Polynomial":
         i = which if isinstance(which, int) else self.index(which)
         exps = tuple(1 if j == i else 0 for j in range(self.ngens))
-        return self.monomial(exps)
+        return Polynomial(self, ((exps, Fraction(1)),))
 
     @property
     def gens(self):
@@ -265,6 +265,8 @@ class Polynomial(Value):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 1:  # immutable, so the product is self itself
+                return self
             c = Fraction(other)
             if not c:
                 return self.ring.zero
@@ -272,6 +274,11 @@ class Polynomial(Value):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_ring(other)
+        # a constant factor, such as ring.one, takes the scalar path
+        if len(other.terms) == 1 and not any(other.terms[0][0]):
+            return self * other.terms[0][1]
+        if len(self.terms) == 1 and not any(self.terms[0][0]):
+            return other * self.terms[0][1]
         # the products run on ints: each factor is scaled by the lcm of its
         # denominators, and the product of the two is divided out per term
         den1, ints1 = _scaled(self.terms)
@@ -359,6 +366,24 @@ class Polynomial(Value):
         first = chunks[0]
         first = ("-" + first[2:]) if first.startswith("- ") else first[2:]
         return " ".join([first] + chunks[1:])
+
+
+def lift(p: Polynomial, ring: Ring) -> Polynomial:
+    """p in `ring`, whose variables are p's followed by others: each
+    exponent padded with zeros, or p itself in its own ring.  Trailing
+    zeros change neither part of a grevlex key nor of a weighted one, so
+    the terms stay sorted when both rings are in grevlex, or both weighted
+    with p's weights first; any other pair of rings raises ValueError."""
+    if p.ring == ring:
+        return p
+    k = p.ring.ngens
+    old, new = p.ring.order, ring.order
+    if ring.names[:k] != p.ring.names or not (
+        old == new == GREVLEX or getattr(new, "weights", ())[:k] == getattr(old, "weights", None)
+    ):
+        raise ValueError("cannot lift from %r into %r" % (p.ring, ring))
+    pad = (0,) * (ring.ngens - k)
+    return Polynomial(ring, tuple((e + pad, c) for e, c in p.terms))
 
 
 # ---------------------------------------------------------------------------

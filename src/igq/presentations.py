@@ -7,8 +7,10 @@ Two coordinate systems are used throughout:
 * the Chern classes a_1, a_2 of the tautological subbundle together with
   b_1 .. b_{n-2} for the middle self-dual bundle.
 
-Each classical presentation has a quantum deformation obtained by a single
-degree-(2n-1) correction term.  The I-presentations are displayed with
+Each classical presentation has a quantum deformation: its last relation
+gains one term of degree 2n-1, written only in `quantum_relations`, and
+every quantum presentation, core and homomorphism check is built from its
+classical one and that term.  The I-presentations are displayed with
 the determinantal relations D_3 .. D_(2n-2); the generators `--dump`
 writes (`presentation_generators`) are the 2n-4 triangular rules
 s_k - sigma_k(s_1, s_2) instead, which generate the same ideal
@@ -43,7 +45,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from . import Value, memo, set_field
+from . import Value, memo, set_field, univariate
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -60,8 +62,7 @@ from .linalg import (
     minimal_polynomial,
     projected_sequence,
 )
-from .poly import Polynomial, Ring, WeightedOrder
-from .univariate import distinct_root_count, univ_gcd
+from .poly import Polynomial, Ring, WeightedOrder, lift
 
 CLASSICAL_I = "CLASSICAL_I"
 CLASSICAL_II = "CLASSICAL_II"
@@ -141,10 +142,9 @@ def recurrence(c1: Polynomial, c2: Polynomial, top: int) -> list:
     return u[: top + 1]
 
 
-def quadratic_relations(s: list, q: Polynomial = None) -> list:
-    """The two quadratic I-relations on the classes s = [1, s_1, ..., s_{2n-2}],
-    of degrees 2n-2 and 2n.  Given q, the second picks up the quantum term
-    (-1)^(n+1) q s_1; without it they are the classical ones."""
+def quadratic_relations(s: list) -> list:
+    """The two classical quadratic I-relations on the classes s = [1, s_1,
+    ..., s_{2n-2}], of degrees 2n-2 and 2n."""
     n = (len(s) + 1) // 2
     rel1 = s[n - 1] ** 2
     for i in range(1, n):
@@ -152,16 +152,14 @@ def quadratic_relations(s: list, q: Polynomial = None) -> list:
     rel2 = s[n] ** 2
     for i in range(1, n - 1):
         rel2 = rel2 + 2 * (-1) ** i * s[n + i] * s[n - i]
-    if q is not None:
-        rel2 = rel2 + (-1) ** (n + 1) * q * s[1]
     return [rel1, rel2]
 
 
-def i_relations(s: list, q: Polynomial = None) -> list:
-    """The I-presentation relations on the classes s = [1, s_1, ..., s_{2n-2}],
-    in the ring they live in: the 2n-4 triangular rules s_k - sigma_k(s_1,
-    s_2), k in [3, 2n-2], with sigma_k from the `recurrence`, then the two
-    `quadratic_relations` (q as there).
+def i_relations(s: list) -> list:
+    """The classical I-presentation relations on the classes s = [1, s_1,
+    ..., s_{2n-2}], in the ring they live in: the 2n-4 triangular rules
+    s_k - sigma_k(s_1, s_2), k in [3, 2n-2], with sigma_k from the
+    `recurrence`, then the two `quadratic_relations`.
 
     The rules generate the same ideal as the displayed determinants
     D_r = det(s_{1+j-i})_{1 <= i,j <= r}, r in [3, 2n-2].  Let S(x) =
@@ -185,7 +183,7 @@ def i_relations(s: list, q: Polynomial = None) -> list:
     since building the relations commutes with a ring map.
     """
     sigma = recurrence(s[1], s[2] - s[1] ** 2, len(s) - 1)
-    return [s[k] - sigma[k] for k in range(3, len(s))] + quadratic_relations(s, q)
+    return [s[k] - sigma[k] for k in range(3, len(s))] + quadratic_relations(s)
 
 
 def _series_product(f: list, g: list, stride: int) -> list:
@@ -211,39 +209,55 @@ def ab_classes(b: list) -> list:
     return _series_product(b, [ring.one, -a1, a2], 2)
 
 
-def ii_identity(b: list, q: Polynomial = None) -> list:
-    """The coefficients of x^2, x^4, ..., x^(2n) of the II-identity
+def ii_identity(b: list) -> list:
+    """The coefficients of x^2, x^4, ..., x^(2n) of the classical II-identity
 
         (1 + b_1 x^2 + ... + b_(n-2) x^(2n-4)) (1 + (2a_2 - a_1^2) x^2 + a_2^2 x^4) = 1,
 
     for b = [1, b_1, ..., b_(n-2)] in a ring with the variables a1, a2:
     the second factor is the total Chern class of the subbundle times that
-    of its dual, (1 - a_1 x + a_2 x^2)(1 + a_1 x + a_2 x^2).  Given q, the
-    x^(2n) coefficient picks up the quantum term q a_1.
+    of its dual, (1 - a_1 x + a_2 x^2)(1 + a_1 x + a_2 x^2).
 
     On the variables b_k these are the II-presentation's generators.  On
     their images beta_k(a_1, a_2) (`recurrence`) the x^2 .. x^(2n-4)
     coefficients vanish, so the last two, u beta_(n-2) + v beta_(n-3) and
-    v beta_(n-2) (+ q a_1) for u = 2a_2 - a_1^2 and v = a_2^2, generate
-    the image of the II-ideal: they are the II core relations.  They read
-    only the last two entries of b, so b[-2:] gives them too."""
+    v beta_(n-2) for u = 2a_2 - a_1^2 and v = a_2^2, generate the image of
+    the II-ideal: they are the II core relations.  They read only the last
+    two entries of b, so b[-2:] gives them too."""
     ring = b[0].ring
     a1, a2 = ring.var("a1"), ring.var("a2")
-    coeffs = _series_product(b, [ring.one, 2 * a2 - a1**2, a2**2], 1)[1:]
-    if q is not None:
-        coeffs[-1] = coeffs[-1] + q * a1
-    return coeffs
+    return _series_product(b, [ring.one, 2 * a2 - a1**2, a2**2], 1)[1:]
+
+
+def quantum_relations(relations: list, n: int, variant: str, x1: Polynomial) -> list:
+    """A quantum presentation's relations from its classical ones: each
+    lifted into the ring of x1 (`poly.lift`), and the quantum term, written
+    only here, added to the last.  That term is (-1)^(n+1) q s_1 for the
+    I-presentations and q a_1 for the II ones, x1 being s_1 or a_1, or its
+    image under a ring map, and q being `q_of` x1's ring."""
+    ring = x1.ring
+    *head, top = (lift(g, ring) for g in relations)
+    sign = (-1) ** (n + 1) if variant in (CLASSICAL_I, QUANTUM_I) else 1
+    return head + [top + sign * q_of(ring) * x1]
+
+
+def _classical(spec: PresentationSpec) -> PresentationSpec:
+    """The classical presentation a quantum one deforms."""
+    return PresentationSpec(spec.n, CLASSICAL_I if spec.variant == QUANTUM_I else CLASSICAL_II)
 
 
 def presentation_generators(spec: PresentationSpec) -> Ideal:
     """The relation ideal in all the variables, with the generators
     `--dump` writes: `i_relations` on the variables s_k, or the
-    `ii_identity` on the variables b_k."""
+    `ii_identity` on the variables b_k, and for a quantum variant those
+    with its `quantum_relations` term."""
     ring = presentation_ring(spec)
-    q = q_of(ring) if spec.variant in (QUANTUM_I, QUANTUM_II) else None
-    if spec.variant in (CLASSICAL_I, QUANTUM_I):
-        return Ideal(ring, i_relations([ring.one, *ring.gens[: 2 * spec.n - 2]], q))
-    return Ideal(ring, ii_identity([ring.one, *ring.gens[2 : spec.n]], q))
+    if spec.variant in (QUANTUM_I, QUANTUM_II):
+        classical = presentation_generators(_classical(spec)).generators
+        return Ideal(ring, quantum_relations(classical, spec.n, spec.variant, ring.gens[0]))
+    if spec.variant == CLASSICAL_I:
+        return Ideal(ring, i_relations([ring.one, *ring.gens[: 2 * spec.n - 2]]))
+    return Ideal(ring, ii_identity([ring.one, *ring.gens[2 : spec.n]]))
 
 
 class CorePresentation(Value):
@@ -267,6 +281,7 @@ class CorePresentation(Value):
 
 _core_cache = memo()
 _basis_cache = memo()
+_image_relations_cache = memo()
 
 
 def _memo_key(spec: PresentationSpec) -> tuple:
@@ -283,7 +298,8 @@ def build_presentation(spec: PresentationSpec) -> CorePresentation:
     beta_k(a1, a2) (`recurrence`), and the core relations are the two last
     generators of `presentation_generators` with those images
     substituted: they generate the image of I, since the other generators
-    map to zero."""
+    map to zero.  A quantum core is its classical one, lifted, with the
+    `quantum_relations` term on x1: substituting commutes with adding it."""
     key = _memo_key(spec)
     core = _core_cache.get(key)
     if core is not None:
@@ -292,14 +308,17 @@ def build_presentation(spec: PresentationSpec) -> CorePresentation:
     kept = [i for i, name in enumerate(full.names) if i < 2 or name == "q"]
     ring = Ring([full.names[i] for i in kept], WeightedOrder(full.order.weights[i] for i in kept))
     x1, x2 = ring.gens[:2]
-    q = q_of(ring) if spec.variant in (QUANTUM_I, QUANTUM_II) else None
-    if spec.variant in (CLASSICAL_I, QUANTUM_I):
+    if spec.variant in (QUANTUM_I, QUANTUM_II):
+        classical = build_presentation(_classical(spec))
+        relations = quantum_relations(classical.ideal.generators, n, spec.variant, x1)
+        # q, when it is a variable, is its own image
+        images = [lift(p, ring) for p in classical.images] + list(ring.gens[2:])
+    elif spec.variant == CLASSICAL_I:
         s = recurrence(x1, x2 - x1**2, 2 * n - 2)
-        relations, images = quadratic_relations(s, q), s[1:]
+        relations, images = quadratic_relations(s), s[1:]
     else:
         beta = recurrence(x1**2 - 2 * x2, -(x2**2), n - 2)
-        relations, images = ii_identity(beta[-2:], q)[-2:], [x1, x2, *beta[1:]]
-    images += ring.gens[2:]  # q, when it is a variable, is its own image
+        relations, images = ii_identity(beta[-2:])[-2:], [x1, x2, *beta[1:]]
     core = _core_cache[key] = CorePresentation(full, Ideal(ring, relations), images)
     return core
 
@@ -360,11 +379,25 @@ def presentation_dimension(spec: PresentationSpec):
 # the homomorphism between the two coordinate systems
 
 
+def _image_relations(n: int) -> tuple:
+    """(s_1's image, the classical `i_relations` on the images) in
+    CLASSICAL_II's core ring, the images being `ab_classes` with each b_k
+    replaced by beta_k(a1, a2); memoized by n, since both cases and both
+    q-modes of `verify_homomorphism` start from them."""
+    out = _image_relations_cache.get(n)
+    if out is None:
+        core = build_presentation(PresentationSpec(n, CLASSICAL_II))
+        images = ab_classes([core.ideal.ring.one, *core.images[2:n]])
+        out = _image_relations_cache[n] = images[1], i_relations(images)
+    return out
+
+
 def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> dict:
     """Build the I-presentation's relations on the images `ab_classes` of
     the classes, with each b_k replaced by its image beta_k(a1, a2) in the
-    II-presentation's core, and reduce them modulo the core's
-    `presentation_basis`.
+    II-presentation's core (`_image_relations`), and reduce them modulo
+    the core's `presentation_basis`.  The quantum relations with q -> lambda q
+    are the classical ones with the `quantum_relations` term on lambda s_1.
 
     Replacing b_k by beta_k changes each image by an element of the
     II-ideal, and the core map is an isomorphism of quotients, so an image
@@ -382,12 +415,11 @@ def verify_homomorphism(n: int, quantum: bool, q_mode: str = SPECIALIZE_1) -> di
     """
     spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
     gb_ii = presentation_basis(spec)
-    ring = gb_ii.ring
-    images = ab_classes([ring.one] + list(build_presentation(spec).images[2:n]))
+    s1, relations = _image_relations(n)
 
     def residuals(lam):
-        q = lam * q_of(ring) if quantum else None
-        return [normal_form(g, gb_ii) for g in i_relations(images, q)]
+        rels = quantum_relations(relations, n, QUANTUM_I, lam * lift(s1, gb_ii.ring)) if quantum else relations
+        return [normal_form(g, gb_ii) for g in rels]
 
     if not quantum:
         res = residuals(1)
@@ -548,12 +580,12 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
         m_ell = multiplication_by(ell, gb, mats)
         try:
             seq = projected_sequence(m_ell, w, u, 2 * off_dim, _PRIME)
-            count = distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
+            count = univariate.distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
         except ValueError:  # M_l or w not p-integral, or a degree not below p
             count = None
         if count != off_dim:
             mu = minimal_polynomial(m_ell, w)
-            count = distinct_root_count(mu)
+            count = univariate.distinct_root_count(mu)
             if count < len(mu) - 1:
                 raise RuntimeError(
                     "no separating form found: the minimal polynomial of %s has a "
@@ -630,7 +662,7 @@ def count_offorigin_by_substitution(n: int) -> int:
     f = _cover_polynomial(n)
     g = [0] * (4 * n + 1)  # z^{4n} - 3 z^{2n+1} + 2 z^2
     g[4 * n], g[2 * n + 1], g[2] = 1, -3, 2
-    remaining = distinct_root_count(f) - distinct_root_count(univ_gcd(f, g))
+    remaining = univariate.distinct_root_count(f) - univariate.distinct_root_count(univariate.univ_gcd(f, g))
     if remaining % 2:
         raise RuntimeError(
             "odd residual count %d: the double cover accounting failed" % remaining

@@ -8,25 +8,34 @@ triangular rules that `igq.presentations.i_relations` builds in their
 place; and the presentations in all their variables, with the images
 `sigma_in_ab` of the classes in the b-variables and a Buchberger run on
 every generator, the oracle of the two-variable cores every check runs
-on and of the basis `igq.presentations.full_basis` assembles."""
+on and of the basis `igq.presentations.full_basis` assembles; and the
+builders that thread q through every relation and build each
+presentation from scratch (`quadratic_relations`, `i_relations`,
+`ii_identity`, `build_presentation`, `build_generators`,
+`homomorphism_relations`), the oracle of the quantum presentations
+`igq.presentations` derives from the classical ones."""
 
 from functools import cache
 
 from igq import deformation, presentations
 from igq.groebner import Ideal, buchberger
-from igq.poly import Polynomial, Ring
+from igq.poly import Polynomial, Ring, WeightedOrder
 from igq.presentations import (
+    CLASSICAL_I,
+    CLASSICAL_II,
     CorePresentation,
     PresentationSpec,
     QUANTUM_I,
+    QUANTUM_II,
     SPECIALIZE_1,
     SYMBOLIC,
     VARIANTS,
-    i_relations,
+    ab_classes,
     origin_tangent_dimension,
     presentation_generators,
+    presentation_ring,
     q_of,
-    quadratic_relations,
+    recurrence,
 )
 
 
@@ -65,6 +74,85 @@ def grading(table: dict, ring) -> tuple:
     """A weight table read in the ring's variable order, one weight per
     variable, as `WeightedOrder` and `Polynomial.weighted_degrees` take them."""
     return tuple(table[name] for name in ring.names)
+
+
+def quadratic_relations(s: list, q: Polynomial = None) -> list:
+    """The two quadratic I-relations on the classes s = [1, s_1, ..., s_{2n-2}],
+    of degrees 2n-2 and 2n.  Given q, the second picks up the quantum term
+    (-1)^(n+1) q s_1; without it they are the classical ones."""
+    n = (len(s) + 1) // 2
+    rel1 = s[n - 1] ** 2
+    for i in range(1, n):
+        rel1 = rel1 + 2 * (-1) ** i * s[n - 1 + i] * s[n - 1 - i]
+    rel2 = s[n] ** 2
+    for i in range(1, n - 1):
+        rel2 = rel2 + 2 * (-1) ** i * s[n + i] * s[n - i]
+    if q is not None:
+        rel2 = rel2 + (-1) ** (n + 1) * q * s[1]
+    return [rel1, rel2]
+
+
+def i_relations(s: list, q: Polynomial = None) -> list:
+    """The triangular rules s_k - sigma_k(s_1, s_2), k in [3, 2n-2], then
+    the two `quadratic_relations` (q as there)."""
+    sigma = recurrence(s[1], s[2] - s[1] ** 2, len(s) - 1)
+    return [s[k] - sigma[k] for k in range(3, len(s))] + quadratic_relations(s, q)
+
+
+def ii_identity(b: list, q: Polynomial = None) -> list:
+    """The coefficients of x^2, x^4, ..., x^(2n) of (sum_i b_i x^(2i))
+    (1 + (2a_2 - a_1^2) x^2 + a_2^2 x^4), for b = [1, b_1, ..., b_(n-2)],
+    or its last two entries, in a ring with the variables a1 and a2.  Given
+    q, the x^(2n) coefficient picks up the quantum term q a_1."""
+    ring = b[0].ring
+    a1, a2 = ring.var("a1"), ring.var("a2")
+    c = [ring.one, 2 * a2 - a1**2, a2**2]
+    coeffs = [
+        sum((b[i] * c[k - i] for i in range(len(b)) if 0 <= k - i <= 2), ring.zero)
+        for k in range(1, len(b) + 2)
+    ]
+    if q is not None:
+        coeffs[-1] = coeffs[-1] + q * a1
+    return coeffs
+
+
+def build_presentation(spec) -> CorePresentation:
+    """A presentation's core built from scratch, q threaded through its
+    relations: the two last `presentation_generators` with s_k ->
+    sigma_k(s1, s2) or b_k -> beta_k(a1, a2) substituted."""
+    n, full = spec.n, presentation_ring(spec)
+    kept = [i for i, name in enumerate(full.names) if i < 2 or name == "q"]
+    ring = Ring([full.names[i] for i in kept], WeightedOrder(full.order.weights[i] for i in kept))
+    x1, x2 = ring.gens[:2]
+    q = q_of(ring) if spec.variant in (QUANTUM_I, QUANTUM_II) else None
+    if spec.variant in (CLASSICAL_I, QUANTUM_I):
+        s = recurrence(x1, x2 - x1**2, 2 * n - 2)
+        relations, images = quadratic_relations(s, q), s[1:]
+    else:
+        beta = recurrence(x1**2 - 2 * x2, -(x2**2), n - 2)
+        relations, images = ii_identity(beta[-2:], q)[-2:], [x1, x2, *beta[1:]]
+    images += ring.gens[2:]
+    return CorePresentation(full, Ideal(ring, relations), images)
+
+
+def build_generators(spec) -> Ideal:
+    """A presentation's generators in all its variables, q threaded
+    through: `i_relations` on the s_k or the `ii_identity` on the b_k."""
+    ring = presentation_ring(spec)
+    q = q_of(ring) if spec.variant in (QUANTUM_I, QUANTUM_II) else None
+    if spec.variant in (CLASSICAL_I, QUANTUM_I):
+        return Ideal(ring, i_relations([ring.one, *ring.gens[: 2 * spec.n - 2]], q))
+    return Ideal(ring, ii_identity([ring.one, *ring.gens[2 : spec.n]], q))
+
+
+def homomorphism_relations(n: int, quantum: bool, q_mode: str, lam: int = 1) -> list:
+    """The I-relations on the images of the classes in the II core, with q
+    -> lam q in the quantum case: what `verify_homomorphism` reduces."""
+    spec = PresentationSpec(n, QUANTUM_II if quantum else CLASSICAL_II, q_mode)
+    core = build_presentation(spec)
+    ring = core.ideal.ring
+    images = ab_classes([ring.one] + list(core.images[2:n]))
+    return i_relations(images, lam * q_of(ring) if quantum else None)
 
 
 def schur_determinants(s: list, top: int) -> list:

@@ -230,7 +230,16 @@ def test_a_spectrum_run_runs_neither_bbw_nor_deformation():
     code = "import igq.cli; igq.cli.main(['qh', '--n', '3', '--check', 'spectrum'])"
     ran = _modules_run(code)
     assert "bbw" not in ran and "deformation" not in ran
-    assert {"presentations", "groebner", "cli"} <= set(ran)
+    assert {"presentations", "groebner", "cli", "univariate"} <= set(ran)
+
+
+def test_a_presentation_run_runs_no_spectrum_module():
+    # presentations reaches univariate through its module attribute, so the
+    # four checks that never count points never compile it
+    for q_mode in ("1", "symbolic"):
+        argv = ["qh", "--n", "4", "--check", "dims,homomorphism,lemma,regularity", "--q-mode", q_mode]
+        ran = _modules_run("import igq.cli; igq.cli.main(%r)" % argv)
+        assert ran == ["__init__", "cli", "deformation", "groebner", "linalg", "poly", "presentations", "report"], q_mode
 
 
 def test_a_dcat_run_holds_only_its_own_space_in_the_memos(capsys):
@@ -255,11 +264,13 @@ def test_clear_caches_empties_the_tables_in_place():
     bbw.ext_bundles(Space.gr(4), (1, 0), (1, 1))
     presentations.presentation_basis(PresentationSpec(2, VARIANTS[0], SPECIALIZE_1))
     presentations.decompose_spectrum(2)
+    presentations.verify_homomorphism(2, False)
     tables = list(igq._memos)
-    # bbw's cohomology, Ext and Weyl-denominator tables; presentations' core, basis and spectrum tables
-    assert len(tables) == 6 and all(tables)
+    # bbw's cohomology, Ext and Weyl-denominator tables; presentations' core,
+    # basis, image-relations and spectrum tables
+    assert len(tables) == 7 and all(tables)
     clear_caches()
-    assert igq._memos == [{}] * 6 and all(a is b for a, b in zip(igq._memos, tables))
+    assert igq._memos == [{}] * 7 and all(a is b for a, b in zip(igq._memos, tables))
     assert held[0] is bbw._bbw_cache and held[1] is presentations._basis_cache
     assert bbw._ext_cache == {}
 

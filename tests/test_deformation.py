@@ -27,10 +27,9 @@ from igq.presentations import (
     SYMBOLIC,
     build_presentation,
     full_basis,
-    i_relations,
     presentation_basis,
 )
-from presentation_oracle import grading, sigma_classes, sigma_ring, sigma_weights
+from presentation_oracle import grading, i_relations, sigma_classes, sigma_ring, sigma_weights
 
 
 def quantum_basis(n, symbolic_q=False):

@@ -10,7 +10,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from igq.poly import GREVLEX, Ring, WeightedOrder, dump_generators, dump_polynomial
+from igq.poly import GREVLEX, Ring, WeightedOrder, dump_generators, dump_polynomial, lift
 
 from dump_oracle import load_generators, load_polynomial
 
@@ -101,3 +101,32 @@ def test_identities_inverses_and_subtraction(fgh):
     assert f * ring.zero == ring.zero
     assert f + (-f) == ring.zero and f + (-f) == 0
     assert f - g == f + (-g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fgh=polynomial_triples(), c=small_rationals)
+def test_a_constant_factor_scales_every_term(fgh, c):
+    # a constant polynomial, ring.one among them, takes the scalar path
+    f = fgh[0]
+    ring = f.ring
+    scaled = ring.poly({e: k * c for e, k in f.terms})
+    for product in (f * ring.const(c), ring.const(c) * f, f * c, c * f):
+        assert product.terms == scaled.terms and product.ring == ring
+    assert (f * ring.one).terms == (ring.one * f).terms == f.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(fgh=polynomial_triples())
+def test_lifting_pads_the_exponents_and_keeps_the_order(fgh):
+    # a trailing variable, with any weight in a weighted order, leaves the
+    # terms in order: the lift equals the re-sorted polynomial term for term
+    f = fgh[0]
+    order = f.ring.order
+    wider = Ring(f.ring.names + ("t",), GREVLEX if order == GREVLEX else WeightedOrder(order.weights + (7,)))
+    lifted = lift(f, wider)
+    assert lifted.ring == wider
+    assert lifted.terms == wider.poly((e + (0,), k) for e, k in f.terms).terms
+    assert lift(f, f.ring) is f
+    other = Ring(wider.names, WeightedOrder((1,) * 4)) if order == GREVLEX else Ring(wider.names)
+    with pytest.raises(ValueError):
+        lift(f, other)

@@ -34,10 +34,11 @@ from igq.presentations import (
     presentation_generators,
     presentation_ring,
     q_of,
-    quadratic_relations,
+    quantum_relations,
     verify_homomorphism,
 )
 from groebner_oracle import is_groebner
+import presentation_oracle as oracle
 from presentation_oracle import (
     ab_ring,
     ab_weights,
@@ -223,7 +224,7 @@ def schur_homomorphism_verdict(n, quantum, q_mode):
     dets = schur_determinants(images, 2 * n - 2)[3:]
 
     def vanish(q):
-        return all(normal_form(g, gb).is_zero for g in dets + quadratic_relations(images, q))
+        return all(normal_form(g, gb).is_zero for g in dets + oracle.quadratic_relations(images, q))
 
     if not quantum:
         return vanish(None), None
@@ -241,6 +242,36 @@ def test_homomorphism_by_rules_matches_the_determinants():
                 expected = schur_homomorphism_verdict(n, quantum, q_mode)
                 assert (rep["ok"], rep["lambda"]) == expected, (n, quantum, q_mode)
                 assert rep["ok"], (n, quantum, q_mode)
+
+
+def reduced_by_verify_homomorphism(monkeypatch, n, quantum, q_mode):
+    """Every polynomial verify_homomorphism reduces, in order, with a
+    normal form that returns its input: no relation then reduces to zero,
+    so the quantum case tries lambda = 1, then -1, then reports 1's."""
+    seen = []
+    monkeypatch.setattr(presentations, "normal_form", lambda g, gb: seen.append(g) or g)
+    verify_homomorphism(n, quantum, q_mode)
+    monkeypatch.undo()
+    return seen
+
+
+def test_quantum_presentations_equal_the_q_threaded_builders(monkeypatch):
+    # a quantum presentation is derived from its classical one by the one
+    # q-term; the oracle threads q through every builder from scratch.
+    # Polynomials compare by ring and terms in order, so this is term for term
+    for n in range(2, 13):
+        for q_mode in (SPECIALIZE_1, SYMBOLIC):
+            for variant in VARIANTS:
+                spec = PresentationSpec(n, variant, q_mode)
+                core, expected = build_presentation(spec), oracle.build_presentation(spec)
+                assert core.ring == expected.ring, spec
+                assert core.ideal == expected.ideal, spec
+                assert core.images == expected.images, spec
+                assert presentation_generators(spec) == oracle.build_generators(spec), spec
+            for quantum in (False, True):
+                lams = (1, -1, 1) if quantum else (1,)
+                expected = [g for lam in lams for g in oracle.homomorphism_relations(n, quantum, q_mode, lam)]
+                assert reduced_by_verify_homomorphism(monkeypatch, n, quantum, q_mode) == expected, (n, quantum, q_mode)
 
 
 def test_full_basis_is_the_generators_reduced_basis():
@@ -410,12 +441,11 @@ def test_ii_identity_on_the_betas_vanishes_below_the_core_relations():
         ideal, beta = core_ideal(n)
         ring = ideal.ring
         b = [ring.one, *beta]
-        for q in (None, ring.one):
-            coeffs = ii_identity(b, q)
-            assert len(coeffs) == n, n
-            assert all(c.is_zero for c in coeffs[:-2]), (n, q)
-            assert ii_identity(b[-2:], q)[-2:] == coeffs[-2:], (n, q)
-        assert coeffs[-2:] == list(ideal.generators), n
+        coeffs = ii_identity(b)
+        assert len(coeffs) == n, n
+        assert all(c.is_zero for c in coeffs[:-2]), n
+        assert ii_identity(b[-2:])[-2:] == coeffs[-2:], n
+        assert quantum_relations(coeffs[-2:], n, QUANTUM_II, ring.var("a1")) == list(ideal.generators), n
 
 
 def test_ab_classes_on_the_b_variables_are_the_oracle_images():
@@ -460,15 +490,13 @@ def test_relations_on_the_images_equal_the_substituted_relations():
             classes = [target.one] + list(images.values())
             if symbolic:
                 images["q"] = target.var("q")
-                qs = [(lam * ring_i.var("q"), lam * target.var("q")) for lam in (1, -1)]
-            else:
-                qs = [(None, None)] + [(lam * ring_i.one, lam * target.one) for lam in (1, -1)]
-            for q_i, q_t in qs:
-                old = [
-                    substitute(g, target, images)
-                    for g in i_relations(sigma_classes(ring_i, n), q_i)
-                ]
-                assert i_relations(classes, q_t) == old, (n, symbolic, q_t)
+            on_vars = i_relations(sigma_classes(ring_i, n))
+            assert i_relations(classes) == [substitute(g, target, images) for g in on_vars], n
+            # and so does adding the quantum term, q -> lam q, on s_1's image
+            for lam in (1, -1):
+                quantum = quantum_relations(on_vars, n, QUANTUM_I, lam * ring_i.var("s1"))
+                on_images = quantum_relations(i_relations(classes), n, QUANTUM_I, lam * classes[1])
+                assert on_images == [substitute(g, target, images) for g in quantum], (n, symbolic, lam)
 
 
 def test_presentation_is_built_in_the_paper_grading():

@@ -282,6 +282,6 @@ def test_every_memo_is_made_by_igq_memo():
         for name, table in vars(module).items()
         if name.endswith("_cache")
     }
-    assert len(caches) == 5
+    assert len(caches) == 6
     for where, table in caches.items():
         assert any(table is memo for memo in igq._memos), where
