@@ -18,10 +18,10 @@ instead of dividing.  Fractions appear only at the boundary: the reduced
 basis is emitted monic with `Fraction` coefficients, and `normal_form`
 divides its accumulated scale out once at the end.  For
 zero-dimensional ideals: standard monomial bases, whose length is the
-quotient's dimension, the length of the factor at the origin, and the
-matrices of multiplication by each variable, or by any polynomial, on
-that basis, as rows of (column, entry), on which `igq.linalg` does the
-rest of the quotient's linear algebra.
+quotient's dimension, the length of the factor at the origin, the
+coordinates of a normal form on that basis, and one builder of the matrix
+of multiplication by a polynomial there, as rows of (column, entry), on
+which `igq.linalg` does the rest of the quotient's linear algebra.
 """
 
 from __future__ import annotations
@@ -397,23 +397,32 @@ def standard_monomials(gb: GroebnerBasis):
     return out
 
 
-def multiplication_matrices(gb: GroebnerBasis):
-    """For each ring variable v, the matrix of multiplication by v on the
-    finite-dimensional quotient, as rows of (column, entry) over its
-    nonzero entries, columns ascending: entry (i, j) is the coefficient of
-    the i-th standard monomial in NF(v * j-th one), an int when it is
-    integral.  The columns are taken in ascending order and each appends
-    its entries to the rows it meets, so every row comes out sorted and
-    no zero is stored.
-    Only the columns where v times the j-th standard monomial w is neither
-    standard (a unit vector) nor the leading monomial of an element g (the
-    basis is reduced, so NF(w) = w - g) take a normal form."""
+def standard_coordinates(terms, index) -> list:
+    """The coordinates of a normal form, given by its `terms`, on the
+    standard monomials, `index` holding each one's position: an entry is
+    an int when it is integral, else a Fraction."""
+    out = [0] * len(index)
+    for e, c in terms:
+        out[index[e]] = c.numerator if c.denominator == 1 else c
+    return out
+
+
+def multiplication_by(f: Polynomial, gb: GroebnerBasis):
+    """The matrix of multiplication by f on the finite-dimensional
+    quotient, as rows of (column, entry) over its nonzero entries, columns
+    ascending: column j holds the `standard_coordinates` of NF(f m_j), m_j
+    the j-th standard monomial.  The column of 1 is NF(f); any other m_j
+    is x_k m_i for its first variable x_k and some i < j, and its column
+    is M_k times column i, M_k the matrix of x_k.  Each M_k needed is built
+    once: its column of m is a unit vector when x_k m is standard, minus
+    the tail of the element g led by x_k m (NF(x_k m) = x_k m - g, the
+    basis being reduced), and a normal form only otherwise."""
     std = standard_monomials(gb)
     index = {m: i for i, m in enumerate(std)}
-    ring = gb.ring
     by_lead = {g.lead_monomial: g for g in gb}
-    mats = []
-    for k in range(ring.ngens):
+    mats = {}
+
+    def variable_matrix(k):
         M = [[] for _ in std]
         for j, m in enumerate(std):
             w = m[:k] + (m[k] + 1,) + m[k + 1 :]
@@ -422,27 +431,19 @@ def multiplication_matrices(gb: GroebnerBasis):
                 continue
             g = by_lead.get(w)
             if g is None:
-                column = normal_form(ring.monomial(w), gb).terms
+                column = normal_form(gb.ring.monomial(w), gb).terms
             else:
                 column = [(e, -c) for e, c in g.terms[1:]]
-            for e, c in column:
-                M[index[e]].append((j, c.numerator if c.denominator == 1 else c))
-        mats.append(M)
-    return mats
+            for i, c in enumerate(standard_coordinates(column, index)):
+                if c:
+                    M[i].append((j, c))
+        return M
 
-
-def multiplication_by(f: Polynomial, gb: GroebnerBasis, mats):
-    """The matrix of multiplication by f on the quotient, in the format of
-    `multiplication_matrices`, given its matrices `mats`.  The column of
-    the standard monomial 1 is NF(f); every other standard monomial is
-    x m' for a variable x and a standard monomial m' before it, and its
-    column is M_x times the column of m'."""
-    std = standard_monomials(gb)
-    index = {m: i for i, m in enumerate(std)}
-    nf = dict(normal_form(f, gb).terms)
-    columns = [[c.numerator if c.denominator == 1 else c for c in (nf.get(m, 0) for m in std)]]
+    columns = [standard_coordinates(normal_form(f, gb).terms, index)]
     for m in std[1:]:
         k = next(k for k, e in enumerate(m) if e)
+        if k not in mats:
+            mats[k] = variable_matrix(k)
         prev = columns[index[m[:k] + (m[k] - 1,) + m[k + 1 :]]]
         columns.append([sum(x * prev[j] for j, x in row) for row in mats[k]])
     return [[(j, column[i]) for j, column in enumerate(columns) if column[i]] for i in range(len(std))]

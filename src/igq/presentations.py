@@ -24,16 +24,18 @@ to Q[x_1, x_2(, q)]/core, the core being the two last relations with
 sigma_k or beta_k substituted: a ring isomorphism that fixes the origin.
 `build_presentation` returns that core and the image of every variable,
 `presentation_basis` the core's reduced basis, memoized, and every check
-runs there: the dimension, the homomorphism, the lemma, the regularity
-corank and the spectrum, which re-bases QUANTUM_II's core in grevlex
-(`decompose_spectrum`).  Only `--dump` needs the basis in all the
-variables, and `full_basis` assembles it from the core's and the rules.
+runs there: the dimension, the homomorphism, the lemma and the regularity
+corank.  The spectrum (`decompose_spectrum`) reads only QUANTUM_II's core,
+with one grevlex basis of its two relations.  Only `--dump` needs the
+basis in all the variables, and `full_basis` assembles it from the core's
+and the rules.
 
 `split_spectrum` splits a finite quotient into its origin-supported
-factor, whose length comes by Nakayama, and the reduced rest, whose
-points it counts by exact linear algebra on the standard monomials:
-proved modulo a prime by Wiedemann's method, and counted over Q by a
-Krylov sieve on the same start vector only when that proof fails.
+factor, whose length L comes by Nakayama, and the reduced rest, whose
+points it counts by exact linear algebra on the standard monomials from
+the start vector w = NF(v^L), v the first variable: proved modulo a
+prime by Wiedemann's method, and counted over Q by a Krylov sieve on the
+same w only when that proof fails.
 `count_offorigin_by_substitution` re-counts the reduced points through
 the z-substitution a_1 = z_1 + z_2, a_2 = z_1 z_2, entirely by gcd
 degree arithmetic.
@@ -52,8 +54,8 @@ from .groebner import (
     buchberger,
     local_length,
     multiplication_by,
-    multiplication_matrices,
     normal_form,
+    standard_coordinates,
     standard_monomials,
 )
 from .linalg import (
@@ -325,7 +327,7 @@ def build_presentation(spec: PresentationSpec) -> CorePresentation:
 
 def presentation_basis(spec: PresentationSpec) -> GroebnerBasis:
     """Reduced Groebner basis of a presentation's core (`build_presentation`),
-    memoized by `_memo_key`: the one basis every check reads."""
+    memoized by `_memo_key`: the basis every check but the spectrum reads."""
     key = _memo_key(spec)
     gb = _basis_cache.get(key)
     if gb is None:
@@ -516,11 +518,11 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
     points, separating form).  A form l is sum c_x x over the
     `coordinates` x, {name: polynomial}, printed by name.  L = dim A_0 by
     Nakayama (`groebner.local_length`), and m^L A_0 = 0, m the maximal
-    ideal of the origin, so w = M_v^L 1 lies in A_off.  The points are
-    counted along a verified-generic l, M_l from one normal form
-    (`groebner.multiplication_by`), by the least monic mu with
-    mu(M_l) w = 0.  On the local ring of A_off at a point P, l - l(P) is
-    nilpotent, so the distinct roots of mu are the values l(P) at the
+    ideal of the origin, so w = M_v^L 1, the coordinates of NF(v^L), lies
+    in A_off.  The points are counted along a verified-generic l, M_l from
+    one normal form (`groebner.multiplication_by`), by the least monic mu
+    with mu(M_l) w = 0.  On the local ring of A_off at a point P, l - l(P)
+    is nilpotent, so the distinct roots of mu are the values l(P) at the
     points where w is nonzero.  Fewer than d = dim A_off such values
     exist unless every point is reduced, in w's support and separated by
     l: d distinct roots prove all three, whatever the input.  When v
@@ -564,20 +566,18 @@ def split_spectrum(gb: GroebnerBasis, coordinates: dict):
     in the ideal.  At a1 = 0, beta_k = (k+1)(-a2)^k, so R2 = (n-1)(-1)^n
     a2^n forces a2 = 0, and then every b_k = 0: the origin.
     """
-    mats = multiplication_matrices(gb)
-    dim = len(mats[0])
+    index = {m: i for i, m in enumerate(standard_monomials(gb))}
+    dim = len(index)
     length = local_length(gb)
     off_dim = dim - length
     u = _functional(dim)
-    w = [int(i == 0) for i in range(dim)]  # std[0] is 1
-    for _ in range(length):  # w = M_v^L 1, in A_off
-        w = [sum(x * w[j] for j, x in row) for row in mats[0]]
+    w = standard_coordinates(normal_form(gb.ring.gens[0] ** length, gb).terms, index)
     tried = []
     for attempt in range(4):
         coeffs = _separating_coeffs(attempt + len(coordinates))[attempt:]
         form = " + ".join("%d*%s" % (c, nm) for c, nm in zip(coeffs, coordinates))
         ell = sum((c * x for c, x in zip(coeffs, coordinates.values())), gb.ring.zero)
-        m_ell = multiplication_by(ell, gb, mats)
+        m_ell = multiplication_by(ell, gb)
         try:
             seq = projected_sequence(m_ell, w, u, 2 * off_dim, _PRIME)
             count = univariate.distinct_root_count(berlekamp_massey(seq, _PRIME), _PRIME)
@@ -607,24 +607,22 @@ _spectrum_cache = memo()
 def decompose_spectrum(n: int) -> SpectrumReport:
     """Split Spec of the quantum quotient (q = 1) into the origin-supported
     factor and the off-origin part, and count the latter's distinct points
-    by a verified-generic projection.  It splits QUANTUM_II's core, its
-    `presentation_basis` re-based in grevlex on Q[a1, a2], with each b_k
-    read as its image beta_k(a1, a2) in the forms.  The core map fixes the
-    origin, so the core's tangent space there has the presentation's
-    dimension."""
+    by a verified-generic projection.  It splits QUANTUM_II's core, the
+    grevlex basis on Q[a1, a2] of its two relations, with each b_k read as
+    its image beta_k(a1, a2) in the forms.  The core map fixes the origin,
+    so the core's tangent space there has the presentation's dimension,
+    read off the two relations: both lie in m, so their linear parts span
+    those of every element of the ideal."""
     if n in _spectrum_cache:
         return _spectrum_cache[n]
-    spec = PresentationSpec(n, QUANTUM_II, SPECIALIZE_1)
-    gb = presentation_basis(spec)
-    core = build_presentation(spec)
-    ring = Ring(gb.ring.names)
-    core_gb = buchberger(Ideal(ring, [ring.poly(g.terms) for g in gb]))
+    core = build_presentation(PresentationSpec(n, QUANTUM_II, SPECIALIZE_1))
+    ring = Ring(core.ideal.ring.names)
+    gb = buchberger(Ideal(ring, [ring.poly(g.terms) for g in core.ideal.generators]))
     coordinates = {name: ring.poly(image.terms) for name, image in zip(core.ring.names, core.images)}
-    length, off_dim, count, form = split_spectrum(core_gb, coordinates)
-    # the core lies in m, so the linear parts of its basis span those of its elements
+    length, off_dim, count, form = split_spectrum(gb, coordinates)
     report = SpectrumReport(
         total_dim=length + off_dim,
-        tangent_dim_origin=origin_tangent_dimension(Ideal(gb.ring, gb)),
+        tangent_dim_origin=origin_tangent_dimension(core.ideal),
         local_length_origin=length,
         offorigin_dim=off_dim,
         offorigin_distinct_points=count,

@@ -265,8 +265,8 @@ def on_all_variables(monkeypatch):
     checks ran before they moved to the cores: `presentation_basis` gives
     the `generators_basis` and `build_presentation` the `identity_core`,
     so the homomorphism's classes are `sigma_in_ab` on the variables b_k,
-    the lemma's are the variables s_k, and the spectrum re-bases the whole
-    QUANTUM_II basis in grevlex, its variables the coordinates; the
+    the lemma's are the variables s_k, and the spectrum splits the grevlex
+    basis of all QUANTUM_II's generators, its variables the coordinates; the
     regularity corank is `regularity_corank_on_all_variables`."""
     for module in (presentations, deformation):
         monkeypatch.setattr(module, "presentation_basis", generators_basis)

@@ -1,9 +1,10 @@
 """Two oracles of the spectrum split: the joint generalized kernel of the
-multiplication matrices computed on dense rows, whose dimension
-`igq.groebner.local_length` finds by Nakayama, and QUANTUM_II's
-two-variable core at q = 1 from its closed form, which
-`igq.presentations.decompose_spectrum` reads off the weighted basis.
-Also the split of any basis with its variables as the coordinates."""
+variables' multiplication matrices computed on dense rows, whose
+dimension `igq.groebner.local_length` finds by Nakayama, and QUANTUM_II's
+two-variable core at q = 1 from its closed form, whose two relations
+`igq.presentations.decompose_spectrum` takes from `build_presentation`
+and splits on their grevlex basis.  Also the split of any basis with its
+variables as the coordinates."""
 
 from math import lcm
 

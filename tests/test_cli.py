@@ -15,6 +15,8 @@ from igq.bbw import Space
 from igq.cli import main, run_dcat_suite, run_qh_suite
 from igq.groebner import GroebnerBasis, normal_form
 from igq.presentations import (
+    CLASSICAL_II,
+    QUANTUM_II,
     SPECIALIZE_1,
     VARIANTS,
     PresentationSpec,
@@ -256,6 +258,18 @@ def test_a_qh_run_holds_only_its_own_n_in_the_memos(capsys):
     capsys.readouterr()
     assert list(presentations._spectrum_cache) == [4]
     assert presentations._basis_cache and all(n == 4 for n, *_ in presentations._basis_cache)
+
+
+def test_a_spectrum_run_holds_only_the_cores_it_splits(capsys):
+    # the spectrum, zcount and unfolding read QUANTUM_II's core, derived
+    # from CLASSICAL_II's, and the one report; no weighted basis and no
+    # image relations are held
+    assert main(["qh", "--n", "4", "--check", "spectrum,zcount,unfolding"]) == 0
+    capsys.readouterr()
+    assert presentations._basis_cache == {}
+    assert sorted(presentations._core_cache) == [(4, CLASSICAL_II, False), (4, QUANTUM_II, False)]
+    assert list(presentations._spectrum_cache) == [4]
+    assert presentations._image_relations_cache == {}
 
 
 def test_clear_caches_empties_the_tables_in_place():

@@ -12,7 +12,7 @@ import pytest
 from igq.groebner import (
     Ideal,
     buchberger,
-    multiplication_matrices,
+    multiplication_by,
     normal_form,
     spoly,
     standard_monomials,
@@ -363,7 +363,7 @@ def test_coefficient_types_at_the_boundary():
     gb = buchberger(Ideal(R2, [2 * X - Fraction(3, 5) * Y, 3 * Y**2 - 1]))
     for p in (X**3, 6 * X**2 * Y, R2.one, Fraction(7, 4) * X):
         assert all(type(c) is Fraction for _, c in normal_form(p, gb).terms)
-    entries = [c for M in multiplication_matrices(gb) for row in M for _, c in row]
+    entries = [c for v in gb.ring.gens for row in multiplication_by(v, gb) for _, c in row]
     assert all(type(c) in (int, Fraction) for c in entries)
     assert any(type(c) is Fraction for c in entries) and any(type(c) is int for c in entries)
 
@@ -376,11 +376,11 @@ def _coords(gb, p):
 
 def test_minimal_polynomial_of_nilpotent_and_unit_ideal():
     gb = buchberger(Ideal(R2, [X**3, Y]))
-    Mx, _ = multiplication_matrices(gb)
+    Mx, _ = [multiplication_by(v, gb) for v in gb.ring.gens]
     coeffs = minimal_polynomial(Mx, _coords(gb, R2.one))
     assert coeffs == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
     gb1 = buchberger(Ideal(R2, [R2.one]))
-    Mx1, _ = multiplication_matrices(gb1)
+    Mx1, _ = [multiplication_by(v, gb1) for v in gb1.ring.gens]
     assert minimal_polynomial(Mx1, _coords(gb1, R2.one)) == [Fraction(1)]
 
 
@@ -388,7 +388,7 @@ def test_minimal_polynomial_from_a_start_vector():
     # on Q[x,y]/(x^2(x-1), y), x^2 is the idempotent of the point x = 1,
     # where x acts as 1, so started there the minimal polynomial is t - 1
     gb = buchberger(Ideal(R2, [X**2 * (X - 1), Y]))
-    Mx, _ = multiplication_matrices(gb)
+    Mx, _ = [multiplication_by(v, gb) for v in gb.ring.gens]
     one = _coords(gb, R2.one)
     assert minimal_polynomial(Mx, one) == [Fraction(0), Fraction(0), Fraction(-1), Fraction(1)]
     assert minimal_polynomial(Mx, _coords(gb, X**2)) == [Fraction(-1), Fraction(1)]
@@ -398,7 +398,7 @@ def test_minimal_polynomial_from_a_start_vector():
 def test_multiplication_matrices_commute_and_act_on_one():
     gb = buchberger(Ideal(R2, [Y**2 + Y, X * Y - 2 * Y, X**2 - X + 2 * Y]))
     std = standard_monomials(gb)
-    mats = multiplication_matrices(gb)
+    mats = [multiplication_by(v, gb) for v in gb.ring.gens]
     dim = len(std)
     assert [len(M) for M in mats] == [dim, dim]
     # rows of (column, entry): columns ascend, and no entry is 0

@@ -7,7 +7,7 @@ from igq.groebner import (
     Ideal,
     buchberger,
     local_length,
-    multiplication_matrices,
+    multiplication_by,
     normal_form,
     standard_monomials,
 )
@@ -321,12 +321,13 @@ def test_the_cores_agree_with_all_the_variables(monkeypatch):
 
 
 def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(monkeypatch, tmp_path, capsys):
-    # every check asks presentation_basis once for the one basis of its
-    # spec, the core's, and no Buchberger run on a check path is in more
-    # than three variables: two, and q when it is a variable.  The
-    # spectrum's own runs (the core's grevlex basis, Nakayama's local
-    # length) are in (a1, a2).  --dump asks for every variant's core basis
-    # and assembles the basis in all the variables from it, without
+    # every check but the spectrum asks presentation_basis once for the
+    # one basis of its spec, the core's, and no Buchberger run on a check
+    # path is in more than three variables: two, and q when it is a
+    # variable.  The spectrum asks for no weighted basis: its runs (the
+    # grevlex basis of QUANTUM_II's two core relations, Nakayama's local
+    # length) are all in (a1, a2).  --dump asks for every variant's core
+    # basis and assembles the basis in all the variables from it, without
     # Buchberger
     requests, rings = [], []
     real, real_buchberger = presentations.presentation_basis, groebner.buchberger
@@ -344,9 +345,8 @@ def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(mon
     monkeypatch.setattr(presentations, "buchberger", recorded_buchberger)
     monkeypatch.setattr(groebner, "buchberger", recorded_buchberger)
     n = 4
-    spec_ii = PresentationSpec(n, QUANTUM_II)
     presentations.decompose_spectrum(n)
-    assert requests == [((spec_ii,), {})]
+    assert requests == []
     assert len(rings) > 2 and set(rings) == {("a1", "a2")}
     for q_mode in (SPECIALIZE_1, SYMBOLIC):
         for variant in (CLASSICAL_II, QUANTUM_II):
@@ -370,7 +370,7 @@ def test_every_reader_asks_presentation_basis_and_the_spectrum_runs_in_a1_a2(mon
     rings.clear()
     assert cli.main(["qh", "--n", str(n), "--check", "spectrum", "--dump", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert requests == [((spec_ii,), {})] + [((PresentationSpec(n, variant),), {}) for variant in VARIANTS]
+    assert requests == [((PresentationSpec(n, variant),), {}) for variant in VARIANTS]
     assert set(rings) == {("a1", "a2"), ("s1", "s2")}
 
 
@@ -634,9 +634,9 @@ def test_origin_factor_where_the_first_variable_vanishes_off_the_origin():
 
 
 def test_the_spectrum_splits_the_closed_form_core(monkeypatch):
-    # the core decompose_spectrum reads off the weighted basis is the
-    # grevlex basis of (R1, R2), and each b_k it reads as f_k(a1, a2) is
-    # beta_k there
+    # the basis decompose_spectrum splits is the grevlex basis of the
+    # closed-form (R1, R2), and each b_k it reads as f_k(a1, a2) is beta_k
+    # there
     splits = []
     real = presentations.split_spectrum
     monkeypatch.setattr(
@@ -664,16 +664,15 @@ def test_the_split_on_all_n_variables_agrees_with_the_core():
         assert split_on_variables(gb) == core, n
 
 
-def test_local_length_is_the_dimension_of_the_generalized_kernel():
-    # Nakayama's L against the joint generalized kernel of the
-    # multiplication matrices, from the dense oracle: on the core, and on
-    # every hand-made ideal of the split tests, (x - 1)^2 among them, which
-    # has no origin point
+def split_cases():
+    """(ideal, local length at the origin): QUANTUM_II's cores for n = 2..8
+    and every hand-made ideal of the split tests, (x - 1)^2 among them,
+    which has no origin point."""
     wide = Ring(["x%d" % i for i in range(1, 15)])
     x1, *rest = wide.gens
     p = presentations._PRIME
     cases = [(core_ideal(n)[0], n - 1) for n in range(2, 9)]
-    cases += [
+    return cases + [
         (Ideal(wide, [x1**2 - x1] + [xi - x1 for xi in rest]), 1),
         (Ideal(R2, [(X - 1) ** 2, Y]), 0),
     ] + [
@@ -689,10 +688,40 @@ def test_local_length_is_the_dimension_of_the_generalized_kernel():
             ((Y**2 * (Y - 3) * (Y + 2) * (Y + 1), 30 * X - Y * (Y + 1) * (16 - 7 * Y)), 2),
         )
     ]
-    for ideal, length in cases:
+
+
+def test_local_length_is_the_dimension_of_the_generalized_kernel():
+    # Nakayama's L against the joint generalized kernel of the
+    # multiplication matrices, from the dense oracle
+    for ideal, length in split_cases():
         gb = buchberger(ideal)
-        mats = multiplication_matrices(gb)
+        mats = [multiplication_by(v, gb) for v in gb.ring.gens]
         assert local_length(gb) == len(joint_origin_factor(mats, len(mats[0]))) == length, ideal
+
+
+def test_the_start_vector_is_the_first_variable_to_the_local_length(monkeypatch):
+    # the w split_spectrum hands the proof mod p, the coordinates of
+    # NF(v^L), against 1 multiplied L times by M_v; every attempt gets it
+    starts = []
+    real = presentations.projected_sequence
+
+    def recorded(rows, start, u, length, p):
+        starts.append(start)
+        return real(rows, start, u, length, p)
+
+    monkeypatch.setattr(presentations, "projected_sequence", recorded)
+    for ideal, length in split_cases():
+        gb = buchberger(ideal)
+        Mv = multiplication_by(gb.ring.gens[0], gb)
+        w = [int(i == 0) for i in range(len(Mv))]  # std[0] is 1
+        for _ in range(length):
+            w = [sum(x * w[j] for j, x in row) for row in Mv]
+        starts.clear()
+        try:
+            split_on_variables(gb)
+        except RuntimeError:  # the ideals split_spectrum refuses
+            pass
+        assert starts and all(start == w for start in starts), ideal
 
 
 def test_a_point_where_the_first_variable_vanishes_takes_one_exact_count(monkeypatch):
