@@ -40,6 +40,8 @@ same product for rho.  Both sets are T plus two leading entries, {x, y}
 * type C, with X = |x|, Y = |y|:
       X Y |X^2 - Y^2| Q(X) Q(Y) / (k (k-1) (2k-1) Q(k) Q(k-1)),
   Q(z) = prod_{t in T} (z^2 - t^2) = perm(z-1, k-2) perm(z+k-2, k-2).
+rho is weight + rho for the trivial bundle, of dimension 1, so one
+product, `_weyl_product`, gives both the numerator and the denominator.
 
 The generic algorithm (sort weight + rho, count, take the Weyl product) is
 the test oracle, `tests/bbw_oracle.py`.
@@ -64,7 +66,7 @@ property suite rather than trusted a priori.
 from __future__ import annotations
 
 from itertools import product
-from math import comb, factorial, perm
+from math import comb, perm
 
 from . import Value, memo, set_field
 
@@ -127,18 +129,19 @@ def _p(space: Space) -> int:
     return space.param - 2 if space.kind == GR else 2 * space.param - 3
 
 
-# Each space's Weyl denominator under its (kind, param), computed at the
-# space's first regular weight.
-_denominators = memo()
-
-
-def _weyl_denominator(space: Space) -> int:
-    """Weyl's product for rho's leading pair, by the module docstring:
-    (m-1)! (m-2)! on G(2,m), k (k-1) (2k-1) Q(k) Q(k-1) on IG(2,2k)."""
+def _weyl_product(space: Space, x: int, y: int) -> int:
+    """Weyl's product for the leading entries x > y of a weight + rho, by
+    the module docstring: (x - y) P(x) P(y), or X Y |X^2 - Y^2| Q(X) Q(Y)."""
     n = space.param
     if space.kind == GR:
-        return factorial(n - 1) * factorial(n - 2)
-    return n * (n - 1) * (2 * n - 1) * _tail_product_sp(n, n) * _tail_product_sp(n - 1, n)
+        return (x - y) * _tail_product_gl(x, n) * _tail_product_gl(y, n)
+    X, Y = abs(x), abs(y)
+    return X * Y * abs(X * X - Y * Y) * _tail_product_sp(X, n) * _tail_product_sp(Y, n)
+
+
+# Each space's Weyl denominator under its (kind, param): the product at the
+# trivial bundle's (x, y) = (c, c - 1), computed at its first regular weight.
+_denominators = memo()
 
 
 def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
@@ -146,22 +149,15 @@ def _closed_form(space: Space, sym: int, twist: int) -> CohomologyResult:
     singular bands, else the degree and Weyl dimension from the leading
     entries x > y of (sym + twist, twist, 0, ..., 0) + rho."""
     n, p = space.param, _p(space)
-    if -p <= twist <= -1 or -p - 1 <= sym + twist <= -2:
+    if -p <= twist <= -1 or -p - 1 <= sym + twist <= -2 or space.kind == IGR and sym + 2 * twist == 1 - 2 * n:
         return _VANISHING
-    if space.kind == GR:
-        x, y = sym + twist + n - 1, twist + n - 2
-        degree = p * ((x < 0) + (y < 0))
-        num = (x - y) * _tail_product_gl(x, n) * _tail_product_gl(y, n)
-    else:
-        if sym + 2 * twist == 1 - 2 * n:
-            return _VANISHING
-        x, y = sym + twist + n, twist + n - 1
-        X, Y = abs(x), abs(y)
-        degree = p * ((x < 0) + (y < 0)) + (x + y < 0)
-        num = X * Y * abs(X * X - Y * Y) * _tail_product_sp(X, n) * _tail_product_sp(Y, n)
+    c = n - 1 if space.kind == GR else n
+    x, y = sym + twist + c, twist + c - 1
+    degree = p * ((x < 0) + (y < 0)) + (space.kind == IGR and x + y < 0)
+    num = _weyl_product(space, x, y)
     den = _denominators.get((space.kind, n))
     if den is None:
-        den = _denominators[space.kind, n] = _weyl_denominator(space)
+        den = _denominators[space.kind, n] = _weyl_product(space, c, c - 1)
     dim, r = divmod(num, den)
     if r or dim <= 0:
         raise ArithmeticError("Weyl dimension of S^%dU*(%d) on %s is %d/%d" % (sym, twist, space, num, den))

@@ -13,10 +13,11 @@ lazy max-heap of monomials.
 The arithmetic inside is fraction-free (von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 6): Buchberger's elements and every reducer row
 are primitive integer polynomials, with content 1 and a positive leading
-coefficient, and a reduction scales the running remainder by an integer
-instead of dividing.  Fractions appear only at the boundary: the reduced
-basis is emitted monic with `Fraction` coefficients, and `normal_form`
-divides its accumulated scale out once at the end.  For
+coefficient, made by `igq.poly`'s `cleared` and `primitive`, and a
+reduction scales the running remainder by an integer instead of
+dividing.  Fractions appear only at the boundary: the reduced basis is
+emitted monic with `Fraction` coefficients, and `normal_form` divides its
+accumulated scale out once at the end.  For
 zero-dimensional ideals: standard monomial bases, whose length is the
 quotient's dimension, the length of the factor at the origin, the
 coordinates of a normal form on that basis, and one builder of the matrix
@@ -29,17 +30,19 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import Value, set_field
 from .poly import (
     Polynomial,
     Ring,
     RingMismatch,
+    cleared,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    primitive,
 )
 
 
@@ -110,12 +113,10 @@ def _primitive(ring: Ring, terms) -> Polynomial:
     """The primitive integer polynomial proportional to nonzero `terms`,
     whose coefficients are ints or Fractions: denominators cleared, content
     divided out, leading coefficient positive."""
-    den = lcm(*(c.denominator for _, c in terms))
-    ints = [c.numerator * (den // c.denominator) for _, c in terms]
-    g = gcd(*ints)
+    ints = primitive(cleared([c for _, c in terms])[1])
     if ints[0] < 0:
-        g = -g
-    return Polynomial(ring, tuple((e, c // g) for (e, _), c in zip(terms, ints)))
+        ints = [-c for c in ints]
+    return Polynomial(ring, tuple(zip([e for e, _ in terms], ints)))
 
 
 class _ReducerTable:
@@ -220,8 +221,8 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     table = basis._reducers
     if not table.rows or f.is_zero:
         return f
-    den = lcm(*(c.denominator for _, c in f.terms))
-    out, scale = _reduce_full(((e, c.numerator * (den // c.denominator)) for e, c in f.terms), table)
+    den, ints = cleared([c for _, c in f.terms])
+    out, scale = _reduce_full(zip([e for e, _ in f.terms], ints), table)
     den *= scale
     return Polynomial(f.ring, tuple((e, Fraction(c, den)) for e, c in out))
 
@@ -241,9 +242,7 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
             e2 = monomial_mul(e, q)
             prev = acc.get(e2)
             acc[e2] = scale * c if prev is None else prev + scale * c
-    key = f.ring.order.key
-    terms = sorted(((e, c) for e, c in acc.items() if c), key=lambda t: key(t[0]), reverse=True)
-    return Polynomial(f.ring, tuple(terms))
+    return f.ring.collect(acc)
 
 
 # ---------------------------------------------------------------------------

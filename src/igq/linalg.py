@@ -7,22 +7,15 @@ polynomial by Berlekamp-Massey.
 A square matrix has one format here, the one `igq.groebner`'s
 multiplication matrices come in: a list of rows, each a list of
 (column, entry) over its nonzero entries.  Vectors, and the rows the
-sieve takes, are dense lists."""
+sieve takes, are dense lists of ints and Fractions; they cross to the
+integers and to F_p through `igq.poly`'s `cleared` and `reduce_mod`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter, mul
 
-
-def reduce_mod(vec, p: int) -> list:
-    """The entries of a vector of ints and Fractions mod the prime p.
-    Raises ValueError when p divides a denominator."""
-    return [
-        x.numerator % p if x.denominator == 1 else x.numerator * pow(x.denominator, -1, p) % p
-        for x in vec
-    ]
+from .poly import cleared, reduce_mod
 
 
 class LinearSieve:
@@ -34,11 +27,10 @@ class LinearSieve:
     `keep` feeds a vector the same way and only says whether it was
     independent (and so kept); it builds no dependence.
 
-    Each vector is cleared of denominators through the numerator and
-    denominator of its entries (an int entry stays an int, never a
-    Fraction) and reduced against the kept rows by fraction-free (Bareiss)
-    elimination, whose divisions are exact, so the rows stay integral and
-    no larger than minors of the input.  A step whose entry is 0 is
+    Each vector is cleared of denominators by `cleared` (an int entry
+    stays an int, never a Fraction) and reduced against the kept rows by
+    fraction-free (Bareiss) elimination, whose divisions are exact, so the
+    rows stay integral and no larger than minors of the input.  A step whose entry is 0 is
     skipped: it would only rescale the row by p_k / p_prev, so the next
     step divides by the pivot of the last step applied, and a kept row
     takes the skipped rescales at the end in one exact multiply-divide by
@@ -71,8 +63,7 @@ class LinearSieve:
     def _reduce(self, vec):
         """Keep vec and return None if it is independent of the kept rows,
         else return (its index, den, steps) for `_unwind`."""
-        den = lcm(*(x.denominator for x in vec))
-        row = [x.numerator * (den // x.denominator) for x in vec]
+        den, row = cleared(vec)
         steps = []
         last = 1  # pivot of the last step applied
         for k, (pc, prow) in enumerate(self.pivots):

@@ -1,24 +1,51 @@
-"""Exact multivariate polynomial arithmetic over the rationals.
+"""Exact multivariate polynomial arithmetic over the rationals, and the
+one owner of how a coefficient list crosses between Q, Z and F_p.
 
 Everything downstream (Groebner bases, ring presentations, cohomology
 bookkeeping) is built on the immutable :class:`Polynomial` defined here.
 Every Polynomial the public API takes or returns has `fractions.Fraction`
 coefficients, so arithmetic is exact; no floating point is ever involved.
-(`igq.groebner` runs its internal rows on primitive integer polynomials,
-and a product multiplies ints, its factors scaled by their denominators.)
-Monomials are bare exponent tuples.
+Monomials are bare exponent tuples.  Lists of ints and Fractions cross
+to Z by `cleared` and `primitive`, and to F_p by `reduce_mod`, in products
+here and in `igq.groebner`, `igq.linalg` and `igq.univariate`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, mul, neg
 
 from . import Value, set_field
 
 Exponents = tuple  # exponent vector, one entry per ring variable
+
+
+# ---------------------------------------------------------------------------
+# coefficient lists between Q, Z and F_p
+
+
+def cleared(coeffs) -> tuple:
+    """(den, ints) for a sequence of ints and Fractions: den the lcm of
+    their denominators, and den * c, an int, for each c."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def primitive(ints) -> list:
+    """The ints divided by their content, signs kept; zeros stay zeros."""
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
+def reduce_mod(vec, p: int) -> list:
+    """The entries of a vector of ints and Fractions mod the prime p.
+    Raises ValueError when p divides a denominator."""
+    return [
+        x.numerator % p if x.denominator == 1 else x.numerator * pow(x.denominator, -1, p) % p
+        for x in vec
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +186,8 @@ class Ring(Value):
         return self.poly({tuple(exps): coeff})
 
     def poly(self, data) -> "Polynomial":
-        """Build a polynomial from a dict or iterable of (exponents, coeff)."""
+        """Build a polynomial from a dict or iterable of (exponents, coeff),
+        checked and made Fractions (no floats) in front of `collect`."""
         items = data.items() if isinstance(data, (dict, Mapping)) else data
         ngens = len(self.names)
         acc = {}
@@ -173,21 +201,17 @@ class Ring(Value):
             if c:
                 prev = acc.get(exps)
                 acc[exps] = c if prev is None else prev + c
-        key = self.order.key
-        terms = tuple(
-            (e, acc[e]) for e in sorted(acc, key=key, reverse=True) if acc[e]
-        )
-        return Polynomial(self, terms)
+        return self.collect(acc)
+
+    def collect(self, acc) -> "Polynomial":
+        """The polynomial of an unchecked {exponents: coeff} dict: its
+        nonzero terms, sorted descending in the term order."""
+        nonzero = [e for e, c in acc.items() if c]
+        nonzero.sort(key=self.order.key, reverse=True)
+        return Polynomial(self, tuple((e, acc[e]) for e in nonzero))
 
     def __repr__(self):
         return "Ring(%s; %s)" % (",".join(self.names), self.order.name)
-
-
-def _scaled(terms) -> tuple:
-    """(d, [(e, d * c)]) for the lcm d of the denominators of the terms'
-    coefficients, so that every scaled coefficient is an int."""
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms]
 
 
 def _coerce(ring: Ring, value):
@@ -238,16 +262,21 @@ class Polynomial(Value):
                 % (self.ring, other.ring)
             )
 
-    def __add__(self, other):
+    def _sum(self, other, negate: bool):
         other = _coerce(self.ring, other)
         if other is NotImplemented:
             return NotImplemented
         self._require_same_ring(other)
         acc = dict(self.terms)
         for e, c in other.terms:
+            if negate:
+                c = -c
             prev = acc.get(e)
             acc[e] = c if prev is None else prev + c
-        return self.ring.poly(acc)
+        return self.ring.collect(acc)
+
+    def __add__(self, other):
+        return self._sum(other, False)
 
     __radd__ = __add__
 
@@ -255,10 +284,7 @@ class Polynomial(Value):
         return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
-        other = _coerce(self.ring, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -279,13 +305,14 @@ class Polynomial(Value):
             return self * other.terms[0][1]
         if len(self.terms) == 1 and not any(self.terms[0][0]):
             return other * self.terms[0][1]
-        # the products run on ints: each factor is scaled by the lcm of its
+        # the products run on ints: each factor is cleared of its
         # denominators, and the product of the two is divided out per term
-        den1, ints1 = _scaled(self.terms)
-        den2, ints2 = _scaled(other.terms)
+        den1, ints1 = cleared([c for _, c in self.terms])
+        den2, ints2 = cleared([c for _, c in other.terms])
+        terms2 = list(zip([e for e, _ in other.terms], ints2))
         acc = {}
-        for e1, c1 in ints1:
-            for e2, c2 in ints2:
+        for (e1, _), c1 in zip(self.terms, ints1):
+            for e2, c2 in terms2:
                 e = monomial_mul(e1, e2)
                 prev = acc.get(e)
                 acc[e] = c1 * c2 if prev is None else prev + c1 * c2

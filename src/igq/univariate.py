@@ -7,34 +7,21 @@ arithmetic, never by numeric root finding: f has deg f - deg gcd(f, f')
 distinct roots over an algebraically closed field of characteristic
 zero, with the gcd from a primitive pseudo-remainder sequence over Z, and
 over the algebraic closure of F_p when f mod p has degree below p, with
-the gcd from Euclid's algorithm over F_p.
+the gcd from Euclid's algorithm over F_p.  The lists cross to Z and to
+F_p through `igq.poly`'s `cleared`, `primitive` and `reduce_mod`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
-from .linalg import reduce_mod
+from .poly import cleared, primitive, reduce_mod
 
 
 def _strip(c):
     while c and not c[-1]:
         c.pop()
     return c
-
-
-def _content(c):
-    return gcd(*c) or 1
-
-
-def _primitive_int(coeffs) -> list:
-    """Clear denominators and content: the primitive integer list with the
-    same ratios as the given ints and Fractions."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = _content(ints)
-    return [x // g for x in ints]
 
 
 def _pseudo_rem(a, b):
@@ -47,8 +34,7 @@ def _pseudo_rem(a, b):
         for i, y in enumerate(b):
             a[i + shift] -= la * y
         _strip(a)
-    g = _content(a)
-    return [x // g for x in a]
+    return primitive(a)
 
 
 def _rem_mod(a, b, p):
@@ -68,7 +54,7 @@ def univ_gcd(f, g, modulus=None) -> list:
     `modulus` p, over F_p (entries in 0..p-1; ValueError when p divides a
     denominator)."""
     if modulus is None:
-        a, b = _strip(_primitive_int(f)), _strip(_primitive_int(g))
+        a, b = _strip(primitive(cleared(f)[1])), _strip(primitive(cleared(g)[1]))
     else:
         a, b = _strip(reduce_mod(f, modulus)), _strip(reduce_mod(g, modulus))
     if not a and not b:

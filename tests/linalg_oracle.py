@@ -7,7 +7,8 @@ that method's oracle.  Also a kernel basis over Q on
 
 from fractions import Fraction
 
-from igq.linalg import LinearSieve, reduce_mod
+from igq.linalg import LinearSieve
+from igq.poly import reduce_mod
 
 
 class ModularSieve(LinearSieve):

@@ -1,16 +1,34 @@
-"""Property tests of polynomial arithmetic and the canonical text form:
-random polynomials in grevlex and weighted-order rings obey the ring
-axioms, and come back equal through `dump_polynomial` and the test-side
-reader, and through pickle."""
+"""Property tests of polynomial arithmetic, the coefficient conversions
+and the canonical text form: random polynomials in grevlex and
+weighted-order rings obey the ring axioms, sums, differences and
+S-polynomials equal `Ring.poly` of their coefficient dicts, coefficient
+lists cross to Z and F_p consistently, and polynomials come back equal
+through `dump_polynomial` and the test-side reader, and through pickle."""
 
 import pickle
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from igq.poly import GREVLEX, Ring, WeightedOrder, dump_generators, dump_polynomial, lift
+from igq.groebner import spoly
+from igq.poly import (
+    GREVLEX,
+    Ring,
+    WeightedOrder,
+    cleared,
+    dump_generators,
+    dump_polynomial,
+    lift,
+    monomial_div,
+    monomial_lcm,
+    monomial_mul,
+    primitive,
+    reduce_mod,
+)
 
 from dump_oracle import load_generators, load_polynomial
 
@@ -130,3 +148,76 @@ def test_lifting_pads_the_exponents_and_keeps_the_order(fgh):
     other = Ring(wider.names, WeightedOrder((1,) * 4)) if order == GREVLEX else Ring(wider.names)
     with pytest.raises(ValueError):
         lift(f, other)
+
+
+# The coefficient conversions of `igq.poly`, on lists of ints and Fractions
+coefficient_lists = st.lists(st.one_of(st.integers(-(10**9), 10**9), rationals), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=coefficient_lists)
+def test_cleared_scales_exactly_by_the_lcm_of_the_denominators(coeffs):
+    den, ints = cleared(coeffs)
+    assert len(ints) == len(coeffs) and all(type(x) is int for x in ints)
+    assert all(Fraction(c) * den == x for c, x in zip(coeffs, ints))
+    # every denominator divides den, and the cofactors share no factor: den
+    # is their least common multiple
+    dens = [Fraction(c).denominator for c in coeffs]
+    assert all(den % d == 0 for d in dens)
+    assert gcd(*(den // d for d in dens)) == 1 or not dens and den == 1
+    # the same list mod p, for a prime p that divides no denominator
+    p = 1000003
+    if den % p:
+        assert [x % p for x in ints] == [r * den % p for r in reduce_mod(coeffs, p)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints=st.lists(st.integers(-(10**12), 10**12), max_size=12), k=st.integers(1, 10**6))
+def test_primitive_divides_out_the_content(ints, k):
+    scaled = [k * x for x in ints]
+    out = primitive(scaled)
+    if not any(ints):
+        assert out == scaled
+        return
+    assert gcd(*out) == 1
+    g = gcd(*scaled)
+    assert [g * x for x in out] == scaled  # the same ratios and signs
+    assert primitive(out) == out
+
+
+def _is_fraction_polynomial(p):
+    return all(type(c) is Fraction for _, c in p.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fgh=polynomial_triples())
+def test_sums_and_differences_equal_ring_poly_of_their_coefficients(fgh):
+    f, g, _ = fgh
+    ring = f.ring
+    for sign, result in ((1, f + g), (-1, f - g)):
+        acc = dict(f.terms)
+        for e, c in g.terms:
+            acc[e] = acc.get(e, 0) + sign * c
+        assert result.terms == ring.poly(acc).terms
+        assert result.ring == ring and _is_fraction_polynomial(result)
+    for result in (f + 3, 3 + f, f - Fraction(1, 2), Fraction(1, 2) - f):
+        assert _is_fraction_polynomial(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fgh=polynomial_triples())
+def test_spoly_equals_ring_poly_of_its_coefficients(fgh):
+    f, g, _ = fgh
+    if f.is_zero or g.is_zero:
+        return
+    ring = f.ring
+    top = monomial_lcm(f.lead_monomial, g.lead_monomial)
+    acc = {}
+    for p, scale in ((f, g.lead_coeff), (g, -f.lead_coeff)):
+        q = monomial_div(top, p.lead_monomial)
+        for e, c in p.terms:
+            e2 = monomial_mul(e, q)
+            acc[e2] = acc.get(e2, 0) + scale * c
+    s = spoly(f, g)
+    assert s.terms == ring.poly(acc).terms
+    assert s.ring == ring and _is_fraction_polynomial(s)

@@ -11,8 +11,7 @@ from igq.groebner import (
     normal_form,
     standard_monomials,
 )
-from igq.linalg import reduce_mod
-from igq.poly import GREVLEX, Ring, WeightedOrder
+from igq.poly import GREVLEX, Ring, WeightedOrder, reduce_mod
 from igq.presentations import (
     CLASSICAL_I,
     CLASSICAL_II,
